@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .decomposer import fast_reject
 from .graph_core import DomainError, Multigraph, degree_sequence, edge
 
 
@@ -207,12 +208,7 @@ def is_eulerian(g: Multigraph) -> bool:
 
 def is_strongly_k3_divisible(g: Multigraph) -> bool:
     """Eulerian, size divisible by 3, and every edge on a triangle."""
-    if not is_eulerian(g):
-        return False
-    if g.size() % 3 != 0:
-        return False
-    adj = [set(ns) for ns in g.adjacency()]
-    return all(adj[e.u] & adj[e.v] for e in g.edges())
+    return is_eulerian(g) and fast_reject(g) is None
 
 
 def is_maximal_outerplanar(g: Multigraph, outer: Sequence[int]) -> bool:

@@ -2,18 +2,23 @@
 
 epsilon_exact answers the single-graph question: the fewest parallel copies
 of already-present edges whose addition makes the multigraph triangle
-decomposable.  The class-level sweeps answer the extremal questions over all
-maximal outerplanar graphs of a given order: the least such count over the
-class, and the largest when at most one extra copy per edge is allowed.
+decomposable.  An augmented graph decomposes exactly when some multiset of
+k triangles covers every edge at least its multiplicity times (and at most
+that plus the per-edge cap), so the search asks the cover solver for the
+least such k instead of enumerating candidate augmentations; parity and
+divisibility then hold without being checked.  The class-level sweeps
+answer the extremal questions over all maximal outerplanar graphs of a
+given order: the least such count over the class, and the largest when at
+most one extra copy per edge is allowed.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .decomposer import CoverInstance, Decomposition, fast_reject
+from .decomposer import CoverInstance, Decomposition, _edge_off_triangles
 from .graph_core import (
     CapInfeasible,
     DomainError,
@@ -156,59 +161,6 @@ def lower_bound(g: Multigraph) -> BoundReport:
     )
 
 
-def _parity_multisets(
-    edges: Sequence[EdgeKey],
-    odd_mask: int,
-    total: int,
-    cap: Optional[int],
-    order: int,
-) -> Iterator[Tuple[int, ...]]:
-    """Count vectors over edges summing to total that fix all degree parities.
-
-    Yields tuples (count per edge index) in ascending lexicographic order of
-    the corresponding edge multisets; an edge used an odd number of times
-    toggles its endpoints' parity bits, and the final parity vector must
-    equal odd_mask.
-    """
-    m = len(edges)
-    emasks = [(1 << e.u) | (1 << e.v) for e in edges]
-    # last_touch[v]: greatest edge index incident to v, to prune dead parities.
-    last_touch = [-1] * order
-    for i, e in enumerate(edges):
-        last_touch[e.u] = max(last_touch[e.u], i)
-        last_touch[e.v] = max(last_touch[e.v], i)
-    counts = [0] * m
-
-    def rec(i: int, remaining: int, mask: int) -> Iterator[Tuple[int, ...]]:
-        if remaining == 0 and mask == 0:
-            yield tuple(counts)
-            return
-        if i == m:
-            return
-        # Each added copy toggles two vertex bits, so at most 2*remaining
-        # mismatched bits can still be fixed.
-        if bin(mask).count("1") > 2 * remaining:
-            return
-        # A mismatched vertex none of the remaining edges touches is stuck.
-        mm = mask
-        while mm:
-            v = (mm & -mm).bit_length() - 1
-            if last_touch[v] < i:
-                return
-            mm &= mm - 1
-        hi = remaining if cap is None else min(remaining, cap)
-        for c in range(hi, -1, -1):
-            counts[i] = c
-            new_mask = mask ^ (emasks[i] if c % 2 == 1 else 0)
-            yield from rec(i + 1, remaining - c, new_mask)
-        counts[i] = 0
-
-    # Descending per-edge count yields ascending edge-multiset order:
-    # spending more on the earliest edge gives the lexicographically
-    # smaller multiset for the same total.
-    yield from rec(0, total, odd_mask)
-
-
 def epsilon_exact(
     g: Multigraph, max_copies_per_edge: Optional[int] = None
 ) -> Tuple[int, Augmentation, Decomposition]:
@@ -222,41 +174,54 @@ def epsilon_exact(
     """
     if g.size() > SIZE_LIMIT:
         raise ScaleLimit(f"size {g.size()} exceeds the exact-search limit {SIZE_LIMIT}")
-    adj = [set(ns) for ns in g.adjacency()]
-    for e in g.edges():
-        if not (adj[e.u] & adj[e.v]):
-            raise EdgeNotOnTriangle(e)
+    off = _edge_off_triangles(g)
+    if off is not None:
+        raise EdgeNotOnTriangle(off)
     cap = max_copies_per_edge
     if cap is not None and cap < 0:
         raise DomainError(f"max_copies_per_edge must be >= 0, got {cap}")
-    edges = g.edges()
-    odd_mask = 0
-    for v, d in enumerate(degree_sequence(g)):
-        if d % 2 != 0:
-            odd_mask |= 1 << v
     inst = CoverInstance(g)
     base = inst.base_multiplicities(g)
-    report = lower_bound(g)
-    t = report.combined_lower_bound
-    ceiling = 2 * g.size() if cap is None else cap * len(edges)
+    t = lower_bound(g).combined_lower_bound
+    ceiling = 2 * g.size() if cap is None else cap * len(base)
+    # t copies added means k = (size + t) / 3 triangles; t rises by 3, so k
+    # rises one step at a time from a proven bound, as solve() requires.
     while t <= ceiling:
-        for counts in _parity_multisets(edges, odd_mask, t, cap, g.order):
-            residual = [b + c for b, c in zip(base, counts)]
-            chosen = inst.solve(residual)
-            if chosen is not None:
-                additions: List[EdgeKey] = []
-                for i, c in enumerate(counts):
-                    additions.extend([edges[i]] * c)
-                return t, Augmentation(tuple(additions)), inst.certificate(chosen)
+        k = (g.size() + t) // 3
+        hi = [b + (t if cap is None else min(cap, t)) for b in base]
+        chosen = inst.solve(base, hi, k)
+        if chosen is not None:
+            break
         t += 3
-    if cap is not None:
-        raise CapInfeasible(
-            f"no augmentation with at most {cap} extra copies per edge works"
-        )
-    # Unreachable: doubling, per edge copy, the other two edges of one
-    # triangle through it gives a parity-correct decomposable augmentation
-    # of size at most 2*size, and the ladder reaches that size.
-    raise RuntimeError("exact search exhausted its ceiling without an answer")
+    else:
+        if cap is not None:
+            raise CapInfeasible(
+                f"no augmentation with at most {cap} extra copies per edge works"
+            )
+        # Unreachable: doubling, per edge copy, the other two edges of one
+        # triangle through it gives a decomposable augmentation of size at
+        # most 2*size, and the ladder reaches that size.
+        raise RuntimeError("exact search exhausted its ceiling without an answer")
+    # The lexicographically least multiset puts the most copies on edge 0,
+    # then on edge 1, and so on.  Ask for one more copy on edge i than the
+    # last solution used; the first refusal pins the edge.
+    lo = list(base)
+    cover = inst.edge_counts(chosen)
+    unpinned = t  # added copies not yet pinned to an edge
+    for i, b in enumerate(base):
+        while cover[i] < hi[i] and cover[i] - b < unpinned:
+            lo[i] = cover[i] + 1
+            more = inst.solve(lo, hi, k)
+            if more is None:
+                break
+            cover = inst.edge_counts(more)
+        lo[i] = hi[i] = cover[i]
+        unpinned -= cover[i] - b
+    chosen = inst.solve(lo, hi, k)  # lo == hi: the certificate search
+    additions: List[EdgeKey] = []
+    for e, c, b in zip(inst.edge_keys, cover, base):
+        additions.extend([e] * (c - b))
+    return t, Augmentation(tuple(additions)), inst.certificate(chosen)
 
 
 @dataclass(frozen=True)
@@ -337,18 +302,9 @@ def enumerate_mops(n: int) -> List[MopCode]:
     return codes
 
 
-def _prepare_class(n: int):
+def _prepare_class(n: int) -> List[Tuple[MopCode, CoverInstance]]:
     """Per-triangulation solver state for a level-synchronized sweep."""
-    prepared = []
-    for code in enumerate_mops(n):
-        g = code.graph()
-        inst = CoverInstance(g)
-        odd_mask = 0
-        for v, d in enumerate(degree_sequence(g)):
-            if d % 2 != 0:
-                odd_mask |= 1 << v
-        prepared.append((code, inst, inst.base_multiplicities(g), odd_mask))
-    return prepared
+    return [(code, CoverInstance(code.graph())) for code in enumerate_mops(n)]
 
 
 def epsilon_class_exact(
@@ -365,12 +321,14 @@ def epsilon_class_exact(
     if ceiling is not None and n > ceiling:
         raise ScaleLimit(f"order {n} exceeds the sweep ceiling {ceiling}")
     prepared = _prepare_class(n)
-    t = (-(2 * n - 3)) % 3
+    size = 2 * n - 3
+    lo = [1] * size
+    t = (-size) % 3
     while True:
-        for code, inst, base, odd_mask in prepared:
-            for counts in _parity_multisets(inst.edge_keys, odd_mask, t, None, n):
-                if inst.solve([b + c for b, c in zip(base, counts)]) is not None:
-                    return t, code
+        hi = [1 + t] * size
+        for code, inst in prepared:
+            if inst.solve(lo, hi, (size + t) // 3) is not None:
+                return t, code
         t += 3
 
 
@@ -385,21 +343,18 @@ def xi_class_exact(n: int, ceiling: Optional[int] = None) -> Tuple[int, MopCode]
     if ceiling is not None and n > ceiling:
         raise ScaleLimit(f"order {n} exceeds the sweep ceiling {ceiling}")
     active = _prepare_class(n)
-    t = (-(2 * n - 3)) % 3
+    size = 2 * n - 3
+    lo = [1] * size
+    t = (-size) % 3
     while True:
+        hi = [1 + min(1, t)] * size
         finished = []
         survivors = []
-        for item in active:
-            code, inst, base, odd_mask = item
-            solved = False
-            for counts in _parity_multisets(inst.edge_keys, odd_mask, t, 1, n):
-                if inst.solve([b + c for b, c in zip(base, counts)]) is not None:
-                    solved = True
-                    break
-            if solved:
+        for code, inst in active:
+            if inst.solve(lo, hi, (size + t) // 3) is not None:
                 finished.append(code)
             else:
-                survivors.append(item)
+                survivors.append((code, inst))
         if not survivors:
             if not finished:
                 raise RuntimeError("capped sweep emptied without a final level")

@@ -1,12 +1,13 @@
 """Exact triangle-decomposition search over edge multiplicities.
 
-The solver treats a decomposition as an exact cover of the edge multiset by
-triangles: a certificate is a multiset of vertex triples such that every
-edge {u,v} lies in exactly multiplicity({u,v}) of them.  The search state is
-the residual multiplicity vector; the branch rule picks the present edge
-with the fewest usable triangles (ties broken by lexicographic edge order)
-and tries its candidate triangles in lexicographic order, so the returned
-certificate is a pure function of the input.
+The one search primitive is a bounded triangle multicover: pick k triangles
+(repeats allowed) so that every edge i is covered between lo[i] and hi[i]
+times.  A decomposition is the case lo = hi = multiplicity; the minimum
+augmentation search in ``augment`` widens hi.  The branch rule picks the
+edge still short of lo with the fewest triangles fitting under hi (ties
+broken by lexicographic edge order) and tries those triangles in
+lexicographic order, so the returned certificate is a pure function of the
+input.
 """
 
 from __future__ import annotations
@@ -125,10 +126,18 @@ def fast_reject(g: Multigraph) -> Optional[RejectReason]:
     for v, d in enumerate(degree_sequence(g)):
         if d % 2 != 0:
             return RejectReason("odd_vertex", vertex=v)
+    e = _edge_off_triangles(g)
+    if e is not None:
+        return RejectReason("edge_not_on_triangle", edge=e)
+    return None
+
+
+def _edge_off_triangles(g: Multigraph) -> Optional[EdgeKey]:
+    """The least edge of g lying on no triangle, or None."""
     adj = [set(ns) for ns in g.adjacency()]
     for e in g.edges():
         if not (adj[e.u] & adj[e.v]):
-            return RejectReason("edge_not_on_triangle", edge=e)
+            return e
     return None
 
 
@@ -136,8 +145,8 @@ class CoverInstance:
     """Reusable triangle-cover structure for one underlying simple graph.
 
     Augmenting a graph never changes which triples form triangles, so a
-    single instance serves every candidate augmentation of the same graph:
-    only the residual multiplicity vector varies between solve() calls.
+    single instance serves every query on the same graph: only the bounds
+    and the triangle count vary between solve() calls.
     """
 
     __slots__ = ("edge_keys", "edge_index", "tri_verts", "tri_edges", "tris_of_edge")
@@ -159,60 +168,132 @@ class CoverInstance:
     def base_multiplicities(self, g: Multigraph) -> List[int]:
         return [g.multiplicity(e) for e in self.edge_keys]
 
-    def solve(self, residual: List[int]) -> Optional[List[int]]:
-        """Triangle indices (with repetition) covering the residual vector, or None.
+    def edge_counts(self, chosen: List[int]) -> List[int]:
+        """How many of the chosen triangles cover each edge."""
+        counts = [0] * len(self.edge_keys)
+        for ti in chosen:
+            for ei in self.tri_edges[ti]:
+                counts[ei] += 1
+        return counts
 
-        The caller is responsible for the root-level cheap checks; both stay
-        true along any branch (removing a triangle keeps the total divisible
-        by 3 and changes three degrees by 2 each, preserving parity), so they
-        are not rescanned per node.
+    def solve(self, lo: List[int], hi: List[int], k: int) -> Optional[List[int]]:
+        """k triangle indices (repeats allowed) covering edge i between lo[i] and hi[i] times.
+
+        None when no such multiset exists.  With lo == hi this is an exact
+        cover.  With lo < hi the caller must reach the least k one step at
+        a time: k - 1 must already be refused or impossible.  Then no
+        solution holds a triangle whose removal keeps every edge at or
+        above lo, so the search only adds triangles through an edge still
+        short of lo, and a node with no short edge succeeds only at k.
+
+        The search branches on the short edge with the fewest triangles
+        fitting under hi (the first such edge; one fitting triangle ends
+        the scan) and tries them in order.  It refuses at the root a vertex
+        whose edges are all pinned (lo == hi) with an odd total, since a
+        triangle covers two edges at each of its corners.  A node is pruned
+        when a short edge cannot reach lo, when the triangles left cannot
+        cover the total shortfall, or when more vertices are short by an
+        odd amount than the coverings beyond lo can serve.  A triangle
+        whose branch failed is banned from its later siblings' subtrees,
+        since a solution there holding it would also solve the failed
+        branch.  Prunes and bans cut only subtrees without a solution, so
+        with lo == hi the certificate is the one the plain exact-cover
+        search finds first.
         """
-        res = list(residual)
+        # k triangles cover 3k edge copies, so no edge can exceed lo by
+        # more than the slack 3k - sum(lo).
+        slack = 3 * k - sum(lo)
+        short = list(lo)  # lo[i] minus the coverage so far
+        room = [min(b, a + slack) for a, b in zip(lo, hi)]  # hi[i] minus the coverage
+        if slack < 0 or 3 * k > sum(room):
+            return None
+        ends = [e.as_pair() for e in self.edge_keys]
+        order = max((v for _, v in ends), default=-1) + 1
+        degree = [0] * order
+        free = set()
+        for (u, v), a, b in zip(ends, lo, room):
+            degree[u] += a
+            degree[v] += a
+            if a != b:
+                free.update((u, v))
+        if any(d % 2 and v not in free for v, d in enumerate(degree)):
+            return None
         tri_edges = self.tri_edges
         tris_of_edge = self.tris_of_edge
-        m = len(res)
+        m = len(short)
+        banned = [False] * len(tri_edges)
         chosen: List[int] = []
 
-        def node() -> bool:
+        def node(left: int, shortfall: int) -> bool:
+            spare = 3 * left - shortfall  # coverings beyond lo still to place
+            if spare < 0:
+                return False
+            if spare > 0:
+                # A vertex still short by an odd amount needs a covering
+                # beyond lo on one of its edges, and each such covering
+                # serves two vertices.
+                need_at = [0] * order
+                for (u, v), s in zip(ends, short):
+                    if s > 0:
+                        need_at[u] += s
+                        need_at[v] += s
+                if sum(d & 1 for d in need_at) > 2 * spare:
+                    return False
             best: Optional[List[int]] = None
             for ei in range(m):
-                need = res[ei]
+                need = short[ei]
                 if need <= 0:
                     continue
-                avail: List[int] = []
+                fits: List[int] = []
                 capacity = 0
                 for ti in tris_of_edge[ei]:
                     e1, e2, e3 = tri_edges[ti]
-                    lo = res[e1]
-                    if res[e2] < lo:
-                        lo = res[e2]
-                    if res[e3] < lo:
-                        lo = res[e3]
-                    if lo > 0:
-                        avail.append(ti)
-                        capacity += lo
+                    r = room[e1]
+                    if room[e2] < r:
+                        r = room[e2]
+                    if room[e3] < r:
+                        r = room[e3]
+                    if r > 0:
+                        fits.append(ti)
+                        capacity += r
                 if capacity < need:
-                    return False  # this edge cannot be covered even with full reuse
-                if best is None or len(avail) < len(best):
-                    best = avail
+                    return False  # this edge cannot reach lo even with full reuse
+                if best is None or len(fits) < len(best):
+                    best = fits
+                    if len(fits) == 1:
+                        break  # a forced move: no later edge can beat it
             if best is None:
-                return True  # residual exhausted
+                return left == 0  # no slack triangles, as the docstring explains
+            failed: List[int] = []
             for ti in best:
+                if banned[ti]:
+                    continue
                 e1, e2, e3 = tri_edges[ti]
-                res[e1] -= 1
-                res[e2] -= 1
-                res[e3] -= 1
+                gain = (short[e1] > 0) + (short[e2] > 0) + (short[e3] > 0)
+                short[e1] -= 1
+                short[e2] -= 1
+                short[e3] -= 1
+                room[e1] -= 1
+                room[e2] -= 1
+                room[e3] -= 1
                 chosen.append(ti)
-                if node():
+                if node(left - 1, shortfall - gain):
                     return True
                 chosen.pop()
-                res[e1] += 1
-                res[e2] += 1
-                res[e3] += 1
+                short[e1] += 1
+                short[e2] += 1
+                short[e3] += 1
+                room[e1] += 1
+                room[e2] += 1
+                room[e3] += 1
+                banned[ti] = True
+                failed.append(ti)
+            for ti in failed:
+                banned[ti] = False
             return False
 
-        if node():
-            return list(chosen)
+        if node(k, sum(lo)):
+            return chosen
         return None
 
     def certificate(self, chosen: List[int]) -> Decomposition:
@@ -224,7 +305,8 @@ def find_decomposition(g: Multigraph) -> Optional[Decomposition]:
     if fast_reject(g) is not None:
         return None
     inst = CoverInstance(g)
-    chosen = inst.solve(inst.base_multiplicities(g))
+    m = inst.base_multiplicities(g)
+    chosen = inst.solve(m, m, g.size() // 3)
     if chosen is None:
         return None
     return inst.certificate(chosen)

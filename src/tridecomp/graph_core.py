@@ -8,7 +8,7 @@ lexicographically so that every consumer sees a deterministic order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 class TridecompError(Exception):
@@ -229,17 +229,6 @@ class Multigraph:
         return cls(order, mult)
 
 
-def degree(g: Multigraph, v: int) -> int:
-    """Degree of v counting every parallel copy once per copy."""
-    if not (0 <= v < g.order):
-        raise DomainError(f"vertex {v} out of range for order {g.order}")
-    total = 0
-    for e, m in g._mult.items():
-        if e.u == v or e.v == v:
-            total += m
-    return total
-
-
 def degree_sequence(g: Multigraph) -> List[int]:
     """Degrees of all vertices in one pass."""
     deg = [0] * g.order
@@ -247,37 +236,6 @@ def degree_sequence(g: Multigraph) -> List[int]:
         deg[e.u] += m
         deg[e.v] += m
     return deg
-
-
-def add_parallel(g: Multigraph, e: EdgeKey, copies: int = 1) -> Multigraph:
-    """A new graph with `copies` extra copies of an already present edge."""
-    if copies < 1:
-        raise DomainError(f"copies must be >= 1, got {copies}")
-    if not g.has_edge(e):
-        raise AugmentNonAdjacent(f"vertices {e.u} and {e.v} are not adjacent")
-    mult = dict(g._mult)
-    mult[e] += copies
-    return Multigraph(g.order, mult)
-
-
-def remove_parallel(g: Multigraph, e: EdgeKey, copies: int = 1) -> Multigraph:
-    """Inverse of add_parallel (the edge must keep multiplicity >= 1)."""
-    if copies < 1:
-        raise DomainError(f"copies must be >= 1, got {copies}")
-    if g.multiplicity(e) <= copies:
-        raise DomainError(f"removing {copies} copies of {{{e.u},{e.v}}} would drop it below multiplicity 1")
-    mult = dict(g._mult)
-    mult[e] -= copies
-    return Multigraph(g.order, mult)
-
-
-def triangles_through(g: Multigraph, e: EdgeKey) -> List[Triangle]:
-    """All triangles containing both endpoints of a present edge, sorted."""
-    if not g.has_edge(e):
-        raise DomainError(f"edge {{{e.u},{e.v}}} is not present")
-    nu = set(g.neighbors(e.u))
-    nv = set(g.neighbors(e.v))
-    return sorted(triangle(e.u, e.v, w) for w in nu & nv)
 
 
 def complete_graph(n: int) -> Multigraph:

@@ -10,7 +10,7 @@ shared with the production code.
 import itertools
 from typing import List, Optional, Tuple
 
-from tridecomp import Multigraph, edge
+from tridecomp import EdgeKey, Multigraph, edge
 
 
 def oracle_triangles(g: Multigraph) -> List[Tuple[int, int, int]]:
@@ -57,11 +57,19 @@ def oracle_decomposable(g: Multigraph) -> bool:
     return search()
 
 
-def oracle_epsilon(g: Multigraph, cap: Optional[int] = None) -> int:
-    """Least number of added parallel copies making g decomposable."""
+def oracle_witness(g: Multigraph, cap: Optional[int] = None) -> Tuple[EdgeKey, ...]:
+    """The first decomposable multiset of added edge copies.
+
+    Totals are tried from zero upward and, within a total, multisets in
+    itertools.combinations_with_replacement order, which is ascending
+    lexicographic order of the sorted edge lists.
+    """
     edges = g.edges()
+    ceiling = 2 * g.size() + 3
+    if cap is not None:
+        ceiling = min(ceiling, cap * len(edges))
     total = 0
-    while total <= 2 * g.size() + 3:
+    while total <= ceiling:
         for combo in itertools.combinations_with_replacement(
             range(len(edges)), total
         ):
@@ -73,9 +81,14 @@ def oracle_epsilon(g: Multigraph, cap: Optional[int] = None) -> int:
             for i in combo:
                 mult[edges[i]] += 1
             if oracle_decomposable(Multigraph(g.order, mult)):
-                return total
+                return tuple(edges[i] for i in combo)
         total += 1
     raise RuntimeError("oracle search ran past its ceiling")
+
+
+def oracle_epsilon(g: Multigraph, cap: Optional[int] = None) -> int:
+    """Least number of added parallel copies making g decomposable."""
+    return len(oracle_witness(g, cap))
 
 
 def simple_graphs(n: int):

@@ -22,12 +22,23 @@ from tridecomp import (
     lower_bound,
     xi_class_exact,
 )
-from tridecomp.augment import _parity_multisets
 
 from oracle_helpers import (
     every_edge_on_triangle_masks,
     graph_from_mask,
     oracle_epsilon,
+    oracle_witness,
+)
+
+# A 9-vertex multigraph of size 37 whose minimum needs 20 added copies.
+NINE_VERTEX = Multigraph.from_edges(
+    9,
+    [
+        (0, 2, 1), (0, 6, 1), (0, 7, 2), (1, 3, 2), (1, 4, 2), (1, 5, 2),
+        (1, 7, 2), (1, 8, 2), (2, 3, 2), (2, 4, 1), (2, 5, 2), (2, 7, 2),
+        (3, 6, 2), (3, 7, 1), (3, 8, 1), (4, 6, 1), (4, 7, 1), (4, 8, 1),
+        (5, 6, 1), (5, 7, 2), (5, 8, 1), (6, 7, 1), (6, 8, 2), (7, 8, 2),
+    ],
 )
 
 
@@ -71,20 +82,6 @@ def test_lower_bound_hand_values():
     # five-cycle with chords {0,2} and {0,3}: odd at 2 and 3, size 7
     r = lower_bound(fan_graph(5))
     assert (r.parity_bound, r.divisibility_residue, r.combined_lower_bound) == (1, 2, 2)
-
-
-def test_parity_multisets_enumeration_order():
-    edges = complete_graph(3).edges()
-    # parity already balanced, two copies: doubled single edges, ascending
-    got = list(_parity_multisets(edges, 0, 2, None, 3))
-    assert got == [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
-    # only the edge {0,1} toggles exactly vertices 0 and 1
-    mask = (1 << 0) | (1 << 1)
-    assert list(_parity_multisets(edges, mask, 1, None, 3)) == [(1, 0, 0)]
-    # a cap of one forbids doubling, and distinct pairs break parity
-    assert list(_parity_multisets(edges, 0, 2, 1, 3)) == []
-    # zero total with balanced parity: the empty multiset
-    assert list(_parity_multisets(edges, 0, 0, None, 3)) == [(0, 0, 0)]
 
 
 def test_epsilon_exact_known_values():
@@ -160,6 +157,36 @@ def test_capped_epsilon_matches_oracle_on_small_graphs():
                 oracle_epsilon(g, cap=1)
         else:
             assert t == oracle_epsilon(g, cap=1)
+
+
+def test_epsilon_exact_returns_the_oracle_witness():
+    cases = 0
+    for n in range(3, 6):
+        for mask, pairs in every_edge_on_triangle_masks(n):
+            if mask == 0:
+                continue
+            g = graph_from_mask(n, mask, pairs)
+            for cap in (None, 1):
+                cases += 1
+                try:
+                    witness = oracle_witness(g, cap)
+                except RuntimeError:
+                    with pytest.raises(CapInfeasible):
+                        epsilon_exact(g, max_copies_per_edge=cap)
+                    continue
+                t, aug, cert = epsilon_exact(g, max_copies_per_edge=cap)
+                assert (t, aug.additions) == (len(witness), witness)
+                assert check_decomposition(apply_augmentation(g, aug), cert)
+    assert cases == 396
+
+
+def test_epsilon_exact_on_the_nine_vertex_graph():
+    assert NINE_VERTEX.size() == 37
+    t, aug, cert = epsilon_exact(NINE_VERTEX)
+    assert t == 20 and len(aug) == 20
+    assert check_decomposition(apply_augmentation(NINE_VERTEX, aug), cert)
+    with pytest.raises(CapInfeasible):
+        epsilon_exact(NINE_VERTEX, max_copies_per_edge=1)
 
 
 def test_mop_code_validation():

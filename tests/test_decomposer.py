@@ -174,11 +174,31 @@ def test_find_decomposition_is_deterministic():
 def test_cover_instance_reuses_triangles_across_residuals():
     g = complete_graph(3)
     inst = CoverInstance(g)
-    assert inst.solve([1, 1, 1]) == [0]
-    assert inst.solve([2, 2, 2]) == [0, 0]
-    assert inst.solve([1, 1, 2]) is None
-    assert inst.solve([0, 0, 0]) == []
+    assert inst.solve([1, 1, 1], [1, 1, 1], 1) == [0]
+    assert inst.solve([2, 2, 2], [2, 2, 2], 2) == [0, 0]
+    assert inst.solve([1, 1, 2], [1, 1, 2], 1) is None
+    assert inst.solve([0, 0, 0], [0, 0, 0], 0) == []
     assert inst.certificate([0, 0]) == Decomposition((triangle(0, 1, 2),) * 2)
+
+
+def test_solve_covers_each_edge_between_lo_and_hi():
+    k4 = CoverInstance(complete_graph(4))
+    chosen = k4.solve([1] * 6, [2] * 6, 3)
+    assert chosen == [0, 1, 2]
+    assert k4.edge_counts(chosen) == [2, 2, 2, 1, 1, 1]
+    # two triangles of K4 share an edge, so they cover only five of six
+    assert k4.solve([1] * 6, [2] * 6, 2) is None
+    k5 = CoverInstance(complete_graph(5))
+    counts = k5.edge_counts(k5.solve([1] * 10, [3] * 10, 4))
+    assert sum(counts) == 12 and all(1 <= c <= 3 for c in counts)
+    assert k5.solve([1] * 10, [3] * 10, 3) is None  # nine coverings, ten edges
+    # vertex 0 pinned at degree 6 (edge {0,1} tripled) decomposes
+    lo = [3, 1, 1, 1] + [1] * 6
+    hi = [3, 1, 1, 1] + [3] * 6
+    assert k5.edge_counts(k5.solve(lo, hi, 4)) == [3] + [1] * 9
+    # pinned at odd degree 5 it cannot: a triangle covers two edges at a corner
+    lo[0] = hi[0] = 2
+    assert k5.solve(lo, hi, 4) is None
 
 
 def test_solver_agrees_with_oracle_on_simple_graphs():

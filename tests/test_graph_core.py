@@ -3,20 +3,15 @@
 import pytest
 
 from tridecomp import (
-    AugmentNonAdjacent,
     DomainError,
     EdgeKey,
     Multigraph,
     Triangle,
-    add_parallel,
     complete_graph,
     cycle_graph,
-    degree,
     degree_sequence,
     edge,
-    remove_parallel,
     triangle,
-    triangles_through,
 )
 
 
@@ -130,45 +125,7 @@ def test_from_json_dict_rejects_malformed_payloads():
 
 def test_degree_counts_every_parallel_copy():
     g = Multigraph.from_edges(4, [(0, 1, 2), (1, 2), (2, 3)])
-    assert degree(g, 0) == 2
-    assert degree(g, 1) == 3
-    assert degree(g, 3) == 1
     assert degree_sequence(g) == [2, 3, 2, 1]
-    with pytest.raises(DomainError):
-        degree(g, 4)
-
-
-def test_add_parallel_only_on_present_edges():
-    g = Multigraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    g2 = add_parallel(g, edge(0, 1))
-    assert g2.multiplicity(edge(0, 1)) == 2
-    assert g.multiplicity(edge(0, 1)) == 1  # original untouched
-    g3 = add_parallel(g, edge(0, 1), copies=3)
-    assert g3.multiplicity(edge(0, 1)) == 4
-    with pytest.raises(AugmentNonAdjacent):
-        add_parallel(Multigraph.from_edges(3, [(0, 1)]), edge(1, 2))
-    with pytest.raises(DomainError):
-        add_parallel(g, edge(0, 1), copies=0)
-
-
-def test_remove_parallel_keeps_edges_present():
-    g = Multigraph.from_edges(3, [(0, 1, 3), (1, 2), (0, 2)])
-    g2 = remove_parallel(g, edge(0, 1), copies=2)
-    assert g2.multiplicity(edge(0, 1)) == 1
-    with pytest.raises(DomainError):
-        remove_parallel(g, edge(0, 1), copies=3)
-    with pytest.raises(DomainError):
-        remove_parallel(g, edge(1, 2))
-
-
-def test_triangles_through_lists_common_neighbors():
-    g = complete_graph(5)
-    ts = triangles_through(g, edge(1, 3))
-    assert ts == [triangle(0, 1, 3), triangle(1, 2, 3), triangle(1, 3, 4)]
-    path = Multigraph.from_edges(3, [(0, 1), (1, 2)])
-    assert triangles_through(path, edge(0, 1)) == []
-    with pytest.raises(DomainError):
-        triangles_through(path, edge(0, 2))
 
 
 def test_complete_and_cycle_builders():
