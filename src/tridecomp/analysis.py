@@ -37,11 +37,12 @@ class RotationSystem:
                         f"rotation entries must be (neighbor, copy), got {entry!r}"
                     )
                 u, c = entry
-                if not (isinstance(u, int) and 0 <= u < self.order):
+                # type() rather than isinstance(): JSON booleans are not integers.
+                if not (type(u) is int and 0 <= u < self.order):
                     raise DomainError(f"neighbor {u!r} at vertex {v} out of range")
                 if u == v:
                     raise DomainError(f"loop at vertex {v}")
-                if not (isinstance(c, int) and c >= 0):
+                if not (type(c) is int and c >= 0):
                     raise DomainError(f"copy index {c!r} at vertex {v} invalid")
 
     def to_json_dict(self) -> dict:
@@ -249,28 +250,35 @@ def is_maximal_outerplanar(g: Multigraph, outer: Sequence[int]) -> bool:
 
 
 def find_hamiltonian_cycle(g: Multigraph) -> Optional[Tuple[int, ...]]:
-    """A Hamiltonian cycle starting at 0, or None; lex-first by neighbor order."""
+    """A Hamiltonian cycle starting at 0, or None; lex-first by neighbor order.
+
+    Depth-first over paths from 0 with an explicit stack: tried[i] is how
+    many neighbors of path[i] have been tried as path[i + 1].
+    """
     n = g.order
     if n < 3:
         return None
-    adj = [list(ns) for ns in g.adjacency()]
+    adj = g.adjacency()
     path = [0]
+    tried = [0]
     on_path = [False] * n
     on_path[0] = True
-
-    def extend() -> bool:
+    while path:
+        nbrs = adj[path[-1]]
         if len(path) == n:
-            return 0 in adj[path[-1]]
-        for u in adj[path[-1]]:
-            if not on_path[u]:
-                path.append(u)
-                on_path[u] = True
-                if extend():
-                    return True
-                on_path[u] = False
-                path.pop()
-        return False
-
-    if extend():
-        return tuple(path)
+            if 0 in nbrs:
+                return tuple(path)
+            i = len(nbrs)
+        else:
+            i = tried[-1]
+            while i < len(nbrs) and on_path[nbrs[i]]:
+                i += 1
+        if i < len(nbrs):
+            tried[-1] = i + 1
+            path.append(nbrs[i])
+            tried.append(0)
+            on_path[nbrs[i]] = True
+        else:
+            on_path[path.pop()] = False
+            tried.pop()
     return None

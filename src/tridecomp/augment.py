@@ -58,9 +58,15 @@ class Augmentation:
     def from_json_list(cls, data: list) -> "Augmentation":
         from .graph_core import edge
 
+        if not isinstance(data, (list, tuple)):
+            raise DomainError(f"augmentation must be a list, got {data!r}")
         adds = []
         for entry in data:
-            if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+            if not (
+                isinstance(entry, (list, tuple))
+                and len(entry) == 2
+                and all(type(x) is int for x in entry)
+            ):
                 raise DomainError(f"augmentation entries must be [u, v], got {entry!r}")
             adds.append(edge(*entry))
         return cls(tuple(adds))

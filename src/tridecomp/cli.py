@@ -104,24 +104,6 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def construction_envelope(result: families.ConstructionResult) -> dict:
-    out = {
-        "family": result.family,
-        "parameters": dict(result.parameters),
-        "epsilon": result.claimed_epsilon,
-        "graph": result.graph.to_json_dict(),
-        "augmentation": result.augmentation.to_json_list(),
-        "certificate": result.certificate.to_json_dict(),
-    }
-    if result.outer_cycle is not None:
-        out["outer_cycle"] = list(result.outer_cycle)
-    if result.faces is not None:
-        out["faces"] = [list(t.as_triple()) for t in result.faces]
-    if result.rotation is not None:
-        out["rotation"] = result.rotation.to_json_dict()
-    return out
-
-
 def render_dot(result: families.ConstructionResult) -> str:
     """One edge line per certificate use, colored by certificate triangle."""
     lines = [f"graph {result.family} {{", "  node [shape=circle];"]
@@ -149,7 +131,7 @@ def run_construct(args: argparse.Namespace) -> int:
     if args.out == "dot":
         sys.stdout.write(render_dot(result))
     else:
-        _print_json(construction_envelope(result))
+        _print_json(result.to_json_dict())
     return 0
 
 
@@ -182,133 +164,10 @@ def run_decompose(args: argparse.Namespace) -> int:
 
 def run_verify(args: argparse.Namespace) -> int:
     data = _load_json(args.file)
-    if not isinstance(data, dict):
-        raise graph_core.DomainError("envelope JSON must be an object")
-    for key in ("family", "epsilon", "graph", "augmentation", "certificate"):
-        if key not in data:
-            raise graph_core.DomainError(f"envelope is missing the '{key}' field")
-    failures = 0
-
-    def ok(msg: str) -> None:
-        print(f"ok: {msg}")
-
-    def fail(msg: str) -> None:
-        nonlocal failures
-        failures += 1
-        print(f"fail: {msg}")
-
-    g = graph_core.Multigraph.from_json_dict(data["graph"])
-    aug = augment.Augmentation.from_json_list(data["augmentation"])
-    cert = decomposer.Decomposition.from_json_dict(data["certificate"])
-    eps = data["epsilon"]
-    if not isinstance(eps, int) or isinstance(eps, bool):
-        raise graph_core.DomainError(f"'epsilon' must be an integer, got {eps!r}")
-
-    if len(aug) == eps:
-        ok(f"augmentation lists {eps} added copies")
-    else:
-        fail(f"augmentation lists {len(aug)} added copies, envelope claims {eps}")
-    if eps % 3 == (-g.size()) % 3:
-        ok("count matches the divisibility residue")
-    else:
-        fail(
-            f"count {eps} cannot make size {g.size()} divisible by 3"
-        )
-    augmented = None
-    try:
-        augmented = augment.apply_augmentation(g, aug)
-    except graph_core.DomainError as exc:
-        fail(f"augmentation lists an absent edge: {exc}")
-    if augmented is not None:
-        defect = decomposer.coverage_error(augmented, cert)
-        if defect is None:
-            ok("certificate covers every edge exactly")
-        else:
-            kind, e = defect
-            fail(f"edge {{{e.u}, {e.v}}} {kind}")
-
-    family = data["family"]
-    if family in ("mop", "fan", "intermediate", "sc2tree", "sc2seed"):
-        outer = data.get("outer_cycle")
-        if outer is None:
-            fail("triangulated-cycle envelope has no outer cycle")
-        elif analysis.is_maximal_outerplanar(g, outer):
-            ok("maximal outerplanar on the given outer cycle")
-        else:
-            fail("not maximal outerplanar on the given outer cycle")
-    elif family == "hmp":
-        faces = data.get("faces")
-        if faces is None:
-            fail("triangulation envelope has no face list")
-        else:
-            count = {}
-            for entry in faces:
-                t = graph_core.triangle(*entry)
-                for e in t.edges():
-                    count[e] = count.get(e, 0) + 1
-            if all(count.get(e, 0) == 2 for e in g.edges()) and len(count) == len(
-                g.edges()
-            ):
-                ok("every edge lies on exactly two faces")
-            else:
-                fail("face list does not cover every edge exactly twice")
-            chi = g.order - g.size() + len(faces)
-            if chi == 2:
-                ok("V - E + F = 2")
-            else:
-                fail(f"V - E + F = {chi}, expected 2")
-        if analysis.find_hamiltonian_cycle(g) is not None:
-            ok("hamiltonian cycle found")
-        else:
-            fail("no hamiltonian cycle found")
-        if analysis.is_eulerian(g):
-            ok("all degrees even and the graph is connected")
-        else:
-            fail("graph is not eulerian")
-    elif family == "sf":
-        rot_data = data.get("rotation")
-        if rot_data is None:
-            fail("fixture envelope has no rotation system")
-        else:
-            rotation = analysis.RotationSystem.from_json_dict(rot_data)
-            trace = analysis.trace_faces(rotation)
-            print(f"genus: {trace.genus}")
-            if trace.genus == 1:
-                ok("rotation system embeds the graph on the torus")
-            else:
-                fail(f"rotation system has genus {trace.genus}, expected 1")
-            if any(set(face) == set(range(g.order)) for face in trace.faces):
-                ok("one face visits every vertex")
-            else:
-                fail("no face visits every vertex")
-            rot_pairs = {
-                (min(v, u), max(v, u))
-                for v, rot in enumerate(rotation.rotations)
-                for (u, _c) in rot
-            }
-            if rot_pairs == {e.as_pair() for e in g.edges()}:
-                ok("rotation system covers exactly the graph edges")
-            else:
-                fail("rotation system edges differ from the graph edges")
-    elif family == "kop":
-        params = data.get("parameters", {})
-        m = params.get("m")
-        k = params.get("k")
-        if not (isinstance(m, int) and isinstance(k, int) and m >= 3 and k >= 1):
-            fail("layered envelope has no usable m, k parameters")
-        else:
-            missing = [
-                (j * m + i, j * m + (i + 1) % m)
-                for j in range(k)
-                for i in range(m)
-                if not g.has_edge(graph_core.edge(j * m + i, j * m + (i + 1) % m))
-            ]
-            if not missing:
-                ok(f"all {k} layer rings present")
-            else:
-                u, v = missing[0]
-                fail(f"ring edge ({u}, {v}) missing")
-
+    checks = families.verify_construction(families.ConstructionResult.from_json_dict(data))
+    for ok, message in checks:
+        print(message if ok is None else f"{'ok' if ok else 'fail'}: {message}")
+    failures = sum(ok is False for ok, _ in checks)
     if failures:
         print(f"{failures} check(s) failed")
         return 1

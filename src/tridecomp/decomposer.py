@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .graph_core import EdgeKey, Multigraph, Triangle, degree_sequence
+from .graph_core import DomainError, EdgeKey, Multigraph, Triangle, degree_sequence, triangle
 
 
 @dataclass(frozen=True)
@@ -35,16 +35,25 @@ class Decomposition:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Decomposition":
-        from .graph_core import DomainError, triangle
-
         if not isinstance(data, dict) or "triangles" not in data:
             raise DomainError("certificate JSON must have a 'triangles' field")
-        tris = []
-        for entry in data["triangles"]:
-            if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
-                raise DomainError(f"triangle entries must be [a, b, c], got {entry!r}")
-            tris.append(triangle(*entry))
-        return cls(tuple(tris))
+        return cls(_triangles_from_json(data["triangles"]))
+
+
+def _triangles_from_json(entries: list) -> Tuple[Triangle, ...]:
+    """[[a, b, c], ...] as Triangles in the listed order; DomainError if malformed."""
+    if not isinstance(entries, (list, tuple)):
+        raise DomainError(f"a triangle list must be a list, got {entries!r}")
+    tris = []
+    for entry in entries:
+        if not (
+            isinstance(entry, (list, tuple))
+            and len(entry) == 3
+            and all(type(x) is int for x in entry)
+        ):
+            raise DomainError(f"triangle entries must be [a, b, c], got {entry!r}")
+        tris.append(triangle(*entry))
+    return tuple(tris)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,19 @@
 
 Each constructor returns a ConstructionResult bundling the base graph, the
 parallel copies to add, a triangle certificate for the augmented graph, and
-the claimed augmentation count; validate_construction re-checks the bundle
-from scratch.  The triangulated-cycle builder works for every order by
-splitting off polygon ears in rounds and recursing on the inner polygon,
-with small orders stored as explicit tables.
+the claimed augmentation count.  The triangulated-cycle builder works for
+every order by splitting off polygon ears in rounds and recursing on the
+inner polygon, with small orders stored as explicit tables; the even planar
+triangulations take one colour class of their face 2-colouring as the
+certificate.
+
+This module also owns the envelope: ConstructionResult.to_json_dict writes
+the JSON that ``construct`` prints and from_json_dict reads it back.
+verify_construction rechecks a result from scratch as an ordered list of
+(ok, message) lines, the three core checks (augmentation count, divisibility
+residue, certificate coverage) first, then the structure checks of its
+family; validate_construction runs the core checks only and raises on the
+first failure.
 """
 
 from __future__ import annotations
@@ -13,9 +22,20 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from .analysis import RotationSystem
+from .analysis import (
+    RotationSystem,
+    find_hamiltonian_cycle,
+    is_eulerian,
+    is_maximal_outerplanar,
+    trace_faces,
+)
 from .augment import Augmentation, apply_augmentation
-from .decomposer import Decomposition, coverage_error, find_decomposition
+from .decomposer import (
+    Decomposition,
+    _triangles_from_json,
+    coverage_error,
+    find_decomposition,
+)
 from .graph_core import (
     ConstructionUnavailable,
     DomainError,
@@ -27,6 +47,11 @@ from .graph_core import (
     edge,
     triangle,
 )
+
+# One verifier line: True "ok", False "fail", None informational.
+Check = Tuple[Optional[bool], str]
+
+_CYCLE_FAMILIES = ("mop", "fan", "intermediate", "sc2tree", "sc2seed")
 
 
 @dataclass(frozen=True)
@@ -43,27 +68,146 @@ class ConstructionResult:
     faces: Optional[Tuple[Triangle, ...]] = None
     rotation: Optional[RotationSystem] = None
 
+    def to_json_dict(self) -> dict:
+        """The envelope that construct prints; absent structure fields are left out."""
+        out = {
+            "family": self.family,
+            "parameters": dict(self.parameters),
+            "epsilon": self.claimed_epsilon,
+            "graph": self.graph.to_json_dict(),
+            "augmentation": self.augmentation.to_json_list(),
+            "certificate": self.certificate.to_json_dict(),
+        }
+        if self.outer_cycle is not None:
+            out["outer_cycle"] = list(self.outer_cycle)
+        if self.faces is not None:
+            out["faces"] = [list(t.as_triple()) for t in self.faces]
+        if self.rotation is not None:
+            out["rotation"] = self.rotation.to_json_dict()
+        return out
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "ConstructionResult":
+        """Read an envelope back; DomainError on a missing or malformed field."""
+        if not isinstance(data, dict):
+            raise DomainError("envelope JSON must be an object")
+        for key in ("family", "epsilon", "graph", "augmentation", "certificate"):
+            if key not in data:
+                raise DomainError(f"envelope is missing the '{key}' field")
+        graph = Multigraph.from_json_dict(data["graph"])
+        augmentation = Augmentation.from_json_list(data["augmentation"])
+        certificate = Decomposition.from_json_dict(data["certificate"])
+        family, eps, params = data["family"], data["epsilon"], data.get("parameters", {})
+        outer, faces, rotation = (data.get(k) for k in ("outer_cycle", "faces", "rotation"))
+        if not isinstance(family, str):
+            raise DomainError(f"'family' must be a string, got {family!r}")
+        # type() rather than isinstance(): JSON booleans are not integers.
+        if type(eps) is not int:
+            raise DomainError(f"'epsilon' must be an integer, got {eps!r}")
+        if not (isinstance(params, dict) and all(type(x) is int for x in params.values())):
+            raise DomainError(f"'parameters' must map names to integers, got {params!r}")
+        if outer is not None and not (
+            isinstance(outer, list) and all(type(x) is int for x in outer)
+        ):
+            raise DomainError(f"'outer_cycle' must be a list of vertices, got {outer!r}")
+        return cls(
+            family, params, graph, augmentation, certificate, eps,
+            outer_cycle=None if outer is None else tuple(outer),
+            faces=None if faces is None else _triangles_from_json(faces),
+            rotation=None if rotation is None else RotationSystem.from_json_dict(rotation),
+        )
+
+
+def _check(ok: bool, good: str, bad: str) -> Check:
+    return (ok, good if ok else bad)
+
+
+def _core_checks(result: ConstructionResult) -> List[Check]:
+    """Augmentation count, divisibility residue and certificate coverage."""
+    g, eps, aug = result.graph, result.claimed_epsilon, result.augmentation
+    checks = [
+        _check(len(aug) == eps, f"augmentation lists {eps} added copies",
+               f"augmentation lists {len(aug)} added copies, envelope claims {eps}"),
+        _check(eps % 3 == (-g.size()) % 3, "count matches the divisibility residue",
+               f"count {eps} cannot make size {g.size()} divisible by 3"),
+    ]
+    try:
+        augmented = apply_augmentation(g, aug)
+    except DomainError as exc:
+        return checks + [(False, f"augmentation lists an absent edge: {exc}")]
+    defect = coverage_error(augmented, result.certificate)
+    if defect is None:
+        return checks + [(True, "certificate covers every edge exactly")]
+    kind, e = defect
+    return checks + [(False, f"edge {{{e.u}, {e.v}}} {kind}")]
+
+
+def verify_construction(result: ConstructionResult) -> List[Check]:
+    """Recheck a construction from scratch: the core checks, then its family's.
+
+    A structure field that the checks cannot use, such as an outer cycle
+    that is not a permutation of the vertices, raises DomainError.
+    """
+    g, family, checks = result.graph, result.family, _core_checks(result)
+    if family in _CYCLE_FAMILIES:
+        if result.outer_cycle is None:
+            checks.append((False, "triangulated-cycle envelope has no outer cycle"))
+        else:
+            checks.append(_check(is_maximal_outerplanar(g, result.outer_cycle),
+                                 "maximal outerplanar on the given outer cycle",
+                                 "not maximal outerplanar on the given outer cycle"))
+    elif family == "hmp":
+        if result.faces is None:
+            checks.append((False, "triangulation envelope has no face list"))
+        else:
+            doubled = Multigraph(g.order, {e: 2 for e in g.edges()})
+            chi = g.order - g.size() + len(result.faces)
+            checks += [
+                _check(coverage_error(doubled, Decomposition(result.faces)) is None,
+                       "every edge lies on exactly two faces",
+                       "face list does not cover every edge exactly twice"),
+                _check(chi == 2, "V - E + F = 2", f"V - E + F = {chi}, expected 2"),
+            ]
+        checks += [
+            _check(find_hamiltonian_cycle(g) is not None, "hamiltonian cycle found",
+                   "no hamiltonian cycle found"),
+            _check(is_eulerian(g), "all degrees even and the graph is connected",
+                   "graph is not eulerian"),
+        ]
+    elif family == "sf":
+        if result.rotation is None:
+            checks.append((False, "fixture envelope has no rotation system"))
+        else:
+            trace = trace_faces(result.rotation)
+            rotation_edges = {edge(v, u) for v, rot in enumerate(result.rotation.rotations)
+                              for u, _c in rot}
+            checks += [
+                (None, f"genus: {trace.genus}"),
+                _check(trace.genus == 1, "rotation system embeds the graph on the torus",
+                       f"rotation system has genus {trace.genus}, expected 1"),
+                _check(any(set(face) == set(range(g.order)) for face in trace.faces),
+                       "one face visits every vertex", "no face visits every vertex"),
+                _check(rotation_edges == set(g.edges()),
+                       "rotation system covers exactly the graph edges",
+                       "rotation system edges differ from the graph edges"),
+            ]
+    elif family == "kop":
+        m, k = result.parameters.get("m"), result.parameters.get("k")
+        if not (isinstance(m, int) and isinstance(k, int) and m >= 3 and k >= 1):
+            checks.append((False, "layered envelope has no usable m, k parameters"))
+        else:
+            ring = ((j * m + i, j * m + (i + 1) % m) for j in range(k) for i in range(m))
+            gap = next((p for p in ring if not g.has_edge(edge(*p))), None)
+            checks.append(_check(gap is None, f"all {k} layer rings present",
+                                 f"ring edge {gap} missing"))
+    return checks
+
 
 def validate_construction(result: ConstructionResult) -> None:
-    """Recheck the three construction invariants; raise InvariantViolation."""
-    if len(result.augmentation) != result.claimed_epsilon:
-        raise InvariantViolation(
-            f"augmentation lists {len(result.augmentation)} copies but the "
-            f"claimed count is {result.claimed_epsilon}"
-        )
-    if result.claimed_epsilon % 3 != (-result.graph.size()) % 3:
-        raise InvariantViolation(
-            f"count {result.claimed_epsilon} cannot make size "
-            f"{result.graph.size()} divisible by 3"
-        )
-    try:
-        augmented = apply_augmentation(result.graph, result.augmentation)
-    except DomainError as exc:
-        raise InvariantViolation(f"augmentation lists an absent edge: {exc}") from exc
-    defect = coverage_error(augmented, result.certificate)
-    if defect is not None:
-        kind, e = defect
-        raise InvariantViolation(f"certificate defect: edge ({e.u}, {e.v}) {kind}")
+    """Run the core checks; raise InvariantViolation with the first failure."""
+    for ok, message in _core_checks(result):
+        if not ok:
+            raise InvariantViolation(message)
 
 
 # Triangulations of small polygons: chord list, certificate triangles, and
@@ -335,6 +479,7 @@ def hmp_construct(n: int) -> ConstructionResult:
     Built as a cycle plus two apex vertices (with a small rearrangement for
     odd orders, which is why 4, 5, and 7 are impossible); 3n-6 edges, all
     degrees even, Hamiltonian, and triangle decomposable with no additions.
+    The certificate is the colour class of the first listed face.
     """
     if n < 6 or n == 7:
         raise ConstructionUnavailable(
@@ -372,19 +517,37 @@ def hmp_construct(n: int) -> ConstructionResult:
         for i in range(3, cyc - 1):
             faces.append(triangle(i, i + 1, q))
         faces.append(triangle(3, cyc - 1, q))
-    g = Multigraph.from_edges(n, pairs)
-    cert = find_decomposition(g)
-    if cert is None:
-        raise InvariantViolation(f"order-{n} triangulation failed to decompose")
     return ConstructionResult(
         family="hmp",
         parameters={"n": n},
-        graph=g,
+        graph=Multigraph.from_edges(n, pairs),
         augmentation=Augmentation(()),
-        certificate=cert,
+        certificate=Decomposition(tuple(_face_colour_class(faces))),
         claimed_epsilon=0,
         faces=tuple(faces),
     )
+
+
+def _face_colour_class(faces: List[Triangle]) -> List[Triangle]:
+    """The faces coloured like faces[0] when faces sharing an edge differ.
+
+    The faces of an even plane triangulation 2-colour (Heawood), and each
+    colour class covers every edge exactly once.
+    """
+    on_edge: Dict[EdgeKey, List[int]] = {}
+    for i, t in enumerate(faces):
+        for e in t.edges():
+            on_edge.setdefault(e, []).append(i)
+    colour = {0: 0}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for e in faces[i].edges():
+            for j in on_edge[e]:
+                if j not in colour:
+                    colour[j] = 1 - colour[i]
+                    stack.append(j)
+    return [t for i, t in enumerate(faces) if colour.get(i) == 0]
 
 
 def _insert_between(boundary: List[int], u: int, v: int, w: int) -> None:

@@ -212,15 +212,18 @@ class Multigraph:
     def from_json_dict(cls, data: dict) -> "Multigraph":
         if not isinstance(data, dict) or "order" not in data or "edges" not in data:
             raise DomainError("graph JSON must have 'order' and 'edges' fields")
-        order = data["order"]
-        if not isinstance(order, int):
+        order, edges = data["order"], data["edges"]
+        # type() rather than isinstance(): JSON booleans are not integers.
+        if type(order) is not int:
             raise DomainError(f"graph order must be an integer, got {order!r}")
+        if not isinstance(edges, (list, tuple)):
+            raise DomainError(f"graph 'edges' must be a list, got {edges!r}")
         mult: Dict[EdgeKey, int] = {}
-        for entry in data["edges"]:
+        for entry in edges:
             if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
                 raise DomainError(f"edge entries must be [u, v, mult], got {entry!r}")
             u, v, m = entry
-            if not all(isinstance(x, int) for x in (u, v, m)):
+            if not all(type(x) is int for x in (u, v, m)):
                 raise DomainError(f"edge entries must be integers, got {entry!r}")
             e = edge(u, v)
             if e in mult:

@@ -157,3 +157,7 @@ def test_find_hamiltonian_cycle():
     # multiplicities do not matter for the cycle
     doubled = Multigraph.from_edges(3, [(0, 1, 2), (1, 2), (0, 2)])
     assert find_hamiltonian_cycle(doubled) == (0, 1, 2)
+
+
+def test_find_hamiltonian_cycle_has_no_depth_limit():
+    assert find_hamiltonian_cycle(cycle_graph(5000)) == tuple(range(5000))

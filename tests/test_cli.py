@@ -3,7 +3,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import tridecomp
 from tridecomp.cli import main
 
 
@@ -52,6 +56,16 @@ def test_construct_then_verify_round_trips(capsys, tmp_path):
         assert "ok: augmentation lists" in out
         assert "ok: count matches the divisibility residue" in out
         assert "ok: certificate covers every edge exactly" in out
+
+
+def test_construct_then_verify_hmp_1000(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "construct", "hmp", "1000")
+    assert code == 0
+    path = tmp_path / "hmp1000.json"
+    path.write_text(out, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 0
+    assert out.count("ok: ") == 7 and "fail:" not in out
 
 
 def test_verify_checks_fixture_rotation(capsys, tmp_path):
@@ -267,10 +281,161 @@ def test_output_is_deterministic(capsys):
 
 
 def test_module_entry_point():
+    # Run from the directory holding the package under test, so that the
+    # child imports it even when it is not installed.
     proc = subprocess.run(
         [sys.executable, "-m", "tridecomp", "construct", "mop", "3"],
         capture_output=True,
         text=True,
+        cwd=Path(tridecomp.__file__).resolve().parents[1],
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["family"] == "mop"
+
+
+def _drop_ring_edge(env):
+    env["graph"]["edges"] = [e for e in env["graph"]["edges"] if e[:2] != [5, 6]]
+
+
+def _drop_first_face(env):
+    env["faces"] = env["faces"][1:]
+
+
+def _swap_outer_cycle(env):
+    env["outer_cycle"] = [0, 2, 1, 3, 4, 5]
+
+
+CORE_OK = (
+    "ok: augmentation lists {eps} added copies\n"
+    "ok: count matches the divisibility residue\n"
+    "ok: certificate covers every edge exactly\n"
+)
+HMP_TAIL = "ok: hamiltonian cycle found\nok: all degrees even and the graph is connected\n"
+
+
+@pytest.mark.parametrize(
+    "argv, tamper, expected",
+    [
+        pytest.param(
+            ("hmp", "8"),
+            lambda env: env.pop("faces"),
+            CORE_OK.format(eps=0)
+            + "fail: triangulation envelope has no face list\n"
+            + HMP_TAIL
+            + "1 check(s) failed\n",
+            id="hmp-no-faces",
+        ),
+        pytest.param(
+            ("hmp", "8"),
+            _drop_first_face,
+            CORE_OK.format(eps=0)
+            + "fail: face list does not cover every edge exactly twice\n"
+            "fail: V - E + F = 1, expected 2\n"
+            + HMP_TAIL
+            + "2 check(s) failed\n",
+            id="hmp-face-dropped",
+        ),
+        pytest.param(
+            ("sf", "8"),
+            lambda env: env.pop("rotation"),
+            CORE_OK.format(eps=2)
+            + "fail: fixture envelope has no rotation system\n1 check(s) failed\n",
+            id="sf-no-rotation",
+        ),
+        pytest.param(
+            ("kop", "5", "2"),
+            _drop_ring_edge,
+            "ok: augmentation lists 2 added copies\n"
+            "fail: count 2 cannot make size 21 divisible by 3\n"
+            "fail: edge {5, 6} notanedge\n"
+            "fail: ring edge (5, 6) missing\n"
+            "3 check(s) failed\n",
+            id="kop-ring-edge-missing",
+        ),
+        pytest.param(
+            ("kop", "5", "2"),
+            lambda env: env.pop("parameters"),
+            CORE_OK.format(eps=2)
+            + "fail: layered envelope has no usable m, k parameters\n1 check(s) failed\n",
+            id="kop-no-parameters",
+        ),
+        pytest.param(
+            ("mop", "6"),
+            lambda env: env.pop("outer_cycle"),
+            CORE_OK.format(eps=0)
+            + "fail: triangulated-cycle envelope has no outer cycle\n1 check(s) failed\n",
+            id="mop-no-outer-cycle",
+        ),
+        pytest.param(
+            ("mop", "6"),
+            _swap_outer_cycle,
+            CORE_OK.format(eps=0)
+            + "fail: not maximal outerplanar on the given outer cycle\n1 check(s) failed\n",
+            id="mop-outer-cycle-not-outerplanar",
+        ),
+    ],
+)
+def test_verify_structure_check_failure_lines(capsys, tmp_path, argv, tamper, expected):
+    code, out, _ = run_cli(capsys, "construct", *argv)
+    assert code == 0
+    env = json.loads(out)
+    tamper(env)
+    code, out, err = run_cli(capsys, "verify", write_json(tmp_path, "tampered.json", env))
+    assert (code, out, err) == (1, expected, "")
+
+
+def _tampered(argv, path, value):
+    """A construct envelope with the field at path replaced by value."""
+
+    def make(construct):
+        env = construct(*argv)
+        target = env
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return env
+
+    return make
+
+
+BOOL_K3_ROTATION = {"rotations": [[[True, 0], [2, 0]], [[2, 0], [0, 0]], [[0, 0], [1, 0]]]}
+
+
+@pytest.mark.parametrize(
+    "command, make",
+    [
+        pytest.param("verify", _tampered(("hmp", "8"), ("faces", 0), [1, 2]), id="face-pair"),
+        pytest.param("verify", _tampered(("hmp", "8"), ("faces",), 7), id="faces-int"),
+        pytest.param("verify", _tampered(("mop", "6"), ("outer_cycle",), 5), id="outer-int"),
+        pytest.param("verify", _tampered(("mop", "6"), ("parameters",), [6]), id="params-list"),
+        pytest.param("verify", _tampered(("mop", "6"), ("graph", "edges"), 5), id="edges-int"),
+        pytest.param("verify", _tampered(("mop", "6"), ("augmentation",), 5), id="aug-int"),
+        pytest.param(
+            "verify", _tampered(("mop", "6"), ("certificate", "triangles"), 5), id="triangles-int"
+        ),
+        pytest.param(
+            "verify", _tampered(("mop", "3"), ("graph", "edges", 0, 2), True), id="bool-mult"
+        ),
+        pytest.param("verify", _tampered(("mop", "3"), ("outer_cycle", 1), True), id="bool-outer"),
+        pytest.param("verify", _tampered(("kop", "5", "2"), ("parameters", "k"), True), id="bool-k"),
+        pytest.param("epsilon", lambda _: {"order": 3, "edges": 5}, id="epsilon-edges-int"),
+        pytest.param("decompose", lambda _: {"order": 3, "edges": 5}, id="decompose-edges-int"),
+        pytest.param(
+            "decompose",
+            lambda _: {"order": 3, "edges": [[0, 1, True], [0, 2, 1], [1, 2, 1]]},
+            id="decompose-bool-mult",
+        ),
+        pytest.param("decompose", lambda _: {"order": True, "edges": []}, id="decompose-bool-order"),
+        pytest.param("faces", lambda _: BOOL_K3_ROTATION, id="faces-bool-neighbor"),
+    ],
+)
+def test_malformed_json_is_refused_without_traceback(capsys, tmp_path, command, make):
+    def construct(*argv):
+        code, out, _ = run_cli(capsys, "construct", *argv)
+        assert code == 0
+        return json.loads(out)
+
+    path = write_json(tmp_path, "input.json", make(construct))
+    code, out, err = run_cli(capsys, command, path)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")

@@ -1,11 +1,13 @@
 """Tests for the constructed graph families and their validation invariants."""
 
+import json
 from dataclasses import replace
 
 import pytest
 
 from tridecomp import (
     Augmentation,
+    ConstructionResult,
     ConstructionUnavailable,
     Decomposition,
     DomainError,
@@ -17,6 +19,7 @@ from tridecomp import (
     epsilon_class_exact,
     epsilon_exact,
     fan,
+    find_decomposition,
     find_hamiltonian_cycle,
     hmp_construct,
     intermediate,
@@ -30,6 +33,7 @@ from tridecomp import (
     sf_fixture,
     trace_faces,
     validate_construction,
+    verify_construction,
 )
 
 
@@ -51,6 +55,41 @@ def test_validate_construction_rejects_tampering():
         validate_construction(
             replace(base, augmentation=Augmentation((edge(1, 3),)), claimed_epsilon=1)
         )
+
+
+def test_validate_construction_raises_the_first_failing_check():
+    base = mop_construct(4)
+    with pytest.raises(InvariantViolation) as info:
+        validate_construction(replace(base, claimed_epsilon=4))
+    assert str(info.value) == "augmentation lists 1 added copies, envelope claims 4"
+    with pytest.raises(InvariantViolation) as info:
+        validate_construction(replace(base, certificate=Decomposition(())))
+    assert str(info.value) == "edge {0, 1} undercovered"
+
+
+def test_envelopes_round_trip_and_verify():
+    members = [
+        mop_construct(7),
+        fan(6),
+        intermediate(9, 1),
+        kop_construct(5, 3),
+        hmp_construct(9),
+        sc2_tree_construct(9),
+        sc2_tree_seed(1),
+        sc2_tree_seed(2),
+        sc3_construct(7),
+        sf_fixture(7),
+        sf_fixture(8),
+        sf_fixture(9),
+    ]
+    for res in members:
+        back = ConstructionResult.from_json_dict(json.loads(json.dumps(res.to_json_dict())))
+        assert back == res
+        checks = verify_construction(back)
+        assert all(ok is not False for ok, _ in checks), (res.family, checks)
+        assert len(checks) > 3 or res.family == "sc3"  # sc3 has no structure checks
+        if res.family == "sf":
+            assert (None, "genus: 1") in checks
 
 
 def test_mop_construct_all_small_orders():
@@ -178,6 +217,14 @@ def test_hmp_family():
     for n in [4, 5, 7]:
         with pytest.raises(ConstructionUnavailable):
             hmp_construct(n)
+
+
+def test_hmp_certificate_is_a_face_colour_class():
+    for n in [6, *range(8, 31)]:
+        res = hmp_construct(n)
+        assert res.faces[0] in res.certificate.triangles
+        assert set(res.certificate.triangles) <= set(res.faces)
+        assert res.certificate == find_decomposition(res.graph)
 
 
 def test_sc2_tree_family():
