@@ -4,19 +4,19 @@ epsilon_exact answers the single-graph question: the fewest parallel copies
 of already-present edges whose addition makes the multigraph triangle
 decomposable.  An augmented graph decomposes exactly when some multiset of
 k triangles covers every edge at least its multiplicity times (and at most
-that plus the per-edge cap), so the search asks the cover solver for the
-least such k instead of enumerating candidate augmentations; parity and
-divisibility then hold without being checked.  The class-level sweeps
-answer the extremal questions over all maximal outerplanar graphs of a
-given order: the least such count over the class, and the largest when at
-most one extra copy per edge is allowed.
+that plus the per-edge cap), so one level ladder asks the cover solver for
+the least such k, starting at the divisibility residue; parity then holds
+without being checked.  The class sweeps climb the same ladder over all
+maximal outerplanar graphs of a given order: the least count over the
+class, and the largest when at most one extra copy per edge is allowed.
+lower_bound is a reported parity bound; the search does not use it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .decomposer import CoverInstance, Decomposition, _edge_off_triangles
 from .graph_core import (
@@ -142,7 +142,10 @@ def _parity_distances(g: Multigraph) -> Tuple[Optional[int], Optional[int]]:
 
 
 def lower_bound(g: Multigraph) -> BoundReport:
-    """Exact parity / divisibility lower bound on the augmentation count."""
+    """Exact parity / divisibility lower bound on the augmentation count.
+
+    Reported only: the search starts at the divisibility residue instead.
+    """
     even, odd = _parity_distances(g)
     residue = (-g.size()) % 3
     candidates = [p for p in (even, odd) if p is not None]
@@ -167,6 +170,46 @@ def lower_bound(g: Multigraph) -> BoundReport:
     )
 
 
+def _level(base: List[int], t: int, cap: Optional[int]) -> Tuple[List[int], int]:
+    """(hi, k) of level t: base plus t copies, at most cap per edge, in k triangles."""
+    add = t if cap is None else min(cap, t)
+    return [b + add for b in base], (sum(base) + t) // 3
+
+
+def _ladder(size: int, keys: Sequence, graph_of: Callable, cap: Optional[int]) -> Iterator:
+    """(t, key, instance, chosen) for each graph at its least level t, in level order.
+
+    Every graph_of(key) has the given size.  Levels start at the residue
+    (-size) % 3, where k - 1 triangles cannot cover size edges, and rise by
+    3, so k rises one step at a time as solve() requires.  A graph leaves at
+    its hit or past its ceiling: cap * |E| capped, else 2 * size, by which
+    every graph hits (per edge copy, doubling the other two edges of a
+    triangle through it decomposes).  Graphs keep their order within a
+    level; each CoverInstance is built when the ladder first reaches it.
+    """
+    pending = [(key, None) for key in keys]
+    t = (-size) % 3
+    while pending:
+        left = []
+        for key, state in pending:
+            if state is None:
+                g = graph_of(key)
+                inst = CoverInstance(g)
+                base = inst.base_multiplicities(g)
+                state = inst, base, 2 * size if cap is None else cap * len(base)
+            inst, base, ceiling = state
+            if t > ceiling:
+                continue
+            hi, k = _level(base, t, cap)
+            chosen = inst.solve(base, hi, k)
+            if chosen is None:
+                left.append((key, state))
+            else:
+                yield t, key, inst, chosen
+        pending = left
+        t += 3
+
+
 def epsilon_exact(
     g: Multigraph, max_copies_per_edge: Optional[int] = None
 ) -> Tuple[int, Augmentation, Decomposition]:
@@ -186,28 +229,12 @@ def epsilon_exact(
     cap = max_copies_per_edge
     if cap is not None and cap < 0:
         raise DomainError(f"max_copies_per_edge must be >= 0, got {cap}")
-    inst = CoverInstance(g)
+    hit = next(_ladder(g.size(), [g], lambda key: key, cap), None)
+    if hit is None:  # only a cap can empty the ladder
+        raise CapInfeasible(f"no augmentation with at most {cap} extra copies per edge works")
+    t, _, inst, chosen = hit
     base = inst.base_multiplicities(g)
-    t = lower_bound(g).combined_lower_bound
-    ceiling = 2 * g.size() if cap is None else cap * len(base)
-    # t copies added means k = (size + t) / 3 triangles; t rises by 3, so k
-    # rises one step at a time from a proven bound, as solve() requires.
-    while t <= ceiling:
-        k = (g.size() + t) // 3
-        hi = [b + (t if cap is None else min(cap, t)) for b in base]
-        chosen = inst.solve(base, hi, k)
-        if chosen is not None:
-            break
-        t += 3
-    else:
-        if cap is not None:
-            raise CapInfeasible(
-                f"no augmentation with at most {cap} extra copies per edge works"
-            )
-        # Unreachable: doubling, per edge copy, the other two edges of one
-        # triangle through it gives a decomposable augmentation of size at
-        # most 2*size, and the ladder reaches that size.
-        raise RuntimeError("exact search exhausted its ceiling without an answer")
+    hi, k = _level(base, t, cap)
     # The lexicographically least multiset puts the most copies on edge 0,
     # then on edge 1, and so on.  Ask for one more copy on edge i than the
     # last solution used; the first refusal pins the edge.
@@ -308,62 +335,31 @@ def enumerate_mops(n: int) -> List[MopCode]:
     return codes
 
 
-def _prepare_class(n: int) -> List[Tuple[MopCode, CoverInstance]]:
-    """Per-triangulation solver state for a level-synchronized sweep."""
-    return [(code, CoverInstance(code.graph())) for code in enumerate_mops(n)]
-
-
-def epsilon_class_exact(
-    n: int, ceiling: Optional[int] = None
-) -> Tuple[int, MopCode]:
+def epsilon_class_exact(n: int, ceiling: Optional[int] = None) -> Tuple[int, MopCode]:
     """Least augmentation count over all order-n triangulated cycles.
 
-    Returns the count and the first witness in chord-set order.  The search
-    runs level-synchronized: all graphs are tried at each candidate total
-    before any graph is tried at a larger one, which is equivalent to
-    minimizing epsilon_exact over the class (all graphs in the class share
-    the divisibility residue, so they share the candidate ladder).
+    Returns the count and the first witness in chord-set order: the level
+    ladder's first hit (the class shares the size 2n - 3, so its levels).
     """
     if ceiling is not None and n > ceiling:
         raise ScaleLimit(f"order {n} exceeds the sweep ceiling {ceiling}")
-    prepared = _prepare_class(n)
-    size = 2 * n - 3
-    lo = [1] * size
-    t = (-size) % 3
-    while True:
-        hi = [1 + t] * size
-        for code, inst in prepared:
-            if inst.solve(lo, hi, (size + t) // 3) is not None:
-                return t, code
-        t += 3
+    t, code, _, _ = next(_ladder(2 * n - 3, enumerate_mops(n), MopCode.graph, None))
+    return t, code
 
 
 def xi_class_exact(n: int, ceiling: Optional[int] = None) -> Tuple[int, MopCode]:
     """Largest augmentation count over order-n triangulated cycles, one copy cap.
 
     Every graph in the class admits a capped augmentation (doubling all
-    chords works: the polygon faces then cover everything), so the sweep
-    removes graphs level by level as they succeed; the last level occupied
-    is the maximum, witnessed by the first finisher in chord-set order.
+    chords works: the polygon faces then cover everything), so every graph
+    leaves the level ladder at its own count; the last level reached is
+    the maximum, witnessed by its first graph in chord-set order.
     """
     if ceiling is not None and n > ceiling:
         raise ScaleLimit(f"order {n} exceeds the sweep ceiling {ceiling}")
-    active = _prepare_class(n)
-    size = 2 * n - 3
-    lo = [1] * size
-    t = (-size) % 3
-    while True:
-        hi = [1 + min(1, t)] * size
-        finished = []
-        survivors = []
-        for code, inst in active:
-            if inst.solve(lo, hi, (size + t) // 3) is not None:
-                finished.append(code)
-            else:
-                survivors.append((code, inst))
-        if not survivors:
-            if not finished:
-                raise RuntimeError("capped sweep emptied without a final level")
-            return t, finished[0]
-        active = survivors
-        t += 3
+    hits = _ladder(2 * n - 3, enumerate_mops(n), MopCode.graph, 1)
+    t, code, _, _ = next(hits)
+    for level, key, _, _ in hits:
+        if level > t:
+            t, code = level, key
+    return t, code

@@ -3,8 +3,9 @@
 Deliberately naive: triangles come from a triple loop, the cover search
 always branches on the first uncovered edge with no ordering heuristics or
 parity shortcuts, and the minimum-additions search tries every total from
-zero upward with no residue stepping.  Only the Multigraph container is
-shared with the production code.
+zero upward with no residue stepping.  milp_epsilon answers the same
+question as an integer program through scipy, which only the tests need.
+Only the Multigraph container is shared with the production code.
 """
 
 import itertools
@@ -89,6 +90,38 @@ def oracle_witness(g: Multigraph, cap: Optional[int] = None) -> Tuple[EdgeKey, .
 def oracle_epsilon(g: Multigraph, cap: Optional[int] = None) -> int:
     """Least number of added parallel copies making g decomposable."""
     return len(oracle_witness(g, cap))
+
+
+def milp_epsilon(g: Multigraph, cap: Optional[int] = None) -> Optional[int]:
+    """Least added copies by integer programming; None when no capped augmentation works.
+
+    Minimises the triangle count sum x_T over integers x_T >= 0 subject to
+    m_e <= sum of x_T over triangles T through e <= m_e + cap for every
+    edge e (no upper bound uncapped); epsilon is 3 * min - size.
+    """
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    edges = g.edges()
+    index = {e: i for i, e in enumerate(edges)}
+    tris = oracle_triangles(g)
+    a = np.zeros((len(edges), len(tris)))
+    for j, (x, y, z) in enumerate(tris):
+        for e in (edge(x, y), edge(x, z), edge(y, z)):
+            a[index[e], j] = 1
+    m = np.array([g.multiplicity(e) for e in edges], dtype=float)
+    upper = np.full(len(edges), np.inf) if cap is None else m + cap
+    res = milp(
+        c=np.ones(len(tris)),
+        constraints=LinearConstraint(a, m, upper),
+        integrality=np.ones(len(tris)),
+        bounds=Bounds(0, np.inf),
+    )
+    if res.status == 2:  # infeasible
+        return None
+    if not res.success:
+        raise RuntimeError(f"milp failed: {res.message}")
+    return 3 * round(res.fun) - g.size()
 
 
 def simple_graphs(n: int):

@@ -1,5 +1,7 @@
 """Tests for lower bounds, exact minimum augmentation, and the class sweeps."""
 
+import random
+
 import pytest
 
 from tridecomp import (
@@ -18,6 +20,7 @@ from tridecomp import (
     enumerate_mops,
     epsilon_class_exact,
     epsilon_exact,
+    fan,
     is_maximal_outerplanar,
     lower_bound,
     xi_class_exact,
@@ -26,6 +29,7 @@ from tridecomp import (
 from oracle_helpers import (
     every_edge_on_triangle_masks,
     graph_from_mask,
+    milp_epsilon,
     oracle_epsilon,
     oracle_witness,
 )
@@ -40,6 +44,21 @@ NINE_VERTEX = Multigraph.from_edges(
         (5, 6, 1), (5, 7, 2), (5, 8, 1), (6, 7, 1), (6, 8, 2), (7, 8, 2),
     ],
 )
+
+
+def random_multigraph(seed):
+    """Order 7-14, size at most 60: the support of random triangles, each
+    support edge given multiplicity 1 or 2, so every edge lies on a triangle."""
+    rng = random.Random(seed)
+    while True:
+        n = rng.randint(7, 14)
+        support = set()
+        for _ in range(rng.randint(4, 12)):
+            a, b, c = rng.sample(range(n), 3)
+            support.update({edge(a, b), edge(a, c), edge(b, c)})
+        g = Multigraph(n, {e: rng.randint(1, 2) for e in sorted(support)})
+        if g.size() <= 60:
+            return g
 
 
 def fan_graph(n):
@@ -189,6 +208,33 @@ def test_epsilon_exact_on_the_nine_vertex_graph():
         epsilon_exact(NINE_VERTEX, max_copies_per_edge=1)
 
 
+def test_epsilon_exact_on_large_fans():
+    # The least count of a fan is n - 3 with or without the one-copy cap.
+    # Any step exponential in the order before the search (such as a parity
+    # BFS over vertex subsets) would make this test run for hours.
+    for n in range(16, 32):
+        g = fan(n).graph
+        assert epsilon_exact(g)[0] == n - 3
+        assert epsilon_exact(g, max_copies_per_edge=1)[0] == n - 3
+
+
+def test_epsilon_exact_matches_the_integer_program():
+    pytest.importorskip("scipy")
+    graphs = [fan(n).graph for n in range(10, 32)] + [NINE_VERTEX]
+    graphs += [random_multigraph(seed) for seed in range(50)]
+    for g in graphs:
+        assert g.size() <= 60
+        for cap in (None, 1):
+            expected = milp_epsilon(g, cap)
+            if expected is None:
+                with pytest.raises(CapInfeasible):
+                    epsilon_exact(g, max_copies_per_edge=cap)
+                continue
+            t, aug, cert = epsilon_exact(g, max_copies_per_edge=cap)
+            assert t == expected, (g.to_json_dict(), cap)
+            assert check_decomposition(apply_augmentation(g, aug), cert)
+
+
 def test_mop_code_validation():
     code = MopCode(5, (edge(0, 2), edge(0, 3)))
     assert code.chords == (edge(0, 2), edge(0, 3))
@@ -232,21 +278,20 @@ def test_enumerate_mops_yields_maximal_outerplanar_graphs():
 def test_class_minimum_matches_per_graph_brute_force():
     for n in range(3, 8):
         value, witness = epsilon_class_exact(n)
-        per_graph = [epsilon_exact(c.graph())[0] for c in enumerate_mops(n)]
+        codes = enumerate_mops(n)
+        per_graph = [epsilon_exact(c.graph())[0] for c in codes]
         assert value == min(per_graph)
-        assert epsilon_exact(witness.graph())[0] == value
+        assert witness == codes[per_graph.index(value)]  # first hit in chord-set order
         assert value == n % 3
 
 
 def test_class_maximum_matches_per_graph_brute_force():
     for n in range(3, 8):
         value, witness = xi_class_exact(n)
-        per_graph = [
-            epsilon_exact(c.graph(), max_copies_per_edge=1)[0]
-            for c in enumerate_mops(n)
-        ]
+        codes = enumerate_mops(n)
+        per_graph = [epsilon_exact(c.graph(), max_copies_per_edge=1)[0] for c in codes]
         assert value == max(per_graph)
-        assert epsilon_exact(witness.graph(), max_copies_per_edge=1)[0] == value
+        assert witness == codes[per_graph.index(value)]  # first hit in chord-set order
         assert value == n - 3
 
 

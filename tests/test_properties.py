@@ -1,0 +1,65 @@
+"""Property tests: relabelling invariance of epsilon and Multigraph JSON round-trips.
+
+Skipped when Hypothesis is not installed.  The examples are derandomized,
+so every run checks the same graphs.
+"""
+
+import json
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from tridecomp import (  # noqa: E402
+    CapInfeasible,
+    Multigraph,
+    apply_augmentation,
+    check_decomposition,
+    edge,
+    epsilon_exact,
+)
+
+SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def triangle_supported(draw):
+    """Order at most 7, every edge on a triangle: the support of a few
+    random triangles, each support edge given multiplicity 1 to 3."""
+    n = draw(st.integers(3, 7))
+    corner = st.integers(0, n - 1)
+    triples = draw(st.lists(st.lists(corner, min_size=3, max_size=3, unique=True),
+                            min_size=1, max_size=6))
+    support = sorted({edge(u, v) for a, b, c in triples for u, v in ((a, b), (a, c), (b, c))})
+    return Multigraph(n, {e: draw(st.integers(1, 3)) for e in support})
+
+
+def relabel(g: Multigraph, perm) -> Multigraph:
+    return Multigraph.from_edges(g.order, [(perm[e.u], perm[e.v], m) for e, m in g.items()])
+
+
+def capped_epsilon(g: Multigraph):
+    try:
+        return epsilon_exact(g, max_copies_per_edge=1)[0]
+    except CapInfeasible:
+        return None
+
+
+@SETTINGS
+@given(st.data())
+def test_epsilon_is_invariant_under_relabelling(data):
+    g = data.draw(triangle_supported())
+    perm = data.draw(st.permutations(range(g.order)))
+    h = relabel(g, perm)
+    t, aug, cert = epsilon_exact(h)
+    assert t == epsilon_exact(g)[0]
+    assert check_decomposition(apply_augmentation(h, aug), cert)
+    assert capped_epsilon(h) == capped_epsilon(g)
+
+
+@SETTINGS
+@given(triangle_supported())
+def test_multigraph_json_round_trips(g):
+    assert Multigraph.from_json_dict(json.loads(json.dumps(g.to_json_dict()))) == g
