@@ -3,128 +3,88 @@
 The package constructs graph families that need a known number of added
 parallel copies to become triangle decomposable, emits machine-checkable
 certificates, and verifies minimality with an exact search.
+
+Every public name is re-exported here but loaded on first use: ``_EXPORTS``
+maps each name to the module that defines it, and the module-level
+``__getattr__`` (PEP 562) imports that module when the name is asked for.
+So ``import tridecomp`` loads no layer, and a program that uses only the
+solver never loads the families or the analysis code.
 """
 
-from .analysis import (
-    FaceTrace,
-    RotationSystem,
-    find_hamiltonian_cycle,
-    is_eulerian,
-    is_maximal_outerplanar,
-    is_strongly_k3_divisible,
-    trace_faces,
-)
-from .augment import (
-    Augmentation,
-    BoundReport,
-    DEFAULT_SWEEP_CEILING,
-    MopCode,
-    apply_augmentation,
-    enumerate_mops,
-    epsilon_class_exact,
-    epsilon_exact,
-    lower_bound,
-    xi_class_exact,
-)
-from .decomposer import (
-    Decomposition,
-    RejectReason,
-    check_decomposition,
-    coverage_error,
-    enumerate_triangles,
-    fast_reject,
-    find_decomposition,
-)
-from .families import (
-    ConstructionResult,
-    fan,
-    hmp_construct,
-    intermediate,
-    kop_construct,
-    mop_construct,
-    sc2_tree_construct,
-    sc2_tree_seed,
-    sc3_construct,
-    sf_fixture,
-    validate_construction,
-    verify_construction,
-)
-from .graph_core import (
-    AugmentNonAdjacent,
-    CapInfeasible,
-    ConstructionUnavailable,
-    DomainError,
-    EdgeKey,
-    EdgeNotOnTriangle,
-    InfeasibleParity,
-    InvariantViolation,
-    Multigraph,
-    NotAFixture,
-    ScaleLimit,
-    Triangle,
-    TridecompError,
-    complete_graph,
-    cycle_graph,
-    degree_sequence,
-    edge,
-    triangle,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AugmentNonAdjacent",
-    "Augmentation",
-    "BoundReport",
-    "CapInfeasible",
-    "ConstructionResult",
-    "ConstructionUnavailable",
-    "DEFAULT_SWEEP_CEILING",
-    "Decomposition",
-    "DomainError",
-    "EdgeKey",
-    "EdgeNotOnTriangle",
-    "FaceTrace",
-    "InfeasibleParity",
-    "InvariantViolation",
-    "MopCode",
-    "Multigraph",
-    "NotAFixture",
-    "RejectReason",
-    "RotationSystem",
-    "ScaleLimit",
-    "Triangle",
-    "TridecompError",
-    "apply_augmentation",
-    "check_decomposition",
-    "complete_graph",
-    "coverage_error",
-    "cycle_graph",
-    "degree_sequence",
-    "edge",
-    "enumerate_mops",
-    "enumerate_triangles",
-    "epsilon_class_exact",
-    "epsilon_exact",
-    "fan",
-    "fast_reject",
-    "find_decomposition",
-    "find_hamiltonian_cycle",
-    "hmp_construct",
-    "intermediate",
-    "is_eulerian",
-    "is_maximal_outerplanar",
-    "is_strongly_k3_divisible",
-    "kop_construct",
-    "lower_bound",
-    "mop_construct",
-    "sc2_tree_construct",
-    "sc2_tree_seed",
-    "sc3_construct",
-    "sf_fixture",
-    "trace_faces",
-    "triangle",
-    "validate_construction",
-    "verify_construction",
-    "xi_class_exact",
-]
+# Public name -> the module that defines it.
+_EXPORTS = {
+    "FaceTrace": "analysis",
+    "RotationSystem": "analysis",
+    "find_hamiltonian_cycle": "analysis",
+    "is_eulerian": "analysis",
+    "is_maximal_outerplanar": "analysis",
+    "is_strongly_k3_divisible": "analysis",
+    "trace_faces": "analysis",
+    "Augmentation": "augment",
+    "BoundReport": "augment",
+    "DEFAULT_SWEEP_CEILING": "augment",
+    "MopCode": "augment",
+    "apply_augmentation": "augment",
+    "enumerate_mops": "augment",
+    "epsilon_class_exact": "augment",
+    "epsilon_exact": "augment",
+    "lower_bound": "augment",
+    "xi_class_exact": "augment",
+    "Decomposition": "decomposer",
+    "RejectReason": "decomposer",
+    "check_decomposition": "decomposer",
+    "coverage_error": "decomposer",
+    "enumerate_triangles": "decomposer",
+    "fast_reject": "decomposer",
+    "find_decomposition": "decomposer",
+    "ConstructionResult": "families",
+    "fan": "families",
+    "hmp_construct": "families",
+    "intermediate": "families",
+    "kop_construct": "families",
+    "mop_construct": "families",
+    "sc2_tree_construct": "families",
+    "sc2_tree_seed": "families",
+    "sc3_construct": "families",
+    "sf_fixture": "families",
+    "validate_construction": "families",
+    "verify_construction": "families",
+    "AugmentNonAdjacent": "graph_core",
+    "CapInfeasible": "graph_core",
+    "ConstructionUnavailable": "graph_core",
+    "DomainError": "graph_core",
+    "EdgeKey": "graph_core",
+    "EdgeNotOnTriangle": "graph_core",
+    "InfeasibleParity": "graph_core",
+    "InvariantViolation": "graph_core",
+    "Multigraph": "graph_core",
+    "NotAFixture": "graph_core",
+    "ORDER_LIMIT": "graph_core",
+    "ScaleLimit": "graph_core",
+    "Triangle": "graph_core",
+    "TridecompError": "graph_core",
+    "complete_graph": "graph_core",
+    "cycle_graph": "graph_core",
+    "degree_sequence": "graph_core",
+    "edge": "graph_core",
+    "triangle": "graph_core",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    # Looked up on every access, never cached here, so that a rebound module
+    # attribute (a test double, a tracing wrapper) is what the root returns.
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

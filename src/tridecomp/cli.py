@@ -3,6 +3,12 @@
 Exit codes: 0 success; 1 bad input, failed verification, or infeasible
 request; 2 internal invariant breach; 3 problem too large for exact search.
 All output is deterministic for a given command line.
+
+Each subcommand imports the layers it runs when it runs, so that a process
+answering one command loads only those: ``decompose`` loads ``decomposer``,
+``epsilon`` and ``sweep`` load ``augment``, ``construct`` and ``verify``
+load ``families`` and ``faces`` loads ``analysis``.  At module level there is
+only what ``main`` itself needs, ``graph_core`` for the error classes.
 """
 
 from __future__ import annotations
@@ -11,19 +17,24 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from . import analysis, augment, decomposer, families, graph_core
+from . import graph_core
 
+if TYPE_CHECKING:
+    from .families import ConstructionResult
+
+# Family name -> (name of its constructor in ``families``, parameter names).
+# The constructor is looked up on the module when the command runs.
 FAMILY_SPECS = {
-    "mop": (families.mop_construct, ("n",)),
-    "sc2tree": (families.sc2_tree_construct, ("n",)),
-    "fan": (families.fan, ("n",)),
-    "intermediate": (families.intermediate, ("n", "r")),
-    "kop": (families.kop_construct, ("m", "k")),
-    "hmp": (families.hmp_construct, ("n",)),
-    "sc3": (families.sc3_construct, ("n",)),
-    "sf": (families.sf_fixture, ("n",)),
+    "mop": ("mop_construct", ("n",)),
+    "sc2tree": ("sc2_tree_construct", ("n",)),
+    "fan": ("fan", ("n",)),
+    "intermediate": ("intermediate", ("n", "r")),
+    "kop": ("kop_construct", ("m", "k")),
+    "hmp": ("hmp_construct", ("n",)),
+    "sc3": ("sc3_construct", ("n",)),
+    "sf": ("sf_fixture", ("n",)),
 }
 
 _DOT_PALETTE = (
@@ -104,7 +115,7 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def render_dot(result: families.ConstructionResult) -> str:
+def render_dot(result: ConstructionResult) -> str:
     """One edge line per certificate use, colored by certificate triangle."""
     lines = [f"graph {result.family} {{", "  node [shape=circle];"]
     for v in range(result.graph.order):
@@ -118,7 +129,9 @@ def render_dot(result: families.ConstructionResult) -> str:
 
 
 def run_construct(args: argparse.Namespace) -> int:
-    build, names = FAMILY_SPECS[args.family]
+    from . import families
+
+    constructor, names = FAMILY_SPECS[args.family]
     if len(args.params) != len(names):
         print(
             f"error: {args.family} takes {len(names)} parameter(s) "
@@ -126,7 +139,7 @@ def run_construct(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    result = build(*args.params)
+    result = getattr(families, constructor)(*args.params)
     families.validate_construction(result)
     if args.out == "dot":
         sys.stdout.write(render_dot(result))
@@ -136,6 +149,8 @@ def run_construct(args: argparse.Namespace) -> int:
 
 
 def run_epsilon(args: argparse.Namespace) -> int:
+    from . import augment
+
     g = graph_core.Multigraph.from_json_dict(_load_json(args.file))
     value, aug, cert = augment.epsilon_exact(g, args.cap)
     _print_json(
@@ -149,6 +164,8 @@ def run_epsilon(args: argparse.Namespace) -> int:
 
 
 def run_decompose(args: argparse.Namespace) -> int:
+    from . import decomposer
+
     g = graph_core.Multigraph.from_json_dict(_load_json(args.file))
     reject = decomposer.fast_reject(g)
     if reject is not None:
@@ -163,6 +180,8 @@ def run_decompose(args: argparse.Namespace) -> int:
 
 
 def run_verify(args: argparse.Namespace) -> int:
+    from . import families
+
     data = _load_json(args.file)
     checks = families.verify_construction(families.ConstructionResult.from_json_dict(data))
     for ok, message in checks:
@@ -175,6 +194,8 @@ def run_verify(args: argparse.Namespace) -> int:
 
 
 def run_sweep(args: argparse.Namespace) -> int:
+    from . import augment
+
     env = os.environ.get("TRIDECOMP_SWEEP_CEILING")
     if env is None:
         ceiling = augment.DEFAULT_SWEEP_CEILING
@@ -201,6 +222,8 @@ def run_sweep(args: argparse.Namespace) -> int:
 
 
 def run_faces(args: argparse.Namespace) -> int:
+    from . import analysis
+
     rotation = analysis.RotationSystem.from_json_dict(_load_json(args.file))
     trace = analysis.trace_faces(rotation)
     _print_json(trace.to_json_dict())

@@ -208,6 +208,10 @@ class CoverInstance:
         branch.  Prunes and bans cut only subtrees without a solution, so
         with lo == hi the certificate is the one the plain exact-cover
         search finds first.
+
+        The open nodes live on an explicit stack, the root's frame and one
+        more per chosen triangle, so a search hundreds of triangles deep
+        (the 998 of ``construct hmp 1000``) needs no interpreter recursion.
         """
         # k triangles cover 3k edge copies, so no edge can exceed lo by
         # more than the slack 3k - sum(lo).
@@ -233,10 +237,11 @@ class CoverInstance:
         banned = [False] * len(tri_edges)
         chosen: List[int] = []
 
-        def node(left: int, shortfall: int) -> bool:
+        def branch(left: int, shortfall: int) -> Optional[List[int]]:
+            """The triangles to try at this node: None on success, [] at a dead end."""
             spare = 3 * left - shortfall  # coverings beyond lo still to place
             if spare < 0:
-                return False
+                return []
             if spare > 0:
                 # A vertex still short by an odd amount needs a covering
                 # beyond lo on one of its edges, and each such covering
@@ -247,7 +252,7 @@ class CoverInstance:
                         need_at[u] += s
                         need_at[v] += s
                 if sum(d & 1 for d in need_at) > 2 * spare:
-                    return False
+                    return []
             best: Optional[List[int]] = None
             for ei in range(m):
                 need = short[ei]
@@ -266,43 +271,59 @@ class CoverInstance:
                         fits.append(ti)
                         capacity += r
                 if capacity < need:
-                    return False  # this edge cannot reach lo even with full reuse
+                    return []  # this edge cannot reach lo even with full reuse
                 if best is None or len(fits) < len(best):
                     best = fits
                     if len(fits) == 1:
                         break  # a forced move: no later edge can beat it
             if best is None:
-                return left == 0  # no slack triangles, as the docstring explains
-            failed: List[int] = []
-            for ti in best:
-                if banned[ti]:
-                    continue
-                e1, e2, e3 = tri_edges[ti]
-                gain = (short[e1] > 0) + (short[e2] > 0) + (short[e3] > 0)
-                short[e1] -= 1
-                short[e2] -= 1
-                short[e3] -= 1
-                room[e1] -= 1
-                room[e2] -= 1
-                room[e3] -= 1
-                chosen.append(ti)
-                if node(left - 1, shortfall - gain):
-                    return True
-                chosen.pop()
-                short[e1] += 1
-                short[e2] += 1
-                short[e3] += 1
-                room[e1] += 1
-                room[e2] += 1
-                room[e3] += 1
-                banned[ti] = True
-                failed.append(ti)
-            for ti in failed:
-                banned[ti] = False
-            return False
+                # No slack triangles, as the docstring explains.
+                return None if left == 0 else []
+            return best
 
-        if node(k, sum(lo)):
+        # One frame per open node: [fits, next index, failed, left, shortfall].
+        # chosen[d] is the triangle frame d is trying, so popping frame d + 1
+        # takes chosen[d] back.
+        fits = branch(k, sum(lo))
+        if fits is None:
             return chosen
+        frames = [[fits, 0, [], k, sum(lo)]]
+        while frames:
+            frame = frames[-1]
+            fits, i, failed, left, shortfall = frame
+            while i < len(fits) and banned[fits[i]]:
+                i += 1
+            if i == len(fits):
+                for ti in failed:
+                    banned[ti] = False
+                frames.pop()
+                if frames:
+                    ti = chosen.pop()
+                    e1, e2, e3 = tri_edges[ti]
+                    short[e1] += 1
+                    short[e2] += 1
+                    short[e3] += 1
+                    room[e1] += 1
+                    room[e2] += 1
+                    room[e3] += 1
+                    banned[ti] = True
+                    frames[-1][2].append(ti)
+                continue
+            ti = fits[i]
+            frame[1] = i + 1
+            e1, e2, e3 = tri_edges[ti]
+            gain = (short[e1] > 0) + (short[e2] > 0) + (short[e3] > 0)
+            short[e1] -= 1
+            short[e2] -= 1
+            short[e3] -= 1
+            room[e1] -= 1
+            room[e2] -= 1
+            room[e3] -= 1
+            chosen.append(ti)
+            fits = branch(left - 1, shortfall - gain)
+            if fits is None:
+                return chosen
+            frames.append([fits, 0, [], left - 1, shortfall - gain])
         return None
 
     def certificate(self, chosen: List[int]) -> Decomposition:

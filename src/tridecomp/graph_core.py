@@ -10,6 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+# Largest vertex count a Multigraph accepts.  Degree sequences and adjacency
+# lists take memory in proportion to the order, so a larger order is refused
+# with ScaleLimit before anything is allocated.  The exact searches stop far
+# below it; the largest graphs in use, such as `construct hmp 1000`, have
+# order 1000.
+ORDER_LIMIT = 100_000
+
 
 class TridecompError(Exception):
     """Base class for every error raised by this package."""
@@ -119,6 +126,8 @@ class Multigraph:
     def __init__(self, order: int, multiplicities: Optional[Dict[EdgeKey, int]] = None):
         if order < 0:
             raise DomainError(f"order must be nonnegative, got {order}")
+        if order > ORDER_LIMIT:
+            raise ScaleLimit(f"order {order} exceeds the ceiling of {ORDER_LIMIT} vertices")
         self.order = order
         mult: Dict[EdgeKey, int] = {}
         for e, m in (multiplicities or {}).items():

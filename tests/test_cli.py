@@ -157,6 +157,30 @@ def test_epsilon_scale_limit_exit_code(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_order_above_ceiling_exit_code(capsys, tmp_path):
+    huge = {"order": 10**12, "edges": [[0, 1, 1], [1, 2, 1], [0, 2, 1]]}
+    path = write_json(tmp_path, "huge.json", huge)
+    for command in ("decompose", "epsilon"):
+        code, out, err = run_cli(capsys, command, path)
+        assert code == 3, command
+        assert out == "" and "exceeds the ceiling" in err
+
+
+def test_decompose_hmp_1000_needs_no_recursion(capsys, tmp_path):
+    # 998 triangles deep: one search frame per chosen triangle.
+    code, out, _ = run_cli(capsys, "construct", "hmp", "1000")
+    assert code == 0
+    graph = json.loads(out)["graph"]
+    code, out, _ = run_cli(capsys, "decompose", write_json(tmp_path, "hmp.json", graph))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["decomposable"] is True
+    assert tridecomp.check_decomposition(
+        tridecomp.Multigraph.from_json_dict(graph),
+        tridecomp.Decomposition.from_json_dict(payload["certificate"]),
+    )
+
+
 def test_decompose_command(capsys, tmp_path):
     k4 = {"order": 4, "edges": [[u, v, 1] for u in range(4) for v in range(u + 1, 4)]}
     path = write_json(tmp_path, "k4.json", k4)

@@ -6,6 +6,8 @@ from tridecomp import (
     DomainError,
     EdgeKey,
     Multigraph,
+    ORDER_LIMIT,
+    ScaleLimit,
     Triangle,
     complete_graph,
     cycle_graph,
@@ -78,6 +80,14 @@ def test_multigraph_rejects_out_of_range_and_nonpositive():
         Multigraph(4, {edge(1, 3): 0})
     with pytest.raises(DomainError):
         Multigraph(4, {(1, 3): 1})
+
+
+def test_multigraph_refuses_order_above_ceiling():
+    assert Multigraph(ORDER_LIMIT).order == ORDER_LIMIT
+    with pytest.raises(ScaleLimit):
+        Multigraph(ORDER_LIMIT + 1)
+    with pytest.raises(ScaleLimit):
+        Multigraph.from_json_dict({"order": 10**12, "edges": [[0, 1, 1], [1, 2, 1], [0, 2, 1]]})
 
 
 def test_neighbors_and_adjacency_ignore_multiplicity():

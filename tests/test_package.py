@@ -1,0 +1,72 @@
+"""The package root resolves its names on first use; each subcommand loads only its layers."""
+
+import importlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tridecomp
+from tridecomp import decomposer
+
+
+def test_every_exported_name_is_its_defining_modules_object():
+    for name in tridecomp.__all__:
+        module = importlib.import_module(f"tridecomp.{tridecomp._EXPORTS[name]}")
+        obj = getattr(tridecomp, name)
+        assert obj is getattr(module, name), name
+        if hasattr(obj, "__module__"):
+            assert obj.__module__ == module.__name__, name
+
+
+def test_star_import_and_dir_list_every_exported_name():
+    namespace = {}
+    exec("from tridecomp import *", namespace)
+    for name in tridecomp.__all__:
+        assert namespace[name] is getattr(tridecomp, name), name
+    assert set(tridecomp.__all__) <= set(dir(tridecomp))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tridecomp.no_such_name
+
+
+def test_root_returns_a_rebound_module_attribute(monkeypatch):
+    def replacement(g):
+        return None
+
+    monkeypatch.setattr(decomposer, "find_decomposition", replacement)
+    assert tridecomp.find_decomposition is replacement
+
+
+_LOADED = """
+import json, sys
+from tridecomp import cli
+code = cli.main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m == "tridecomp" or m.startswith("tridecomp."))
+print(json.dumps([code, loaded]))
+"""
+
+
+def _modules_loaded_by(*argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED, *argv],
+        capture_output=True,
+        text=True,
+        cwd=Path(tridecomp.__file__).resolve().parents[1],
+    )
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return set(loaded)
+
+
+def test_each_subcommand_loads_only_its_layers(tmp_path):
+    k4 = {"order": 4, "edges": [[u, v, 1] for u in range(4) for v in range(u + 1, 4)]}
+    path = tmp_path / "k4.json"
+    path.write_text(json.dumps(k4), encoding="utf-8")
+    base = {"tridecomp", "tridecomp.cli", "tridecomp.graph_core", "tridecomp.decomposer"}
+    assert _modules_loaded_by("decompose", str(path)) == base
+    assert _modules_loaded_by("epsilon", str(path)) == base | {"tridecomp.augment"}
