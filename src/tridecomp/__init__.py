@@ -24,11 +24,9 @@ _EXPORTS = {
     "is_maximal_outerplanar": "analysis",
     "is_strongly_k3_divisible": "analysis",
     "trace_faces": "analysis",
-    "Augmentation": "augment",
     "BoundReport": "augment",
     "DEFAULT_SWEEP_CEILING": "augment",
     "MopCode": "augment",
-    "apply_augmentation": "augment",
     "enumerate_mops": "augment",
     "epsilon_class_exact": "augment",
     "epsilon_exact": "augment",
@@ -54,6 +52,7 @@ _EXPORTS = {
     "validate_construction": "families",
     "verify_construction": "families",
     "AugmentNonAdjacent": "graph_core",
+    "Augmentation": "graph_core",
     "CapInfeasible": "graph_core",
     "ConstructionUnavailable": "graph_core",
     "DomainError": "graph_core",
@@ -67,6 +66,7 @@ _EXPORTS = {
     "ScaleLimit": "graph_core",
     "Triangle": "graph_core",
     "TridecompError": "graph_core",
+    "apply_augmentation": "graph_core",
     "complete_graph": "graph_core",
     "cycle_graph": "graph_core",
     "degree_sequence": "graph_core",

@@ -9,28 +9,28 @@ and hence the genus of the implied orientable surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .decomposer import fast_reject
 from .graph_core import DomainError, Multigraph, degree_sequence, edge
 
 
-@dataclass(frozen=True)
-class RotationSystem:
+class RotationSystem(namedtuple("RotationSystem", "order rotations")):
     """Cyclic edge-end orders: rotations[v] is a tuple of (neighbor, copy)."""
 
-    order: int
-    rotations: Tuple[Tuple[Tuple[int, int], ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
-            raise DomainError(f"order must be >= 0, got {self.order}")
-        if len(self.rotations) != self.order:
+    def __new__(
+        cls, order: int, rotations: Tuple[Tuple[Tuple[int, int], ...], ...]
+    ) -> "RotationSystem":
+        if order < 0:
+            raise DomainError(f"order must be >= 0, got {order}")
+        if len(rotations) != order:
             raise DomainError(
-                f"expected {self.order} rotation lists, got {len(self.rotations)}"
+                f"expected {order} rotation lists, got {len(rotations)}"
             )
-        for v, rot in enumerate(self.rotations):
+        for v, rot in enumerate(rotations):
             for entry in rot:
                 if not (isinstance(entry, tuple) and len(entry) == 2):
                     raise DomainError(
@@ -38,12 +38,13 @@ class RotationSystem:
                     )
                 u, c = entry
                 # type() rather than isinstance(): JSON booleans are not integers.
-                if not (type(u) is int and 0 <= u < self.order):
+                if not (type(u) is int and 0 <= u < order):
                     raise DomainError(f"neighbor {u!r} at vertex {v} out of range")
                 if u == v:
                     raise DomainError(f"loop at vertex {v}")
                 if not (type(c) is int and c >= 0):
                     raise DomainError(f"copy index {c!r} at vertex {v} invalid")
+        return tuple.__new__(cls, (order, rotations))
 
     def to_json_dict(self) -> dict:
         return {
@@ -74,16 +75,10 @@ class RotationSystem:
         return cls(len(rotations), tuple(rotations))
 
 
-@dataclass(frozen=True)
-class FaceTrace:
+class FaceTrace(namedtuple("FaceTrace", "faces V E F euler_characteristic genus")):
     """Faces of an embedded multigraph plus the derived surface data."""
 
-    faces: Tuple[Tuple[int, ...], ...]
-    V: int
-    E: int
-    F: int
-    euler_characteristic: int
-    genus: int
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

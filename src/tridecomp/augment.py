@@ -14,12 +14,12 @@ lower_bound is a reported parity bound; the search does not use it.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from collections import deque, namedtuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .decomposer import CoverInstance, Decomposition, _edge_off_triangles
 from .graph_core import (
+    Augmentation,
     CapInfeasible,
     DomainError,
     EdgeKey,
@@ -39,41 +39,9 @@ _PARITY_STATE_LIMIT = 1 << 22
 DEFAULT_SWEEP_CEILING = 12
 
 
-@dataclass(frozen=True)
-class Augmentation:
-    """A multiset of edges to duplicate, kept sorted."""
-
-    additions: Tuple[EdgeKey, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "additions", tuple(sorted(self.additions)))
-
-    def __len__(self) -> int:
-        return len(self.additions)
-
-    def to_json_list(self) -> list:
-        return [[e.u, e.v] for e in self.additions]
-
-    @classmethod
-    def from_json_list(cls, data: list) -> "Augmentation":
-        from .graph_core import edge
-
-        if not isinstance(data, (list, tuple)):
-            raise DomainError(f"augmentation must be a list, got {data!r}")
-        adds = []
-        for entry in data:
-            if not (
-                isinstance(entry, (list, tuple))
-                and len(entry) == 2
-                and all(type(x) is int for x in entry)
-            ):
-                raise DomainError(f"augmentation entries must be [u, v], got {entry!r}")
-            adds.append(edge(*entry))
-        return cls(tuple(adds))
-
-
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(
+    namedtuple("BoundReport", "parity_bound divisibility_residue combined_lower_bound")
+):
     """Lower-bound data for the augmentation count of one graph.
 
     parity_bound: fewest added copies that can make every degree even,
@@ -82,21 +50,7 @@ class BoundReport:
     combined_lower_bound: least t matching both constraints at once.
     """
 
-    parity_bound: int
-    divisibility_residue: int
-    combined_lower_bound: int
-
-
-def apply_augmentation(g: Multigraph, aug: Augmentation) -> Multigraph:
-    """g with one extra parallel copy added per listed edge (repeats stack)."""
-    mult: Dict[EdgeKey, int] = {e: m for e, m in g.items()}
-    for e in aug.additions:
-        if e not in mult:
-            from .graph_core import AugmentNonAdjacent
-
-            raise AugmentNonAdjacent(f"cannot add copies of absent edge ({e.u}, {e.v})")
-        mult[e] += 1
-    return Multigraph(g.order, mult)
+    __slots__ = ()
 
 
 def _parity_distances(g: Multigraph) -> Tuple[Optional[int], Optional[int]]:
@@ -257,39 +211,38 @@ def epsilon_exact(
     return t, Augmentation(tuple(additions)), inst.certificate(chosen)
 
 
-@dataclass(frozen=True)
-class MopCode:
+class MopCode(namedtuple("MopCode", "order chords")):
     """A maximal outerplanar graph as its chord set over the standard cycle.
 
-    Vertices 0..order-1 form the outer cycle in numeric order; chords must
-    be pairwise non-crossing and exactly order-3 of them.
+    Vertices 0..order-1 form the outer cycle in numeric order; chords, kept
+    sorted, must be pairwise non-crossing and exactly order-3 of them.
     """
 
-    order: int
-    chords: Tuple[EdgeKey, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "chords", tuple(sorted(self.chords)))
-        n = self.order
+    def __new__(cls, order: int, chords: Iterable[EdgeKey]) -> "MopCode":
+        chords = tuple(sorted(chords))
+        n = order
         if n < 3:
             raise DomainError(f"order must be >= 3, got {n}")
-        if len(set(self.chords)) != len(self.chords):
+        if len(set(chords)) != len(chords):
             raise DomainError("duplicate chord")
-        if len(self.chords) != n - 3:
+        if len(chords) != n - 3:
             raise DomainError(
                 f"a triangulation of an {n}-cycle has {n - 3} chords, "
-                f"got {len(self.chords)}"
+                f"got {len(chords)}"
             )
-        for e in self.chords:
+        for e in chords:
             if e.v >= n:
                 raise DomainError(f"chord endpoint {e.v} out of range")
             if (e.v - e.u) % n in (1, n - 1):
                 raise DomainError(f"({e.u}, {e.v}) is a cycle edge, not a chord")
-        cs = [c.as_pair() for c in self.chords]
+        cs = [c.as_pair() for c in chords]
         for i, (a, b) in enumerate(cs):
             for c, d in cs[i + 1 :]:
                 if a < c < b < d or c < a < d < b:
                     raise DomainError(f"chords ({a},{b}) and ({c},{d}) cross")
+        return tuple.__new__(cls, (order, chords))
 
     def graph(self) -> Multigraph:
         pairs = [(i, (i + 1) % self.order) for i in range(self.order)]

@@ -12,23 +12,27 @@ input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from collections import namedtuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from .graph_core import DomainError, EdgeKey, Multigraph, Triangle, degree_sequence, triangle
+from .graph_core import (
+    DomainError,
+    EdgeKey,
+    Multigraph,
+    Triangle,
+    _SortedItems,
+    degree_sequence,
+    triangle,
+)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_SortedItems):
     """A multiset of triangles, kept sorted; repeats are meaningful."""
 
-    triangles: Tuple[Triangle, ...]
+    __slots__ = ("triangles",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "triangles", tuple(sorted(self.triangles)))
-
-    def __len__(self) -> int:
-        return len(self.triangles)
+    def __init__(self, triangles: Iterable[Triangle]) -> None:
+        super().__init__(triangles)
 
     def to_json_dict(self) -> dict:
         return {"triangles": [list(t.as_triple()) for t in self.triangles]}
@@ -56,17 +60,14 @@ def _triangles_from_json(entries: list) -> Tuple[Triangle, ...]:
     return tuple(tris)
 
 
-@dataclass(frozen=True)
-class RejectReason:
-    """A cheap necessary-condition failure.
+class RejectReason(namedtuple("RejectReason", "kind vertex edge", defaults=(None, None))):
+    """A cheap necessary-condition failure: (kind, vertex=None, edge=None).
 
     kind is one of "size_not_divisible", "odd_vertex", "edge_not_on_triangle";
     the vertex / edge fields carry the witness where applicable.
     """
 
-    kind: str
-    vertex: Optional[int] = None
-    edge: Optional[EdgeKey] = None
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         out: dict = {"kind": self.kind}

@@ -19,7 +19,7 @@ first failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from typing import Dict, List, Optional, Tuple
 
 from .analysis import (
@@ -29,7 +29,6 @@ from .analysis import (
     is_maximal_outerplanar,
     trace_faces,
 )
-from .augment import Augmentation, apply_augmentation
 from .decomposer import (
     Decomposition,
     _triangles_from_json,
@@ -37,6 +36,7 @@ from .decomposer import (
     find_decomposition,
 )
 from .graph_core import (
+    Augmentation,
     ConstructionUnavailable,
     DomainError,
     EdgeKey,
@@ -44,6 +44,8 @@ from .graph_core import (
     Multigraph,
     NotAFixture,
     Triangle,
+    _check_order,
+    apply_augmentation,
     edge,
     triangle,
 )
@@ -54,19 +56,23 @@ Check = Tuple[Optional[bool], str]
 _CYCLE_FAMILIES = ("mop", "fan", "intermediate", "sc2tree", "sc2seed")
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
-    """A constructed graph together with its decomposability witness data."""
+class ConstructionResult(
+    namedtuple(
+        "ConstructionResult",
+        "family parameters graph augmentation certificate claimed_epsilon"
+        " outer_cycle faces rotation",
+        defaults=(None, None, None),
+    )
+):
+    """A constructed graph together with its decomposability witness data.
 
-    family: str
-    parameters: Dict[str, int]
-    graph: Multigraph
-    augmentation: Augmentation
-    certificate: Decomposition
-    claimed_epsilon: int
-    outer_cycle: Optional[Tuple[int, ...]] = None
-    faces: Optional[Tuple[Triangle, ...]] = None
-    rotation: Optional[RotationSystem] = None
+    Fields: family (str), parameters (name -> int), graph (Multigraph),
+    augmentation (Augmentation), certificate (Decomposition), claimed_epsilon
+    (int), and the optional structure fields outer_cycle (vertex tuple),
+    faces (Triangle tuple) and rotation (RotationSystem).
+    """
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         """The envelope that construct prints; absent structure fields are left out."""
@@ -362,6 +368,7 @@ def mop_construct(n: int) -> ConstructionResult:
     """A triangulated n-cycle whose augmentation count is n mod 3."""
     if n < 3:
         raise DomainError(f"order must be >= 3, got {n}")
+    _check_order(n)
     chords, tris, doubles = _mop_fill(list(range(n)))
     pairs = [(i, (i + 1) % n) for i in range(n)]
     pairs.extend(e.as_pair() for e in chords)
@@ -384,6 +391,7 @@ def fan(n: int) -> ConstructionResult:
     """
     if n < 3:
         raise DomainError(f"order must be >= 3, got {n}")
+    _check_order(n)
     pairs = [(i, (i + 1) % n) for i in range(n)]
     pairs.extend((0, i) for i in range(2, n - 1))
     return ConstructionResult(
@@ -415,9 +423,10 @@ def intermediate(n: int, r: int) -> ConstructionResult:
         raise DomainError(
             f"order {n} admits at most {(n - 3) // 3} fan rounds, got {r}"
         )
+    _check_order(n)
     if r == 0:
         base = mop_construct(n)
-        return replace(base, family="intermediate", parameters={"n": n, "r": 0})
+        return base._replace(family="intermediate", parameters={"n": n, "r": 0})
     inner_cycle = [0] + list(range(3 * r + 1, n))
     inner_chords, inner_tris, inner_doubles = _mop_fill(inner_cycle)
     fan_chords = [edge(0, i) for i in range(2, 3 * r + 2)]
@@ -450,6 +459,7 @@ def kop_construct(m: int, k: int) -> ConstructionResult:
         raise DomainError(f"cycle length must be >= 3, got {m}")
     if k < 1:
         raise DomainError(f"layer count must be >= 1, got {k}")
+    _check_order(m * k)
     core = mop_construct(m)
     pairs = [e.as_pair() for e in core.graph.edges()]
     tris = list(core.certificate.triangles)
@@ -485,6 +495,7 @@ def hmp_construct(n: int) -> ConstructionResult:
         raise ConstructionUnavailable(
             f"no even-degree triangulation of order {n} exists"
         )
+    _check_order(n)
     cyc = n - 2  # cycle length; the apexes are n-2 and n-1
     p = n - 2
     q = n - 1
@@ -569,6 +580,7 @@ def sc2_tree_construct(n: int) -> ConstructionResult:
     """
     if n < 3 or n % 3 != 0:
         raise DomainError(f"order must be a positive multiple of 3, got {n}")
+    _check_order(n)
     pairs: List[Tuple[int, int]] = [(0, 1), (1, 2), (0, 2)]
     cert = [triangle(0, 1, 2)]
     boundary = [0, 1, 2]
@@ -645,6 +657,7 @@ def sc3_construct(n: int) -> ConstructionResult:
     """
     if n < 4:
         raise DomainError(f"order must be >= 4, got {n}")
+    _check_order(n)
     k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     if n == 4:
         adds = [edge(0, 1), edge(0, 2), edge(0, 3)]

@@ -1,18 +1,24 @@
-"""Multigraph value types: canonical edges, triangles, degrees, JSON shape.
+"""Multigraph value types: canonical edges, triangles, augmentations, degrees, JSON shape.
 
 Vertices are dense integers 0..n-1.  Edges are unordered pairs with a
 positive multiplicity; loops are forbidden.  All listings are sorted
 lexicographically so that every consumer sees a deterministic order.
+
+The records of this package are immutable: named tuples where a record is
+a plain tuple of fields, and ``_SortedItems`` classes where len() counts
+the items of a multiset.  Neither kind needs ``dataclasses``, which would
+cost every command its import and a class build per record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Dict, Iterable, List, Optional, Tuple
 
 # Largest vertex count a Multigraph accepts.  Degree sequences and adjacency
 # lists take memory in proportion to the order, so a larger order is refused
-# with ScaleLimit before anything is allocated.  The exact searches stop far
+# with ScaleLimit before anything is allocated; the family constructors
+# refuse it before they list a single edge.  The exact searches stop far
 # below it; the largest graphs in use, such as `construct hmp 1000`, have
 # order 1000.
 ORDER_LIMIT = 100_000
@@ -62,20 +68,28 @@ class InvariantViolation(TridecompError):
     """An internal self-check failed; this signals a bug, not bad input."""
 
 
-@dataclass(frozen=True, order=True)
-class EdgeKey:
-    """Canonical unordered vertex pair: u < v, no loops."""
+def _check_order(order: int) -> None:
+    """Refuse an order above ORDER_LIMIT with ScaleLimit."""
+    if order > ORDER_LIMIT:
+        raise ScaleLimit(f"order {order} exceeds the ceiling of {ORDER_LIMIT} vertices")
 
-    u: int
-    v: int
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.u, int) and isinstance(self.v, int)):
-            raise DomainError(f"edge endpoints must be integers, got ({self.u!r}, {self.v!r})")
-        if self.u < 0:
-            raise DomainError(f"negative vertex {self.u}")
-        if self.u >= self.v:
-            raise DomainError(f"edge endpoints must satisfy u < v, got ({self.u}, {self.v})")
+class EdgeKey(namedtuple("EdgeKey", "u v")):
+    """Canonical unordered vertex pair: u < v, no loops.
+
+    A tuple, so it hashes, compares and sorts as (u, v).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, u: int, v: int) -> "EdgeKey":
+        if not (isinstance(u, int) and isinstance(v, int)):
+            raise DomainError(f"edge endpoints must be integers, got ({u!r}, {v!r})")
+        if u < 0:
+            raise DomainError(f"negative vertex {u}")
+        if u >= v:
+            raise DomainError(f"edge endpoints must satisfy u < v, got ({u}, {v})")
+        return tuple.__new__(cls, (u, v))
 
     def as_pair(self) -> Tuple[int, int]:
         return (self.u, self.v)
@@ -88,17 +102,15 @@ def edge(u: int, v: int) -> EdgeKey:
     return EdgeKey(u, v) if u < v else EdgeKey(v, u)
 
 
-@dataclass(frozen=True, order=True)
-class Triangle:
-    """Vertex triple a < b < c."""
+class Triangle(namedtuple("Triangle", "a b c")):
+    """Vertex triple a < b < c; a tuple, so it sorts as (a, b, c)."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.a < self.b < self.c):
-            raise DomainError(f"triangle vertices must satisfy 0 <= a < b < c, got ({self.a}, {self.b}, {self.c})")
+    def __new__(cls, a: int, b: int, c: int) -> "Triangle":
+        if not (0 <= a < b < c):
+            raise DomainError(f"triangle vertices must satisfy 0 <= a < b < c, got ({a}, {b}, {c})")
+        return tuple.__new__(cls, (a, b, c))
 
     def edges(self) -> Tuple[EdgeKey, EdgeKey, EdgeKey]:
         return (EdgeKey(self.a, self.b), EdgeKey(self.a, self.c), EdgeKey(self.b, self.c))
@@ -126,8 +138,7 @@ class Multigraph:
     def __init__(self, order: int, multiplicities: Optional[Dict[EdgeKey, int]] = None):
         if order < 0:
             raise DomainError(f"order must be nonnegative, got {order}")
-        if order > ORDER_LIMIT:
-            raise ScaleLimit(f"order {order} exceeds the ceiling of {ORDER_LIMIT} vertices")
+        _check_order(order)
         self.order = order
         mult: Dict[EdgeKey, int] = {}
         for e, m in (multiplicities or {}).items():
@@ -239,6 +250,83 @@ class Multigraph:
                 raise DomainError(f"duplicate edge entry {{{e.u},{e.v}}}")
             mult[e] = m
         return cls(order, mult)
+
+
+class _SortedItems:
+    """A frozen record whose one field is a tuple of items, kept sorted.
+
+    Like the tuple records it equals a record of its own type with the same
+    field, hashes as the tuple of its fields and prints as Name(field=...).
+    It is no tuple itself: len() counts its items, repeats included.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, items: Iterable) -> None:
+        object.__setattr__(self, self.__slots__[0], tuple(sorted(items)))
+
+    def _items(self) -> tuple:
+        return getattr(self, self.__slots__[0])
+
+    def __len__(self) -> int:
+        return len(self._items())
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._items() == other._items()
+
+    def __hash__(self) -> int:
+        return hash((self._items(),))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.__slots__[0]}={self._items()!r})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), (self._items(),))
+
+
+class Augmentation(_SortedItems):
+    """A multiset of edges to duplicate, kept sorted."""
+
+    __slots__ = ("additions",)
+
+    def __init__(self, additions: Iterable[EdgeKey]) -> None:
+        super().__init__(additions)
+
+    def to_json_list(self) -> list:
+        return [[e.u, e.v] for e in self.additions]
+
+    @classmethod
+    def from_json_list(cls, data: list) -> "Augmentation":
+        if not isinstance(data, (list, tuple)):
+            raise DomainError(f"augmentation must be a list, got {data!r}")
+        adds = []
+        for entry in data:
+            if not (
+                isinstance(entry, (list, tuple))
+                and len(entry) == 2
+                and all(type(x) is int for x in entry)
+            ):
+                raise DomainError(f"augmentation entries must be [u, v], got {entry!r}")
+            adds.append(edge(*entry))
+        return cls(tuple(adds))
+
+
+def apply_augmentation(g: Multigraph, aug: Augmentation) -> Multigraph:
+    """g with one extra parallel copy added per listed edge (repeats stack)."""
+    mult: Dict[EdgeKey, int] = {e: m for e, m in g.items()}
+    for e in aug.additions:
+        if e not in mult:
+            raise AugmentNonAdjacent(f"cannot add copies of absent edge ({e.u}, {e.v})")
+        mult[e] += 1
+    return Multigraph(g.order, mult)
 
 
 def degree_sequence(g: Multigraph) -> List[int]:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -160,10 +161,19 @@ def test_epsilon_scale_limit_exit_code(capsys, tmp_path):
 def test_order_above_ceiling_exit_code(capsys, tmp_path):
     huge = {"order": 10**12, "edges": [[0, 1, 1], [1, 2, 1], [0, 2, 1]]}
     path = write_json(tmp_path, "huge.json", huge)
-    for command in ("decompose", "epsilon"):
-        code, out, err = run_cli(capsys, command, path)
-        assert code == 3, command
+    # construct refuses the order before it lists an edge; kop's order is m * k.
+    for argv in (
+        ("decompose", path),
+        ("epsilon", path),
+        ("construct", "fan", str(10**12)),
+        ("construct", "kop", str(10**6), str(10**6)),
+        ("construct", "sc2tree", "999999999999"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3, argv
         assert out == "" and "exceeds the ceiling" in err
+        assert time.perf_counter() - start < 1.0, argv
 
 
 def test_decompose_hmp_1000_needs_no_recursion(capsys, tmp_path):
@@ -375,6 +385,12 @@ HMP_TAIL = "ok: hamiltonian cycle found\nok: all degrees even and the graph is c
             "fail: ring edge (5, 6) missing\n"
             "3 check(s) failed\n",
             id="kop-ring-edge-missing",
+        ),
+        pytest.param(
+            ("kop", "3", "2"),
+            lambda env: env.update(parameters={"m": 10**12, "k": 10**12}),
+            CORE_OK.format(eps=0) + "fail: ring edge (2, 3) missing\n1 check(s) failed\n",
+            id="kop-huge-parameters",
         ),
         pytest.param(
             ("kop", "5", "2"),

@@ -1,7 +1,6 @@
 """Tests for the constructed graph families and their validation invariants."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -41,29 +40,29 @@ def test_validate_construction_rejects_tampering():
     base = mop_construct(4)
     validate_construction(base)
     with pytest.raises(InvariantViolation):
-        validate_construction(replace(base, claimed_epsilon=base.claimed_epsilon + 3))
+        validate_construction(base._replace(claimed_epsilon=base.claimed_epsilon + 3))
     bigger = Augmentation(base.augmentation.additions + (edge(0, 1),))
     with pytest.raises(InvariantViolation):
         validate_construction(
-            replace(base, augmentation=bigger, claimed_epsilon=len(bigger))
+            base._replace(augmentation=bigger, claimed_epsilon=len(bigger))
         )
     with pytest.raises(InvariantViolation):
         validate_construction(
-            replace(base, certificate=Decomposition(base.certificate.triangles[1:]))
+            base._replace(certificate=Decomposition(base.certificate.triangles[1:]))
         )
     with pytest.raises(InvariantViolation):
         validate_construction(
-            replace(base, augmentation=Augmentation((edge(1, 3),)), claimed_epsilon=1)
+            base._replace(augmentation=Augmentation((edge(1, 3),)), claimed_epsilon=1)
         )
 
 
 def test_validate_construction_raises_the_first_failing_check():
     base = mop_construct(4)
     with pytest.raises(InvariantViolation) as info:
-        validate_construction(replace(base, claimed_epsilon=4))
+        validate_construction(base._replace(claimed_epsilon=4))
     assert str(info.value) == "augmentation lists 1 added copies, envelope claims 4"
     with pytest.raises(InvariantViolation) as info:
-        validate_construction(replace(base, certificate=Decomposition(())))
+        validate_construction(base._replace(certificate=Decomposition(())))
     assert str(info.value) == "edge {0, 1} undercovered"
 
 

@@ -47,26 +47,53 @@ import json, sys
 from tridecomp import cli
 code = cli.main(sys.argv[1:])
 loaded = sorted(m for m in sys.modules if m == "tridecomp" or m.startswith("tridecomp."))
-print(json.dumps([code, loaded]))
+print(json.dumps([code, loaded, sorted(sys.modules)]))
 """
 
+_BARE = "import json, sys; print(json.dumps(sorted(sys.modules)))"
 
-def _modules_loaded_by(*argv):
+
+def _child_output(*args):
     proc = subprocess.run(
-        [sys.executable, "-c", _LOADED, *argv],
+        [sys.executable, "-c", *args],
         capture_output=True,
         text=True,
         cwd=Path(tridecomp.__file__).resolve().parents[1],
     )
-    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    return proc, json.loads(proc.stdout.splitlines()[-1])
+
+
+def _modules_loaded_by(*argv):
+    """(tridecomp modules, all modules) held by a child that ran the command argv."""
+    proc, (code, loaded, every) = _child_output(_LOADED, *argv)
     assert code == 0, proc.stderr
-    return set(loaded)
+    return set(loaded), set(every)
 
 
 def test_each_subcommand_loads_only_its_layers(tmp_path):
     k4 = {"order": 4, "edges": [[u, v, 1] for u in range(4) for v in range(u + 1, 4)]}
     path = tmp_path / "k4.json"
     path.write_text(json.dumps(k4), encoding="utf-8")
+    envelope = tmp_path / "mop4.json"
+    envelope.write_text(json.dumps(tridecomp.mop_construct(4).to_json_dict()), encoding="utf-8")
+    rotation = tmp_path / "k3.json"
+    rotation.write_text(
+        json.dumps({"rotations": [[[1, 0], [2, 0]], [[2, 0], [0, 0]], [[0, 0], [1, 0]]]}),
+        encoding="utf-8",
+    )
     base = {"tridecomp", "tridecomp.cli", "tridecomp.graph_core", "tridecomp.decomposer"}
-    assert _modules_loaded_by("decompose", str(path)) == base
-    assert _modules_loaded_by("epsilon", str(path)) == base | {"tridecomp.augment"}
+    search = base | {"tridecomp.augment"}
+    structure = base | {"tridecomp.analysis", "tridecomp.families"}
+    # Against a bare interpreter's modules, so that a site that imports them is no failure.
+    bare = set(_child_output(_BARE)[1])
+    for argv, layers in (
+        (("decompose", str(path)), base),
+        (("epsilon", str(path)), search),
+        (("sweep", "epsilon", "5"), search),
+        (("construct", "mop", "4"), structure),
+        (("verify", str(envelope)), structure),
+        (("faces", str(rotation)), base | {"tridecomp.analysis"}),
+    ):
+        loaded, every = _modules_loaded_by(*argv)
+        assert loaded == layers, argv
+        assert not (every - bare) & {"dataclasses", "inspect"}, argv
