@@ -17,21 +17,16 @@ __version__ = "0.1.0"
 
 # Public name -> the module that defines it.
 _EXPORTS = {
+    "BoundReport": "analysis",
     "FaceTrace": "analysis",
     "RotationSystem": "analysis",
     "find_hamiltonian_cycle": "analysis",
     "is_eulerian": "analysis",
     "is_maximal_outerplanar": "analysis",
     "is_strongly_k3_divisible": "analysis",
+    "lower_bound": "analysis",
     "trace_faces": "analysis",
-    "BoundReport": "augment",
-    "DEFAULT_SWEEP_CEILING": "augment",
-    "MopCode": "augment",
-    "enumerate_mops": "augment",
-    "epsilon_class_exact": "augment",
     "epsilon_exact": "augment",
-    "lower_bound": "augment",
-    "xi_class_exact": "augment",
     "Decomposition": "decomposer",
     "RejectReason": "decomposer",
     "check_decomposition": "decomposer",
@@ -72,6 +67,11 @@ _EXPORTS = {
     "degree_sequence": "graph_core",
     "edge": "graph_core",
     "triangle": "graph_core",
+    "DEFAULT_SWEEP_CEILING": "sweep",
+    "MopCode": "sweep",
+    "enumerate_mops": "sweep",
+    "epsilon_class_exact": "sweep",
+    "xi_class_exact": "sweep",
 }
 
 __all__ = sorted(_EXPORTS)

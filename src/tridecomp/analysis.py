@@ -1,4 +1,10 @@
-"""Structural predicates and combinatorial-embedding face tracing.
+"""Structural predicates, necessary conditions and embedding face tracing.
+
+The conditions on a graph are here together: is_eulerian (every degree even,
+one edge component), is_strongly_k3_divisible (also size divisible by 3 and
+every edge on a triangle) and lower_bound, the least augmentation count that
+both degree parity and divisibility allow.  lower_bound is reported only;
+the search in ``augment`` starts at the divisibility residue instead.
 
 A rotation system lists, for every vertex, the cyclic order of its incident
 edge ends as (neighbor, copy index) pairs.  Tracing: after arriving at v
@@ -9,11 +15,21 @@ and hence the genus of the implied orientable surface.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import deque, namedtuple
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .decomposer import fast_reject
-from .graph_core import DomainError, Multigraph, degree_sequence, edge
+from .graph_core import (
+    DomainError,
+    InfeasibleParity,
+    Multigraph,
+    ScaleLimit,
+    degree_sequence,
+    edge,
+)
+
+# Parity-state searches give up past this many visited states.
+_PARITY_STATE_LIMIT = 1 << 22
 
 
 class RotationSystem(namedtuple("RotationSystem", "order rotations")):
@@ -205,6 +221,89 @@ def is_eulerian(g: Multigraph) -> bool:
 def is_strongly_k3_divisible(g: Multigraph) -> bool:
     """Eulerian, size divisible by 3, and every edge on a triangle."""
     return is_eulerian(g) and fast_reject(g) is None
+
+
+class BoundReport(
+    namedtuple("BoundReport", "parity_bound divisibility_residue combined_lower_bound")
+):
+    """Lower-bound data for the augmentation count of one graph.
+
+    parity_bound: fewest added copies that can make every degree even,
+    ignoring divisibility (min over both cardinality parities).
+    divisibility_residue: (-size) mod 3, what the count must be congruent to.
+    combined_lower_bound: least t matching both constraints at once.
+    """
+
+    __slots__ = ()
+
+
+def _parity_distances(g: Multigraph) -> Tuple[Optional[int], Optional[int]]:
+    """(even, odd): fewest edge copies fixing all degree parities, by count parity.
+
+    BFS over (vertex parity vector, count mod 2) states, one added edge copy
+    per step.  Adding a copy of {u,v} toggles the parity bits of u and v, so
+    the reachable question is a shortest-path question on a hypercube slice.
+    """
+    edges = g.edges()
+    target = 0
+    for v, d in enumerate(degree_sequence(g)):
+        if d % 2 != 0:
+            target |= 1 << v
+    masks = sorted({(1 << e.u) | (1 << e.v) for e in edges})
+    dist: Dict[Tuple[int, int], int] = {(0, 0): 0}
+    queue = deque([(0, 0)])
+    even: Optional[int] = None
+    odd: Optional[int] = None
+    if target == 0:
+        even = 0
+    while queue:
+        state = queue.popleft()
+        d = dist[state]
+        pmask, cpar = state
+        if pmask == target:
+            if cpar == 0 and even is None:
+                even = d
+            elif cpar == 1 and odd is None:
+                odd = d
+            if even is not None and odd is not None:
+                break
+        for em in masks:
+            nxt = (pmask ^ em, cpar ^ 1)
+            if nxt not in dist:
+                if len(dist) >= _PARITY_STATE_LIMIT:
+                    raise ScaleLimit(
+                        f"parity search exceeded {_PARITY_STATE_LIMIT} states"
+                    )
+                dist[nxt] = d + 1
+                queue.append(nxt)
+    return even, odd
+
+
+def lower_bound(g: Multigraph) -> BoundReport:
+    """Exact parity / divisibility lower bound on the augmentation count.
+
+    Reported only: the search starts at the divisibility residue instead.
+    """
+    even, odd = _parity_distances(g)
+    residue = (-g.size()) % 3
+    candidates = [p for p in (even, odd) if p is not None]
+    if not candidates:
+        # Every graph with at least one edge can reach any parity vector
+        # supported on its edges; unreachable targets cannot arise from
+        # degree parities of the same graph.
+        raise InfeasibleParity("no augmentation can make all degrees even")
+    parity_bound = min(candidates)
+    t = residue
+    while True:
+        p = even if t % 2 == 0 else odd
+        if p is not None and t >= p:
+            break
+        t += 3
+    return BoundReport(
+        parity_bound=parity_bound,
+        divisibility_residue=residue,
+        combined_lower_bound=t,
+    )
 
 
 def is_maximal_outerplanar(g: Multigraph, outer: Sequence[int]) -> bool:

@@ -4,19 +4,17 @@ Exit codes: 0 success; 1 bad input, failed verification, or infeasible
 request; 2 internal invariant breach; 3 problem too large for exact search.
 All output is deterministic for a given command line.
 
-Each subcommand imports the layers it runs when it runs, so that a process
-answering one command loads only those: ``decompose`` loads ``decomposer``,
-``epsilon`` and ``sweep`` load ``augment``, ``construct`` and ``verify``
-load ``families`` and ``faces`` loads ``analysis``.  At module level there is
-only what ``main`` itself needs, ``graph_core`` for the error classes.
+``COMMANDS`` is the whole grammar: ``parse_args`` walks it, and the usage,
+help and usage errors are printed from it.  Each subcommand imports only the
+layers it runs, when it runs; at module level there is only ``graph_core``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, List, Optional
 
 from . import graph_core
@@ -37,68 +35,99 @@ FAMILY_SPECS = {
     "sf": ("sf_fixture", ("n",)),
 }
 
-_DOT_PALETTE = (
-    "red",
-    "blue",
-    "forestgreen",
-    "darkorange",
-    "purple",
-    "brown",
-    "deeppink",
-    "teal",
-    "goldenrod",
-    "navy",
-    "crimson",
-    "darkcyan",
-)
+_FILE = ("file", str, None)
+
+# Subcommand -> (help line, positionals, options), run by run_<subcommand>.
+# A positional is (name, converter, choices or None); one named "x..." takes
+# every value left, at least one.  Options map --name to (converter, choices, default).
+COMMANDS = {
+    "construct": ("emit a stored family member",
+                  (("family", str, tuple(sorted(FAMILY_SPECS))), ("params...", int, None)),
+                  {"out": (str, ("json", "dot"), "json")}),
+    "epsilon": ("minimum added copies for a graph file", (_FILE,), {"cap": (int, None, None)}),
+    "decompose": ("search a graph file for a decomposition", (_FILE,), {}),
+    "verify": ("recheck a construct envelope from scratch", (_FILE,), {}),
+    "sweep": ("extremal added-copy count over triangulated cycles",
+              (("kind", str, ("epsilon", "xi")), ("n", int, None)), {}),
+    "faces": ("trace the faces of a rotation system file", (_FILE,), {}),
+}
+
+_DESCRIPTION = "Triangle decompositions of multigraphs with minimum added parallel copies."
+
+_DOT_PALETTE = ("red", "blue", "forestgreen", "darkorange", "purple", "brown", "deeppink",
+                "teal", "goldenrod", "navy", "crimson", "darkcyan")
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; the contract here is 1."""
+def _usage(command: Optional[str]) -> str:
+    if command is None:
+        return f"usage: tridecomp [-h] {{{','.join(COMMANDS)}}} ..."
+    _, positionals, options = COMMANDS[command]
+    words = [f"usage: tridecomp {command} [-h]"]
+    words += ("{" + ",".join(c) + "}" if c else name for name, _, c in positionals)
+    words += (f"[--{name} " + ("{" + ",".join(c) + "}" if c else name.upper()) + "]"
+              for name, (_, c, _) in options.items())
+    return " ".join(words)
 
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+
+def _exit(command: Optional[str], error: Optional[str] = None):
+    """Help on stdout and exit 0, or with an error, usage and error on stderr and exit 1."""
+    if error is not None:
+        print(f"{_usage(command)}\ntridecomp: error: {error}", file=sys.stderr)
         raise SystemExit(1)
+    lines = [_usage(command), "", COMMANDS[command][0] if command else _DESCRIPTION]
+    if command is None:
+        lines += ["", "commands:"] + [f"  {name:<10} {spec[0]}" for name, spec in COMMANDS.items()]
+    print("\n".join(lines))
+    raise SystemExit(0)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="tridecomp",
-        description="Triangle decompositions of multigraphs with minimum "
-        "added parallel copies.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _convert(command: str, name: str, word: str, convert, choices):
+    try:
+        value = convert(word)
+    except ValueError:  # int() also refuses a literal over the digit limit
+        _exit(command, f"argument {name}: invalid {convert.__name__} value: {word!r}")
+    if choices is not None and value not in choices:
+        _exit(command, f"argument {name}: invalid choice: {word!r} (choose {'|'.join(choices)})")
+    return value
 
-    p = sub.add_parser("construct", help="emit a stored family member")
-    p.add_argument("family", choices=sorted(FAMILY_SPECS))
-    p.add_argument("params", nargs="+", type=int, help="family parameters")
-    p.add_argument("--out", choices=("json", "dot"), default="json")
-    p.set_defaults(func=run_construct)
 
-    p = sub.add_parser("epsilon", help="minimum added copies for a graph file")
-    p.add_argument("file", help="graph JSON file")
-    p.add_argument("--cap", type=int, default=None, help="max extra copies per edge")
-    p.set_defaults(func=run_epsilon)
+def parse_args(argv: List[str]) -> SimpleNamespace:
+    """The namespace run_<command> reads; help and usage errors raise SystemExit.
 
-    p = sub.add_parser("decompose", help="search a graph file for a decomposition")
-    p.add_argument("file", help="graph JSON file")
-    p.set_defaults(func=run_decompose)
-
-    p = sub.add_parser("verify", help="recheck a construct envelope from scratch")
-    p.add_argument("file", help="envelope JSON file")
-    p.set_defaults(func=run_verify)
-
-    p = sub.add_parser("sweep", help="extremal added-copy count over triangulated cycles")
-    p.add_argument("kind", choices=("epsilon", "xi"))
-    p.add_argument("n", type=int)
-    p.set_defaults(func=run_sweep)
-
-    p = sub.add_parser("faces", help="trace the faces of a rotation system file")
-    p.add_argument("file", help="rotation JSON file")
-    p.set_defaults(func=run_faces)
-
-    return parser
+    Options go anywhere after the subcommand, as ``--cap 1`` or ``--cap=1``.
+    """
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        _exit(None)
+    if command not in COMMANDS:
+        _exit(None, f"unknown subcommand {command!r}" if argv else "a subcommand is required")
+    _, positionals, options = COMMANDS[command]
+    values = {name: default for name, (_, _, default) in options.items()}
+    given, words = [], iter(argv[1:])
+    for word in words:
+        name, eq, value = word[2:].partition("=")
+        if word in ("-h", "--help"):
+            _exit(command)
+        elif not word.startswith("-") or word[1:].isdigit():  # as in argparse, "-5" is a value
+            given.append(word)
+        elif not word.startswith("--") or name not in options:
+            _exit(command, f"unrecognized arguments: {word}")
+        else:
+            value = value if eq else next(words, None)
+            if value is None:
+                _exit(command, f"argument --{name}: expected one argument")
+            values[name] = _convert(command, f"--{name}", value, *options[name][:2])
+    for name, convert, choices in positionals:
+        rest = name.endswith("...")
+        taken, given = (given, []) if rest else (given[:1], given[1:])
+        name = name.rstrip(".")
+        if not taken:
+            _exit(command, f"the following arguments are required: {name}")
+        taken = [_convert(command, name, word, convert, choices) for word in taken]
+        values[name] = taken if rest else taken[0]
+    if given:
+        _exit(command, f"unrecognized arguments: {' '.join(given)}")
+    return SimpleNamespace(command=command, **values)
 
 
 def _load_json(path: str):
@@ -107,7 +136,9 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise graph_core.DomainError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError covers bad syntax, bytes that are not UTF-8 and an integer
+    # literal over the digit limit; RecursionError, nesting too deep to decode.
+    except (ValueError, RecursionError) as exc:
         raise graph_core.DomainError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -118,8 +149,7 @@ def _print_json(payload: dict) -> None:
 def render_dot(result: ConstructionResult) -> str:
     """One edge line per certificate use, colored by certificate triangle."""
     lines = [f"graph {result.family} {{", "  node [shape=circle];"]
-    for v in range(result.graph.order):
-        lines.append(f"  {v};")
+    lines += (f"  {v};" for v in range(result.graph.order))
     for ti, t in enumerate(result.certificate.triangles):
         color = _DOT_PALETTE[ti % len(_DOT_PALETTE)]
         for e in t.edges():
@@ -128,17 +158,13 @@ def render_dot(result: ConstructionResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_construct(args: argparse.Namespace) -> int:
+def run_construct(args: SimpleNamespace) -> int:
     from . import families
 
     constructor, names = FAMILY_SPECS[args.family]
     if len(args.params) != len(names):
-        print(
-            f"error: {args.family} takes {len(names)} parameter(s) "
-            f"({', '.join(names)}), got {len(args.params)}",
-            file=sys.stderr,
-        )
-        return 1
+        raise graph_core.DomainError(f"{args.family} takes {len(names)} parameter(s) "
+                                     f"({', '.join(names)}), got {len(args.params)}")
     result = getattr(families, constructor)(*args.params)
     families.validate_construction(result)
     if args.out == "dot":
@@ -148,38 +174,31 @@ def run_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_epsilon(args: argparse.Namespace) -> int:
+def run_epsilon(args: SimpleNamespace) -> int:
     from . import augment
 
     g = graph_core.Multigraph.from_json_dict(_load_json(args.file))
     value, aug, cert = augment.epsilon_exact(g, args.cap)
-    _print_json(
-        {
-            "epsilon": value,
-            "augmentation": aug.to_json_list(),
-            "certificate": cert.to_json_dict(),
-        }
-    )
+    _print_json({"epsilon": value, "augmentation": aug.to_json_list(),
+                 "certificate": cert.to_json_dict()})
     return 0
 
 
-def run_decompose(args: argparse.Namespace) -> int:
+def run_decompose(args: SimpleNamespace) -> int:
     from . import decomposer
 
     g = graph_core.Multigraph.from_json_dict(_load_json(args.file))
     reject = decomposer.fast_reject(g)
-    if reject is not None:
-        _print_json({"decomposable": False, "reason": reject.to_json_dict()})
-        return 0
-    cert = decomposer.find_decomposition(g)
-    if cert is None:
-        _print_json({"decomposable": False, "reason": {"kind": "search_exhausted"}})
-        return 0
-    _print_json({"decomposable": True, "certificate": cert.to_json_dict()})
+    cert = None if reject is not None else decomposer.find_decomposition(g)
+    if cert is not None:
+        _print_json({"decomposable": True, "certificate": cert.to_json_dict()})
+    else:
+        reason = {"kind": "search_exhausted"} if reject is None else reject.to_json_dict()
+        _print_json({"decomposable": False, "reason": reason})
     return 0
 
 
-def run_verify(args: argparse.Namespace) -> int:
+def run_verify(args: SimpleNamespace) -> int:
     from . import families
 
     data = _load_json(args.file)
@@ -189,64 +208,45 @@ def run_verify(args: argparse.Namespace) -> int:
     failures = sum(ok is False for ok, _ in checks)
     if failures:
         print(f"{failures} check(s) failed")
-        return 1
+    return 1 if failures else 0
+
+
+def run_sweep(args: SimpleNamespace) -> int:
+    from . import sweep
+
+    env = os.environ.get("TRIDECOMP_SWEEP_CEILING", sweep.DEFAULT_SWEEP_CEILING)
+    try:
+        ceiling = int(env)
+    except ValueError:
+        raise graph_core.DomainError(f"TRIDECOMP_SWEEP_CEILING must be an integer, got {env!r}")
+    extremum = sweep.epsilon_class_exact if args.kind == "epsilon" else sweep.xi_class_exact
+    value, witness = extremum(args.n, ceiling)
+    _print_json({"kind": args.kind, "n": args.n, "value": value,
+                 "witness": witness.to_json_dict()})
     return 0
 
 
-def run_sweep(args: argparse.Namespace) -> int:
-    from . import augment
-
-    env = os.environ.get("TRIDECOMP_SWEEP_CEILING")
-    if env is None:
-        ceiling = augment.DEFAULT_SWEEP_CEILING
-    else:
-        try:
-            ceiling = int(env)
-        except ValueError:
-            raise graph_core.DomainError(
-                f"TRIDECOMP_SWEEP_CEILING must be an integer, got {env!r}"
-            ) from None
-    if args.kind == "epsilon":
-        value, witness = augment.epsilon_class_exact(args.n, ceiling)
-    else:
-        value, witness = augment.xi_class_exact(args.n, ceiling)
-    _print_json(
-        {
-            "kind": args.kind,
-            "n": args.n,
-            "value": value,
-            "witness": witness.to_json_dict(),
-        }
-    )
-    return 0
-
-
-def run_faces(args: argparse.Namespace) -> int:
+def run_faces(args: SimpleNamespace) -> int:
     from . import analysis
 
     rotation = analysis.RotationSystem.from_json_dict(_load_json(args.file))
-    trace = analysis.trace_faces(rotation)
-    _print_json(trace.to_json_dict())
+    _print_json(analysis.trace_faces(rotation).to_json_dict())
     return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+        return exc.code
     try:
-        return args.func(args)
-    except graph_core.ScaleLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return globals()[f"run_{args.command}"](args)
     except graph_core.InvariantViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
     except graph_core.TridecompError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, graph_core.ScaleLimit) else 1
 
 
 def console_main() -> None:

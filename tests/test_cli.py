@@ -305,6 +305,74 @@ def test_usage_errors_exit_one(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param((), id="no-subcommand"),
+        pytest.param(("bogus",), id="unknown-subcommand"),
+        pytest.param(("decompose",), id="missing-positional"),
+        pytest.param(("construct", "mop"), id="missing-parameters"),
+        pytest.param(("decompose", "a.json", "b.json"), id="extra-positional"),
+        pytest.param(("sweep", "epsilon", "5", "6"), id="extra-integer"),
+        pytest.param(("sweep", "epsilon", "x"), id="non-integer"),
+        pytest.param(("sweep", "epsilon", "1" * 5000), id="integer-over-digit-limit"),
+        pytest.param(("construct", "mop", "4x"), id="non-integer-parameter"),
+        pytest.param(("epsilon", "g.json", "--cap", "one"), id="non-integer-option"),
+        pytest.param(("sweep", "zeta", "5"), id="bad-choice"),
+        pytest.param(("construct", "mop", "4", "--out=svg"), id="bad-option-choice"),
+        pytest.param(("decompose", "g.json", "--cap", "1"), id="unknown-option"),
+        pytest.param(("epsilon", "g.json", "-q"), id="unknown-short-option"),
+        pytest.param(("epsilon", "g.json", "--cap"), id="option-missing-value"),
+        pytest.param(("epsilon", "g.json", "--cap", "--cap", "1"), id="option-value-is-option"),
+    ],
+)
+def test_malformed_command_line_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "error:" in err and "Traceback" not in err
+
+
+SUBCOMMANDS = ("construct", "epsilon", "decompose", "verify", "sweep", "faces")
+
+
+def test_help_exits_zero_and_names_every_subcommand(capsys):
+    for flag in ("-h", "--help"):
+        code, out, err = run_cli(capsys, flag)
+        assert (code, err) == (0, "")
+        assert all(name in out for name in SUBCOMMANDS)
+    for name in SUBCOMMANDS:
+        code, out, err = run_cli(capsys, name, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: ") and f"tridecomp {name}" in out
+
+
+def test_option_forms_print_the_same_bytes(capsys, tmp_path):
+    k5 = {"order": 5, "edges": [[u, v, 1] for u in range(5) for v in range(u + 1, 5)]}
+    path = write_json(tmp_path, "k5.json", k5)
+    separate = run_cli(capsys, "epsilon", path, "--cap", "1")
+    assert separate[0] == 0
+    assert run_cli(capsys, "epsilon", path, "--cap=1") == separate
+    assert run_cli(capsys, "epsilon", "--cap", "1", path) == separate
+    dot = run_cli(capsys, "construct", "mop", "5", "--out", "dot")
+    assert run_cli(capsys, "construct", "--out=dot", "mop", "5") == dot
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        pytest.param(b'{"order": 3, "edges": []}\xff', id="not-utf-8"),
+        pytest.param(b"[" * 100000, id="nested-too-deep"),
+        pytest.param(b"1" * 5000, id="integer-over-digit-limit"),
+    ],
+)
+def test_unreadable_json_is_refused_without_traceback(capsys, tmp_path, raw):
+    path = tmp_path / "input.json"
+    path.write_bytes(raw)
+    code, out, err = run_cli(capsys, "decompose", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
 def test_output_is_deterministic(capsys):
     first = run_cli(capsys, "construct", "mop", "9")
     second = run_cli(capsys, "construct", "mop", "9")

@@ -89,11 +89,14 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
     for argv, layers in (
         (("decompose", str(path)), base),
         (("epsilon", str(path)), search),
-        (("sweep", "epsilon", "5"), search),
+        (("sweep", "epsilon", "5"), search | {"tridecomp.sweep"}),
         (("construct", "mop", "4"), structure),
         (("verify", str(envelope)), structure),
         (("faces", str(rotation)), base | {"tridecomp.analysis"}),
     ):
         loaded, every = _modules_loaded_by(*argv)
         assert loaded == layers, argv
-        assert not (every - bare) & {"dataclasses", "inspect"}, argv
+        unwanted = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
+        assert not (every - bare) & unwanted, argv
+        if argv[0] == "epsilon":  # neither the class sweeps nor the parity bound
+            assert not loaded & {"tridecomp.sweep", "tridecomp.analysis"}
