@@ -34,7 +34,8 @@ _EXPORTS = {
     "enumerate_triangles": "decomposer",
     "fast_reject": "decomposer",
     "find_decomposition": "decomposer",
-    "ConstructionResult": "families",
+    "ConstructionResult": "envelope",
+    "verify_construction": "envelope",
     "fan": "families",
     "hmp_construct": "families",
     "intermediate": "families",
@@ -45,7 +46,6 @@ _EXPORTS = {
     "sc3_construct": "families",
     "sf_fixture": "families",
     "validate_construction": "families",
-    "verify_construction": "families",
     "AugmentNonAdjacent": "graph_core",
     "Augmentation": "graph_core",
     "CapInfeasible": "graph_core",

@@ -313,6 +313,13 @@ def is_maximal_outerplanar(g: Multigraph, outer: Sequence[int]) -> bool:
     check is that g is simple, every consecutive outer pair is an edge,
     the size is 2n-3, and the remaining edges are pairwise non-crossing
     chords of that cycle.
+
+    Chords are taken as position pairs (a, b), a < b, sorted by a and then
+    by b descending, so a chord comes after every chord that contains it.
+    A stack holds the ends of the chords still open at a; their ends
+    never increase towards the top.  Chords ending at or before a are
+    popped, and (a, b) crosses an open chord exactly when b passes the end
+    on top.  O(c log c) for c chords.
     """
     n = g.order
     if sorted(outer) != list(range(n)):
@@ -321,25 +328,25 @@ def is_maximal_outerplanar(g: Multigraph, outer: Sequence[int]) -> bool:
         raise DomainError(f"order must be >= 3, got {n}")
     if not g.is_simple():
         return False
-    pos = {v: i for i, v in enumerate(outer)}
-    cycle_edges = set()
     for i in range(n):
-        a, b = outer[i], outer[(i + 1) % n]
-        if not g.has_edge(edge(a, b)):
+        if not g.has_edge(edge(outer[i], outer[(i + 1) % n])):
             return False
-        cycle_edges.add(frozenset((a, b)))
     if g.size() != 2 * n - 3:
         return False
+    pos = {v: i for i, v in enumerate(outer)}
     chords = []
-    for e in g.edges():
-        if frozenset((e.u, e.v)) in cycle_edges:
-            continue
-        a, b = sorted((pos[e.u], pos[e.v]))
-        chords.append((a, b))
-    for idx, (a, b) in enumerate(chords):
-        for c, d in chords[idx + 1 :]:
-            if a < c < b < d or c < a < d < b:
-                return False
+    for u, v in g.edges():
+        a, b = sorted((pos[u], pos[v]))
+        if 1 < b - a < n - 1:  # not a cycle edge: those are one apart, or 0 and n - 1
+            chords.append((a, b))
+    chords.sort(key=lambda chord: (chord[0], -chord[1]))
+    open_ends: List[int] = []
+    for a, b in chords:
+        while open_ends and open_ends[-1] <= a:
+            open_ends.pop()
+        if open_ends and b > open_ends[-1]:
+            return False
+        open_ends.append(b)
     return True
 
 

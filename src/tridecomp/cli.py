@@ -14,13 +14,15 @@ from __future__ import annotations
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, List, Optional
 
 from . import graph_core
 
 if TYPE_CHECKING:
-    from .families import ConstructionResult
+    from .decomposer import Decomposition
+    from .envelope import ConstructionResult
 
 # Family name -> (name of its constructor in ``families``, parameter names).
 # The constructor is looked up on the module when the command runs.
@@ -142,8 +144,43 @@ def _load_json(path: str):
         raise graph_core.DomainError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _json_text(value, indent: str) -> str:
+    """value as json.dumps(value, indent=2) writes it at this indent.
+
+    json.dumps with an indent runs json's pure-Python encoder, one call per
+    value.  Here a list of ints, or of int lists of one length, is one row
+    template filled from a flat tuple; strings, bools, None and other
+    scalars go through json's own encoders.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if not isinstance(value, (dict, list, tuple)):
+        return str(value) if type(value) is int else json.dumps(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = (f"{encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))}: "
+                 f"{_json_text(v, inner)}" for k, v in value.items())
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    head = value[0]
+    width = len(head) if isinstance(head, (list, tuple)) else 0
+    flat = [x for row in value if isinstance(row, (list, tuple)) and len(row) == width
+            for x in row] if width else value
+    if len(flat) == len(value) * max(width, 1) and set(map(type, flat)) == {int}:
+        row = "%d"
+        if width:
+            deeper = inner + "  "
+            row = f"[\n{deeper}" + f",\n{deeper}".join(["%d"] * width) + f"\n{inner}]"
+        body = f",\n{inner}".join([row] * len(value)) % tuple(flat)
+    else:
+        body = f",\n{inner}".join(_json_text(v, inner) for v in value)
+    return f"[\n{inner}{body}\n{indent}]"
+
+
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    """Write exactly the bytes of print(json.dumps(payload, indent=2))."""
+    sys.stdout.write(_json_text(payload, "") + "\n")
 
 
 def render_dot(result: ConstructionResult) -> str:
@@ -174,11 +211,22 @@ def run_construct(args: SimpleNamespace) -> int:
     return 0
 
 
+def _recheck(g: graph_core.Multigraph, cert: Decomposition) -> None:
+    """Refuse to print a certificate that does not cover g exactly: InvariantViolation."""
+    from . import decomposer
+
+    defect = decomposer.coverage_error(g, cert)
+    if defect is not None:
+        kind, e = defect
+        raise graph_core.InvariantViolation(f"certificate leaves edge {{{e.u}, {e.v}}} {kind}")
+
+
 def run_epsilon(args: SimpleNamespace) -> int:
     from . import augment
 
     g = graph_core.Multigraph.from_json_dict(_load_json(args.file))
     value, aug, cert = augment.epsilon_exact(g, args.cap)
+    _recheck(graph_core.apply_augmentation(g, aug), cert)
     _print_json({"epsilon": value, "augmentation": aug.to_json_list(),
                  "certificate": cert.to_json_dict()})
     return 0
@@ -189,8 +237,9 @@ def run_decompose(args: SimpleNamespace) -> int:
 
     g = graph_core.Multigraph.from_json_dict(_load_json(args.file))
     reject = decomposer.fast_reject(g)
-    cert = None if reject is not None else decomposer.find_decomposition(g)
+    cert = None if reject is not None else decomposer._exact_cover(g)
     if cert is not None:
+        _recheck(g, cert)
         _print_json({"decomposable": True, "certificate": cert.to_json_dict()})
     else:
         reason = {"kind": "search_exhausted"} if reject is None else reject.to_json_dict()
@@ -199,10 +248,10 @@ def run_decompose(args: SimpleNamespace) -> int:
 
 
 def run_verify(args: SimpleNamespace) -> int:
-    from . import families
+    from . import envelope
 
     data = _load_json(args.file)
-    checks = families.verify_construction(families.ConstructionResult.from_json_dict(data))
+    checks = envelope.verify_construction(envelope.ConstructionResult.from_json_dict(data))
     for ok, message in checks:
         print(message if ok is None else f"{'ok' if ok else 'fail'}: {message}")
     failures = sum(ok is False for ok, _ in checks)

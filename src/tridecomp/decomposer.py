@@ -53,7 +53,9 @@ def _triangles_from_json(entries: list) -> Tuple[Triangle, ...]:
         if not (
             isinstance(entry, (list, tuple))
             and len(entry) == 3
-            and all(type(x) is int for x in entry)
+            and type(entry[0]) is int
+            and type(entry[1]) is int
+            and type(entry[2]) is int
         ):
             raise DomainError(f"triangle entries must be [a, b, c], got {entry!r}")
         tris.append(triangle(*entry))
@@ -333,8 +335,11 @@ class CoverInstance:
 
 def find_decomposition(g: Multigraph) -> Optional[Decomposition]:
     """A triangle decomposition of g, or None; deterministic certificate."""
-    if fast_reject(g) is not None:
-        return None
+    return None if fast_reject(g) is not None else _exact_cover(g)
+
+
+def _exact_cover(g: Multigraph) -> Optional[Decomposition]:
+    """find_decomposition without the fast_reject screen, for a caller that ran it."""
     inst = CoverInstance(g)
     m = inst.base_multiplicities(g)
     chosen = inst.solve(m, m, g.size() // 3)

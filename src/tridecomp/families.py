@@ -1,40 +1,27 @@
 """Graph families with stored minimum augmentations and certificates.
 
-Each constructor returns a ConstructionResult bundling the base graph, the
-parallel copies to add, a triangle certificate for the augmented graph, and
-the claimed augmentation count.  The triangulated-cycle builder works for
-every order by splitting off polygon ears in rounds and recursing on the
-inner polygon, with small orders stored as explicit tables; the even planar
-triangulations take one colour class of their face 2-colouring as the
-certificate.
+Each constructor returns a ConstructionResult (defined in ``envelope``)
+bundling the base graph, the parallel copies to add, a triangle certificate
+for the augmented graph, and the claimed augmentation count.  The
+triangulated-cycle builder works for every order by splitting off polygon
+ears in rounds and recursing on the inner polygon, with small orders stored
+as explicit tables; the even planar triangulations take one colour class of
+their face 2-colouring as the certificate.  Every constructor runs in time
+linear in its output, up to a logarithmic factor.
 
-This module also owns the envelope: ConstructionResult.to_json_dict writes
-the JSON that ``construct`` prints and from_json_dict reads it back.
-verify_construction rechecks a result from scratch as an ordered list of
-(ok, message) lines, the three core checks (augmentation count, divisibility
-residue, certificate coverage) first, then the structure checks of its
-family; validate_construction runs the core checks only and raises on the
-first failure.
+validate_construction runs the envelope's core checks (augmentation count,
+divisibility residue, certificate coverage) and raises on the first
+failure; ``construct`` runs it before it prints.  The structure checks and
+the envelope format live in ``envelope``, and ``analysis`` is loaded only by
+the toroidal fixtures, for their rotation systems.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from typing import Dict, List, Optional, Tuple
 
-from .analysis import (
-    RotationSystem,
-    find_hamiltonian_cycle,
-    is_eulerian,
-    is_maximal_outerplanar,
-    trace_faces,
-)
-from .decomposer import (
-    Decomposition,
-    _triangles_from_json,
-    coverage_error,
-    find_decomposition,
-)
+from .decomposer import Decomposition, find_decomposition
+from .envelope import ConstructionResult, _core_checks
 from .graph_core import (
     Augmentation,
     ConstructionUnavailable,
@@ -49,164 +36,6 @@ from .graph_core import (
     edge,
     triangle,
 )
-
-# One verifier line: True "ok", False "fail", None informational.
-Check = Tuple[Optional[bool], str]
-
-_CYCLE_FAMILIES = ("mop", "fan", "intermediate", "sc2tree", "sc2seed")
-
-
-class ConstructionResult(
-    namedtuple(
-        "ConstructionResult",
-        "family parameters graph augmentation certificate claimed_epsilon"
-        " outer_cycle faces rotation",
-        defaults=(None, None, None),
-    )
-):
-    """A constructed graph together with its decomposability witness data.
-
-    Fields: family (str), parameters (name -> int), graph (Multigraph),
-    augmentation (Augmentation), certificate (Decomposition), claimed_epsilon
-    (int), and the optional structure fields outer_cycle (vertex tuple),
-    faces (Triangle tuple) and rotation (RotationSystem).
-    """
-
-    __slots__ = ()
-
-    def to_json_dict(self) -> dict:
-        """The envelope that construct prints; absent structure fields are left out."""
-        out = {
-            "family": self.family,
-            "parameters": dict(self.parameters),
-            "epsilon": self.claimed_epsilon,
-            "graph": self.graph.to_json_dict(),
-            "augmentation": self.augmentation.to_json_list(),
-            "certificate": self.certificate.to_json_dict(),
-        }
-        if self.outer_cycle is not None:
-            out["outer_cycle"] = list(self.outer_cycle)
-        if self.faces is not None:
-            out["faces"] = [list(t.as_triple()) for t in self.faces]
-        if self.rotation is not None:
-            out["rotation"] = self.rotation.to_json_dict()
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ConstructionResult":
-        """Read an envelope back; DomainError on a missing or malformed field."""
-        if not isinstance(data, dict):
-            raise DomainError("envelope JSON must be an object")
-        for key in ("family", "epsilon", "graph", "augmentation", "certificate"):
-            if key not in data:
-                raise DomainError(f"envelope is missing the '{key}' field")
-        graph = Multigraph.from_json_dict(data["graph"])
-        augmentation = Augmentation.from_json_list(data["augmentation"])
-        certificate = Decomposition.from_json_dict(data["certificate"])
-        family, eps, params = data["family"], data["epsilon"], data.get("parameters", {})
-        outer, faces, rotation = (data.get(k) for k in ("outer_cycle", "faces", "rotation"))
-        if not isinstance(family, str):
-            raise DomainError(f"'family' must be a string, got {family!r}")
-        # type() rather than isinstance(): JSON booleans are not integers.
-        if type(eps) is not int:
-            raise DomainError(f"'epsilon' must be an integer, got {eps!r}")
-        if not (isinstance(params, dict) and all(type(x) is int for x in params.values())):
-            raise DomainError(f"'parameters' must map names to integers, got {params!r}")
-        if outer is not None and not (
-            isinstance(outer, list) and all(type(x) is int for x in outer)
-        ):
-            raise DomainError(f"'outer_cycle' must be a list of vertices, got {outer!r}")
-        return cls(
-            family, params, graph, augmentation, certificate, eps,
-            outer_cycle=None if outer is None else tuple(outer),
-            faces=None if faces is None else _triangles_from_json(faces),
-            rotation=None if rotation is None else RotationSystem.from_json_dict(rotation),
-        )
-
-
-def _check(ok: bool, good: str, bad: str) -> Check:
-    return (ok, good if ok else bad)
-
-
-def _core_checks(result: ConstructionResult) -> List[Check]:
-    """Augmentation count, divisibility residue and certificate coverage."""
-    g, eps, aug = result.graph, result.claimed_epsilon, result.augmentation
-    checks = [
-        _check(len(aug) == eps, f"augmentation lists {eps} added copies",
-               f"augmentation lists {len(aug)} added copies, envelope claims {eps}"),
-        _check(eps % 3 == (-g.size()) % 3, "count matches the divisibility residue",
-               f"count {eps} cannot make size {g.size()} divisible by 3"),
-    ]
-    try:
-        augmented = apply_augmentation(g, aug)
-    except DomainError as exc:
-        return checks + [(False, f"augmentation lists an absent edge: {exc}")]
-    defect = coverage_error(augmented, result.certificate)
-    if defect is None:
-        return checks + [(True, "certificate covers every edge exactly")]
-    kind, e = defect
-    return checks + [(False, f"edge {{{e.u}, {e.v}}} {kind}")]
-
-
-def verify_construction(result: ConstructionResult) -> List[Check]:
-    """Recheck a construction from scratch: the core checks, then its family's.
-
-    A structure field that the checks cannot use, such as an outer cycle
-    that is not a permutation of the vertices, raises DomainError.
-    """
-    g, family, checks = result.graph, result.family, _core_checks(result)
-    if family in _CYCLE_FAMILIES:
-        if result.outer_cycle is None:
-            checks.append((False, "triangulated-cycle envelope has no outer cycle"))
-        else:
-            checks.append(_check(is_maximal_outerplanar(g, result.outer_cycle),
-                                 "maximal outerplanar on the given outer cycle",
-                                 "not maximal outerplanar on the given outer cycle"))
-    elif family == "hmp":
-        if result.faces is None:
-            checks.append((False, "triangulation envelope has no face list"))
-        else:
-            doubled = Multigraph(g.order, {e: 2 for e in g.edges()})
-            chi = g.order - g.size() + len(result.faces)
-            checks += [
-                _check(coverage_error(doubled, Decomposition(result.faces)) is None,
-                       "every edge lies on exactly two faces",
-                       "face list does not cover every edge exactly twice"),
-                _check(chi == 2, "V - E + F = 2", f"V - E + F = {chi}, expected 2"),
-            ]
-        checks += [
-            _check(find_hamiltonian_cycle(g) is not None, "hamiltonian cycle found",
-                   "no hamiltonian cycle found"),
-            _check(is_eulerian(g), "all degrees even and the graph is connected",
-                   "graph is not eulerian"),
-        ]
-    elif family == "sf":
-        if result.rotation is None:
-            checks.append((False, "fixture envelope has no rotation system"))
-        else:
-            trace = trace_faces(result.rotation)
-            rotation_edges = {edge(v, u) for v, rot in enumerate(result.rotation.rotations)
-                              for u, _c in rot}
-            checks += [
-                (None, f"genus: {trace.genus}"),
-                _check(trace.genus == 1, "rotation system embeds the graph on the torus",
-                       f"rotation system has genus {trace.genus}, expected 1"),
-                _check(any(set(face) == set(range(g.order)) for face in trace.faces),
-                       "one face visits every vertex", "no face visits every vertex"),
-                _check(rotation_edges == set(g.edges()),
-                       "rotation system covers exactly the graph edges",
-                       "rotation system edges differ from the graph edges"),
-            ]
-    elif family == "kop":
-        m, k = result.parameters.get("m"), result.parameters.get("k")
-        if not (isinstance(m, int) and isinstance(k, int) and m >= 3 and k >= 1):
-            checks.append((False, "layered envelope has no usable m, k parameters"))
-        else:
-            ring = ((j * m + i, j * m + (i + 1) % m) for j in range(k) for i in range(m))
-            gap = next((p for p in ring if not g.has_edge(edge(*p))), None)
-            checks.append(_check(gap is None, f"all {k} layer rings present",
-                                 f"ring edge {gap} missing"))
-    return checks
 
 
 def validate_construction(result: ConstructionResult) -> None:
@@ -545,69 +374,67 @@ def _face_colour_class(faces: List[Triangle]) -> List[Triangle]:
     The faces of an even plane triangulation 2-colour (Heawood), and each
     colour class covers every edge exactly once.
     """
-    on_edge: Dict[EdgeKey, List[int]] = {}
-    for i, t in enumerate(faces):
-        for e in t.edges():
+    on_edge: Dict[Tuple[int, int], List[int]] = {}
+    for i, (a, b, c) in enumerate(faces):
+        for e in ((a, b), (a, c), (b, c)):
             on_edge.setdefault(e, []).append(i)
-    colour = {0: 0}
+    colour: List[Optional[int]] = [None] * len(faces)
+    colour[0] = 0
     stack = [0]
     while stack:
         i = stack.pop()
-        for e in faces[i].edges():
+        a, b, c = faces[i]
+        for e in ((a, b), (a, c), (b, c)):
             for j in on_edge[e]:
-                if j not in colour:
+                if colour[j] is None:
                     colour[j] = 1 - colour[i]
                     stack.append(j)
-    return [t for i, t in enumerate(faces) if colour.get(i) == 0]
+    return [t for t, k in zip(faces, colour) if k == 0]
 
 
-def _insert_between(boundary: List[int], u: int, v: int, w: int) -> None:
-    size = len(boundary)
-    for i in range(size):
-        if {boundary[i], boundary[(i + 1) % size]} == {u, v}:
-            boundary.insert(i + 1, w)
-            return
-    raise InvariantViolation(f"{u} and {v} are not adjacent on the boundary")
+def _insert_between(succ: List[int], u: int, v: int, w: int) -> None:
+    """Put w between u and v, adjacent in either direction on the successor map succ."""
+    if succ[v] == u:
+        u, v = v, u
+    elif succ[u] != v:
+        raise InvariantViolation(f"{u} and {v} are not adjacent on the boundary")
+    succ[u], succ[w] = w, v
 
 
 def sc2_tree_construct(n: int) -> ConstructionResult:
     """A 2-tree of order n (a multiple of 3) decomposable with no additions.
 
-    Grown from a triangle in rounds of three vertices: a new vertex over a
-    fresh boundary edge, then one more over each of the two edges that
-    created, yielding two certificate triangles per round and leaving every
-    edge covered exactly once.
+    Grown from a triangle in rounds of three vertices: a new vertex over the
+    least fresh boundary edge, then one more over each of the two edges
+    that created, yielding two certificate triangles per round and leaving
+    every edge covered exactly once.  The boundary is a successor map and
+    the fresh boundary edges a heap, so a round costs O(log n); the outer
+    cycle is read off the map from vertex 0.
     """
+    import heapq  # loaded only by the one constructor that uses it
+
     if n < 3 or n % 3 != 0:
         raise DomainError(f"order must be a positive multiple of 3, got {n}")
     _check_order(n)
     pairs: List[Tuple[int, int]] = [(0, 1), (1, 2), (0, 2)]
     cert = [triangle(0, 1, 2)]
-    boundary = [0, 1, 2]
-    used: set = set()
-    v = 3
-    while v < n:
-        size = len(boundary)
-        candidates = []
-        for i in range(size):
-            e = edge(boundary[i], boundary[(i + 1) % size])
-            if e not in used:
-                candidates.append(e)
-        base = min(candidates)
-        a, b = base.as_pair()
-        w, x, y = v, v + 1, v + 2
-        pairs.extend([(a, w), (b, w)])
-        used.add(base)
-        _insert_between(boundary, a, b, w)
-        pairs.extend([(a, x), (w, x)])
-        cert.append(triangle(a, w, x))
-        used.add(edge(a, w))
-        _insert_between(boundary, a, w, x)
-        pairs.extend([(b, y), (w, y)])
-        cert.append(triangle(b, w, y))
-        used.add(edge(b, w))
-        _insert_between(boundary, w, b, y)
-        v += 3
+    succ = [1, 2, 0] + [0] * (n - 3)
+    # Every boundary edge is fresh: a round takes its base edge and the two
+    # edges it creates off the boundary.  Each pair is (smaller, larger).
+    fresh = [(0, 1), (0, 2), (1, 2)]
+    for w in range(3, n, 3):
+        x, y = w + 1, w + 2
+        a, b = heapq.heappop(fresh)
+        pairs.extend([(a, w), (b, w), (a, x), (w, x), (b, y), (w, y)])
+        cert += [triangle(a, w, x), triangle(b, w, y)]
+        _insert_between(succ, a, b, w)
+        _insert_between(succ, a, w, x)
+        _insert_between(succ, w, b, y)
+        for pair in ((a, x), (w, x), (b, y), (w, y)):
+            heapq.heappush(fresh, pair)
+    outer = [0]
+    for _ in range(n - 1):
+        outer.append(succ[outer[-1]])
     return ConstructionResult(
         family="sc2tree",
         parameters={"n": n},
@@ -615,7 +442,7 @@ def sc2_tree_construct(n: int) -> ConstructionResult:
         augmentation=Augmentation(()),
         certificate=Decomposition(tuple(cert)),
         claimed_epsilon=0,
-        outer_cycle=tuple(boundary),
+        outer_cycle=tuple(outer),
     )
 
 
@@ -780,6 +607,8 @@ def sf_fixture(n: int) -> ConstructionResult:
     cert = find_decomposition(apply_augmentation(g, aug))
     if cert is None:
         raise InvariantViolation(f"order-{n} fixture augmentation failed to decompose")
+    from .analysis import RotationSystem
+
     rotation = RotationSystem(
         n,
         tuple(

@@ -108,12 +108,18 @@ class Triangle(namedtuple("Triangle", "a b c")):
     __slots__ = ()
 
     def __new__(cls, a: int, b: int, c: int) -> "Triangle":
+        if not (isinstance(a, int) and isinstance(b, int) and isinstance(c, int)):
+            raise DomainError(f"triangle vertices must be integers, got ({a!r}, {b!r}, {c!r})")
         if not (0 <= a < b < c):
             raise DomainError(f"triangle vertices must satisfy 0 <= a < b < c, got ({a}, {b}, {c})")
         return tuple.__new__(cls, (a, b, c))
 
     def edges(self) -> Tuple[EdgeKey, EdgeKey, EdgeKey]:
-        return (EdgeKey(self.a, self.b), EdgeKey(self.a, self.c), EdgeKey(self.b, self.c))
+        # a < b < c was checked when the triangle was made, so the three
+        # pairs are canonical and skip EdgeKey's checks.
+        a, b, c = self
+        new = tuple.__new__
+        return (new(EdgeKey, (a, b)), new(EdgeKey, (a, c)), new(EdgeKey, (b, c)))
 
     def as_triple(self) -> Tuple[int, int, int]:
         return (self.a, self.b, self.c)
@@ -243,7 +249,7 @@ class Multigraph:
             if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
                 raise DomainError(f"edge entries must be [u, v, mult], got {entry!r}")
             u, v, m = entry
-            if not all(type(x) is int for x in (u, v, m)):
+            if not (type(u) is int and type(v) is int and type(m) is int):
                 raise DomainError(f"edge entries must be integers, got {entry!r}")
             e = edge(u, v)
             if e in mult:

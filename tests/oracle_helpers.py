@@ -5,11 +5,14 @@ always branches on the first uncovered edge with no ordering heuristics or
 parity shortcuts, and the minimum-additions search tries every total from
 zero upward with no residue stepping.  milp_epsilon answers the same
 question as an integer program through scipy, which only the tests need.
-Only the Multigraph container is shared with the production code.
+The outerplanarity test compares every pair of chords, and the 2-tree
+builder rescans its boundary list every round: the quadratic originals of
+the production code.  Only the Multigraph container is shared with the
+production code.
 """
 
 import itertools
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from tridecomp import EdgeKey, Multigraph, edge
 
@@ -159,3 +162,65 @@ def graph_from_mask(n: int, mask: int, pairs) -> Multigraph:
     return Multigraph.from_edges(
         n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
     )
+
+
+def oracle_is_maximal_outerplanar(g: Multigraph, outer: Sequence[int]) -> Optional[bool]:
+    """Whether g triangulates the cycle outer; None where outer is no permutation
+    of at least three vertices.  Every pair of chords is tested for a crossing."""
+    n = g.order
+    if sorted(outer) != list(range(n)) or n < 3:
+        return None
+    if any(g.multiplicity(e) > 1 for e in g.edges()):
+        return False
+    pos = {v: i for i, v in enumerate(outer)}
+    cycle = {frozenset((outer[i], outer[(i + 1) % n])) for i in range(n)}
+    if any(not g.has_edge(edge(*pair)) for pair in cycle) or g.size() != 2 * n - 3:
+        return False
+    chords = [tuple(sorted((pos[e.u], pos[e.v]))) for e in g.edges()
+              if frozenset((e.u, e.v)) not in cycle]
+    for (a, b), (c, d) in itertools.combinations(chords, 2):
+        if a < c < b < d or c < a < d < b:
+            return False
+    return True
+
+
+def oracle_sc2_tree_envelopes(limit: int):
+    """(n, envelope of construct sc2tree n) for n = 3, 6, ... up to limit.
+
+    One growth serves every order, since order n + 3 is order n plus one
+    round.  Each round puts a new vertex w over the least boundary edge
+    (a, b) not yet used, then x over (a, w) and y over (w, b), inserting
+    each new vertex into the boundary list next to the pair it splits.
+    """
+    pairs = [(0, 1), (1, 2), (0, 2)]
+    cert = [(0, 1, 2)]
+    boundary = [0, 1, 2]
+    used = set()
+
+    def insert_between(u, v, w):
+        for i in range(len(boundary)):
+            if {boundary[i], boundary[(i + 1) % len(boundary)]} == {u, v}:
+                boundary.insert(i + 1, w)
+                return
+        raise AssertionError(f"{u} and {v} are not adjacent on the boundary")
+
+    for n in range(3, limit + 1, 3):
+        yield n, {
+            "family": "sc2tree",
+            "parameters": {"n": n},
+            "epsilon": 0,
+            "graph": Multigraph.from_edges(n, pairs).to_json_dict(),
+            "augmentation": [],
+            "certificate": {"triangles": [list(t) for t in sorted(cert)]},
+            "outer_cycle": list(boundary),
+        }
+        w, x, y = n, n + 1, n + 2
+        size = len(boundary)
+        a, b = min(e for e in (tuple(sorted((boundary[i], boundary[(i + 1) % size])))
+                               for i in range(size)) if e not in used)
+        pairs += [(a, w), (b, w), (a, x), (w, x), (b, y), (w, y)]
+        cert += [tuple(sorted((a, w, x))), tuple(sorted((b, w, y)))]
+        used.update({(a, b), (a, w), (b, w)})
+        insert_between(a, b, w)
+        insert_between(a, w, x)
+        insert_between(w, b, y)

@@ -1,5 +1,8 @@
 """Tests for rotation systems, face tracing, and the structural predicates."""
 
+import itertools
+import random
+
 import pytest
 
 from tridecomp import (
@@ -14,6 +17,8 @@ from tridecomp import (
     is_strongly_k3_divisible,
     trace_faces,
 )
+
+from oracle_helpers import oracle_is_maximal_outerplanar
 
 
 def rotation_from_lists(neighbor_lists):
@@ -145,6 +150,61 @@ def test_is_maximal_outerplanar():
         is_maximal_outerplanar(fan5, (0, 1, 2, 3))  # not a permutation
     with pytest.raises(DomainError):
         is_maximal_outerplanar(Multigraph(2), (0, 1))
+
+
+def _outerplanar_answer(g, outer):
+    try:
+        return is_maximal_outerplanar(g, outer)
+    except DomainError:
+        return None
+
+
+def _triangulation_chords(rng, lo, hi, out):
+    """Append chords of a random triangulation of the positions lo..hi, side (lo, hi) given."""
+    if hi - lo < 2:
+        return
+    k = rng.randint(lo + 1, hi - 1)
+    out += [c for c in ((lo, k), (k, hi)) if c[1] - c[0] > 1]
+    _triangulation_chords(rng, lo, k, out)
+    _triangulation_chords(rng, k, hi, out)
+
+
+def test_is_maximal_outerplanar_matches_the_pairwise_oracle():
+    rng = random.Random(20211)
+    answers = []
+    for n in range(3, 6):
+        # Every edge set on n vertices against the identity and a shuffled
+        # outer order: crossing and nested chords, shared endpoints, every size.
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Multigraph.from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            for outer in (tuple(range(n)), tuple(rng.sample(range(n), n))):
+                answers.append(_outerplanar_answer(g, outer))
+                assert answers[-1] == oracle_is_maximal_outerplanar(g, outer), (g.edges(), outer)
+    for _ in range(2000):
+        n = rng.randint(4, 16)
+        outer = rng.sample(range(n), n)
+        if rng.random() < 0.5:
+            chords = []
+            _triangulation_chords(rng, 0, n - 1, chords)
+            if rng.random() < 0.5:  # swap one chord for any chord
+                chords[rng.randrange(n - 3)] = rng.choice(
+                    [(i, j) for i, j in itertools.combinations(range(n), 2) if 1 < j - i < n - 1])
+        else:
+            chords = rng.sample([(i, j) for i, j in itertools.combinations(range(n), 2)
+                                 if 1 < j - i < n - 1], n - 3 + rng.choice((-1, 0, 0, 1)))
+        pairs = [(outer[i], outer[(i + 1) % n]) for i in range(n)]
+        pairs += [(outer[i], outer[j]) for i, j in chords]
+        if rng.random() < 0.1:  # a parallel copy of some edge
+            pairs.append(rng.choice(pairs))
+        if rng.random() < 0.1:  # a cycle edge missing
+            pairs.pop(rng.randrange(n))
+        if rng.random() < 0.05:  # outer is no permutation
+            outer[rng.randrange(n)] = outer[0]
+        g = Multigraph.from_edges(n, pairs)
+        answers.append(_outerplanar_answer(g, outer))
+        assert answers[-1] == oracle_is_maximal_outerplanar(g, outer), (g.edges(), outer)
+    assert min(answers.count(True), answers.count(False), answers.count(None)) >= 50
 
 
 def test_find_hamiltonian_cycle():

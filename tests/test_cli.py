@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import tridecomp
+from tridecomp import augment, cli, decomposer
 from tridecomp.cli import main
 
 
@@ -174,6 +175,20 @@ def test_order_above_ceiling_exit_code(capsys, tmp_path):
         assert code == 3, argv
         assert out == "" and "exceeds the ceiling" in err
         assert time.perf_counter() - start < 1.0, argv
+
+
+def test_large_family_commands_run_in_bounded_time(capsys, tmp_path):
+    # Both take about 0.5 s; a step quadratic in n would miss the bound by far.
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "construct", "sc2tree", "30000")
+    assert code == 0 and json.loads(out)["parameters"] == {"n": 30000}
+    assert time.perf_counter() - start < 5.0
+    path = tmp_path / "mop30000.json"
+    path.write_text(json.dumps(tridecomp.mop_construct(30000).to_json_dict()), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 0 and "ok: maximal outerplanar on the given outer cycle" in out
+    assert time.perf_counter() - start < 5.0
 
 
 def test_decompose_hmp_1000_needs_no_recursion(capsys, tmp_path):
@@ -380,6 +395,94 @@ def test_output_is_deterministic(capsys):
     first = run_cli(capsys, "construct", "sf", "9")
     second = run_cli(capsys, "construct", "sf", "9")
     assert first == second
+
+
+def _assert_printed_like_json_dumps(out):
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_every_printed_payload_has_the_bytes_of_json_dumps(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("TRIDECOMP_SWEEP_CEILING", raising=False)
+    k4 = {"order": 4, "edges": [[u, v, 1] for u in range(4) for v in range(u + 1, 4)]}
+    k7 = {"order": 7, "edges": [[u, v, 1] for u in range(7) for v in range(u + 1, 7)]}
+    book = {"order": 4, "edges": [[0, 1, 8], [0, 2, 1], [0, 3, 1], [1, 2, 1], [1, 3, 1]]}
+    path = {
+        "k4": write_json(tmp_path, "k4.json", k4),
+        "k7": write_json(tmp_path, "k7.json", k7),
+        "book": write_json(tmp_path, "book.json", book),
+        "short": write_json(tmp_path, "short.json", {"order": 3, "edges": [[0, 1, 1]]}),
+        "bare": write_json(tmp_path, "bare.json", {"order": 2, "edges": [[0, 1, 6]]}),
+    }
+    reasons = set()
+    for argv in (
+        ("construct", "mop", "3"),
+        ("construct", "mop", "40"),
+        ("construct", "fan", "9"),
+        ("construct", "intermediate", "10", "2"),
+        ("construct", "sc2tree", "12"),
+        ("construct", "kop", "5", "3"),
+        ("construct", "hmp", "11"),  # faces
+        ("construct", "sc3", "7"),
+        ("construct", "sf", "9"),  # rotation
+        ("epsilon", path["k4"]),
+        ("epsilon", path["k4"], "--cap", "1"),
+        ("decompose", path["k7"]),
+        ("decompose", path["k4"]),
+        ("decompose", path["book"]),
+        ("decompose", path["short"]),
+        ("decompose", path["bare"]),
+        ("sweep", "epsilon", "6"),
+        ("sweep", "xi", "5"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        _assert_printed_like_json_dumps(out)
+        reasons.add(json.loads(out).get("reason", {}).get("kind"))
+        if argv[:2] == ("construct", "sf"):
+            rotation = write_json(tmp_path, "rotation.json", json.loads(out)["rotation"])
+    assert reasons == {None, "odd_vertex", "search_exhausted", "size_not_divisible",
+                       "edge_not_on_triangle"}
+    code, out, _ = run_cli(capsys, "faces", rotation)
+    assert code == 0
+    _assert_printed_like_json_dumps(out)
+
+
+@pytest.mark.parametrize("payload", [
+    {}, [], {"a": [], "b": {}}, [[]], [[], [1]], [[1], [2, 3]], [[1, 2], [3, True]],
+    [1, None], {"s": "tab\t quote\" slash\\ \u00e9 \u2603 \U0001f600"}, [[[1, 2]], [[3, 4]]],
+    (1, 2), [(1, 2), (3, 4)], [-1, 10 ** 30, 0],
+])
+def test_writer_matches_json_dumps_on_edge_cases(capsys, payload):
+    cli._print_json(payload)
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_epsilon_and_decompose_recheck_the_certificate(capsys, tmp_path, monkeypatch):
+    k7 = {"order": 7, "edges": [[u, v, 1] for u in range(7) for v in range(u + 1, 7)]}
+    k7_path = write_json(tmp_path, "k7.json", k7)
+    real_cover = decomposer._exact_cover
+
+    def short_cover(g):
+        cert = real_cover(g)
+        return tridecomp.Decomposition(cert.triangles[1:])
+
+    monkeypatch.setattr(decomposer, "_exact_cover", short_cover)
+    code, out, err = run_cli(capsys, "decompose", k7_path)
+    assert (code, out) == (2, "")
+    assert err.startswith("internal error: certificate leaves edge {0, 1} undercovered")
+
+    k4_path = write_json(tmp_path, "k4.json", {"order": 4, "edges": [
+        [u, v, 1] for u in range(4) for v in range(u + 1, 4)]})
+    real_epsilon = augment.epsilon_exact
+
+    def extra_triangle(g, cap=None):
+        value, aug, cert = real_epsilon(g, cap)
+        return value, aug, tridecomp.Decomposition(cert.triangles + (tridecomp.triangle(1, 2, 3),))
+
+    monkeypatch.setattr(augment, "epsilon_exact", extra_triangle)
+    code, out, err = run_cli(capsys, "epsilon", k4_path)
+    assert (code, out) == (2, "")
+    assert err.startswith("internal error: certificate leaves edge")
 
 
 def test_module_entry_point():

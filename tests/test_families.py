@@ -35,6 +35,8 @@ from tridecomp import (
     verify_construction,
 )
 
+from oracle_helpers import oracle_sc2_tree_envelopes
+
 
 def test_validate_construction_rejects_tampering():
     base = mop_construct(4)
@@ -238,6 +240,11 @@ def test_sc2_tree_family():
     for bad in [0, 5, 7]:
         with pytest.raises(DomainError):
             sc2_tree_construct(bad)
+
+
+def test_sc2_tree_matches_the_boundary_list_builder():
+    for n, expected in oracle_sc2_tree_envelopes(600):
+        assert json.dumps(sc2_tree_construct(n).to_json_dict()) == json.dumps(expected), n
 
 
 def test_sc2_tree_seeds():

@@ -83,15 +83,15 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
     )
     base = {"tridecomp", "tridecomp.cli", "tridecomp.graph_core", "tridecomp.decomposer"}
     search = base | {"tridecomp.augment"}
-    structure = base | {"tridecomp.analysis", "tridecomp.families"}
     # Against a bare interpreter's modules, so that a site that imports them is no failure.
     bare = set(_child_output(_BARE)[1])
     for argv, layers in (
         (("decompose", str(path)), base),
         (("epsilon", str(path)), search),
         (("sweep", "epsilon", "5"), search | {"tridecomp.sweep"}),
-        (("construct", "mop", "4"), structure),
-        (("verify", str(envelope)), structure),
+        # construct runs only the core checks, and verify never builds a family.
+        (("construct", "mop", "4"), base | {"tridecomp.envelope", "tridecomp.families"}),
+        (("verify", str(envelope)), base | {"tridecomp.envelope", "tridecomp.analysis"}),
         (("faces", str(rotation)), base | {"tridecomp.analysis"}),
     ):
         loaded, every = _modules_loaded_by(*argv)

@@ -1,10 +1,14 @@
-"""Property tests: relabelling invariance of epsilon and Multigraph JSON round-trips.
+"""Property tests: relabelling invariance of epsilon, Multigraph JSON round-trips
+and the CLI's JSON writer.
 
 Skipped when Hypothesis is not installed.  The examples are derandomized,
 so every run checks the same graphs.
 """
 
+import gc
+import io
 import json
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -20,8 +24,20 @@ from tridecomp import (  # noqa: E402
     edge,
     epsilon_exact,
 )
+from tridecomp.cli import _print_json  # noqa: E402
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _restore_gc_callbacks():
+    """Hypothesis adds a gc callback for the rest of the process.  An
+    exception raised by a signal handler while that callback runs is
+    dropped as unraisable, so later tests that time out by SIGALRM (the
+    benchmark's own) would run on; put gc.callbacks back after this module."""
+    saved = list(gc.callbacks)
+    yield
+    gc.callbacks[:] = saved
 
 
 @st.composite
@@ -63,3 +79,23 @@ def test_epsilon_is_invariant_under_relabelling(data):
 @given(triangle_supported())
 def test_multigraph_json_round_trips(g):
     assert Multigraph.from_json_dict(json.loads(json.dumps(g.to_json_dict()))) == g
+
+
+_TEXT = st.text() | st.sampled_from(["", "quote \" slash \\ tab \t nl \n", "\x00\x1f\x7f",
+                                      "\u00e9\u2603\U0001f600", "\ud800"])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXT,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.dictionaries(_TEXT, inner, max_size=5)
+                   | st.lists(st.lists(st.integers(), min_size=2, max_size=2), max_size=4)),
+    max_leaves=30,
+)
+
+
+@SETTINGS
+@given(_JSON_VALUES)
+def test_cli_writer_prints_the_bytes_of_json_dumps(value):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _print_json(value)
+    assert out.getvalue() == json.dumps(value, indent=2) + "\n"
