@@ -53,7 +53,6 @@ _EXPORTS = {
     "DomainError": "graph_core",
     "EdgeKey": "graph_core",
     "EdgeNotOnTriangle": "graph_core",
-    "InfeasibleParity": "graph_core",
     "InvariantViolation": "graph_core",
     "Multigraph": "graph_core",
     "NotAFixture": "graph_core",

@@ -5,6 +5,9 @@ one edge component), is_strongly_k3_divisible (also size divisible by 3 and
 every edge on a triangle) and lower_bound, the least augmentation count that
 both degree parity and divisibility allow.  lower_bound is reported only;
 the search in ``augment`` starts at the divisibility residue instead.
+Each check has one copy: degree, size and triangle conditions in
+``decomposer.fast_reject``, chord crossings in ``graph_core``, and one
+connectivity walk, _edges_connected, here.
 
 A rotation system lists, for every vertex, the cyclic order of its incident
 edge ends as (neighbor, copy index) pairs.  Tracing: after arriving at v
@@ -21,15 +24,20 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .decomposer import fast_reject
 from .graph_core import (
     DomainError,
-    InfeasibleParity,
     Multigraph,
     ScaleLimit,
+    _crossing_chords,
     degree_sequence,
     edge,
 )
 
 # Parity-state searches give up past this many visited states.
 _PARITY_STATE_LIMIT = 1 << 22
+
+# The Hamiltonian cycle search gives up past this many steps: ten times what
+# an hmp graph at ORDER_LIMIT needs (about order + 12), but a cut vertex
+# can make them exponential.
+_HAMILTONIAN_STEP_LIMIT = 10**6
 
 
 class RotationSystem(namedtuple("RotationSystem", "order rotations")):
@@ -143,16 +151,8 @@ def trace_faces(r: RotationSystem) -> FaceTrace:
         raise DomainError("rotation system has no edges")
     edge_count = total_ends // 2
     # The genus formula needs a connected graph.
-    with_edges = [v for v in range(n) if r.rotations[v]]
-    seen = {with_edges[0]}
-    stack = [with_edges[0]]
-    while stack:
-        v = stack.pop()
-        for (u, _c) in r.rotations[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    if len(seen) != n:
+    nbrs = [[u for u, _c in rot] for rot in r.rotations]
+    if not (all(nbrs) and _edges_connected(nbrs)):
         raise DomainError("rotation system is not connected")
 
     visited: set = set()
@@ -185,25 +185,16 @@ def trace_faces(r: RotationSystem) -> FaceTrace:
     )
 
 
-def _support_components(g: Multigraph) -> List[List[int]]:
-    adj = g.adjacency()
-    seen = [False] * g.order
-    comps = []
-    for s in range(g.order):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    comp.append(u)
-                    stack.append(u)
-        comps.append(sorted(comp))
-    return comps
+def _edges_connected(adj: Sequence[Sequence[int]]) -> bool:
+    """True iff a walk from the first vertex with neighbours reaches all that have any."""
+    stack = [v for v, nbrs in enumerate(adj) if nbrs][:1]
+    seen = set(stack)
+    while stack:
+        for u in adj[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == sum(1 for nbrs in adj if nbrs)
 
 
 def is_eulerian(g: Multigraph) -> bool:
@@ -212,15 +203,12 @@ def is_eulerian(g: Multigraph) -> bool:
     All degrees even, and all edges in one component (isolated vertices are
     allowed; a graph with no edges counts as Eulerian).
     """
-    if any(d % 2 != 0 for d in degree_sequence(g)):
-        return False
-    nontrivial = [c for c in _support_components(g) if len(c) > 1]
-    return len(nontrivial) <= 1
+    return all(d % 2 == 0 for d in degree_sequence(g)) and _edges_connected(g.adjacency())
 
 
 def is_strongly_k3_divisible(g: Multigraph) -> bool:
     """Eulerian, size divisible by 3, and every edge on a triangle."""
-    return is_eulerian(g) and fast_reject(g) is None
+    return fast_reject(g) is None and _edges_connected(g.adjacency())
 
 
 class BoundReport(
@@ -286,13 +274,8 @@ def lower_bound(g: Multigraph) -> BoundReport:
     """
     even, odd = _parity_distances(g)
     residue = (-g.size()) % 3
-    candidates = [p for p in (even, odd) if p is not None]
-    if not candidates:
-        # Every graph with at least one edge can reach any parity vector
-        # supported on its edges; unreachable targets cannot arise from
-        # degree parities of the same graph.
-        raise InfeasibleParity("no augmentation can make all degrees even")
-    parity_bound = min(candidates)
+    # Doubling every edge makes every degree even, so one distance is finite.
+    parity_bound = min(p for p in (even, odd) if p is not None)
     t = residue
     while True:
         p = even if t % 2 == 0 else odd
@@ -312,14 +295,7 @@ def is_maximal_outerplanar(g: Multigraph, outer: Sequence[int]) -> bool:
     outer must be a permutation of the vertices (DomainError otherwise); the
     check is that g is simple, every consecutive outer pair is an edge,
     the size is 2n-3, and the remaining edges are pairwise non-crossing
-    chords of that cycle.
-
-    Chords are taken as position pairs (a, b), a < b, sorted by a and then
-    by b descending, so a chord comes after every chord that contains it.
-    A stack holds the ends of the chords still open at a; their ends
-    never increase towards the top.  Chords ending at or before a are
-    popped, and (a, b) crosses an open chord exactly when b passes the end
-    on top.  O(c log c) for c chords.
+    chords of that cycle, by the crossing test in ``graph_core``.
     """
     n = g.order
     if sorted(outer) != list(range(n)):
@@ -339,22 +315,15 @@ def is_maximal_outerplanar(g: Multigraph, outer: Sequence[int]) -> bool:
         a, b = sorted((pos[u], pos[v]))
         if 1 < b - a < n - 1:  # not a cycle edge: those are one apart, or 0 and n - 1
             chords.append((a, b))
-    chords.sort(key=lambda chord: (chord[0], -chord[1]))
-    open_ends: List[int] = []
-    for a, b in chords:
-        while open_ends and open_ends[-1] <= a:
-            open_ends.pop()
-        if open_ends and b > open_ends[-1]:
-            return False
-        open_ends.append(b)
-    return True
+    return _crossing_chords(chords) is None
 
 
 def find_hamiltonian_cycle(g: Multigraph) -> Optional[Tuple[int, ...]]:
     """A Hamiltonian cycle starting at 0, or None; lex-first by neighbor order.
 
     Depth-first over paths from 0 with an explicit stack: tried[i] is how
-    many neighbors of path[i] have been tried as path[i + 1].
+    many neighbors of path[i] have been tried as path[i + 1].  ScaleLimit
+    past _HAMILTONIAN_STEP_LIMIT passes of the loop.
     """
     n = g.order
     if n < 3:
@@ -364,7 +333,12 @@ def find_hamiltonian_cycle(g: Multigraph) -> Optional[Tuple[int, ...]]:
     tried = [0]
     on_path = [False] * n
     on_path[0] = True
+    steps = 0
     while path:
+        steps += 1
+        if steps > _HAMILTONIAN_STEP_LIMIT:
+            raise ScaleLimit("hamiltonian cycle search exceeds the ceiling of "
+                             f"{_HAMILTONIAN_STEP_LIMIT} steps")
         nbrs = adj[path[-1]]
         if len(path) == n:
             if 0 in nbrs:

@@ -52,10 +52,6 @@ class NotAFixture(DomainError):
     """The requested fixture order is not one of the transcribed drawings."""
 
 
-class InfeasibleParity(TridecompError):
-    """No multiset of existing edges can make every degree even."""
-
-
 class CapInfeasible(TridecompError):
     """No augmentation within the per-edge copy cap is decomposable."""
 
@@ -200,13 +196,7 @@ class Multigraph:
         """Distinct adjacent vertices, sorted."""
         if not (0 <= v < self.order):
             raise DomainError(f"vertex {v} out of range for order {self.order}")
-        out = set()
-        for e in self._mult:
-            if e.u == v:
-                out.add(e.v)
-            elif e.v == v:
-                out.add(e.u)
-        return sorted(out)
+        return self.adjacency()[v]
 
     def adjacency(self) -> List[List[int]]:
         """Neighbor lists for all vertices at once (sorted per vertex)."""
@@ -333,6 +323,26 @@ def apply_augmentation(g: Multigraph, aug: Augmentation) -> Multigraph:
             raise AugmentNonAdjacent(f"cannot add copies of absent edge ({e.u}, {e.v})")
         mult[e] += 1
     return Multigraph(g.order, mult)
+
+
+def _crossing_chords(chords: Iterable[Tuple[int, int]]) -> Optional[tuple]:
+    """Two crossing chords of a convex polygon, or None; the package's one such test.
+
+    Chords are distinct position pairs (a, b), a < b, sorted by a and then
+    by b descending, so a chord comes after every chord that contains it.
+    A stack holds the chords still open at a; their ends never increase
+    towards the top.  Chords ending at or before a are popped, and (a, b)
+    crosses an open chord exactly when b passes the end of the one on top.
+    O(c log c) for c chords.
+    """
+    open_chords: List[Tuple[int, int]] = []
+    for a, b in sorted(chords, key=lambda chord: (chord[0], -chord[1])):
+        while open_chords and open_chords[-1][1] <= a:
+            open_chords.pop()
+        if open_chords and b > open_chords[-1][1]:
+            return open_chords[-1], (a, b)
+        open_chords.append((a, b))
+    return None
 
 
 def degree_sequence(g: Multigraph) -> List[int]:

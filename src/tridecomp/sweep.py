@@ -7,6 +7,7 @@ the level ladder of ``augment`` over that whole class at once, since every
 member has the same size 2n - 3: the least count over the class, and the
 largest when at most one extra copy per edge is allowed.  Only the
 ``sweep`` subcommand loads this module.
+MopCode checks chord crossings with the test in ``graph_core``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections import namedtuple
 from typing import Iterable, List, Optional, Tuple
 
 from .augment import _ladder
-from .graph_core import DomainError, EdgeKey, Multigraph, ScaleLimit, edge
+from .graph_core import DomainError, EdgeKey, Multigraph, ScaleLimit, _crossing_chords
 
 # Default order ceiling for the class sweeps when the caller gives none.
 DEFAULT_SWEEP_CEILING = 12
@@ -47,11 +48,10 @@ class MopCode(namedtuple("MopCode", "order chords")):
                 raise DomainError(f"chord endpoint {e.v} out of range")
             if (e.v - e.u) % n in (1, n - 1):
                 raise DomainError(f"({e.u}, {e.v}) is a cycle edge, not a chord")
-        cs = [c.as_pair() for c in chords]
-        for i, (a, b) in enumerate(cs):
-            for c, d in cs[i + 1 :]:
-                if a < c < b < d or c < a < d < b:
-                    raise DomainError(f"chords ({a},{b}) and ({c},{d}) cross")
+        crossing = _crossing_chords(chords)
+        if crossing is not None:
+            (a, b), (c, d) = crossing
+            raise DomainError(f"chords ({a},{b}) and ({c},{d}) cross")
         return tuple.__new__(cls, (order, chords))
 
     def graph(self) -> Multigraph:
@@ -89,10 +89,10 @@ def enumerate_mops(n: int) -> List[MopCode]:
                     out.append(ls + rs + extra)
         return out
 
-    codes = []
-    for chordset in fill(0, n - 1):
-        chords = tuple(edge(u, v) for u, v in chordset)
-        codes.append(MopCode(n, chords))
+    # fill yields n - 3 distinct non-crossing chords (u, v), u < v: skip the checks.
+    new = tuple.__new__
+    codes = [new(MopCode, (n, tuple(new(EdgeKey, c) for c in sorted(chordset))))
+             for chordset in fill(0, n - 1)]
     codes.sort(key=lambda c: c.chords)
     return codes
 

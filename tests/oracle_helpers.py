@@ -18,7 +18,7 @@ from tridecomp import EdgeKey, Multigraph, edge
 
 
 def oracle_triangles(g: Multigraph) -> List[Tuple[int, int, int]]:
-    adj = [set(g.neighbors(v)) for v in range(g.order)]
+    adj = [set(ns) for ns in g.adjacency()]
     out = []
     for a, b, c in itertools.combinations(range(g.order), 3):
         if b in adj[a] and c in adj[a] and c in adj[b]:
@@ -164,6 +164,12 @@ def graph_from_mask(n: int, mask: int, pairs) -> Multigraph:
     )
 
 
+def oracle_chords_cross(p: Tuple[int, int], q: Tuple[int, int]) -> bool:
+    """Whether chords (a, b) and (c, d), a < b and c < d, of a convex polygon cross."""
+    (a, b), (c, d) = p, q
+    return a < c < b < d or c < a < d < b
+
+
 def oracle_is_maximal_outerplanar(g: Multigraph, outer: Sequence[int]) -> Optional[bool]:
     """Whether g triangulates the cycle outer; None where outer is no permutation
     of at least three vertices.  Every pair of chords is tested for a crossing."""
@@ -178,10 +184,7 @@ def oracle_is_maximal_outerplanar(g: Multigraph, outer: Sequence[int]) -> Option
         return False
     chords = [tuple(sorted((pos[e.u], pos[e.v]))) for e in g.edges()
               if frozenset((e.u, e.v)) not in cycle]
-    for (a, b), (c, d) in itertools.combinations(chords, 2):
-        if a < c < b < d or c < a < d < b:
-            return False
-    return True
+    return not any(oracle_chords_cross(p, q) for p, q in itertools.combinations(chords, 2))
 
 
 def oracle_sc2_tree_envelopes(limit: int):

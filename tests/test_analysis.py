@@ -2,15 +2,18 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
 from tridecomp import (
     DomainError,
+    MopCode,
     Multigraph,
     RotationSystem,
     complete_graph,
     cycle_graph,
+    edge,
     find_hamiltonian_cycle,
     is_eulerian,
     is_maximal_outerplanar,
@@ -18,7 +21,7 @@ from tridecomp import (
     trace_faces,
 )
 
-from oracle_helpers import oracle_is_maximal_outerplanar
+from oracle_helpers import oracle_chords_cross, oracle_is_maximal_outerplanar
 
 
 def rotation_from_lists(neighbor_lists):
@@ -102,6 +105,9 @@ def test_trace_faces_rejects_malformed_systems():
         trace_faces(
             rotation_from_lists([[1], [0], [3], [2]])
         )  # two components
+    for lists in ([[1, 2], [0, 2], [0, 1], []], [[], [2, 3], [1, 3], [1, 2]]):
+        with pytest.raises(DomainError, match="not connected"):
+            trace_faces(rotation_from_lists(lists))  # an isolated vertex
 
 
 def test_is_eulerian():
@@ -114,6 +120,7 @@ def test_is_eulerian():
     assert not is_eulerian(two)
     # isolated vertices are fine
     assert is_eulerian(Multigraph.from_edges(4, [(0, 1), (1, 2), (0, 2)]))
+    assert is_eulerian(Multigraph.from_edges(4, [(1, 2), (2, 3), (1, 3)]))
     assert is_eulerian(Multigraph(3))
     # a doubled edge alone is a closed walk
     assert is_eulerian(Multigraph.from_edges(2, [(0, 1, 2)]))
@@ -127,6 +134,9 @@ def test_is_strongly_k3_divisible():
     assert not is_strongly_k3_divisible(cycle_graph(5))  # size not divisible
     doubled = Multigraph.from_edges(3, [(0, 1, 2), (0, 2, 2), (1, 2, 2)])
     assert is_strongly_k3_divisible(doubled)
+    assert is_strongly_k3_divisible(Multigraph.from_edges(4, [(1, 2), (2, 3), (1, 3)]))
+    two = Multigraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert not is_strongly_k3_divisible(two)  # two edge components
 
 
 def test_is_maximal_outerplanar():
@@ -169,9 +179,32 @@ def _triangulation_chords(rng, lo, hi, out):
     _triangulation_chords(rng, k, hi, out)
 
 
+def _mop_code_answer(n, chords):
+    """MopCode(n, chords) against the oracle on the cycle 0..n-1 plus the chords.
+
+    It must accept exactly when the oracle does, and a crossing refusal must
+    name two of the chords that cross.  True when it named a crossing.
+    """
+    g = Multigraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)] + list(chords))
+    expected = oracle_is_maximal_outerplanar(g, tuple(range(n)))
+    try:
+        MopCode(n, [edge(*c) for c in chords])
+    except DomainError as exc:
+        assert expected is False, (n, chords)
+        named = re.fullmatch(r"chords \((\d+),(\d+)\) and \((\d+),(\d+)\) cross", str(exc))
+        if named is None:
+            return False
+        a, b, c, d = map(int, named.groups())
+        assert {(a, b), (c, d)} <= set(chords) and oracle_chords_cross((a, b), (c, d)), exc
+        return True
+    assert expected is True, (n, chords)
+    return False
+
+
 def test_is_maximal_outerplanar_matches_the_pairwise_oracle():
     rng = random.Random(20211)
     answers = []
+    crossings_named = 0
     for n in range(3, 6):
         # Every edge set on n vertices against the identity and a shuffled
         # outer order: crossing and nested chords, shared endpoints, every size.
@@ -181,6 +214,9 @@ def test_is_maximal_outerplanar_matches_the_pairwise_oracle():
             for outer in (tuple(range(n)), tuple(rng.sample(range(n), n))):
                 answers.append(_outerplanar_answer(g, outer))
                 assert answers[-1] == oracle_is_maximal_outerplanar(g, outer), (g.edges(), outer)
+            # On the identity outer order the chords are the vertex pairs themselves.
+            crossings_named += _mop_code_answer(
+                n, [e for e in g.edges() if (e.v - e.u) % n not in (1, n - 1)])
     for _ in range(2000):
         n = rng.randint(4, 16)
         outer = rng.sample(range(n), n)
@@ -204,7 +240,10 @@ def test_is_maximal_outerplanar_matches_the_pairwise_oracle():
         g = Multigraph.from_edges(n, pairs)
         answers.append(_outerplanar_answer(g, outer))
         assert answers[-1] == oracle_is_maximal_outerplanar(g, outer), (g.edges(), outer)
+        # The chords as position pairs: the graph relabelled onto the identity outer order.
+        crossings_named += _mop_code_answer(n, chords)
     assert min(answers.count(True), answers.count(False), answers.count(None)) >= 50
+    assert crossings_named >= 50
 
 
 def test_find_hamiltonian_cycle():

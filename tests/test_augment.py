@@ -268,8 +268,9 @@ def test_enumerate_mops_counts_and_order():
 
 
 def test_enumerate_mops_yields_maximal_outerplanar_graphs():
-    for n in range(3, 8):
+    for n in range(3, 10):
         for code in enumerate_mops(n):
+            assert MopCode(n, code.chords) == code  # the skipped checks pass
             g = code.graph()
             assert g.size() == 2 * n - 3
             assert is_maximal_outerplanar(g, tuple(range(n)))

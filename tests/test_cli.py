@@ -159,6 +159,28 @@ def test_epsilon_scale_limit_exit_code(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_hamiltonian_search_ceiling_exit_code(capsys, tmp_path):
+    # Two copies of K_12 sharing vertex 0: a cut vertex, so no Hamiltonian
+    # cycle, and the search's steps grow about eightfold per two vertices.
+    k = 12
+    side = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    other = [(0 if u == 0 else u + k - 1, v + k - 1) for u, v in side]
+    envelope = {
+        "family": "hmp",
+        "parameters": {},
+        "epsilon": 0,
+        "graph": {"order": 2 * k - 1, "edges": [[u, v, 1] for u, v in side + other]},
+        "augmentation": [],
+        "certificate": {"triangles": []},
+    }
+    path = write_json(tmp_path, "cut-vertex.json", envelope)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", path)
+    assert code == 3
+    assert out == "" and "error: hamiltonian cycle search exceeds the ceiling" in err
+    assert time.perf_counter() - start < 10.0
+
+
 def test_order_above_ceiling_exit_code(capsys, tmp_path):
     huge = {"order": 10**12, "edges": [[0, 1, 1], [1, 2, 1], [0, 2, 1]]}
     path = write_json(tmp_path, "huge.json", huge)
