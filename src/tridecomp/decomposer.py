@@ -7,11 +7,16 @@ augmentation search in ``augment`` widens hi.  The branch rule picks the
 edge still short of lo with the fewest triangles fitting under hi (ties
 broken by lexicographic edge order) and tries those triangles in
 lexicographic order, so the returned certificate is a pure function of the
-input.
+input.  The search keeps its node state incrementally: each chosen
+triangle lowers the least room of the triangles sharing one of its edges,
+and records them on a trail that the undo pops, so a node reads its prunes
+and its branch edge from per-edge counts instead of rescanning every
+triangle.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import namedtuple
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -161,7 +166,8 @@ class CoverInstance:
     and the triangle count vary between solve() calls.
     """
 
-    __slots__ = ("edge_keys", "edge_index", "tri_verts", "tri_edges", "tris_of_edge")
+    __slots__ = ("edge_keys", "edge_index", "tri_verts", "tri_edges", "tris_of_edge", "ends",
+                 "order")
 
     def __init__(self, g: Multigraph):
         self.edge_keys: List[EdgeKey] = g.edges()
@@ -176,6 +182,8 @@ class CoverInstance:
             self.tris_of_edge[e1].append(ti)
             self.tris_of_edge[e2].append(ti)
             self.tris_of_edge[e3].append(ti)
+        self.ends: List[Tuple[int, int]] = [e.as_pair() for e in self.edge_keys]
+        self.order = max((v for _, v in self.ends), default=-1) + 1
 
     def base_multiplicities(self, g: Multigraph) -> List[int]:
         return [g.multiplicity(e) for e in self.edge_keys]
@@ -212,6 +220,21 @@ class CoverInstance:
         with lo == hi the certificate is the one the plain exact-cover
         search finds first.
 
+        A node reads its tests from state that each choose and undo keeps
+        up to date, rather than rescanning every triangle: the least room
+        (hi minus coverage) over each triangle's edges, which is positive
+        exactly when the triangle fits; per edge, the number of fitting
+        triangles through it; the short edges in ascending order; and the
+        parity of each vertex's total shortfall, with the count of odd
+        ones, kept only while coverings beyond lo remain to place (never
+        in an exact cover).  Choosing a triangle lowers the room of its
+        three edges, and every triangle through them whose least room
+        drops goes on a trail; undoing it pops the trail back to its mark.
+        Each fitting triangle can cover its edges at least once more, so
+        only a short edge with fewer fitting triangles than it needs sums
+        their least rooms for the reach test, and only the edge the node
+        branches on has its fitting triangles listed.
+
         The open nodes live on an explicit stack, the root's frame and one
         more per chosen triangle, so a search hundreds of triangles deep
         (the 998 of ``construct hmp 1000``) needs no interpreter recursion.
@@ -223,9 +246,8 @@ class CoverInstance:
         room = [min(b, a + slack) for a, b in zip(lo, hi)]  # hi[i] minus the coverage
         if slack < 0 or 3 * k > sum(room):
             return None
-        ends = [e.as_pair() for e in self.edge_keys]
-        order = max((v for _, v in ends), default=-1) + 1
-        degree = [0] * order
+        ends = self.ends
+        degree = [0] * self.order
         free = set()
         for (u, v), a, b in zip(ends, lo, room):
             degree[u] += a
@@ -236,7 +258,22 @@ class CoverInstance:
             return None
         tri_edges = self.tri_edges
         tris_of_edge = self.tris_of_edge
-        m = len(short)
+        low = [min(room[e1], room[e2], room[e3]) for e1, e2, e3 in tri_edges]
+        fitting = [0] * len(short)  # triangles through the edge with low > 0
+        for (e1, e2, e3), r in zip(tri_edges, low):
+            if r > 0:
+                fitting[e1] += 1
+                fitting[e2] += 1
+                fitting[e3] += 1
+        odd_at = [0] * self.order  # the parity of the vertex's total shortfall
+        for (u, v), s in zip(ends, short):
+            if s > 0:
+                odd_at[u] ^= s & 1
+                odd_at[v] ^= s & 1
+        odd = sum(odd_at)
+        shorts = [ei for ei, s in enumerate(short) if s > 0]  # ascending
+        trail: List[int] = []  # the triangles whose low each choose lowered
+        marks: List[int] = []  # the trail's length before each chosen triangle
         banned = [False] * len(tri_edges)
         chosen: List[int] = []
 
@@ -245,44 +282,29 @@ class CoverInstance:
             spare = 3 * left - shortfall  # coverings beyond lo still to place
             if spare < 0:
                 return []
-            if spare > 0:
-                # A vertex still short by an odd amount needs a covering
-                # beyond lo on one of its edges, and each such covering
-                # serves two vertices.
-                need_at = [0] * order
-                for (u, v), s in zip(ends, short):
-                    if s > 0:
-                        need_at[u] += s
-                        need_at[v] += s
-                if sum(d & 1 for d in need_at) > 2 * spare:
-                    return []
-            best: Optional[List[int]] = None
-            for ei in range(m):
+            # A vertex still short by an odd amount needs a covering beyond
+            # lo on one of its edges, and each such covering serves two
+            # vertices.
+            if spare > 0 and odd > 2 * spare:
+                return []
+            best = -1
+            fewest = len(tri_edges) + 1
+            for ei in shorts:
                 need = short[ei]
-                if need <= 0:
-                    continue
-                fits: List[int] = []
-                capacity = 0
-                for ti in tris_of_edge[ei]:
-                    e1, e2, e3 = tri_edges[ti]
-                    r = room[e1]
-                    if room[e2] < r:
-                        r = room[e2]
-                    if room[e3] < r:
-                        r = room[e3]
-                    if r > 0:
-                        fits.append(ti)
-                        capacity += r
-                if capacity < need:
-                    return []  # this edge cannot reach lo even with full reuse
-                if best is None or len(fits) < len(best):
-                    best = fits
-                    if len(fits) == 1:
+                count = fitting[ei]
+                if count < need:
+                    reach = sum([low[t] for t in tris_of_edge[ei] if low[t] > 0])
+                    if reach < need:
+                        return []  # this edge cannot reach lo even with full reuse
+                if count < fewest:
+                    best = ei
+                    fewest = count
+                    if fewest == 1:
                         break  # a forced move: no later edge can beat it
-            if best is None:
+            if best < 0:
                 # No slack triangles, as the docstring explains.
                 return None if left == 0 else []
-            return best
+            return [ti for ti in tris_of_edge[best] if low[ti] > 0]
 
         # One frame per open node: [fits, next index, failed, left, shortfall].
         # chosen[d] is the triangle frame d is trying, so popping frame d + 1
@@ -302,26 +324,65 @@ class CoverInstance:
                 frames.pop()
                 if frames:
                     ti = chosen.pop()
-                    e1, e2, e3 = tri_edges[ti]
-                    short[e1] += 1
-                    short[e2] += 1
-                    short[e3] += 1
-                    room[e1] += 1
-                    room[e2] += 1
-                    room[e3] += 1
+                    mark = marks.pop()
+                    for t in trail[mark:]:
+                        r = low[t]
+                        low[t] = r + 1
+                        if r == 0:
+                            e1, e2, e3 = tri_edges[t]
+                            fitting[e1] += 1
+                            fitting[e2] += 1
+                            fitting[e3] += 1
+                    del trail[mark:]
+                    _, _, _, left, shortfall = frames[-1]
+                    keep_parity = 3 * left > shortfall
+                    for e in tri_edges[ti]:
+                        room[e] += 1
+                        s = short[e] + 1
+                        short[e] = s
+                        if s > 0:
+                            if s == 1:
+                                insort(shorts, e)
+                            if keep_parity:
+                                u, v = ends[e]
+                                odd += 2 - 2 * (odd_at[u] + odd_at[v])
+                                odd_at[u] ^= 1
+                                odd_at[v] ^= 1
                     banned[ti] = True
                     frames[-1][2].append(ti)
                 continue
             ti = fits[i]
             frame[1] = i + 1
-            e1, e2, e3 = tri_edges[ti]
-            gain = (short[e1] > 0) + (short[e2] > 0) + (short[e3] > 0)
-            short[e1] -= 1
-            short[e2] -= 1
-            short[e3] -= 1
-            room[e1] -= 1
-            room[e2] -= 1
-            room[e3] -= 1
+            marks.append(len(trail))
+            # Spare coverings never grow down the tree, so below a node
+            # without them no node reads the parities.
+            keep_parity = 3 * left > shortfall
+            gain = 0
+            for e in tri_edges[ti]:
+                s = short[e]
+                short[e] = s - 1
+                if s > 0:
+                    gain += 1
+                    if s == 1:
+                        shorts.remove(e)
+                    if keep_parity:
+                        u, v = ends[e]
+                        odd += 2 - 2 * (odd_at[u] + odd_at[v])
+                        odd_at[u] ^= 1
+                        odd_at[v] ^= 1
+                r = room[e] - 1
+                room[e] = r
+                # Room only fell by one, so a triangle through e above it
+                # was at r + 1 and drops by exactly one.
+                for t in tris_of_edge[e]:
+                    if low[t] > r:
+                        low[t] = r
+                        trail.append(t)
+                        if r == 0:
+                            e1, e2, e3 = tri_edges[t]
+                            fitting[e1] -= 1
+                            fitting[e2] -= 1
+                            fitting[e3] -= 1
             chosen.append(ti)
             fits = branch(left - 1, shortfall - gain)
             if fits is None:

@@ -7,7 +7,9 @@ zero upward with no residue stepping.  milp_epsilon answers the same
 question as an integer program through scipy, which only the tests need.
 The outerplanarity test compares every pair of chords, and the 2-tree
 builder rescans its boundary list every round: the quadratic originals of
-the production code.  Only the Multigraph container is shared with the
+the production code.  scan_solve is the cover search with every node's
+tests recomputed in full; it reads the triangle tables of a
+CoverInstance.  Otherwise only the Multigraph container is shared with the
 production code.
 """
 
@@ -227,3 +229,126 @@ def oracle_sc2_tree_envelopes(limit: int):
         insert_between(a, b, w)
         insert_between(a, w, x)
         insert_between(w, b, y)
+
+
+def scan_solve(inst, lo: List[int], hi: List[int], k: int) -> Optional[List[int]]:
+    """inst.solve(lo, hi, k) computed by rescanning at every node.
+
+    The same branch order, tie-breaks, prunes and sibling bans as
+    CoverInstance.solve, but each node rescans every short edge and every
+    triangle through it and recounts the per-vertex odd shortfall, where
+    the production solver keeps that state up to date.  Both must return
+    exactly the same index list, or None.
+    """
+    # k triangles cover 3k edge copies, so no edge can exceed lo by
+    # more than the slack 3k - sum(lo).
+    slack = 3 * k - sum(lo)
+    short = list(lo)  # lo[i] minus the coverage so far
+    room = [min(b, a + slack) for a, b in zip(lo, hi)]  # hi[i] minus the coverage
+    if slack < 0 or 3 * k > sum(room):
+        return None
+    ends = [e.as_pair() for e in inst.edge_keys]
+    order = max((v for _, v in ends), default=-1) + 1
+    degree = [0] * order
+    free = set()
+    for (u, v), a, b in zip(ends, lo, room):
+        degree[u] += a
+        degree[v] += a
+        if a != b:
+            free.update((u, v))
+    if any(d % 2 and v not in free for v, d in enumerate(degree)):
+        return None
+    tri_edges = inst.tri_edges
+    tris_of_edge = inst.tris_of_edge
+    m = len(short)
+    banned = [False] * len(tri_edges)
+    chosen: List[int] = []
+
+    def branch(left: int, shortfall: int) -> Optional[List[int]]:
+        """The triangles to try at this node: None on success, [] at a dead end."""
+        spare = 3 * left - shortfall  # coverings beyond lo still to place
+        if spare < 0:
+            return []
+        if spare > 0:
+            # A vertex still short by an odd amount needs a covering
+            # beyond lo on one of its edges, and each such covering
+            # serves two vertices.
+            need_at = [0] * order
+            for (u, v), s in zip(ends, short):
+                if s > 0:
+                    need_at[u] += s
+                    need_at[v] += s
+            if sum(d & 1 for d in need_at) > 2 * spare:
+                return []
+        best: Optional[List[int]] = None
+        for ei in range(m):
+            need = short[ei]
+            if need <= 0:
+                continue
+            fits: List[int] = []
+            capacity = 0
+            for ti in tris_of_edge[ei]:
+                e1, e2, e3 = tri_edges[ti]
+                r = room[e1]
+                if room[e2] < r:
+                    r = room[e2]
+                if room[e3] < r:
+                    r = room[e3]
+                if r > 0:
+                    fits.append(ti)
+                    capacity += r
+            if capacity < need:
+                return []  # this edge cannot reach lo even with full reuse
+            if best is None or len(fits) < len(best):
+                best = fits
+                if len(fits) == 1:
+                    break  # a forced move: no later edge can beat it
+        if best is None:
+            # No slack triangles, as the docstring explains.
+            return None if left == 0 else []
+        return best
+
+    # One frame per open node: [fits, next index, failed, left, shortfall].
+    # chosen[d] is the triangle frame d is trying, so popping frame d + 1
+    # takes chosen[d] back.
+    fits = branch(k, sum(lo))
+    if fits is None:
+        return chosen
+    frames = [[fits, 0, [], k, sum(lo)]]
+    while frames:
+        frame = frames[-1]
+        fits, i, failed, left, shortfall = frame
+        while i < len(fits) and banned[fits[i]]:
+            i += 1
+        if i == len(fits):
+            for ti in failed:
+                banned[ti] = False
+            frames.pop()
+            if frames:
+                ti = chosen.pop()
+                e1, e2, e3 = tri_edges[ti]
+                short[e1] += 1
+                short[e2] += 1
+                short[e3] += 1
+                room[e1] += 1
+                room[e2] += 1
+                room[e3] += 1
+                banned[ti] = True
+                frames[-1][2].append(ti)
+            continue
+        ti = fits[i]
+        frame[1] = i + 1
+        e1, e2, e3 = tri_edges[ti]
+        gain = (short[e1] > 0) + (short[e2] > 0) + (short[e3] > 0)
+        short[e1] -= 1
+        short[e2] -= 1
+        short[e3] -= 1
+        room[e1] -= 1
+        room[e2] -= 1
+        room[e3] -= 1
+        chosen.append(ti)
+        fits = branch(left - 1, shortfall - gain)
+        if fits is None:
+            return chosen
+        frames.append([fits, 0, [], left - 1, shortfall - gain])
+    return None

@@ -1,5 +1,6 @@
 """Tests for triangle enumeration, certificate checking, and the exact solver."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -20,7 +21,7 @@ from tridecomp import (
 )
 from tridecomp.decomposer import CoverInstance
 
-from oracle_helpers import oracle_decomposable, oracle_triangles, simple_graphs
+from oracle_helpers import oracle_decomposable, oracle_triangles, scan_solve, simple_graphs
 
 
 def test_enumerate_triangles_on_known_graphs():
@@ -199,6 +200,74 @@ def test_solve_covers_each_edge_between_lo_and_hi():
     # pinned at odd degree 5 it cannot: a triangle covers two edges at a corner
     lo[0] = hi[0] = 2
     assert k5.solve(lo, hi, 4) is None
+
+
+def _triangle_union(rng, n, count):
+    """The multigraph union of count random triangles on n vertices."""
+    mult = {}
+    for _ in range(count):
+        a, b, c = sorted(rng.sample(range(n), 3))
+        for e in ((a, b), (a, c), (b, c)):
+            mult[e] = mult.get(e, 0) + 1
+    return Multigraph.from_edges(n, [(u, v, m) for (u, v), m in sorted(mult.items())])
+
+
+def test_solve_matches_the_scan_reference():
+    rng = random.Random(2108)
+    compared = 0
+
+    def agree(inst, lo, hi, k):
+        nonlocal compared
+        got = inst.solve(lo, hi, k)
+        assert got == scan_solve(inst, lo, hi, k), (lo, hi, k)
+        compared += 1
+        return got
+
+    for _ in range(50):
+        g = _triangle_union(rng, rng.randint(6, 12), rng.randint(3, 14))
+        inst = CoverInstance(g)
+        m = inst.base_multiplicities(g)
+        assert agree(inst, m, m, g.size() // 3) is not None
+        bumped = list(m)
+        for i in rng.sample(range(len(m)), 3):
+            bumped[i] += 1
+        agree(inst, bumped, bumped, sum(bumped) // 3)
+        # Multiplicities 1 or 2 on the same support, as epsilon sees them,
+        # with k climbing one step at a time to its least value and one past it.
+        lo = [rng.randint(1, 2) for _ in m]
+        for cap in (1, 2, sum(lo)):
+            hi = [a + cap for a in lo]
+            k = -(-sum(lo) // 3)
+            while agree(inst, lo, hi, k) is None and 3 * k < sum(hi):
+                k += 1
+            agree(inst, lo, hi, k + 1)
+    for _ in range(8):
+        g = _triangle_union(rng, 20, rng.randint(48, 56))
+        inst = CoverInstance(g)
+        m = inst.base_multiplicities(g)
+        assert agree(inst, m, m, g.size() // 3) is not None
+    assert compared >= 300
+
+
+def test_solve_keeps_no_state_between_calls():
+    g = _triangle_union(random.Random(7), 12, 16)
+    m = CoverInstance(g).base_multiplicities(g)
+    ones, twos = [1] * len(m), [2] * len(m)
+    least = -(-len(m) // 3)
+    while CoverInstance(g).solve(ones, twos, least) is None:
+        least += 1
+    k = g.size() // 3
+    calls = [
+        (m, m, k),  # a hit: it returns mid-search with its trail not empty
+        (ones, twos, least - 1),  # a refusal after a search
+        (ones, twos, least),  # lo < hi
+        (m, m, k - 1),  # lo == hi, refused at the root
+        (m, m, k),
+    ]
+    shared = CoverInstance(g)
+    answers = [shared.solve(*call) for call in calls]
+    assert answers == [CoverInstance(g).solve(*call) for call in calls]
+    assert None not in (answers[0], answers[2]) and answers[1] is None
 
 
 def test_solver_agrees_with_oracle_on_simple_graphs():
