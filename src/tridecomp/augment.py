@@ -4,17 +4,18 @@ epsilon_exact answers the single-graph question: the fewest parallel copies
 of already-present edges whose addition makes the multigraph triangle
 decomposable.  An augmented graph decomposes exactly when some multiset of
 k triangles covers every edge at least its multiplicity times (and at most
-that plus the per-edge cap), so one level ladder asks the cover solver for
-the least such k, starting at the divisibility residue; parity then holds
-without being checked.  The module holds only this per-graph search, since
-every ``epsilon`` command compiles it: the class sweeps over triangulated
-cycles, which climb the same ladder, live in ``sweep``, and the reported
-parity bound ``lower_bound`` lives in ``analysis``.
+that plus the per-edge cap), so one per-graph climb, _least_level, asks one
+cover solver instance for the least such k, starting at the divisibility
+residue; parity then holds without being checked.  The module holds only
+this per-graph search, since every ``epsilon`` command compiles it: the
+class sweeps over triangulated cycles, which run the same climb on one
+graph at a time, live in ``sweep``, and the reported parity bound
+``lower_bound`` lives in ``analysis``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .decomposer import CoverInstance, Decomposition, _edge_off_triangles
 from .graph_core import (
@@ -31,44 +32,31 @@ from .graph_core import (
 SIZE_LIMIT = 60
 
 
-def _level(base: List[int], t: int, cap: Optional[int]) -> Tuple[List[int], int]:
-    """(hi, k) of level t: base plus t copies, at most cap per edge, in k triangles."""
-    add = t if cap is None else min(cap, t)
-    return [b + add for b in base], (sum(base) + t) // 3
+def _least_level(g: Multigraph, cap: Optional[int],
+                 below: Optional[int] = None) -> Optional[tuple]:
+    """(t, instance, base, hi, chosen) at the least level t of g, or None.
 
-
-def _ladder(size: int, keys: Sequence, graph_of: Callable, cap: Optional[int]) -> Iterator:
-    """(t, key, instance, chosen) for each graph at its least level t, in level order.
-
-    Every graph_of(key) has the given size.  Levels start at the residue
-    (-size) % 3, where k - 1 triangles cannot cover size edges, and rise by
-    3, so k rises one step at a time as solve() requires.  A graph leaves at
-    its hit or past its ceiling: cap * |E| capped, else 2 * size, by which
-    every graph hits (per edge copy, doubling the other two edges of a
-    triangle through it decomposes).  Graphs keep their order within a
-    level; each CoverInstance is built when the ladder first reaches it.
+    Level t adds t copies, at most cap per edge, so k = (size + t) / 3
+    triangles cover edge i between base[i] and hi[i] times.  Levels start
+    at the residue (-size) % 3, where k - 1 triangles cannot cover size
+    edges, and rise by 3, so k rises one step at a time as solve() requires.
+    The climb stops below `below` when one is given, else past the ceiling
+    cap * |E| capped and 2 * size uncapped, by which every graph hits (per
+    edge copy, doubling the other two edges of a triangle through it
+    decomposes); None means no level up to there hits.
     """
-    pending = [(key, None) for key in keys]
-    t = (-size) % 3
-    while pending:
-        left = []
-        for key, state in pending:
-            if state is None:
-                g = graph_of(key)
-                inst = CoverInstance(g)
-                base = inst.base_multiplicities(g)
-                state = inst, base, 2 * size if cap is None else cap * len(base)
-            inst, base, ceiling = state
-            if t > ceiling:
-                continue
-            hi, k = _level(base, t, cap)
-            chosen = inst.solve(base, hi, k)
-            if chosen is None:
-                left.append((key, state))
-            else:
-                yield t, key, inst, chosen
-        pending = left
-        t += 3
+    inst = CoverInstance(g)
+    base = inst.base_multiplicities(g)
+    size = sum(base)
+    ceiling = 2 * size if cap is None else cap * len(base)
+    if below is not None:
+        ceiling = min(ceiling, below - 1)
+    for t in range((-size) % 3, ceiling + 1, 3):
+        hi = [b + (t if cap is None else min(cap, t)) for b in base]
+        chosen = inst.solve(base, hi, (size + t) // 3)
+        if chosen is not None:
+            return t, inst, base, hi, chosen
+    return None
 
 
 def epsilon_exact(
@@ -90,12 +78,11 @@ def epsilon_exact(
     cap = max_copies_per_edge
     if cap is not None and cap < 0:
         raise DomainError(f"max_copies_per_edge must be >= 0, got {cap}")
-    hit = next(_ladder(g.size(), [g], lambda key: key, cap), None)
-    if hit is None:  # only a cap can empty the ladder
+    hit = _least_level(g, cap)
+    if hit is None:  # only a cap can stop the climb without a hit
         raise CapInfeasible(f"no augmentation with at most {cap} extra copies per edge works")
-    t, _, inst, chosen = hit
-    base = inst.base_multiplicities(g)
-    hi, k = _level(base, t, cap)
+    t, inst, base, hi, chosen = hit
+    k = len(chosen)
     # The lexicographically least multiset puts the most copies on edge 0,
     # then on edge 1, and so on.  Ask for one more copy on edge i than the
     # last solution used; the first refusal pins the edge.

@@ -166,16 +166,15 @@ class CoverInstance:
     and the triangle count vary between solve() calls.
     """
 
-    __slots__ = ("edge_keys", "edge_index", "tri_verts", "tri_edges", "tris_of_edge", "ends",
-                 "order")
+    __slots__ = ("edge_keys", "tri_verts", "tri_edges", "tris_of_edge", "ends", "order")
 
     def __init__(self, g: Multigraph):
         self.edge_keys: List[EdgeKey] = g.edges()
-        self.edge_index: Dict[EdgeKey, int] = {e: i for i, e in enumerate(self.edge_keys)}
+        edge_index = {e: i for i, e in enumerate(self.edge_keys)}
         tris = enumerate_triangles(g)
         self.tri_verts: List[Triangle] = tris
         self.tri_edges: List[Tuple[int, int, int]] = [
-            tuple(self.edge_index[e] for e in t.edges()) for t in tris  # type: ignore[misc]
+            tuple(edge_index[e] for e in t.edges()) for t in tris  # type: ignore[misc]
         ]
         self.tris_of_edge: List[List[int]] = [[] for _ in self.edge_keys]
         for ti, (e1, e2, e3) in enumerate(self.tri_edges):

@@ -2,11 +2,11 @@
 
 A maximal outerplanar graph of order n is a triangulation of the n-cycle,
 coded by its chord set (MopCode); enumerate_mops lists all Catalan(n - 2)
-of them in chord-set order.  epsilon_class_exact and xi_class_exact climb
-the level ladder of ``augment`` over that whole class at once, since every
-member has the same size 2n - 3: the least count over the class, and the
-largest when at most one extra copy per edge is allowed.  Only the
-``sweep`` subcommand loads this module.
+of them in chord-set order.  epsilon_class_exact and xi_class_exact run the
+per-graph level climb of ``augment`` on one member at a time, in that
+order, so each member's cover solver instance is freed as the sweep moves
+on and at most two are alive at once: the least count over the class, and
+the largest when at most one extra copy per edge is allowed.  Only the ``sweep`` subcommand loads this module.
 MopCode checks chord crossings with the test in ``graph_core``.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterable, List, Optional, Tuple
 
-from .augment import _ladder
+from .augment import _least_level
 from .graph_core import DomainError, EdgeKey, Multigraph, ScaleLimit, _crossing_chords
 
 # Default order ceiling for the class sweeps when the caller gives none.
@@ -100,13 +100,21 @@ def enumerate_mops(n: int) -> List[MopCode]:
 def epsilon_class_exact(n: int, ceiling: Optional[int] = None) -> Tuple[int, MopCode]:
     """Least augmentation count over all order-n triangulated cycles.
 
-    Returns the count and the first witness in chord-set order: the level
-    ladder's first hit (the class shares the size 2n - 3, so its levels).
+    Returns the count and the first witness in chord-set order.  Each graph
+    climbs only below the best level so far, and the sweep stops at the
+    first graph that hits the class residue n mod 3 (the residue of the
+    shared size 2n - 3), below which no level exists.
     """
     if ceiling is not None and n > ceiling:
         raise ScaleLimit(f"order {n} exceeds the sweep ceiling {ceiling}")
-    t, code, _, _ = next(_ladder(2 * n - 3, enumerate_mops(n), MopCode.graph, None))
-    return t, code
+    best = None
+    for code in enumerate_mops(n):
+        hit = _least_level(code.graph(), None, None if best is None else best[0])
+        if hit is not None:
+            best = hit[0], code
+            if best[0] == n % 3:
+                break
+    return best
 
 
 def xi_class_exact(n: int, ceiling: Optional[int] = None) -> Tuple[int, MopCode]:
@@ -114,14 +122,14 @@ def xi_class_exact(n: int, ceiling: Optional[int] = None) -> Tuple[int, MopCode]
 
     Every graph in the class admits a capped augmentation (doubling all
     chords works: the polygon faces then cover everything), so every graph
-    leaves the level ladder at its own count; the last level reached is
-    the maximum, witnessed by its first graph in chord-set order.
+    climbs to its own count; the greatest is witnessed by its first graph
+    in chord-set order.  A graph whose climb finds no level is skipped.
     """
     if ceiling is not None and n > ceiling:
         raise ScaleLimit(f"order {n} exceeds the sweep ceiling {ceiling}")
-    hits = _ladder(2 * n - 3, enumerate_mops(n), MopCode.graph, 1)
-    t, code, _, _ = next(hits)
-    for level, key, _, _ in hits:
-        if level > t:
-            t, code = level, key
-    return t, code
+    best = None
+    for code in enumerate_mops(n):
+        hit = _least_level(code.graph(), 1)
+        if hit is not None and (best is None or hit[0] > best[0]):
+            best = hit[0], code
+    return best

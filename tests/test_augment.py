@@ -296,6 +296,65 @@ def test_class_maximum_matches_per_graph_brute_force():
         assert value == n - 3
 
 
+def test_class_sweeps_match_the_integer_program():
+    # An oracle that shares no code with the sweeps or with epsilon_exact.
+    pytest.importorskip("scipy")
+    for n in (8, 9):
+        codes = enumerate_mops(n)
+        least = [milp_epsilon(c.graph()) for c in codes]
+        most = [milp_epsilon(c.graph(), 1) for c in codes]
+        # the witness is the first graph in chord-set order at the extremal value
+        assert epsilon_class_exact(n) == (min(least), codes[least.index(min(least))])
+        assert xi_class_exact(n) == (max(most), codes[most.index(max(most))])
+
+
+def test_class_sweeps_hold_one_solver_instance_at_a_time(monkeypatch):
+    from tridecomp import augment
+
+    live = {"built": 0, "alive": 0, "peak": 0}
+
+    class Counting(augment.CoverInstance):
+        __slots__ = ()
+
+        def __init__(self, g):
+            live["built"] += 1
+            live["alive"] += 1
+            live["peak"] = max(live["peak"], live["alive"])
+            super().__init__(g)
+
+        def __del__(self):
+            live["alive"] -= 1
+
+    monkeypatch.setattr(augment, "CoverInstance", Counting)
+    codes = enumerate_mops(9)
+    value, witness = epsilon_class_exact(9)
+    assert value == 0
+    # every graph up to the first one at the class residue, and no further
+    assert live["built"] == codes.index(witness) + 1 == 45
+    assert live["peak"] <= 2 and live["alive"] == 0
+    live.update(built=0, peak=0)
+    assert xi_class_exact(9)[0] == 6
+    assert live["built"] == len(codes) == 429
+    assert live["peak"] <= 2 and live["alive"] == 0
+
+
+def test_class_maximum_skips_a_graph_without_a_level(monkeypatch):
+    from tridecomp import sweep
+
+    climb = sweep._least_level
+    skipped = enumerate_mops(6)[0].graph()  # the fan, the witness otherwise
+
+    def least_level(g, cap, below=None):
+        return None if g == skipped else climb(g, cap, below)
+
+    monkeypatch.setattr(sweep, "_least_level", least_level)
+    value, witness = xi_class_exact(6)
+    codes = enumerate_mops(6)
+    per_graph = [epsilon_exact(c.graph(), max_copies_per_edge=1)[0] for c in codes[1:]]
+    assert value == max(per_graph) == 3
+    assert witness == codes[1 + per_graph.index(value)]
+
+
 def test_class_sweeps_are_deterministic():
     assert epsilon_class_exact(6) == epsilon_class_exact(6)
     assert xi_class_exact(6) == xi_class_exact(6)
