@@ -27,6 +27,7 @@ from .graph_core import (
     Multigraph,
     ScaleLimit,
     _crossing_chords,
+    _json_rows,
     degree_sequence,
     edge,
 )
@@ -61,7 +62,6 @@ class RotationSystem(namedtuple("RotationSystem", "order rotations")):
                         f"rotation entries must be (neighbor, copy), got {entry!r}"
                     )
                 u, c = entry
-                # type() rather than isinstance(): JSON booleans are not integers.
                 if not (type(u) is int and 0 <= u < order):
                     raise DomainError(f"neighbor {u!r} at vertex {v} out of range")
                 if u == v:
@@ -84,19 +84,11 @@ class RotationSystem(namedtuple("RotationSystem", "order rotations")):
         raw = data["rotations"]
         if not isinstance(raw, list):
             raise DomainError("'rotations' must be a list of per-vertex lists")
-        rotations = []
-        for rot in raw:
-            if not isinstance(rot, list):
-                raise DomainError("each rotation must be a list of [neighbor, copy]")
-            entries = []
-            for entry in rot:
-                if not (isinstance(entry, list) and len(entry) == 2):
-                    raise DomainError(
-                        f"rotation entries must be [neighbor, copy], got {entry!r}"
-                    )
-                entries.append((entry[0], entry[1]))
-            rotations.append(tuple(entries))
-        return cls(len(rotations), tuple(rotations))
+        rotations = tuple(
+            tuple(map(tuple, _json_rows(rot, 2, f"rotation of vertex {v}")))
+            for v, rot in enumerate(raw)
+        )
+        return cls(len(rotations), rotations)
 
 
 class FaceTrace(namedtuple("FaceTrace", "faces V E F euler_characteristic genus")):

@@ -21,10 +21,13 @@ from collections import namedtuple
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .graph_core import (
+    ORDER_LIMIT,
     DomainError,
     EdgeKey,
     Multigraph,
+    ScaleLimit,
     Triangle,
+    _json_rows,
     _SortedItems,
     degree_sequence,
     triangle,
@@ -46,25 +49,12 @@ class Decomposition(_SortedItems):
     def from_json_dict(cls, data: dict) -> "Decomposition":
         if not isinstance(data, dict) or "triangles" not in data:
             raise DomainError("certificate JSON must have a 'triangles' field")
-        return cls(_triangles_from_json(data["triangles"]))
+        return cls(_triangles_from_json(data["triangles"], "certificate 'triangles'"))
 
 
-def _triangles_from_json(entries: list) -> Tuple[Triangle, ...]:
+def _triangles_from_json(entries: list, name: str) -> Tuple[Triangle, ...]:
     """[[a, b, c], ...] as Triangles in the listed order; DomainError if malformed."""
-    if not isinstance(entries, (list, tuple)):
-        raise DomainError(f"a triangle list must be a list, got {entries!r}")
-    tris = []
-    for entry in entries:
-        if not (
-            isinstance(entry, (list, tuple))
-            and len(entry) == 3
-            and type(entry[0]) is int
-            and type(entry[1]) is int
-            and type(entry[2]) is int
-        ):
-            raise DomainError(f"triangle entries must be [a, b, c], got {entry!r}")
-        tris.append(triangle(*entry))
-    return tuple(tris)
+    return tuple([triangle(a, b, c) for a, b, c in _json_rows(entries, 3, name)])
 
 
 class RejectReason(namedtuple("RejectReason", "kind vertex edge", defaults=(None, None))):
@@ -237,7 +227,12 @@ class CoverInstance:
         The open nodes live on an explicit stack, the root's frame and one
         more per chosen triangle, so a search hundreds of triangles deep
         (the 998 of ``construct hmp 1000``) needs no interpreter recursion.
+        A k above ORDER_LIMIT raises ScaleLimit: a stack that deep would take
+        memory and time without bound.
         """
+        if k > ORDER_LIMIT:
+            raise ScaleLimit(f"a cover of {k} triangles exceeds the ceiling of "
+                             f"{ORDER_LIMIT} triangles")
         # k triangles cover 3k edge copies, so no edge can exceed lo by
         # more than the slack 3k - sum(lo).
         slack = 3 * k - sum(lo)

@@ -24,7 +24,9 @@ from typing import List, Optional, Tuple
 
 from . import decomposer
 from .decomposer import Decomposition, _triangles_from_json
-from .graph_core import Augmentation, DomainError, Multigraph, apply_augmentation, edge
+from .graph_core import (
+    Augmentation, DomainError, Multigraph, _json_rows, apply_augmentation, edge,
+)
 
 # One verifier line: True "ok", False "fail", None informational.
 Check = Tuple[Optional[bool], str]
@@ -83,23 +85,19 @@ class ConstructionResult(
         outer, faces, rotation = (data.get(k) for k in ("outer_cycle", "faces", "rotation"))
         if not isinstance(family, str):
             raise DomainError(f"'family' must be a string, got {family!r}")
-        # type() rather than isinstance(): JSON booleans are not integers.
         if type(eps) is not int:
             raise DomainError(f"'epsilon' must be an integer, got {eps!r}")
-        if not (isinstance(params, dict) and all(type(x) is int for x in params.values())):
+        if not isinstance(params, dict):
             raise DomainError(f"'parameters' must map names to integers, got {params!r}")
-        if outer is not None and not (
-            isinstance(outer, list) and all(type(x) is int for x in outer)
-        ):
-            raise DomainError(f"'outer_cycle' must be a list of vertices, got {outer!r}")
+        _json_rows(list(params.values()), None, "'parameters' values")
         if rotation is not None:
             from .analysis import RotationSystem
 
             rotation = RotationSystem.from_json_dict(rotation)
         return cls(
             family, params, graph, augmentation, certificate, eps,
-            outer_cycle=None if outer is None else tuple(outer),
-            faces=None if faces is None else _triangles_from_json(faces),
+            outer_cycle=None if outer is None else tuple(_json_rows(outer, None, "'outer_cycle'")),
+            faces=None if faces is None else _triangles_from_json(faces, "'faces'"),
             rotation=rotation,
         )
 

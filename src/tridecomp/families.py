@@ -78,11 +78,6 @@ _MOP_BASES: Dict[int, Tuple[list, list, list]] = {
         [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8), (8, 9, 10), (0, 10, 4), (4, 6, 10)],
         [(4, 10), (4, 6)],
     ),
-    12: (
-        [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10), (10, 0), (0, 4), (4, 8), (0, 8)],
-        [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8), (8, 9, 10), (10, 11, 0), (0, 4, 8)],
-        [],
-    ),
     13: (
         [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10), (10, 12), (0, 4), (4, 12), (6, 12), (6, 10)],
         [

@@ -4,6 +4,10 @@ Vertices are dense integers 0..n-1.  Edges are unordered pairs with a
 positive multiplicity; loops are forbidden.  All listings are sorted
 lexicographically so that every consumer sees a deterministic order.
 
+``_json_rows`` is the one shape check of JSON input: every reader of a
+graph, an augmentation, a triangle list, a rotation or an outer cycle
+passes its list through it, and checks only ranges and meaning itself.
+
 The records of this package are immutable: named tuples where a record is
 a plain tuple of fields, and ``_SortedItems`` classes where len() counts
 the items of a multiset.  Neither kind needs ``dataclasses``, which would
@@ -62,6 +66,31 @@ class ScaleLimit(TridecompError):
 
 class InvariantViolation(TridecompError):
     """An internal self-check failed; this signals a bug, not bad input."""
+
+
+def _json_rows(value, width: Optional[int], name: str) -> list:
+    """value if it is a JSON list of rows of width integers, else DomainError.
+
+    width None asks for a flat list of integers instead.  type() rather
+    than isinstance(): JSON booleans are not integers.  Plain loops, since
+    they beat whole-list passes through map() and set() here.
+    """
+    if type(value) is not list:
+        raise DomainError(f"{name}: expected a list, got {value!r}")
+    if width is None:
+        for x in value:
+            if type(x) is not int:
+                raise DomainError(f"{name}: expected integers, got {x!r}")
+        return value
+    for row in value:
+        if type(row) is list and len(row) == width:
+            for x in row:
+                if type(x) is not int:
+                    break
+            else:
+                continue
+        raise DomainError(f"{name}: expected lists of {width} integers, got {row!r}")
+    return value
 
 
 def _check_order(order: int) -> None:
@@ -211,9 +240,6 @@ class Multigraph:
             return NotImplemented
         return self.order == other.order and self._mult == other._mult
 
-    def __hash__(self):  # pragma: no cover - documents unhashability
-        raise TypeError("Multigraph is not hashable")
-
     def __repr__(self) -> str:
         return f"Multigraph(order={self.order}, size={self.size()})"
 
@@ -228,23 +254,18 @@ class Multigraph:
     def from_json_dict(cls, data: dict) -> "Multigraph":
         if not isinstance(data, dict) or "order" not in data or "edges" not in data:
             raise DomainError("graph JSON must have 'order' and 'edges' fields")
-        order, edges = data["order"], data["edges"]
-        # type() rather than isinstance(): JSON booleans are not integers.
+        order = data["order"]
         if type(order) is not int:
             raise DomainError(f"graph order must be an integer, got {order!r}")
-        if not isinstance(edges, (list, tuple)):
-            raise DomainError(f"graph 'edges' must be a list, got {edges!r}")
-        mult: Dict[EdgeKey, int] = {}
-        for entry in edges:
-            if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
-                raise DomainError(f"edge entries must be [u, v, mult], got {entry!r}")
-            u, v, m = entry
-            if not (type(u) is int and type(v) is int and type(m) is int):
-                raise DomainError(f"edge entries must be integers, got {entry!r}")
-            e = edge(u, v)
-            if e in mult:
-                raise DomainError(f"duplicate edge entry {{{e.u},{e.v}}}")
-            mult[e] = m
+        rows = _json_rows(data["edges"], 3, "graph 'edges'")
+        mult = {edge(u, v): m for u, v, m in rows}
+        if len(mult) < len(rows):
+            seen = set()
+            for u, v, _m in rows:
+                e = edge(u, v)
+                if e in seen:
+                    raise DomainError(f"duplicate edge entry {{{e.u},{e.v}}}")
+                seen.add(e)
         return cls(order, mult)
 
 
@@ -301,18 +322,7 @@ class Augmentation(_SortedItems):
 
     @classmethod
     def from_json_list(cls, data: list) -> "Augmentation":
-        if not isinstance(data, (list, tuple)):
-            raise DomainError(f"augmentation must be a list, got {data!r}")
-        adds = []
-        for entry in data:
-            if not (
-                isinstance(entry, (list, tuple))
-                and len(entry) == 2
-                and all(type(x) is int for x in entry)
-            ):
-                raise DomainError(f"augmentation entries must be [u, v], got {entry!r}")
-            adds.append(edge(*entry))
-        return cls(tuple(adds))
+        return cls([edge(u, v) for u, v in _json_rows(data, 2, "'augmentation'")])
 
 
 def apply_augmentation(g: Multigraph, aug: Augmentation) -> Multigraph:

@@ -199,6 +199,18 @@ def test_order_above_ceiling_exit_code(capsys, tmp_path):
         assert time.perf_counter() - start < 1.0, argv
 
 
+def test_decompose_certificate_length_ceiling_exit_code(capsys, tmp_path):
+    # A triangle of 10**18 copies passes every cheap test; its certificate
+    # would need 10**18 triangles, one search frame each.
+    m = 10**18
+    triangle = {"order": 3, "edges": [[0, 1, m], [1, 2, m], [0, 2, m]]}
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "decompose", write_json(tmp_path, "t.json", triangle))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "exceeds the ceiling" in err
+    assert time.perf_counter() - start < 1.0
+
+
 def test_large_family_commands_run_in_bounded_time(capsys, tmp_path):
     # Both take about 0.5 s; a step quadratic in n would miss the bound by far.
     start = time.perf_counter()
@@ -672,3 +684,57 @@ def test_malformed_json_is_refused_without_traceback(capsys, tmp_path, command, 
     code, out, err = run_cli(capsys, command, path)
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
+
+
+K3_GRAPH = {"order": 3, "edges": [[0, 1, 1], [0, 2, 1], [1, 2, 1]]}
+K3_ROTATION = {"rotations": [[[1, 0], [2, 0]], [[2, 0], [0, 0]], [[0, 0], [1, 0]]]}
+
+
+def _first_entry(row, value):
+    """row with its first integer replaced by value; a flat list's row is one integer."""
+    return value if isinstance(row, int) else [value] + row[1:]
+
+
+# Each turns a good list of rows into a bad one.  In a flat list of
+# integers a row is one integer, so "short" and "long" put a list there.
+BAD_ROWS = {
+    "bool": lambda rows: [_first_entry(rows[0], True)] + rows[1:],
+    "string": lambda rows: [_first_entry(rows[0], "0")] + rows[1:],
+    "float": lambda rows: [_first_entry(rows[0], 0.0)] + rows[1:],
+    "short": lambda rows: [[] if isinstance(rows[0], int) else rows[0][:-1]] + rows[1:],
+    "long": lambda rows: [[rows[0], 0] if isinstance(rows[0], int) else rows[0] + [0]] + rows[1:],
+    "object": lambda rows: [{"row": rows[0]}] + rows[1:],
+    "not-a-list": lambda rows: {"rows": rows},
+}
+
+
+# Every reader of JSON rows: (subcommand, the payload as a dict or as the
+# construct arguments of an envelope, the path to its list of rows).
+ROW_READERS = {
+    "decompose-edges": ("decompose", K3_GRAPH, ("edges",)),
+    "epsilon-edges": ("epsilon", K3_GRAPH, ("edges",)),
+    "verify-augmentation": ("verify", ("mop", "4"), ("augmentation",)),
+    "verify-certificate": ("verify", ("mop", "4"), ("certificate", "triangles")),
+    "verify-faces": ("verify", ("hmp", "8"), ("faces",)),
+    "verify-rotation": ("verify", ("sf", "8"), ("rotation", "rotations", 0)),
+    "verify-outer-cycle": ("verify", ("mop", "4"), ("outer_cycle",)),
+    "faces": ("faces", K3_ROTATION, ("rotations", 0)),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ROWS))
+@pytest.mark.parametrize("reader", sorted(ROW_READERS))
+def test_every_row_reader_refuses_the_same_bad_rows(capsys, tmp_path, reader, bad):
+    command, base, path = ROW_READERS[reader]
+    if isinstance(base, tuple):
+        code, out, _ = run_cli(capsys, "construct", *base)
+        assert code == 0
+    else:
+        out = json.dumps(base)
+    payload = target = json.loads(out)
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = BAD_ROWS[bad](target[path[-1]])
+    code, out, err = run_cli(capsys, command, write_json(tmp_path, "input.json", payload))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "Traceback" not in err
