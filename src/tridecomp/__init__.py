@@ -57,6 +57,7 @@ _EXPORTS = {
     "Multigraph": "graph_core",
     "NotAFixture": "graph_core",
     "ORDER_LIMIT": "graph_core",
+    "STEP_LIMIT": "graph_core",
     "ScaleLimit": "graph_core",
     "Triangle": "graph_core",
     "TridecompError": "graph_core",

@@ -7,7 +7,9 @@ both degree parity and divisibility allow.  lower_bound is reported only;
 the search in ``augment`` starts at the divisibility residue instead.
 Each check has one copy: degree, size and triangle conditions in
 ``decomposer.fast_reject``, chord crossings in ``graph_core``, and one
-connectivity walk, _edges_connected, here.
+connectivity walk, _edges_connected, here.  Two searches here are
+exponential in the worst case, the parity search under lower_bound and
+find_hamiltonian_cycle; both give up with ScaleLimit past STEP_LIMIT steps.
 
 A rotation system lists, for every vertex, the cyclic order of its incident
 edge ends as (neighbor, copy index) pairs.  Tracing: after arriving at v
@@ -21,24 +23,17 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import graph_core
 from .decomposer import fast_reject
 from .graph_core import (
     DomainError,
     Multigraph,
-    ScaleLimit,
     _crossing_chords,
     _json_rows,
+    _shown,
     degree_sequence,
     edge,
 )
-
-# Parity-state searches give up past this many visited states.
-_PARITY_STATE_LIMIT = 1 << 22
-
-# The Hamiltonian cycle search gives up past this many steps: ten times what
-# an hmp graph at ORDER_LIMIT needs (about order + 12), but a cut vertex
-# can make them exponential.
-_HAMILTONIAN_STEP_LIMIT = 10**6
 
 
 class RotationSystem(namedtuple("RotationSystem", "order rotations")):
@@ -59,15 +54,15 @@ class RotationSystem(namedtuple("RotationSystem", "order rotations")):
             for entry in rot:
                 if not (isinstance(entry, tuple) and len(entry) == 2):
                     raise DomainError(
-                        f"rotation entries must be (neighbor, copy), got {entry!r}"
+                        f"rotation entries must be (neighbor, copy), got {_shown(entry)}"
                     )
                 u, c = entry
                 if not (type(u) is int and 0 <= u < order):
-                    raise DomainError(f"neighbor {u!r} at vertex {v} out of range")
+                    raise DomainError(f"neighbor {_shown(u)} at vertex {v} out of range")
                 if u == v:
                     raise DomainError(f"loop at vertex {v}")
                 if not (type(c) is int and c >= 0):
-                    raise DomainError(f"copy index {c!r} at vertex {v} invalid")
+                    raise DomainError(f"copy index {_shown(c)} at vertex {v} invalid")
         return tuple.__new__(cls, (order, rotations))
 
     def to_json_dict(self) -> dict:
@@ -223,6 +218,7 @@ def _parity_distances(g: Multigraph) -> Tuple[Optional[int], Optional[int]]:
     BFS over (vertex parity vector, count mod 2) states, one added edge copy
     per step.  Adding a copy of {u,v} toggles the parity bits of u and v, so
     the reachable question is a shortest-path question on a hypercube slice.
+    ScaleLimit past STEP_LIMIT visited states.
     """
     edges = g.edges()
     target = 0
@@ -232,6 +228,7 @@ def _parity_distances(g: Multigraph) -> Tuple[Optional[int], Optional[int]]:
     masks = sorted({(1 << e.u) | (1 << e.v) for e in edges})
     dist: Dict[Tuple[int, int], int] = {(0, 0): 0}
     queue = deque([(0, 0)])
+    limit = graph_core.STEP_LIMIT
     even: Optional[int] = None
     odd: Optional[int] = None
     if target == 0:
@@ -250,10 +247,8 @@ def _parity_distances(g: Multigraph) -> Tuple[Optional[int], Optional[int]]:
         for em in masks:
             nxt = (pmask ^ em, cpar ^ 1)
             if nxt not in dist:
-                if len(dist) >= _PARITY_STATE_LIMIT:
-                    raise ScaleLimit(
-                        f"parity search exceeded {_PARITY_STATE_LIMIT} states"
-                    )
+                if len(dist) >= limit:
+                    raise graph_core._step_limit("parity search")
                 dist[nxt] = d + 1
                 queue.append(nxt)
     return even, odd
@@ -315,7 +310,8 @@ def find_hamiltonian_cycle(g: Multigraph) -> Optional[Tuple[int, ...]]:
 
     Depth-first over paths from 0 with an explicit stack: tried[i] is how
     many neighbors of path[i] have been tried as path[i + 1].  ScaleLimit
-    past _HAMILTONIAN_STEP_LIMIT passes of the loop.
+    past STEP_LIMIT passes of the loop: an hmp graph needs about order + 12,
+    but a cut vertex can make them exponential.
     """
     n = g.order
     if n < 3:
@@ -326,11 +322,11 @@ def find_hamiltonian_cycle(g: Multigraph) -> Optional[Tuple[int, ...]]:
     on_path = [False] * n
     on_path[0] = True
     steps = 0
+    limit = graph_core.STEP_LIMIT
     while path:
         steps += 1
-        if steps > _HAMILTONIAN_STEP_LIMIT:
-            raise ScaleLimit("hamiltonian cycle search exceeds the ceiling of "
-                             f"{_HAMILTONIAN_STEP_LIMIT} steps")
+        if steps > limit:
+            raise graph_core._step_limit("hamiltonian cycle search")
         nbrs = adj[path[-1]]
         if len(path) == n:
             if 0 in nbrs:

@@ -10,7 +10,9 @@ residue; parity then holds without being checked.  The module holds only
 this per-graph search, since every ``epsilon`` command compiles it: the
 class sweeps over triangulated cycles, which run the same climb on one
 graph at a time, live in ``sweep``, and the reported parity bound
-``lower_bound`` lives in ``analysis``.
+``lower_bound`` lives in ``analysis``.  The climb, the witness pinning and
+the certificate search of one graph share one cover solver instance, so
+STEP_LIMIT bounds them together: past it they give up with ScaleLimit.
 """
 
 from __future__ import annotations
@@ -25,11 +27,7 @@ from .graph_core import (
     EdgeKey,
     EdgeNotOnTriangle,
     Multigraph,
-    ScaleLimit,
 )
-
-# Largest multigraph size (counting multiplicities) epsilon_exact will attempt.
-SIZE_LIMIT = 60
 
 
 def _least_level(g: Multigraph, cap: Optional[int],
@@ -68,10 +66,9 @@ def epsilon_exact(
     multiset is returned, with the solver's deterministic certificate for
     the augmented graph.  max_copies_per_edge caps the extra copies per
     edge (None = uncapped); CapInfeasible is raised when no capped
-    augmentation works.
+    augmentation works, and ScaleLimit when the searches together choose
+    more than STEP_LIMIT triangles.
     """
-    if g.size() > SIZE_LIMIT:
-        raise ScaleLimit(f"size {g.size()} exceeds the exact-search limit {SIZE_LIMIT}")
     off = _edge_off_triangles(g)
     if off is not None:
         raise EdgeNotOnTriangle(off)

@@ -11,7 +11,8 @@ input.  The search keeps its node state incrementally: each chosen
 triangle lowers the least room of the triangles sharing one of its edges,
 and records them on a trail that the undo pops, so a node reads its prunes
 and its branch edge from per-edge counts instead of rescanning every
-triangle.
+triangle.  Each solver instance counts the triangles it chooses, over all
+its searches, and gives up with ScaleLimit past STEP_LIMIT of them.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from bisect import insort
 from collections import namedtuple
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from . import graph_core
 from .graph_core import (
     ORDER_LIMIT,
     DomainError,
@@ -153,10 +155,14 @@ class CoverInstance:
 
     Augmenting a graph never changes which triples form triangles, so a
     single instance serves every query on the same graph: only the bounds
-    and the triangle count vary between solve() calls.
+    and the triangle count vary between solve() calls.  steps counts the
+    triangles chosen by every solve() call so far; past STEP_LIMIT the
+    search gives up with ScaleLimit, so the limit bounds all the searches
+    on one graph together.
     """
 
-    __slots__ = ("edge_keys", "tri_verts", "tri_edges", "tris_of_edge", "ends", "order")
+    __slots__ = ("edge_keys", "tri_verts", "tri_edges", "tris_of_edge", "ends", "order",
+                 "steps")
 
     def __init__(self, g: Multigraph):
         self.edge_keys: List[EdgeKey] = g.edges()
@@ -173,6 +179,7 @@ class CoverInstance:
             self.tris_of_edge[e3].append(ti)
         self.ends: List[Tuple[int, int]] = [e.as_pair() for e in self.edge_keys]
         self.order = max((v for _, v in self.ends), default=-1) + 1
+        self.steps = 0
 
     def base_multiplicities(self, g: Multigraph) -> List[int]:
         return [g.multiplicity(e) for e in self.edge_keys]
@@ -228,7 +235,9 @@ class CoverInstance:
         more per chosen triangle, so a search hundreds of triangles deep
         (the 998 of ``construct hmp 1000``) needs no interpreter recursion.
         A k above ORDER_LIMIT raises ScaleLimit: a stack that deep would take
-        memory and time without bound.
+        memory and time without bound.  So does a search that chooses more
+        than STEP_LIMIT triangles, counted on from the instance's earlier
+        calls in ``steps``.
         """
         if k > ORDER_LIMIT:
             raise ScaleLimit(f"a cover of {k} triangles exceeds the ceiling of "
@@ -270,6 +279,8 @@ class CoverInstance:
         marks: List[int] = []  # the trail's length before each chosen triangle
         banned = [False] * len(tri_edges)
         chosen: List[int] = []
+        steps = self.steps
+        limit = graph_core.STEP_LIMIT
 
         def branch(left: int, shortfall: int) -> Optional[List[int]]:
             """The triangles to try at this node: None on success, [] at a dead end."""
@@ -345,6 +356,10 @@ class CoverInstance:
                     banned[ti] = True
                     frames[-1][2].append(ti)
                 continue
+            steps += 1
+            if steps > limit:
+                self.steps = steps
+                raise graph_core._step_limit("cover search")
             ti = fits[i]
             frame[1] = i + 1
             marks.append(len(trail))
@@ -380,8 +395,10 @@ class CoverInstance:
             chosen.append(ti)
             fits = branch(left - 1, shortfall - gain)
             if fits is None:
+                self.steps = steps
                 return chosen
             frames.append([fits, 0, [], left - 1, shortfall - gain])
+        self.steps = steps
         return None
 
     def certificate(self, chosen: List[int]) -> Decomposition:

@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 from . import decomposer
 from .decomposer import Decomposition, _triangles_from_json
 from .graph_core import (
-    Augmentation, DomainError, Multigraph, _json_rows, apply_augmentation, edge,
+    Augmentation, DomainError, Multigraph, _json_rows, _shown, apply_augmentation, edge,
 )
 
 # One verifier line: True "ok", False "fail", None informational.
@@ -84,11 +84,11 @@ class ConstructionResult(
         family, eps, params = data["family"], data["epsilon"], data.get("parameters", {})
         outer, faces, rotation = (data.get(k) for k in ("outer_cycle", "faces", "rotation"))
         if not isinstance(family, str):
-            raise DomainError(f"'family' must be a string, got {family!r}")
+            raise DomainError(f"'family' must be a string, got {_shown(family)}")
         if type(eps) is not int:
-            raise DomainError(f"'epsilon' must be an integer, got {eps!r}")
+            raise DomainError(f"'epsilon' must be an integer, got {_shown(eps)}")
         if not isinstance(params, dict):
-            raise DomainError(f"'parameters' must map names to integers, got {params!r}")
+            raise DomainError(f"'parameters' must map names to integers, got {_shown(params)}")
         _json_rows(list(params.values()), None, "'parameters' values")
         if rotation is not None:
             from .analysis import RotationSystem

@@ -7,6 +7,12 @@ lexicographically so that every consumer sees a deterministic order.
 ``_json_rows`` is the one shape check of JSON input: every reader of a
 graph, an augmentation, a triangle list, a rotation or an outer cycle
 passes its list through it, and checks only ranges and meaning itself.
+Its messages, and every other reader's, show an input value through
+``_shown``, so a bad container is not printed back whole.
+
+The two ceilings live here too: ORDER_LIMIT on the vertex count of a
+graph, and STEP_LIMIT on the steps of every exhaustive search, whose
+refusal ``_step_limit`` builds.  Both raise ScaleLimit (exit 3).
 
 The records of this package are immutable: named tuples where a record is
 a plain tuple of fields, and ``_SortedItems`` classes where len() counts
@@ -26,6 +32,15 @@ from typing import Dict, Iterable, List, Optional, Tuple
 # below it; the largest graphs in use, such as `construct hmp 1000`, have
 # order 1000.
 ORDER_LIMIT = 100_000
+
+# Most steps an exhaustive search takes before it gives up with ScaleLimit,
+# built by _step_limit: a chosen triangle in the cover search, counted over
+# every solve() call on one CoverInstance; a pass of the Hamiltonian cycle
+# search; a visited state of the parity search.  The largest known-good
+# search, decompose of a random 20-vertex union of 51 triangles, takes
+# 92 208 cover steps, and epsilon of a nine-vertex graph 11 644 over all its
+# calls.  Each search reads the limit when it starts.
+STEP_LIMIT = 10**6
 
 
 class TridecompError(Exception):
@@ -68,6 +83,12 @@ class InvariantViolation(TridecompError):
     """An internal self-check failed; this signals a bug, not bad input."""
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message, cut to 80 characters plus "..."."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
 def _json_rows(value, width: Optional[int], name: str) -> list:
     """value if it is a JSON list of rows of width integers, else DomainError.
 
@@ -76,11 +97,11 @@ def _json_rows(value, width: Optional[int], name: str) -> list:
     they beat whole-list passes through map() and set() here.
     """
     if type(value) is not list:
-        raise DomainError(f"{name}: expected a list, got {value!r}")
+        raise DomainError(f"{name}: expected a list, got {_shown(value)}")
     if width is None:
         for x in value:
             if type(x) is not int:
-                raise DomainError(f"{name}: expected integers, got {x!r}")
+                raise DomainError(f"{name}: expected integers, got {_shown(x)}")
         return value
     for row in value:
         if type(row) is list and len(row) == width:
@@ -89,8 +110,13 @@ def _json_rows(value, width: Optional[int], name: str) -> list:
                     break
             else:
                 continue
-        raise DomainError(f"{name}: expected lists of {width} integers, got {row!r}")
+        raise DomainError(f"{name}: expected lists of {width} integers, got {_shown(row)}")
     return value
+
+
+def _step_limit(what: str) -> ScaleLimit:
+    """The refusal of a search that took more than STEP_LIMIT steps."""
+    return ScaleLimit(f"{what} exceeds the ceiling of {STEP_LIMIT} steps")
 
 
 def _check_order(order: int) -> None:
@@ -256,7 +282,7 @@ class Multigraph:
             raise DomainError("graph JSON must have 'order' and 'edges' fields")
         order = data["order"]
         if type(order) is not int:
-            raise DomainError(f"graph order must be an integer, got {order!r}")
+            raise DomainError(f"graph order must be an integer, got {_shown(order)}")
         rows = _json_rows(data["edges"], 3, "graph 'edges'")
         mult = {edge(u, v): m for u, v, m in rows}
         if len(mult) < len(rows):

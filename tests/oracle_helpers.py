@@ -231,14 +231,15 @@ def oracle_sc2_tree_envelopes(limit: int):
         insert_between(w, b, y)
 
 
-def scan_solve(inst, lo: List[int], hi: List[int], k: int) -> Optional[List[int]]:
-    """inst.solve(lo, hi, k) computed by rescanning at every node.
+def scan_solve(inst, lo: List[int], hi: List[int], k: int) -> Tuple[Optional[List[int]], int]:
+    """(inst.solve(lo, hi, k), triangles chosen), computed by rescanning at every node.
 
     The same branch order, tie-breaks, prunes and sibling bans as
     CoverInstance.solve, but each node rescans every short edge and every
     triangle through it and recounts the per-vertex odd shortfall, where
     the production solver keeps that state up to date.  Both must return
-    exactly the same index list, or None.
+    exactly the same index list, or None, after choosing the same number
+    of triangles: the count by which that call raises inst.steps.
     """
     # k triangles cover 3k edge copies, so no edge can exceed lo by
     # more than the slack 3k - sum(lo).
@@ -246,7 +247,7 @@ def scan_solve(inst, lo: List[int], hi: List[int], k: int) -> Optional[List[int]
     short = list(lo)  # lo[i] minus the coverage so far
     room = [min(b, a + slack) for a, b in zip(lo, hi)]  # hi[i] minus the coverage
     if slack < 0 or 3 * k > sum(room):
-        return None
+        return None, 0
     ends = [e.as_pair() for e in inst.edge_keys]
     order = max((v for _, v in ends), default=-1) + 1
     degree = [0] * order
@@ -257,12 +258,13 @@ def scan_solve(inst, lo: List[int], hi: List[int], k: int) -> Optional[List[int]
         if a != b:
             free.update((u, v))
     if any(d % 2 and v not in free for v, d in enumerate(degree)):
-        return None
+        return None, 0
     tri_edges = inst.tri_edges
     tris_of_edge = inst.tris_of_edge
     m = len(short)
     banned = [False] * len(tri_edges)
     chosen: List[int] = []
+    steps = 0
 
     def branch(left: int, shortfall: int) -> Optional[List[int]]:
         """The triangles to try at this node: None on success, [] at a dead end."""
@@ -313,7 +315,7 @@ def scan_solve(inst, lo: List[int], hi: List[int], k: int) -> Optional[List[int]
     # takes chosen[d] back.
     fits = branch(k, sum(lo))
     if fits is None:
-        return chosen
+        return chosen, steps
     frames = [[fits, 0, [], k, sum(lo)]]
     while frames:
         frame = frames[-1]
@@ -338,6 +340,7 @@ def scan_solve(inst, lo: List[int], hi: List[int], k: int) -> Optional[List[int]
             continue
         ti = fits[i]
         frame[1] = i + 1
+        steps += 1
         e1, e2, e3 = tri_edges[ti]
         gain = (short[e1] > 0) + (short[e2] > 0) + (short[e3] > 0)
         short[e1] -= 1
@@ -349,6 +352,6 @@ def scan_solve(inst, lo: List[int], hi: List[int], k: int) -> Optional[List[int]
         chosen.append(ti)
         fits = branch(left - 1, shortfall - gain)
         if fits is None:
-            return chosen
+            return chosen, steps
         frames.append([fits, 0, [], left - 1, shortfall - gain])
-    return None
+    return None, steps

@@ -25,6 +25,7 @@ from tridecomp import (
     lower_bound,
     xi_class_exact,
 )
+from tridecomp import graph_core
 
 from oracle_helpers import (
     every_edge_on_triangle_masks,
@@ -89,6 +90,12 @@ def test_apply_augmentation_stacks_copies():
         apply_augmentation(Multigraph.from_edges(3, [(0, 1)]), Augmentation((edge(1, 2),)))
 
 
+def test_lower_bound_step_ceiling(monkeypatch):
+    monkeypatch.setattr(graph_core, "STEP_LIMIT", 10)
+    with pytest.raises(ScaleLimit, match="^parity search exceeds the ceiling of 10 steps$"):
+        lower_bound(complete_graph(8))
+
+
 def test_lower_bound_hand_values():
     r = lower_bound(complete_graph(3))
     assert (r.parity_bound, r.divisibility_residue, r.combined_lower_bound) == (0, 0, 0)
@@ -147,14 +154,17 @@ def test_epsilon_exact_with_per_edge_cap():
         epsilon_exact(complete_graph(5), max_copies_per_edge=-1)
 
 
-def test_epsilon_exact_preconditions():
+def test_epsilon_exact_preconditions(monkeypatch):
     with pytest.raises(EdgeNotOnTriangle) as info:
         epsilon_exact(cycle_graph(5))
     assert info.value.edge == edge(0, 1)
     with pytest.raises(EdgeNotOnTriangle):
         epsilon_exact(Multigraph.from_edges(3, [(0, 1), (1, 2)]))
-    # 66 edges exceeds the exhaustive-search size limit
-    with pytest.raises(ScaleLimit):
+    # K12 (66 edges) takes 178 cover steps: a perfect matching of copies.
+    t, aug, _ = epsilon_exact(complete_graph(12))
+    assert (t, aug.additions) == (6, tuple(edge(i, i + 1) for i in range(0, 12, 2)))
+    monkeypatch.setattr(graph_core, "STEP_LIMIT", 100)
+    with pytest.raises(ScaleLimit, match="^cover search exceeds the ceiling of 100 steps$"):
         epsilon_exact(complete_graph(12))
 
 
@@ -222,17 +232,18 @@ def test_epsilon_exact_matches_the_integer_program():
     pytest.importorskip("scipy")
     graphs = [fan(n).graph for n in range(10, 32)] + [NINE_VERTEX]
     graphs += [random_multigraph(seed) for seed in range(50)]
-    for g in graphs:
-        assert g.size() <= 60
-        for cap in (None, 1):
-            expected = milp_epsilon(g, cap)
-            if expected is None:
-                with pytest.raises(CapInfeasible):
-                    epsilon_exact(g, max_copies_per_edge=cap)
-                continue
-            t, aug, cert = epsilon_exact(g, max_copies_per_edge=cap)
-            assert t == expected, (g.to_json_dict(), cap)
-            assert check_decomposition(apply_augmentation(g, aug), cert)
+    cases = [(g, cap) for g in graphs for cap in (None, 1)]
+    # Sizes 66, 66 and 55; K11 with the cap runs past the step ceiling.
+    cases += [(complete_graph(12), None), (complete_graph(12), 1), (complete_graph(11), None)]
+    for g, cap in cases:
+        expected = milp_epsilon(g, cap)
+        if expected is None:
+            with pytest.raises(CapInfeasible):
+                epsilon_exact(g, max_copies_per_edge=cap)
+            continue
+        t, aug, cert = epsilon_exact(g, max_copies_per_edge=cap)
+        assert t == expected, (g.to_json_dict(), cap)
+        assert check_decomposition(apply_augmentation(g, aug), cert)
 
 
 def test_mop_code_validation():

@@ -1,5 +1,7 @@
 """End-to-end tests of the command line driver via main(argv)."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -9,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import tridecomp
-from tridecomp import augment, cli, decomposer
+from tridecomp import augment, cli, decomposer, graph_core
 from tridecomp.cli import main
+
+from test_augment import NINE_VERTEX
 
 
 def run_cli(capsys, *argv):
@@ -148,15 +152,43 @@ def test_epsilon_command(capsys, tmp_path):
     assert "error:" in err
 
 
-def test_epsilon_scale_limit_exit_code(capsys, tmp_path):
+def test_epsilon_scale_limit_exit_code(capsys, tmp_path, monkeypatch):
+    # K12 takes 178 cover steps, so it is answered at the default ceiling.
     k12 = {
         "order": 12,
         "edges": [[u, v, 1] for u in range(12) for v in range(u + 1, 12)],
     }
     path = write_json(tmp_path, "k12.json", k12)
-    code, _, err = run_cli(capsys, "epsilon", path)
-    assert code == 3
-    assert "error:" in err
+    code, out, _ = run_cli(capsys, "epsilon", path)
+    assert code == 0 and json.loads(out)["epsilon"] == 6
+    monkeypatch.setattr(graph_core, "STEP_LIMIT", 100)
+    code, out, err = run_cli(capsys, "epsilon", path)
+    assert (code, out) == (3, "")
+    assert err == "error: cover search exceeds the ceiling of 100 steps\n"
+
+
+@pytest.mark.parametrize("limit", [1000, 5000])
+def test_step_ceiling_counts_every_search_of_a_command(capsys, tmp_path, monkeypatch, limit):
+    # The nine-vertex graph takes 11 644 cover steps over its climb, witness
+    # pinning and certificate search, at most 2 100 of them in one call: a
+    # limit of 5 000 refuses it only if the count runs across the calls.
+    path = write_json(tmp_path, "nine.json", NINE_VERTEX.to_json_dict())
+    monkeypatch.setattr(graph_core, "STEP_LIMIT", limit)
+    code, out, err = run_cli(capsys, "epsilon", path)
+    assert (code, out) == (3, "")
+    assert err == f"error: cover search exceeds the ceiling of {limit} steps\n"
+
+
+def test_decompose_step_ceiling_exit_code(capsys, tmp_path, monkeypatch):
+    # K7 decomposes into 7 triangles, one cover step each.
+    k7 = {"order": 7, "edges": [[u, v, 1] for u in range(7) for v in range(u + 1, 7)]}
+    path = write_json(tmp_path, "k7.json", k7)
+    monkeypatch.setattr(graph_core, "STEP_LIMIT", 7)
+    assert run_cli(capsys, "decompose", path)[0] == 0
+    monkeypatch.setattr(graph_core, "STEP_LIMIT", 6)
+    code, out, err = run_cli(capsys, "decompose", path)
+    assert (code, out) == (3, "")
+    assert err == "error: cover search exceeds the ceiling of 6 steps\n"
 
 
 def test_hamiltonian_search_ceiling_exit_code(capsys, tmp_path):
@@ -738,3 +770,42 @@ def test_every_row_reader_refuses_the_same_bad_rows(capsys, tmp_path, reader, ba
     code, out, err = run_cli(capsys, command, write_json(tmp_path, "input.json", payload))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _edge_list(env):
+    return env["graph"]["edges"]
+
+
+# Field path -> the long value put there, made from the envelope itself.
+LONG_VALUES = {
+    "faces-in-object": (("faces",), lambda env: {"faces": env["faces"]}),
+    "edges-as-order": (("graph", "order"), _edge_list),
+    "edges-as-epsilon": (("epsilon",), _edge_list),
+    "edges-as-family": (("family",), _edge_list),
+    "edges-as-parameters": (("parameters",), _edge_list),
+    "edges-in-object": (("graph", "edges"), lambda env: {"edges": _edge_list(env)}),
+    # hmp adds no copies, so the edge list stands in for the augmentation.
+    "augmentation-in-object": (("augmentation",), lambda env: {"rows": _edge_list(env)}),
+    "edges-as-certificate-row": (("certificate", "triangles", 0), _edge_list),
+}
+
+
+@pytest.fixture(scope="module")
+def hmp_1000_envelope():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["construct", "hmp", "1000"]) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(LONG_VALUES))
+def test_reader_errors_shorten_the_value_they_show(capsys, tmp_path, hmp_1000_envelope, case):
+    path, make = LONG_VALUES[case]
+    env = target = json.loads(hmp_1000_envelope)
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = make(env)
+    code, out, err = run_cli(capsys, "verify", write_json(tmp_path, "input.json", env))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert len(err.encode()) < 300

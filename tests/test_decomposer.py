@@ -218,8 +218,9 @@ def test_solve_matches_the_scan_reference():
 
     def agree(inst, lo, hi, k):
         nonlocal compared
+        before = inst.steps
         got = inst.solve(lo, hi, k)
-        assert got == scan_solve(inst, lo, hi, k), (lo, hi, k)
+        assert (got, inst.steps - before) == scan_solve(inst, lo, hi, k), (lo, hi, k)
         compared += 1
         return got
 
