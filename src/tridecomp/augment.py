@@ -67,7 +67,8 @@ def epsilon_exact(
     the augmented graph.  max_copies_per_edge caps the extra copies per
     edge (None = uncapped); CapInfeasible is raised when no capped
     augmentation works, and ScaleLimit when the searches together choose
-    more than STEP_LIMIT triangles.
+    more than STEP_LIMIT triangles or their set-ups read more than
+    STEP_LIMIT edges and triangles.
     """
     off = _edge_off_triangles(g)
     if off is not None:

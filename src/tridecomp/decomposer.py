@@ -11,8 +11,10 @@ input.  The search keeps its node state incrementally: each chosen
 triangle lowers the least room of the triangles sharing one of its edges,
 and records them on a trail that the undo pops, so a node reads its prunes
 and its branch edge from per-edge counts instead of rescanning every
-triangle.  Each solver instance counts the triangles it chooses, over all
-its searches, and gives up with ScaleLimit past STEP_LIMIT of them.
+triangle.  Each solver instance counts the triangles it chooses, and the
+edges and triangles its set-ups read, over all its searches, and gives up
+with ScaleLimit past STEP_LIMIT of either; listing more than STEP_LIMIT
+triangles is refused the same way.
 """
 
 from __future__ import annotations
@@ -78,8 +80,13 @@ class RejectReason(namedtuple("RejectReason", "kind vertex edge", defaults=(None
 
 
 def enumerate_triangles(g: Multigraph) -> List[Triangle]:
-    """All triangles of the underlying simple graph, lexicographic, each once."""
+    """All triangles of the underlying simple graph, lexicographic, each once.
+
+    ScaleLimit past STEP_LIMIT of them, before the list takes memory
+    without bound: a dense graph of order n has about n**3 / 6.
+    """
     adj = [set(ns) for ns in g.adjacency()]
+    limit = graph_core.STEP_LIMIT
     out: List[Triangle] = []
     for a in range(g.order):
         for b in sorted(adj[a]):
@@ -88,6 +95,8 @@ def enumerate_triangles(g: Multigraph) -> List[Triangle]:
             for c in sorted(adj[a] & adj[b]):
                 if c > b:
                     out.append(Triangle(a, b, c))
+            if len(out) > limit:
+                raise graph_core._step_limit("triangle listing")
     return out
 
 
@@ -145,7 +154,7 @@ def _edge_off_triangles(g: Multigraph) -> Optional[EdgeKey]:
     """The least edge of g lying on no triangle, or None."""
     adj = [set(ns) for ns in g.adjacency()]
     for e in g.edges():
-        if not (adj[e.u] & adj[e.v]):
+        if adj[e.u].isdisjoint(adj[e.v]):  # stops at the first common neighbour
             return e
     return None
 
@@ -156,13 +165,15 @@ class CoverInstance:
     Augmenting a graph never changes which triples form triangles, so a
     single instance serves every query on the same graph: only the bounds
     and the triangle count vary between solve() calls.  steps counts the
-    triangles chosen by every solve() call so far; past STEP_LIMIT the
-    search gives up with ScaleLimit, so the limit bounds all the searches
-    on one graph together.
+    triangles chosen by every solve() call so far, and scanned the edges
+    and triangles that their set-ups read, so a climb of many levels that
+    are refused before a triangle is chosen is counted too.  Past
+    STEP_LIMIT of either the search gives up with ScaleLimit, so the limit
+    bounds all the searches on one graph together.
     """
 
     __slots__ = ("edge_keys", "tri_verts", "tri_edges", "tris_of_edge", "ends", "order",
-                 "steps")
+                 "steps", "scanned")
 
     def __init__(self, g: Multigraph):
         self.edge_keys: List[EdgeKey] = g.edges()
@@ -180,6 +191,7 @@ class CoverInstance:
         self.ends: List[Tuple[int, int]] = [e.as_pair() for e in self.edge_keys]
         self.order = max((v for _, v in self.ends), default=-1) + 1
         self.steps = 0
+        self.scanned = 0
 
     def base_multiplicities(self, g: Multigraph) -> List[int]:
         return [g.multiplicity(e) for e in self.edge_keys]
@@ -237,11 +249,16 @@ class CoverInstance:
         A k above ORDER_LIMIT raises ScaleLimit: a stack that deep would take
         memory and time without bound.  So does a search that chooses more
         than STEP_LIMIT triangles, counted on from the instance's earlier
-        calls in ``steps``.
+        calls in ``steps``, and a call whose set-up would take ``scanned``,
+        one step per edge and per triangle, past STEP_LIMIT.
         """
         if k > ORDER_LIMIT:
             raise ScaleLimit(f"a cover of {k} triangles exceeds the ceiling of "
                              f"{ORDER_LIMIT} triangles")
+        limit = graph_core.STEP_LIMIT
+        self.scanned += len(lo) + len(self.tri_edges)
+        if self.scanned > limit:
+            raise graph_core._step_limit("cover search")
         # k triangles cover 3k edge copies, so no edge can exceed lo by
         # more than the slack 3k - sum(lo).
         slack = 3 * k - sum(lo)
@@ -280,7 +297,6 @@ class CoverInstance:
         banned = [False] * len(tri_edges)
         chosen: List[int] = []
         steps = self.steps
-        limit = graph_core.STEP_LIMIT
 
         def branch(left: int, shortfall: int) -> Optional[List[int]]:
             """The triangles to try at this node: None on success, [] at a dead end."""

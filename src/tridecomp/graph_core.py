@@ -34,12 +34,12 @@ from typing import Dict, Iterable, List, Optional, Tuple
 ORDER_LIMIT = 100_000
 
 # Most steps an exhaustive search takes before it gives up with ScaleLimit,
-# built by _step_limit: a chosen triangle in the cover search, counted over
+# built by _step_limit: a listed triangle; in the cover search a chosen
+# triangle, or an edge or triangle read by a set-up, each counted over
 # every solve() call on one CoverInstance; a pass of the Hamiltonian cycle
-# search; a visited state of the parity search.  The largest known-good
-# search, decompose of a random 20-vertex union of 51 triangles, takes
-# 92 208 cover steps, and epsilon of a nine-vertex graph 11 644 over all its
-# calls.  Each search reads the limit when it starts.
+# search; a visited state of the parity search.  It is kept at ten times
+# the largest known-good search or more (measured in CHANGES.md).  Each
+# search reads the limit when it starts.
 STEP_LIMIT = 10**6
 
 

@@ -163,8 +163,13 @@ def test_epsilon_exact_preconditions(monkeypatch):
     # K12 (66 edges) takes 178 cover steps: a perfect matching of copies.
     t, aug, _ = epsilon_exact(complete_graph(12))
     assert (t, aug.additions) == (6, tuple(edge(i, i + 1) for i in range(0, 12, 2)))
-    monkeypatch.setattr(graph_core, "STEP_LIMIT", 100)
-    with pytest.raises(ScaleLimit, match="^cover search exceeds the ceiling of 100 steps$"):
+    # Its 220 triangles are listed at a limit of 1 000, and the set-ups of
+    # its searches read 286 edges and triangles each, so the fourth passes it.
+    monkeypatch.setattr(graph_core, "STEP_LIMIT", 1000)
+    with pytest.raises(ScaleLimit, match="^cover search exceeds the ceiling of 1000 steps$"):
+        epsilon_exact(complete_graph(12))
+    monkeypatch.setattr(graph_core, "STEP_LIMIT", 219)
+    with pytest.raises(ScaleLimit, match="^triangle listing exceeds the ceiling of 219 steps$"):
         epsilon_exact(complete_graph(12))
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from tridecomp import augment, cli, decomposer, graph_core
 from tridecomp.cli import main
 
 from test_augment import NINE_VERTEX
+from test_decomposer import _triangle_union
 
 
 def run_cli(capsys, *argv):
@@ -161,10 +163,14 @@ def test_epsilon_scale_limit_exit_code(capsys, tmp_path, monkeypatch):
     path = write_json(tmp_path, "k12.json", k12)
     code, out, _ = run_cli(capsys, "epsilon", path)
     assert code == 0 and json.loads(out)["epsilon"] == 6
+    monkeypatch.setattr(graph_core, "STEP_LIMIT", 1000)
+    code, out, err = run_cli(capsys, "epsilon", path)
+    assert (code, out) == (3, "")
+    assert err == "error: cover search exceeds the ceiling of 1000 steps\n"
     monkeypatch.setattr(graph_core, "STEP_LIMIT", 100)
     code, out, err = run_cli(capsys, "epsilon", path)
     assert (code, out) == (3, "")
-    assert err == "error: cover search exceeds the ceiling of 100 steps\n"
+    assert err == "error: triangle listing exceeds the ceiling of 100 steps\n"
 
 
 @pytest.mark.parametrize("limit", [1000, 5000])
@@ -180,15 +186,28 @@ def test_step_ceiling_counts_every_search_of_a_command(capsys, tmp_path, monkeyp
 
 
 def test_decompose_step_ceiling_exit_code(capsys, tmp_path, monkeypatch):
-    # K7 decomposes into 7 triangles, one cover step each.
-    k7 = {"order": 7, "edges": [[u, v, 1] for u in range(7) for v in range(u + 1, 7)]}
-    path = write_json(tmp_path, "k7.json", k7)
-    monkeypatch.setattr(graph_core, "STEP_LIMIT", 7)
+    # A union of 50 triangles on 20 vertices: its search chooses 1 243
+    # triangles, and its set-up reads 296 edges and triangles.
+    g = _triangle_union(random.Random(1), 20, 50)
+    path = write_json(tmp_path, "union.json", g.to_json_dict())
+    monkeypatch.setattr(graph_core, "STEP_LIMIT", 1243)
     assert run_cli(capsys, "decompose", path)[0] == 0
-    monkeypatch.setattr(graph_core, "STEP_LIMIT", 6)
+    monkeypatch.setattr(graph_core, "STEP_LIMIT", 1242)
     code, out, err = run_cli(capsys, "decompose", path)
     assert (code, out) == (3, "")
-    assert err == "error: cover search exceeds the ceiling of 6 steps\n"
+    assert err == "error: cover search exceeds the ceiling of 1242 steps\n"
+
+
+def test_epsilon_climb_set_ups_count_toward_the_ceiling(capsys, tmp_path):
+    # On a fan, every level of the climb below about half the order is
+    # refused at the root without a triangle chosen, but each set-up still
+    # reads all 5 995 edges and triangles: the 167th passes the ceiling.
+    path = write_json(tmp_path, "fan.json", tridecomp.fan(2000).graph.to_json_dict())
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "epsilon", path)
+    assert (code, out) == (3, "")
+    assert err == "error: cover search exceeds the ceiling of 1000000 steps\n"
+    assert time.perf_counter() - start < 20
 
 
 def test_hamiltonian_search_ceiling_exit_code(capsys, tmp_path):
