@@ -88,13 +88,15 @@ def enumerate_triangles(g: Multigraph) -> List[Triangle]:
     adj = [set(ns) for ns in g.adjacency()]
     limit = graph_core.STEP_LIMIT
     out: List[Triangle] = []
+    # The loops give a < b < c: skip the Triangle checks, as enumerate_mops does.
+    new = tuple.__new__
     for a in range(g.order):
         for b in sorted(adj[a]):
             if b <= a:
                 continue
             for c in sorted(adj[a] & adj[b]):
                 if c > b:
-                    out.append(Triangle(a, b, c))
+                    out.append(new(Triangle, (a, b, c)))
             if len(out) > limit:
                 raise graph_core._step_limit("triangle listing")
     return out

@@ -2,12 +2,20 @@
 
 Each constructor returns a ConstructionResult (defined in ``envelope``)
 bundling the base graph, the parallel copies to add, a triangle certificate
-for the augmented graph, and the claimed augmentation count.  The
-triangulated-cycle builder works for every order by splitting off polygon
-ears in rounds and recursing on the inner polygon, with small orders stored
-as explicit tables; the even planar triangulations take one colour class of
-their face 2-colouring as the certificate.  Every constructor runs in time
-linear in its output, up to a logarithmic factor.
+for the augmented graph, and the claimed augmentation count.
+
+One builder makes every triangulated cycle: f doubled chords fanned at the
+first vertex, and the economical triangulation of the polygon left over,
+which splits off polygon ears in rounds and recurses on the inner polygon.
+The economical triangulation (mop) is f = 0, the fan is f = n - 3, the
+intermediate family is f = 3r, and the sc2 seeds are f = 0 on a relabelled
+cycle.  Small polygons are stored only as their certificates, in polygon
+positions: the chords are the certificate's edges off the polygon, and the
+chords it covers twice take the added copies.  The even planar
+triangulations take one colour class of their face 2-colouring as the
+certificate.  Every constructor runs in time linear in its output, up to
+a logarithmic factor, except ``sf_fixture``, which finds its certificate
+with the cover search (``find_decomposition``, under ``STEP_LIMIT``).
 
 validate_construction runs the envelope's core checks (augmentation count,
 divisibility residue, certificate coverage) and raises on the first
@@ -45,100 +53,25 @@ def validate_construction(result: ConstructionResult) -> None:
             raise InvariantViolation(message)
 
 
-# Triangulations of small polygons: chord list, certificate triangles, and
-# the chords that take a second copy, all as positions on the polygon.
-# The doubled-chord count always equals the polygon length mod 3.
-_MOP_BASES: Dict[int, Tuple[list, list, list]] = {
-    3: ([], [(0, 1, 2)], []),
-    4: ([(0, 2)], [(0, 1, 2), (0, 2, 3)], [(0, 2)]),
-    5: ([(0, 2), (2, 4)], [(0, 1, 2), (2, 3, 4), (0, 2, 4)], [(0, 2), (2, 4)]),
-    6: ([(0, 2), (2, 4), (4, 0)], [(0, 1, 2), (2, 3, 4), (4, 5, 0)], []),
-    7: (
-        [(0, 2), (2, 4), (4, 6), (0, 4)],
-        [(0, 1, 2), (2, 3, 4), (4, 5, 6), (0, 4, 6)],
-        [(4, 6)],
-    ),
-    8: (
-        [(0, 2), (2, 4), (4, 6), (0, 6), (0, 4)],
-        [(0, 1, 2), (2, 3, 4), (4, 5, 6), (0, 6, 7), (0, 2, 4)],
-        [(0, 2), (2, 4)],
-    ),
-    9: (
-        [(0, 2), (2, 4), (4, 6), (6, 8), (4, 8), (0, 4)],
-        [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8), (0, 8, 4)],
-        [],
-    ),
-    10: (
-        [(0, 2), (2, 4), (4, 6), (6, 8), (0, 8), (0, 4), (4, 8)],
-        [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8), (8, 9, 0), (0, 4, 8)],
-        [(0, 8)],
-    ),
-    11: (
-        [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10), (0, 4), (4, 10), (6, 10)],
-        [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8), (8, 9, 10), (0, 10, 4), (4, 6, 10)],
-        [(4, 10), (4, 6)],
-    ),
-    13: (
-        [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10), (10, 12), (0, 4), (4, 12), (6, 12), (6, 10)],
-        [
-            (0, 1, 2),
-            (2, 3, 4),
-            (4, 5, 6),
-            (6, 7, 8),
-            (8, 9, 10),
-            (10, 11, 12),
-            (0, 4, 12),
-            (6, 10, 12),
-        ],
-        [(10, 12)],
-    ),
-    14: (
-        [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10), (10, 12), (0, 12), (0, 4), (4, 8), (0, 8), (0, 10)],
-        [
-            (0, 1, 2),
-            (2, 3, 4),
-            (4, 5, 6),
-            (6, 7, 8),
-            (8, 9, 10),
-            (10, 11, 12),
-            (0, 12, 13),
-            (0, 4, 8),
-            (0, 8, 10),
-        ],
-        [(8, 10), (0, 8)],
-    ),
-    17: (
-        [
-            (0, 2),
-            (2, 4),
-            (4, 6),
-            (6, 8),
-            (8, 10),
-            (10, 12),
-            (12, 14),
-            (14, 16),
-            (0, 4),
-            (4, 16),
-            (6, 16),
-            (6, 10),
-            (10, 16),
-            (12, 16),
-        ],
-        [
-            (0, 1, 2),
-            (2, 3, 4),
-            (4, 5, 6),
-            (6, 7, 8),
-            (8, 9, 10),
-            (10, 11, 12),
-            (12, 13, 14),
-            (14, 15, 16),
-            (0, 4, 16),
-            (6, 10, 16),
-            (10, 12, 16),
-        ],
-        [(10, 12), (10, 16)],
-    ),
+# Certificates of small polygon triangulations, as polygon positions.  The
+# chords are the certificate's edges off the polygon, and the chords it
+# covers twice take a second copy: always len(polygon) mod 3 of them.
+_MOP_BASES: Dict[int, List[Tuple[int, int, int]]] = {
+    3: [(0, 1, 2)],
+    4: [(0, 1, 2), (0, 2, 3)],
+    5: [(0, 1, 2), (2, 3, 4), (0, 2, 4)],
+    6: [(0, 1, 2), (2, 3, 4), (0, 4, 5)],
+    7: [(0, 1, 2), (2, 3, 4), (4, 5, 6), (0, 4, 6)],
+    8: [(0, 1, 2), (2, 3, 4), (4, 5, 6), (0, 6, 7), (0, 2, 4)],
+    9: [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8), (0, 4, 8)],
+    10: [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8), (0, 8, 9), (0, 4, 8)],
+    11: [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8), (8, 9, 10), (0, 4, 10), (4, 6, 10)],
+    13: [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8), (8, 9, 10), (10, 11, 12),
+         (0, 4, 12), (6, 10, 12)],
+    14: [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8), (8, 9, 10), (10, 11, 12),
+         (0, 12, 13), (0, 4, 8), (0, 8, 10)],
+    17: [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8), (8, 9, 10), (10, 11, 12),
+         (12, 13, 14), (14, 15, 16), (0, 4, 16), (6, 10, 16), (10, 12, 16)],
 }
 
 
@@ -150,18 +83,20 @@ def _mop_fill(cyc: List[int]) -> Tuple[List[EdgeKey], List[Triangle], List[EdgeK
     """
     m = len(cyc)
     if m in _MOP_BASES:
-        chords_pos, tris_pos, doubles_pos = _MOP_BASES[m]
-        return (
-            [edge(cyc[a], cyc[b]) for a, b in chords_pos],
-            [triangle(cyc[a], cyc[b], cyc[c]) for a, b, c in tris_pos],
-            [edge(cyc[a], cyc[b]) for a, b in doubles_pos],
-        )
+        tris = [triangle(cyc[a], cyc[b], cyc[c]) for a, b, c in _MOP_BASES[m]]
+        cover: Dict[EdgeKey, int] = {}
+        for t in tris:
+            for e in t.edges():
+                cover[e] = cover.get(e, 0) + 1
+        for i in range(m):
+            del cover[edge(cyc[i - 1], cyc[i])]
+        return list(cover), tris, [e for e, k in cover.items() if k == 2]
     # Ear rounds: consecutive ears around the polygon, then up to two
     # corrective ears sized so the inner polygon keeps length 0 mod 3
     # relative to m, then a recursion on every fourth position.
     shape = (m // 3 - m % 3) % 4
     chords: List[EdgeKey] = []
-    tris: List[Triangle] = []
+    tris = []
     for i in range(m // 2):
         a, b, c = 2 * i, 2 * i + 1, (2 * i + 2) % m
         chords.append(edge(cyc[a], cyc[c]))
@@ -188,23 +123,37 @@ def _mop_fill(cyc: List[int]) -> Tuple[List[EdgeKey], List[Triangle], List[EdgeK
     return chords + inner_chords, tris + inner_tris, inner_doubles
 
 
+def _fanned_cycle(family: str, parameters: dict, cyc: List[int], f: int) -> ConstructionResult:
+    """The cycle cyc with f doubled chords fanned at cyc[0], the rest economical.
+
+    The triangles (cyc[0], cyc[i], cyc[i+1]) for i = 1..f cover the fan
+    chords from cyc[0] to cyc[2..f+1] twice each, and _mop_fill triangulates
+    the polygon cyc[0], cyc[f+1], ..., cyc[-1].
+    """
+    hub = cyc[0]
+    chords, tris, doubles = _mop_fill([hub, *cyc[f + 1 :]])
+    fan_chords = [edge(hub, v) for v in cyc[2 : f + 2]]
+    tris += [triangle(hub, u, v) for u, v in zip(cyc[1 : f + 1], cyc[2 : f + 2])]
+    pairs = [(cyc[i - 1], cyc[i]) for i in range(len(cyc))]
+    pairs.extend(e.as_pair() for e in fan_chords + chords)
+    additions = fan_chords + doubles
+    return ConstructionResult(
+        family=family,
+        parameters=parameters,
+        graph=Multigraph.from_edges(len(cyc), pairs),
+        augmentation=Augmentation(tuple(additions)),
+        certificate=Decomposition(tuple(tris)),
+        claimed_epsilon=len(additions),
+        outer_cycle=tuple(cyc),
+    )
+
+
 def mop_construct(n: int) -> ConstructionResult:
     """A triangulated n-cycle whose augmentation count is n mod 3."""
     if n < 3:
         raise DomainError(f"order must be >= 3, got {n}")
     _check_order(n)
-    chords, tris, doubles = _mop_fill(list(range(n)))
-    pairs = [(i, (i + 1) % n) for i in range(n)]
-    pairs.extend(e.as_pair() for e in chords)
-    return ConstructionResult(
-        family="mop",
-        parameters={"n": n},
-        graph=Multigraph.from_edges(n, pairs),
-        augmentation=Augmentation(tuple(doubles)),
-        certificate=Decomposition(tuple(tris)),
-        claimed_epsilon=len(doubles),
-        outer_cycle=tuple(range(n)),
-    )
+    return _fanned_cycle("mop", {"n": n}, list(range(n)), 0)
 
 
 def fan(n: int) -> ConstructionResult:
@@ -216,19 +165,7 @@ def fan(n: int) -> ConstructionResult:
     if n < 3:
         raise DomainError(f"order must be >= 3, got {n}")
     _check_order(n)
-    pairs = [(i, (i + 1) % n) for i in range(n)]
-    pairs.extend((0, i) for i in range(2, n - 1))
-    return ConstructionResult(
-        family="fan",
-        parameters={"n": n},
-        graph=Multigraph.from_edges(n, pairs),
-        augmentation=Augmentation(tuple(edge(0, i) for i in range(2, n - 1))),
-        certificate=Decomposition(
-            tuple(triangle(0, i, i + 1) for i in range(1, n - 1))
-        ),
-        claimed_epsilon=n - 3,
-        outer_cycle=tuple(range(n)),
-    )
+    return _fanned_cycle("fan", {"n": n}, list(range(n)), n - 3)
 
 
 def intermediate(n: int, r: int) -> ConstructionResult:
@@ -248,26 +185,7 @@ def intermediate(n: int, r: int) -> ConstructionResult:
             f"order {n} admits at most {(n - 3) // 3} fan rounds, got {r}"
         )
     _check_order(n)
-    if r == 0:
-        base = mop_construct(n)
-        return base._replace(family="intermediate", parameters={"n": n, "r": 0})
-    inner_cycle = [0] + list(range(3 * r + 1, n))
-    inner_chords, inner_tris, inner_doubles = _mop_fill(inner_cycle)
-    fan_chords = [edge(0, i) for i in range(2, 3 * r + 2)]
-    pairs = [(i, (i + 1) % n) for i in range(n)]
-    pairs.extend(e.as_pair() for e in fan_chords)
-    pairs.extend(e.as_pair() for e in inner_chords)
-    additions = list(fan_chords) + inner_doubles
-    cert = [triangle(0, i, i + 1) for i in range(1, 3 * r + 1)] + inner_tris
-    return ConstructionResult(
-        family="intermediate",
-        parameters={"n": n, "r": r},
-        graph=Multigraph.from_edges(n, pairs),
-        augmentation=Augmentation(tuple(additions)),
-        certificate=Decomposition(tuple(cert)),
-        claimed_epsilon=len(additions),
-        outer_cycle=tuple(range(n)),
-    )
+    return _fanned_cycle("intermediate", {"n": n, "r": r}, list(range(n)), 3 * r)
 
 
 def kop_construct(m: int, k: int) -> ConstructionResult:
@@ -441,33 +359,16 @@ def sc2_tree_construct(n: int) -> ConstructionResult:
     )
 
 
+# Outer cycles of the sc2 seeds: each seed is the stored base triangulation
+# of its order laid along its cycle.
+_SC2_SEEDS = {1: [0, 1, 3, 2], 2: [0, 1, 3, 4, 2]}
+
+
 def sc2_tree_seed(residue: int) -> ConstructionResult:
     """Smallest 2-trees of order 1 or 2 mod 3 with their minimum additions."""
-    if residue == 1:
-        return ConstructionResult(
-            family="sc2seed",
-            parameters={"residue": 1},
-            graph=Multigraph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]),
-            augmentation=Augmentation((edge(0, 3),)),
-            certificate=Decomposition((triangle(0, 2, 3), triangle(0, 1, 3))),
-            claimed_epsilon=1,
-            outer_cycle=(0, 1, 3, 2),
-        )
-    if residue == 2:
-        return ConstructionResult(
-            family="sc2seed",
-            parameters={"residue": 2},
-            graph=Multigraph.from_edges(
-                5, [(2, 3), (0, 3), (0, 2), (2, 4), (3, 4), (1, 3), (0, 1)]
-            ),
-            augmentation=Augmentation((edge(2, 3), edge(0, 3))),
-            certificate=Decomposition(
-                (triangle(0, 2, 3), triangle(2, 3, 4), triangle(0, 1, 3))
-            ),
-            claimed_epsilon=2,
-            outer_cycle=(0, 1, 3, 4, 2),
-        )
-    raise DomainError(f"seed residue must be 1 or 2, got {residue}")
+    if residue not in _SC2_SEEDS:
+        raise DomainError(f"seed residue must be 1 or 2, got {residue}")
+    return _fanned_cycle("sc2seed", {"residue": residue}, _SC2_SEEDS[residue], 0)
 
 
 def sc3_construct(n: int) -> ConstructionResult:

@@ -9,6 +9,7 @@ from tridecomp import (
     Decomposition,
     DomainError,
     Multigraph,
+    Triangle,
     check_decomposition,
     complete_graph,
     coverage_error,
@@ -33,6 +34,8 @@ def test_enumerate_triangles_on_known_graphs():
     ]
     assert enumerate_triangles(cycle_graph(5)) == []
     assert enumerate_triangles(Multigraph(3)) == []
+    # built without the validating constructor, but still Triangles
+    assert all(type(t) is Triangle for t in enumerate_triangles(complete_graph(5)))
 
 
 def test_enumerate_triangles_ignores_multiplicity():

@@ -1,5 +1,6 @@
 """Tests for the constructed graph families and their validation invariants."""
 
+import hashlib
 import json
 
 import pytest
@@ -144,13 +145,34 @@ def test_intermediate_family_spans_the_ladder():
             assert res.parameters == {"n": n, "r": r}
             assert is_maximal_outerplanar(res.graph, res.outer_cycle)
     assert intermediate(6, 0).family == "intermediate"
-    assert intermediate(6, 1).graph == fan(6).graph
+    # both ends of the ladder match their own family in every field but the name
+    for n in range(3, 31):
+        ends = [(intermediate(n, 0), mop_construct(n))]
+        if n % 3 == 0:
+            ends.append((intermediate(n, (n - 3) // 3), fan(n)))
+        for res, end in ends:
+            assert res._replace(family=end.family, parameters=end.parameters) == end, n
     with pytest.raises(DomainError):
         intermediate(6, 2)
     with pytest.raises(DomainError):
         intermediate(8, -1)
     with pytest.raises(DomainError):
         intermediate(2, 0)
+
+
+def test_triangulated_cycle_envelopes_are_byte_pinned():
+    # One digest over the printed envelopes of the triangulated-cycle ladder
+    # and its kop and seed relatives, recorded before their builders shared
+    # one code path, so any change to a printed byte shows here.
+    members = [f(n) for n in range(3, 61) for f in (mop_construct, fan)]
+    members += [intermediate(n, r) for n in range(3, 61) for r in range((n - 3) // 3 + 1)]
+    members += [kop_construct(m, k) for m in range(3, 13) for k in range(1, 4)]
+    members += [sc2_tree_seed(1), sc2_tree_seed(2)]
+    digest = hashlib.sha256()
+    for res in members:
+        digest.update((json.dumps(res.to_json_dict(), indent=2) + "\n").encode())
+    assert len(members) == 738
+    assert digest.hexdigest() == "cbbbc0c492ebd10c6512147fbbf757d15b8b2f9fada50189ed4ec90abd24fd52"
 
 
 def test_intermediate_claim_is_exact():
