@@ -17,14 +17,12 @@ __version__ = "0.1.0"
 
 # Public name -> the module that defines it.
 _EXPORTS = {
-    "BoundReport": "analysis",
     "FaceTrace": "analysis",
     "RotationSystem": "analysis",
     "find_hamiltonian_cycle": "analysis",
     "is_eulerian": "analysis",
     "is_maximal_outerplanar": "analysis",
     "is_strongly_k3_divisible": "analysis",
-    "lower_bound": "analysis",
     "trace_faces": "analysis",
     "epsilon_exact": "augment",
     "Decomposition": "decomposer",

@@ -1,15 +1,13 @@
 """Structural predicates, necessary conditions and embedding face tracing.
 
 The conditions on a graph are here together: is_eulerian (every degree even,
-one edge component), is_strongly_k3_divisible (also size divisible by 3 and
-every edge on a triangle) and lower_bound, the least augmentation count that
-both degree parity and divisibility allow.  lower_bound is reported only;
-the search in ``augment`` starts at the divisibility residue instead.
-Each check has one copy: degree, size and triangle conditions in
-``decomposer.fast_reject``, chord crossings in ``graph_core``, and one
-connectivity walk, _edges_connected, here.  Two searches here are
-exponential in the worst case, the parity search under lower_bound and
-find_hamiltonian_cycle; both give up with ScaleLimit past STEP_LIMIT steps.
+one edge component) and is_strongly_k3_divisible (also size divisible by 3
+and every edge on a triangle).  Each check has one copy: degree, size and
+triangle conditions in ``decomposer.fast_reject``, which is imported only
+where it is used so that ``faces`` loads no solver, chord crossings in
+``graph_core``, and one connectivity walk, _edges_connected, here.  One
+search here is exponential in the worst case, find_hamiltonian_cycle; it
+gives up with ScaleLimit past STEP_LIMIT steps.
 
 A rotation system lists, for every vertex, the cyclic order of its incident
 edge ends as (neighbor, copy index) pairs.  Tracing: after arriving at v
@@ -20,11 +18,10 @@ and hence the genus of the implied orientable surface.
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import graph_core
-from .decomposer import fast_reject
 from .graph_core import (
     DomainError,
     Multigraph,
@@ -195,85 +192,9 @@ def is_eulerian(g: Multigraph) -> bool:
 
 def is_strongly_k3_divisible(g: Multigraph) -> bool:
     """Eulerian, size divisible by 3, and every edge on a triangle."""
+    from .decomposer import fast_reject
+
     return fast_reject(g) is None and _edges_connected(g.adjacency())
-
-
-class BoundReport(
-    namedtuple("BoundReport", "parity_bound divisibility_residue combined_lower_bound")
-):
-    """Lower-bound data for the augmentation count of one graph.
-
-    parity_bound: fewest added copies that can make every degree even,
-    ignoring divisibility (min over both cardinality parities).
-    divisibility_residue: (-size) mod 3, what the count must be congruent to.
-    combined_lower_bound: least t matching both constraints at once.
-    """
-
-    __slots__ = ()
-
-
-def _parity_distances(g: Multigraph) -> Tuple[Optional[int], Optional[int]]:
-    """(even, odd): fewest edge copies fixing all degree parities, by count parity.
-
-    BFS over (vertex parity vector, count mod 2) states, one added edge copy
-    per step.  Adding a copy of {u,v} toggles the parity bits of u and v, so
-    the reachable question is a shortest-path question on a hypercube slice.
-    ScaleLimit past STEP_LIMIT visited states.
-    """
-    edges = g.edges()
-    target = 0
-    for v, d in enumerate(degree_sequence(g)):
-        if d % 2 != 0:
-            target |= 1 << v
-    masks = sorted({(1 << e.u) | (1 << e.v) for e in edges})
-    dist: Dict[Tuple[int, int], int] = {(0, 0): 0}
-    queue = deque([(0, 0)])
-    limit = graph_core.STEP_LIMIT
-    even: Optional[int] = None
-    odd: Optional[int] = None
-    if target == 0:
-        even = 0
-    while queue:
-        state = queue.popleft()
-        d = dist[state]
-        pmask, cpar = state
-        if pmask == target:
-            if cpar == 0 and even is None:
-                even = d
-            elif cpar == 1 and odd is None:
-                odd = d
-            if even is not None and odd is not None:
-                break
-        for em in masks:
-            nxt = (pmask ^ em, cpar ^ 1)
-            if nxt not in dist:
-                if len(dist) >= limit:
-                    raise graph_core._step_limit("parity search")
-                dist[nxt] = d + 1
-                queue.append(nxt)
-    return even, odd
-
-
-def lower_bound(g: Multigraph) -> BoundReport:
-    """Exact parity / divisibility lower bound on the augmentation count.
-
-    Reported only: the search starts at the divisibility residue instead.
-    """
-    even, odd = _parity_distances(g)
-    residue = (-g.size()) % 3
-    # Doubling every edge makes every degree even, so one distance is finite.
-    parity_bound = min(p for p in (even, odd) if p is not None)
-    t = residue
-    while True:
-        p = even if t % 2 == 0 else odd
-        if p is not None and t >= p:
-            break
-        t += 3
-    return BoundReport(
-        parity_bound=parity_bound,
-        divisibility_residue=residue,
-        combined_lower_bound=t,
-    )
 
 
 def is_maximal_outerplanar(g: Multigraph, outer: Sequence[int]) -> bool:

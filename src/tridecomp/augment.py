@@ -9,8 +9,7 @@ cover solver instance for the least such k, starting at the divisibility
 residue; parity then holds without being checked.  The module holds only
 this per-graph search, since every ``epsilon`` command compiles it: the
 class sweeps over triangulated cycles, which run the same climb on one
-graph at a time, live in ``sweep``, and the reported parity bound
-``lower_bound`` lives in ``analysis``.  The climb, the witness pinning and
+graph at a time, live in ``sweep``.  The climb, the witness pinning and
 the certificate search of one graph share one cover solver instance, so
 STEP_LIMIT bounds them together: past it they give up with ScaleLimit.
 """

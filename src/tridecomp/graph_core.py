@@ -37,9 +37,8 @@ ORDER_LIMIT = 100_000
 # built by _step_limit: a listed triangle; in the cover search a chosen
 # triangle, or an edge or triangle read by a set-up, each counted over
 # every solve() call on one CoverInstance; a pass of the Hamiltonian cycle
-# search; a visited state of the parity search.  It is kept at ten times
-# the largest known-good search or more (measured in CHANGES.md).  Each
-# search reads the limit when it starts.
+# search.  It is kept at ten times the largest known-good search or more
+# (measured in CHANGES.md).  Each search reads the limit when it starts.
 STEP_LIMIT = 10**6
 
 
@@ -117,6 +116,17 @@ def _json_rows(value, width: Optional[int], name: str) -> list:
 def _step_limit(what: str) -> ScaleLimit:
     """The refusal of a search that took more than STEP_LIMIT steps."""
     return ScaleLimit(f"{what} exceeds the ceiling of {STEP_LIMIT} steps")
+
+
+def _check_multiplicity(e: "EdgeKey", m) -> None:
+    """Refuse m with DomainError unless it is an integer >= 1.
+
+    type() rather than isinstance(), as in _json_rows: True is no count.
+    """
+    if type(m) is not int or m < 1:
+        raise DomainError(
+            f"multiplicity of {{{e.u},{e.v}}} must be an integer >= 1, got {_shown(m)}"
+        )
 
 
 def _check_order(order: int) -> None:
@@ -203,8 +213,7 @@ class Multigraph:
                 raise DomainError(f"edge keys must be EdgeKey, got {e!r}")
             if e.v >= order:
                 raise DomainError(f"edge {{{e.u},{e.v}}} exceeds order {order}")
-            if m < 1:
-                raise DomainError(f"multiplicity of {{{e.u},{e.v}}} must be >= 1, got {m}")
+            _check_multiplicity(e, m)
             mult[e] = m
         self._mult = mult
 
@@ -219,6 +228,7 @@ class Multigraph:
             else:
                 u, v, m = item
             e = edge(u, v)
+            _check_multiplicity(e, m)
             mult[e] = mult.get(e, 0) + m
         return cls(order, mult)
 

@@ -5,6 +5,8 @@ always branches on the first uncovered edge with no ordering heuristics or
 parity shortcuts, and the minimum-additions search tries every total from
 zero upward with no residue stepping.  milp_epsilon answers the same
 question as an integer program through scipy, which only the tests need.
+oracle_parity_bound is the least count that degree parity and the
+divisibility residue allow, by a breadth-first search over vertex parities.
 The outerplanarity test compares every pair of chords, and the 2-tree
 builder rescans its boundary list every round: the quadratic originals of
 the production code.  scan_solve is the cover search with every node's
@@ -14,9 +16,10 @@ production code.
 """
 
 import itertools
+from collections import deque
 from typing import List, Optional, Sequence, Tuple
 
-from tridecomp import EdgeKey, Multigraph, edge
+from tridecomp import EdgeKey, Multigraph, degree_sequence, edge
 
 
 def oracle_triangles(g: Multigraph) -> List[Tuple[int, int, int]]:
@@ -127,6 +130,36 @@ def milp_epsilon(g: Multigraph, cap: Optional[int] = None) -> Optional[int]:
     if not res.success:
         raise RuntimeError(f"milp failed: {res.message}")
     return 3 * round(res.fun) - g.size()
+
+
+def oracle_parity_bound(g: Multigraph) -> Tuple[int, int, int]:
+    """(parity_bound, residue, combined): lower bounds on the added copies.
+
+    parity_bound is the fewest added copies that make every degree even,
+    residue is (-size) mod 3, and combined is the least count t that is
+    congruent to residue and can fix every parity with t copies.  Breadth
+    first over (odd-vertex mask, count mod 2) states, one copy per step:
+    a copy of {u, v} flips the parities of u and v.  2**n states at worst.
+    """
+    target = sum(1 << v for v, d in enumerate(degree_sequence(g)) if d % 2)
+    masks = sorted({(1 << e.u) | (1 << e.v) for e in g.edges()})
+    dist = {(0, 0): 0}
+    queue = deque([(0, 0)])
+    while queue:
+        pmask, cpar = state = queue.popleft()
+        d = dist[state] + 1
+        for em in masks:
+            nxt = (pmask ^ em, cpar ^ 1)
+            if nxt not in dist:
+                dist[nxt] = d
+                queue.append(nxt)
+    # Doubling every edge makes every degree even, so one of these is reached.
+    fix = [dist.get((target, 0)), dist.get((target, 1))]
+    residue = (-g.size()) % 3
+    t = residue
+    while fix[t % 2] is None or t < fix[t % 2]:
+        t += 3
+    return min(p for p in fix if p is not None), residue, t
 
 
 def simple_graphs(n: int):

@@ -25,7 +25,6 @@ from tridecomp import (
     intermediate,
     is_maximal_outerplanar,
     kop_construct,
-    lower_bound,
     mop_construct,
     sc2_tree_construct,
     sc2_tree_seed,
@@ -36,7 +35,12 @@ from tridecomp import (
 )
 from tridecomp.cli import main
 
-from oracle_helpers import every_edge_on_triangle_masks, graph_from_mask, oracle_decomposable
+from oracle_helpers import (
+    every_edge_on_triangle_masks,
+    graph_from_mask,
+    oracle_decomposable,
+    oracle_parity_bound,
+)
 
 
 def sweep(capsys, kind, n):
@@ -101,7 +105,7 @@ def test_criterion_5_three_tree_chain_needs_exactly_three():
         validate_construction(res)
         assert len(res.augmentation) == 3, f"order {n} augmentation size"
         assert epsilon_exact(res.graph)[0] == 3, f"order {n} exact value"
-        assert lower_bound(res.graph).combined_lower_bound == 3, f"order {n} bound"
+        assert oracle_parity_bound(res.graph)[2] == 3, f"order {n} bound"
     print("criterion 5: PASS - the hub-chain family needs exactly three added "
           "copies for every order 4..9, matching its parity/divisibility bound")
 

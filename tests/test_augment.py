@@ -1,4 +1,4 @@
-"""Tests for lower bounds, exact minimum augmentation, and the class sweeps."""
+"""Tests for exact minimum augmentation, checked against lower bounds, and the class sweeps."""
 
 import random
 
@@ -22,7 +22,6 @@ from tridecomp import (
     epsilon_exact,
     fan,
     is_maximal_outerplanar,
-    lower_bound,
     xi_class_exact,
 )
 from tridecomp import graph_core
@@ -32,6 +31,7 @@ from oracle_helpers import (
     graph_from_mask,
     milp_epsilon,
     oracle_epsilon,
+    oracle_parity_bound,
     oracle_witness,
 )
 
@@ -90,24 +90,13 @@ def test_apply_augmentation_stacks_copies():
         apply_augmentation(Multigraph.from_edges(3, [(0, 1)]), Augmentation((edge(1, 2),)))
 
 
-def test_lower_bound_step_ceiling(monkeypatch):
-    monkeypatch.setattr(graph_core, "STEP_LIMIT", 10)
-    with pytest.raises(ScaleLimit, match="^parity search exceeds the ceiling of 10 steps$"):
-        lower_bound(complete_graph(8))
-
-
 def test_lower_bound_hand_values():
-    r = lower_bound(complete_graph(3))
-    assert (r.parity_bound, r.divisibility_residue, r.combined_lower_bound) == (0, 0, 0)
-    r = lower_bound(complete_graph(4))
-    assert (r.parity_bound, r.divisibility_residue, r.combined_lower_bound) == (2, 0, 3)
-    r = lower_bound(complete_graph(5))
-    assert (r.parity_bound, r.divisibility_residue, r.combined_lower_bound) == (0, 2, 2)
-    r = lower_bound(complete_graph(6))
-    assert (r.parity_bound, r.divisibility_residue, r.combined_lower_bound) == (3, 0, 3)
+    assert oracle_parity_bound(complete_graph(3)) == (0, 0, 0)
+    assert oracle_parity_bound(complete_graph(4)) == (2, 0, 3)
+    assert oracle_parity_bound(complete_graph(5)) == (0, 2, 2)
+    assert oracle_parity_bound(complete_graph(6)) == (3, 0, 3)
     # five-cycle with chords {0,2} and {0,3}: odd at 2 and 3, size 7
-    r = lower_bound(fan_graph(5))
-    assert (r.parity_bound, r.divisibility_residue, r.combined_lower_bound) == (1, 2, 2)
+    assert oracle_parity_bound(fan_graph(5)) == (1, 2, 2)
 
 
 def test_epsilon_exact_known_values():
@@ -132,11 +121,15 @@ def test_epsilon_exact_certificates_check_out():
 
 
 def test_epsilon_exact_meets_lower_bound_or_exceeds_by_steps():
-    for g in (complete_graph(4), complete_graph(5), complete_graph(6), fan_graph(5)):
+    graphs = [complete_graph(4), complete_graph(5), complete_graph(6), fan_graph(5)]
+    for n in range(3, 6):
+        graphs += [graph_from_mask(n, mask, pairs)
+                   for mask, pairs in every_edge_on_triangle_masks(n)]
+    for g in graphs:
         t, _, _ = epsilon_exact(g)
-        r = lower_bound(g)
-        assert t >= r.combined_lower_bound
-        assert t % 3 == r.divisibility_residue
+        _, residue, combined = oracle_parity_bound(g)
+        assert t >= combined
+        assert t % 3 == residue
 
 
 def test_epsilon_exact_with_per_edge_cap():

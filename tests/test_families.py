@@ -25,7 +25,6 @@ from tridecomp import (
     intermediate,
     is_maximal_outerplanar,
     kop_construct,
-    lower_bound,
     mop_construct,
     sc2_tree_construct,
     sc2_tree_seed,
@@ -36,7 +35,7 @@ from tridecomp import (
     verify_construction,
 )
 
-from oracle_helpers import oracle_sc2_tree_envelopes
+from oracle_helpers import oracle_parity_bound, oracle_sc2_tree_envelopes
 
 
 def test_validate_construction_rejects_tampering():
@@ -300,7 +299,7 @@ def test_sc3_claim_is_exact():
     for n in range(4, 9):
         res = sc3_construct(n)
         assert epsilon_exact(res.graph)[0] == 3
-        assert lower_bound(res.graph).combined_lower_bound == 3
+        assert oracle_parity_bound(res.graph)[2] == 3
 
 
 def test_sf_fixtures():

@@ -82,6 +82,16 @@ def test_multigraph_rejects_out_of_range_and_nonpositive():
         Multigraph(4, {(1, 3): 1})
 
 
+@pytest.mark.parametrize("m", [2.0, True, "2"])
+def test_multigraph_refuses_non_integer_multiplicities(m):
+    with pytest.raises(DomainError, match="must be an integer >= 1"):
+        Multigraph(3, {edge(0, 1): m})
+    with pytest.raises(DomainError, match="must be an integer >= 1"):
+        Multigraph.from_edges(3, [(0, 1, m), (1, 2, 2), (0, 2, 2)])
+    with pytest.raises(DomainError, match="must be an integer >= 1"):
+        Multigraph.from_edges(3, [(0, 1), (0, 1, m)])
+
+
 def test_multigraph_refuses_order_above_ceiling():
     assert Multigraph(ORDER_LIMIT).order == ORDER_LIMIT
     with pytest.raises(ScaleLimit):

@@ -81,7 +81,8 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
         json.dumps({"rotations": [[[1, 0], [2, 0]], [[2, 0], [0, 0]], [[0, 0], [1, 0]]]}),
         encoding="utf-8",
     )
-    base = {"tridecomp", "tridecomp.cli", "tridecomp.graph_core", "tridecomp.decomposer"}
+    core = {"tridecomp", "tridecomp.cli", "tridecomp.graph_core"}
+    base = core | {"tridecomp.decomposer"}
     search = base | {"tridecomp.augment"}
     # Against a bare interpreter's modules, so that a site that imports them is no failure.
     bare = set(_child_output(_BARE)[1])
@@ -92,11 +93,12 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
         # construct runs only the core checks, and verify never builds a family.
         (("construct", "mop", "4"), base | {"tridecomp.envelope", "tridecomp.families"}),
         (("verify", str(envelope)), base | {"tridecomp.envelope", "tridecomp.analysis"}),
-        (("faces", str(rotation)), base | {"tridecomp.analysis"}),
+        # faces runs no solver.
+        (("faces", str(rotation)), core | {"tridecomp.analysis"}),
     ):
         loaded, every = _modules_loaded_by(*argv)
         assert loaded == layers, argv
         unwanted = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
         assert not (every - bare) & unwanted, argv
-        if argv[0] == "epsilon":  # neither the class sweeps nor the parity bound
+        if argv[0] == "epsilon":  # neither the class sweeps nor the structural predicates
             assert not loaded & {"tridecomp.sweep", "tridecomp.analysis"}

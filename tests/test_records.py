@@ -13,7 +13,6 @@ import pytest
 
 from tridecomp import (
     Augmentation,
-    BoundReport,
     ConstructionResult,
     Decomposition,
     DomainError,
@@ -73,13 +72,6 @@ RECORDS = [
         Augmentation([EdgeKey(0, 2)]),
         "Augmentation(additions=(EdgeKey(u=0, v=1), EdgeKey(u=0, v=2), EdgeKey(u=0, v=2)))",
         id="Augmentation",
-    ),
-    pytest.param(
-        lambda: BoundReport(parity_bound=1, divisibility_residue=2, combined_lower_bound=5),
-        ("parity_bound", "divisibility_residue", "combined_lower_bound"),
-        BoundReport(1, 2, 8),
-        "BoundReport(parity_bound=1, divisibility_residue=2, combined_lower_bound=5)",
-        id="BoundReport",
     ),
     pytest.param(
         lambda: MopCode(5, [EdgeKey(2, 4), EdgeKey(0, 2)]),
