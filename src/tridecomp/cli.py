@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success; 1 bad input, failed verification, or infeasible
-request; 2 internal invariant breach; 3 problem too large for exact search.
+Exit codes: 0 success; 1 bad input, failed verification, infeasible request,
+or output that cannot be written; 2 internal invariant breach; 3 problem too
+large for exact search.
 All output is deterministic for a given command line.
 
 ``COMMANDS`` is the whole grammar: ``parse_args`` walks it, and the usage,
@@ -299,4 +300,26 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    """Entry point of ``python -m tridecomp`` and of the ``tridecomp`` script.
+
+    After main() returns, stdout and stderr are flushed and the process ends
+    with os._exit, skipping interpreter teardown: atexit handlers and
+    finalizers do not run.  Callers of main() are unaffected.  An OSError
+    from main() or from the flush can only come from writing the output
+    (``_load_json`` turns read errors into DomainError): it becomes one
+    ``error: cannot write output`` line on stderr and exit 1, silently if
+    stderr cannot be written either.  Any other exception ends the process
+    as usual.
+    """
+    try:
+        code = main()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None where the descriptor was closed at start-up
+                stream.flush()
+    except OSError as exc:
+        code = 1
+        try:
+            print(f"error: cannot write output: {exc}", file=sys.stderr, flush=True)
+        except OSError:
+            pass
+    os._exit(code)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -570,17 +571,67 @@ def test_epsilon_and_decompose_recheck_the_certificate(capsys, tmp_path, monkeyp
     assert err.startswith("internal error: certificate leaves edge")
 
 
-def test_module_entry_point():
-    # Run from the directory holding the package under test, so that the
-    # child imports it even when it is not installed.
-    proc = subprocess.run(
-        [sys.executable, "-m", "tridecomp", "construct", "mop", "3"],
-        capture_output=True,
-        text=True,
-        cwd=Path(tridecomp.__file__).resolve().parents[1],
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["family"] == "mop"
+def _child(argv, unbuffered=False, **kwargs):
+    """``python -m tridecomp argv``, with PYTHONUNBUFFERED set only if asked.
+
+    Run from the directory holding the package under test, so that the
+    child imports it even when it is not installed.  PYTHONUNBUFFERED
+    would hide an output that is never flushed.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "tridecomp", *argv], env=env,
+                          cwd=Path(tridecomp.__file__).resolve().parents[1], **kwargs)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("construct", "hmp", "1000"), id="construct"),  # more than a pipe buffer
+        pytest.param(("verify", "{envelope}"), id="verify"),
+        pytest.param(("epsilon", "{graph}"), id="epsilon"),
+        pytest.param(("decompose", "{graph}"), id="decompose"),
+        pytest.param(("faces", "{rotation}"), id="faces"),
+        pytest.param(("sweep", "epsilon", "6"), id="sweep"),
+        pytest.param(("--help",), id="help"),
+        pytest.param(("construct", "nope", "3"), id="usage-error"),
+        pytest.param(("epsilon", "{missing}"), id="unreadable-file"),
+        pytest.param(("sweep", "epsilon", "13"), id="over-ceiling"),
+    ],
+)
+def test_module_entry_point(capsys, tmp_path, monkeypatch, hmp_1000_envelope, argv):
+    """The child's exit code, stdout and stderr bytes are those of cli.main in process."""
+    monkeypatch.delenv("TRIDECOMP_SWEEP_CEILING", raising=False)
+    envelope = tmp_path / "hmp1000.json"
+    envelope.write_text(hmp_1000_envelope, encoding="utf-8")
+    rotation = tridecomp.sf_fixture(8).rotation.to_json_dict()
+    paths = {"envelope": str(envelope), "missing": str(tmp_path / "missing.json"),
+             "graph": write_json(tmp_path, "nine.json", NINE_VERTEX.to_json_dict()),
+             "rotation": write_json(tmp_path, "rot8.json", rotation)}
+    argv = [word.format(**paths) for word in argv]
+    code, out, err = run_cli(capsys, *argv)
+    proc = _child(argv, capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("target", ["dev-full", "closed-pipe"])
+def test_write_failure_is_one_error_line(target, unbuffered):
+    if target == "dev-full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        argv, stdout = ("construct", "mop", "3"), open("/dev/full", "wb")
+    else:
+        read, write = os.pipe()
+        os.close(read)
+        argv, stdout = ("construct", "hmp", "1000"), os.fdopen(write, "wb")
+    with stdout:
+        proc = _child(argv, unbuffered, stdout=stdout, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def _drop_ring_edge(env):

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -102,3 +103,20 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
         assert not (every - bare) & unwanted, argv
         if argv[0] == "epsilon":  # neither the class sweeps nor the structural predicates
             assert not loaded & {"tridecomp.sweep", "tridecomp.analysis"}
+
+
+_ATEXIT = """
+import atexit, importlib, json, pkgutil
+import tridecomp
+for module in pkgutil.iter_modules(tridecomp.__path__):
+    importlib.import_module(f"tridecomp.{module.name}")
+print(json.dumps(atexit._ncallbacks()))
+"""
+
+
+def test_no_module_registers_an_atexit_handler():
+    # console_main ends the process with os._exit, so such a handler would never run.
+    modules = {m.name for m in pkgutil.iter_modules(tridecomp.__path__)}
+    assert set(tridecomp._EXPORTS.values()) | {"cli"} <= modules
+    bare = _child_output("import atexit, json; print(json.dumps(atexit._ncallbacks()))")[1]
+    assert _child_output(_ATEXIT)[1] == bare
