@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "FaceTrace": "analysis",
     "RotationSystem": "analysis",
-    "find_hamiltonian_cycle": "analysis",
     "is_eulerian": "analysis",
     "is_maximal_outerplanar": "analysis",
     "is_strongly_k3_divisible": "analysis",

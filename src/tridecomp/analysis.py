@@ -5,9 +5,8 @@ one edge component) and is_strongly_k3_divisible (also size divisible by 3
 and every edge on a triangle).  Each check has one copy: degree, size and
 triangle conditions in ``decomposer.fast_reject``, which is imported only
 where it is used so that ``faces`` loads no solver, chord crossings in
-``graph_core``, and one connectivity walk, _edges_connected, here.  One
-search here is exponential in the worst case, find_hamiltonian_cycle; it
-gives up with ScaleLimit past STEP_LIMIT steps.
+``graph_core``, and one connectivity walk, _edges_connected, here.  Every
+function here runs in polynomial time; none searches.
 
 A rotation system lists, for every vertex, the cyclic order of its incident
 edge ends as (neighbor, copy index) pairs.  Tracing: after arriving at v
@@ -19,9 +18,8 @@ and hence the genus of the implied orientable surface.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from . import graph_core
 from .graph_core import (
     DomainError,
     Multigraph,
@@ -224,45 +222,3 @@ def is_maximal_outerplanar(g: Multigraph, outer: Sequence[int]) -> bool:
         if 1 < b - a < n - 1:  # not a cycle edge: those are one apart, or 0 and n - 1
             chords.append((a, b))
     return _crossing_chords(chords) is None
-
-
-def find_hamiltonian_cycle(g: Multigraph) -> Optional[Tuple[int, ...]]:
-    """A Hamiltonian cycle starting at 0, or None; lex-first by neighbor order.
-
-    Depth-first over paths from 0 with an explicit stack: tried[i] is how
-    many neighbors of path[i] have been tried as path[i + 1].  ScaleLimit
-    past STEP_LIMIT passes of the loop: an hmp graph needs about order + 12,
-    but a cut vertex can make them exponential.
-    """
-    n = g.order
-    if n < 3:
-        return None
-    adj = g.adjacency()
-    path = [0]
-    tried = [0]
-    on_path = [False] * n
-    on_path[0] = True
-    steps = 0
-    limit = graph_core.STEP_LIMIT
-    while path:
-        steps += 1
-        if steps > limit:
-            raise graph_core._step_limit("hamiltonian cycle search")
-        nbrs = adj[path[-1]]
-        if len(path) == n:
-            if 0 in nbrs:
-                return tuple(path)
-            i = len(nbrs)
-        else:
-            i = tried[-1]
-            while i < len(nbrs) and on_path[nbrs[i]]:
-                i += 1
-        if i < len(nbrs):
-            tried[-1] = i + 1
-            path.append(nbrs[i])
-            tried.append(0)
-            on_path[nbrs[i]] = True
-        else:
-            on_path[path.pop()] = False
-            tried.pop()
-    return None

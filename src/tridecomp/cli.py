@@ -12,6 +12,7 @@ layers it runs, when it runs; at module level there is only ``graph_core``.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import sys
@@ -299,6 +300,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 3 if isinstance(exc, graph_core.ScaleLimit) else 1
 
 
+class _ClosedOutput:
+    """sys.stdout when descriptor 1 was closed at start-up: every write fails."""
+
+    def write(self, text: str) -> int:
+        raise OSError(errno.EBADF, "standard output was closed at start-up")
+
+    def flush(self) -> None:
+        pass
+
+
 def console_main() -> None:
     """Entry point of ``python -m tridecomp`` and of the ``tridecomp`` script.
 
@@ -308,9 +319,13 @@ def console_main() -> None:
     from main() or from the flush can only come from writing the output
     (``_load_json`` turns read errors into DomainError): it becomes one
     ``error: cannot write output`` line on stderr and exit 1, silently if
-    stderr cannot be written either.  Any other exception ends the process
-    as usual.
+    stderr cannot be written either.  Where stdout was closed at start-up,
+    its first write raises such an OSError; a command that writes nothing
+    there keeps its exit code.  Any other exception ends the process as
+    usual.
     """
+    if sys.stdout is None:
+        sys.stdout = _ClosedOutput()
     try:
         code = main()
         for stream in (sys.stdout, sys.stderr):

@@ -126,6 +126,19 @@ def _core_checks(result: ConstructionResult) -> List[Check]:
     return checks + [(False, f"edge {{{e.u}, {e.v}}} {kind}")]
 
 
+def _hmp_cycle(n: int) -> Optional[List[int]]:
+    """The Hamiltonian cycle that ``hmp_construct(n)`` builds, or None if it builds none.
+
+    The cycle runs 0, 1, ..., n - 3 with the apexes n - 2 and n - 1 spliced
+    in: after 0 and at the end for even n, around 3 for odd n.
+    """
+    if n < 6 or n == 7:
+        return None
+    if n % 2 == 0:
+        return [0, n - 2, *range(1, n - 2), n - 1]
+    return [0, 1, 2, n - 2, 3, n - 1, *range(4, n - 2)]
+
+
 def verify_construction(result: ConstructionResult) -> List[Check]:
     """Recheck a construction from scratch: the core checks, then its family's.
 
@@ -156,12 +169,16 @@ def verify_construction(result: ConstructionResult) -> List[Check]:
                        "face list does not cover every edge exactly twice"),
                 _check(chi == 2, "V - E + F = 2", f"V - E + F = {chi}, expected 2"),
             ]
-        checks += [
-            _check(analysis.find_hamiltonian_cycle(g) is not None, "hamiltonian cycle found",
-                   "no hamiltonian cycle found"),
-            _check(analysis.is_eulerian(g), "all degrees even and the graph is connected",
-                   "graph is not eulerian"),
-        ]
+        cycle = _hmp_cycle(g.order)
+        if cycle is None:
+            checks.append((False, f"no hmp member has order {g.order}"))
+        else:
+            gap = next((p for p in zip(cycle, cycle[1:] + cycle[:1])
+                        if not g.has_edge(edge(*p))), None)
+            checks.append(_check(gap is None, "hamiltonian cycle found",
+                                 f"hamiltonian cycle edge {gap} missing"))
+        checks.append(_check(analysis.is_eulerian(g), "all degrees even and the graph is connected",
+                             "graph is not eulerian"))
     elif family == "sf":
         if result.rotation is None:
             checks.append((False, "fixture envelope has no rotation system"))

@@ -231,7 +231,9 @@ def hmp_construct(n: int) -> ConstructionResult:
     Built as a cycle plus two apex vertices (with a small rearrangement for
     odd orders, which is why 4, 5, and 7 are impossible); 3n-6 edges, all
     degrees even, Hamiltonian, and triangle decomposable with no additions.
-    The certificate is the colour class of the first listed face.
+    The certificate is the colour class of the first listed face.  verify
+    checks the Hamiltonian cycle ``envelope._hmp_cycle`` derives from n, so
+    a change to this layout must keep that cycle in the graph.
     """
     if n < 6 or n == 7:
         raise ConstructionUnavailable(

@@ -11,15 +11,17 @@ The outerplanarity test compares every pair of chords, and the 2-tree
 builder rescans its boundary list every round: the quadratic originals of
 the production code.  scan_solve is the cover search with every node's
 tests recomputed in full; it reads the triangle tables of a
-CoverInstance.  Otherwise only the Multigraph container is shared with the
-production code.
+CoverInstance.  find_hamiltonian_cycle is a depth-first search for a
+Hamiltonian cycle, stopped at STEP_LIMIT passes; ``verify`` checks the
+cycle that an hmp envelope's order determines instead.  Otherwise only the
+Multigraph container is shared with the production code.
 """
 
 import itertools
 from collections import deque
 from typing import List, Optional, Sequence, Tuple
 
-from tridecomp import EdgeKey, Multigraph, degree_sequence, edge
+from tridecomp import EdgeKey, Multigraph, degree_sequence, edge, graph_core
 
 
 def oracle_triangles(g: Multigraph) -> List[Tuple[int, int, int]]:
@@ -388,3 +390,45 @@ def scan_solve(inst, lo: List[int], hi: List[int], k: int) -> Tuple[Optional[Lis
             return chosen, steps
         frames.append([fits, 0, [], left - 1, shortfall - gain])
     return None, steps
+
+
+def find_hamiltonian_cycle(g: Multigraph) -> Optional[Tuple[int, ...]]:
+    """A Hamiltonian cycle starting at 0, or None; lex-first by neighbor order.
+
+    Depth-first over paths from 0 with an explicit stack: tried[i] is how
+    many neighbors of path[i] have been tried as path[i + 1].  ScaleLimit
+    past STEP_LIMIT passes of the loop: an hmp graph needs about order + 12,
+    but a cut vertex can make them exponential.
+    """
+    n = g.order
+    if n < 3:
+        return None
+    adj = g.adjacency()
+    path = [0]
+    tried = [0]
+    on_path = [False] * n
+    on_path[0] = True
+    steps = 0
+    limit = graph_core.STEP_LIMIT
+    while path:
+        steps += 1
+        if steps > limit:
+            raise graph_core._step_limit("hamiltonian cycle search")
+        nbrs = adj[path[-1]]
+        if len(path) == n:
+            if 0 in nbrs:
+                return tuple(path)
+            i = len(nbrs)
+        else:
+            i = tried[-1]
+            while i < len(nbrs) and on_path[nbrs[i]]:
+                i += 1
+        if i < len(nbrs):
+            tried[-1] = i + 1
+            path.append(nbrs[i])
+            tried.append(0)
+            on_path[nbrs[i]] = True
+        else:
+            on_path[path.pop()] = False
+            tried.pop()
+    return None

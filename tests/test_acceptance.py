@@ -20,7 +20,6 @@ from tridecomp import (
     epsilon_exact,
     fan,
     find_decomposition,
-    find_hamiltonian_cycle,
     hmp_construct,
     intermediate,
     is_maximal_outerplanar,
@@ -37,6 +36,7 @@ from tridecomp.cli import main
 
 from oracle_helpers import (
     every_edge_on_triangle_masks,
+    find_hamiltonian_cycle,
     graph_from_mask,
     oracle_decomposable,
     oracle_parity_bound,

@@ -14,14 +14,17 @@ from tridecomp import (
     complete_graph,
     cycle_graph,
     edge,
-    find_hamiltonian_cycle,
     is_eulerian,
     is_maximal_outerplanar,
     is_strongly_k3_divisible,
     trace_faces,
 )
 
-from oracle_helpers import oracle_chords_cross, oracle_is_maximal_outerplanar
+from oracle_helpers import (
+    find_hamiltonian_cycle,
+    oracle_chords_cross,
+    oracle_is_maximal_outerplanar,
+)
 
 
 def rotation_from_lists(neighbor_lists):

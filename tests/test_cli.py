@@ -211,9 +211,10 @@ def test_epsilon_climb_set_ups_count_toward_the_ceiling(capsys, tmp_path):
     assert time.perf_counter() - start < 20
 
 
-def test_hamiltonian_search_ceiling_exit_code(capsys, tmp_path):
+def test_cut_vertex_hmp_envelope_fails_without_search(capsys, tmp_path):
     # Two copies of K_12 sharing vertex 0: a cut vertex, so no Hamiltonian
-    # cycle, and the search's steps grow about eightfold per two vertices.
+    # cycle.  verify checks only the cycle that hmp_construct builds at this
+    # order, so the envelope fails at once instead of exhausting a search.
     k = 12
     side = [(u, v) for u in range(k) for v in range(u + 1, k)]
     other = [(0 if u == 0 else u + k - 1, v + k - 1) for u, v in side]
@@ -228,9 +229,9 @@ def test_hamiltonian_search_ceiling_exit_code(capsys, tmp_path):
     path = write_json(tmp_path, "cut-vertex.json", envelope)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "verify", path)
-    assert code == 3
-    assert out == "" and "error: hamiltonian cycle search exceeds the ceiling" in err
-    assert time.perf_counter() - start < 10.0
+    assert (code, err) == (1, "")
+    assert "fail: hamiltonian cycle edge (2, 21) missing\n" in out
+    assert time.perf_counter() - start < 1.0
 
 
 def test_order_above_ceiling_exit_code(capsys, tmp_path):
@@ -585,6 +586,11 @@ def _child(argv, unbuffered=False, **kwargs):
                           cwd=Path(tridecomp.__file__).resolve().parents[1], **kwargs)
 
 
+def _close_stdout():
+    """Run in a child before exec: it starts with descriptor 1 closed, as by ">&-"."""
+    os.close(1)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -616,26 +622,51 @@ def test_module_entry_point(capsys, tmp_path, monkeypatch, hmp_1000_envelope, ar
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("target", ["dev-full", "closed-pipe"])
+@pytest.mark.parametrize("target", ["dev-full", "closed-pipe", "closed-stdout",
+                                    "closed-stdout-help"])
 def test_write_failure_is_one_error_line(target, unbuffered):
+    argv, stdout, pre = ("construct", "mop", "3"), None, None
     if target == "dev-full":
         if not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full")
-        argv, stdout = ("construct", "mop", "3"), open("/dev/full", "wb")
-    else:
+        stdout = open("/dev/full", "wb")
+    elif target == "closed-pipe":
         read, write = os.pipe()
         os.close(read)
         argv, stdout = ("construct", "hmp", "1000"), os.fdopen(write, "wb")
-    with stdout:
-        proc = _child(argv, unbuffered, stdout=stdout, stderr=subprocess.PIPE, text=True)
+    else:
+        argv, pre = (("--help",) if target.endswith("help") else argv), _close_stdout
+    with stdout or contextlib.nullcontext():
+        proc = _child(argv, unbuffered, stdout=stdout, preexec_fn=pre,
+                      stderr=subprocess.PIPE, text=True)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: cannot write output: ")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        pytest.param(("construct", "nope", "3"), 1, "tridecomp: error: argument family",
+                     id="usage-error"),
+        pytest.param(("sweep", "epsilon", "13"), 3, "error: order 13 exceeds the sweep ceiling",
+                     id="over-ceiling"),
+    ],
+)
+def test_closed_stdout_keeps_the_code_of_a_command_that_writes_none(argv, code, err):
+    proc = _child(argv, preexec_fn=_close_stdout, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == code
+    assert err in proc.stderr and "cannot write output" not in proc.stderr
+
+
 def _drop_ring_edge(env):
     env["graph"]["edges"] = [e for e in env["graph"]["edges"] if e[:2] != [5, 6]]
+
+
+def _drop_cycle_edge(env):
+    # hmp 8's cycle is 0, 6, 1, 2, 3, 4, 5, 7.
+    env["graph"]["edges"] = [e for e in env["graph"]["edges"] if e[:2] != [1, 2]]
 
 
 def _drop_first_face(env):
@@ -675,6 +706,19 @@ HMP_TAIL = "ok: hamiltonian cycle found\nok: all degrees even and the graph is c
             + HMP_TAIL
             + "2 check(s) failed\n",
             id="hmp-face-dropped",
+        ),
+        pytest.param(
+            ("hmp", "8"),
+            _drop_cycle_edge,
+            "ok: augmentation lists 0 added copies\n"
+            "fail: count 0 cannot make size 17 divisible by 3\n"
+            "fail: edge {1, 2} notanedge\n"
+            "fail: face list does not cover every edge exactly twice\n"
+            "fail: V - E + F = 3, expected 2\n"
+            "fail: hamiltonian cycle edge (1, 2) missing\n"
+            "fail: graph is not eulerian\n"
+            "6 check(s) failed\n",
+            id="hmp-cycle-edge-missing",
         ),
         pytest.param(
             ("sf", "8"),

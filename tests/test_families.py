@@ -14,13 +14,13 @@ from tridecomp import (
     InvariantViolation,
     NotAFixture,
     apply_augmentation,
+    complete_graph,
     degree_sequence,
     edge,
     epsilon_class_exact,
     epsilon_exact,
     fan,
     find_decomposition,
-    find_hamiltonian_cycle,
     hmp_construct,
     intermediate,
     is_maximal_outerplanar,
@@ -34,8 +34,13 @@ from tridecomp import (
     validate_construction,
     verify_construction,
 )
+from tridecomp import envelope
 
-from oracle_helpers import oracle_parity_bound, oracle_sc2_tree_envelopes
+from oracle_helpers import (
+    find_hamiltonian_cycle,
+    oracle_parity_bound,
+    oracle_sc2_tree_envelopes,
+)
 
 
 def test_validate_construction_rejects_tampering():
@@ -239,6 +244,22 @@ def test_hmp_family():
     for n in [4, 5, 7]:
         with pytest.raises(ConstructionUnavailable):
             hmp_construct(n)
+
+
+def test_verify_checks_the_hmp_cycle_of_the_order():
+    # The cycle verify derives from the order alone is a Hamiltonian cycle
+    # of the member hmp_construct builds at that order.
+    for n in [6, *range(8, 301)]:
+        g = hmp_construct(n).graph
+        cycle = envelope._hmp_cycle(n)
+        assert sorted(cycle) == list(range(n)), n
+        assert all(g.has_edge(edge(u, v)) for u, v in zip(cycle, cycle[1:] + cycle[:1])), n
+    assert [n for n in range(12) if envelope._hmp_cycle(n) is None] == [0, 1, 2, 3, 4, 5, 7]
+    # An order with no member fails the cycle check; it does not raise.
+    for n in [3, 4, 5, 7]:
+        fake = ConstructionResult("hmp", {}, complete_graph(n), Augmentation(()),
+                                  Decomposition(()), 0)
+        assert (False, f"no hmp member has order {n}") in verify_construction(fake)
 
 
 def test_hmp_certificate_is_a_face_colour_class():
