@@ -11,11 +11,14 @@ The economical triangulation (mop) is f = 0, the fan is f = n - 3, the
 intermediate family is f = 3r, and the sc2 seeds are f = 0 on a relabelled
 cycle.  Small polygons are stored only as their certificates, in polygon
 positions: the chords are the certificate's edges off the polygon, and the
-chords it covers twice take the added copies.  The even planar
-triangulations take one colour class of their face 2-colouring as the
-certificate.  Every constructor runs in time linear in its output, up to
-a logarithmic factor, except ``sf_fixture``, which finds its certificate
-with the cover search (``find_decomposition``, under ``STEP_LIMIT``).
+chords it covers twice take the added copies.  An even planar
+triangulation (hmp) is its face list: the graph is the union of the faces'
+edges and the certificate the colour class of the first face in the faces'
+2-colouring.  The sc3 graphs are a K4 with a chain on two hubs, and one
+chain rule gives the certificate of every order from 5 on.  Every
+constructor runs in time linear in its output, up to a logarithmic
+factor, except ``sf_fixture``, which finds its certificate with the cover
+search (``find_decomposition``, under ``STEP_LIMIT``).
 
 validate_construction runs the envelope's core checks (augmentation count,
 divisibility residue, certificate coverage) and raises on the first
@@ -26,10 +29,10 @@ the toroidal fixtures, for their rotation systems.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .decomposer import Decomposition, find_decomposition
-from .envelope import ConstructionResult, _core_checks
+from .envelope import ConstructionResult, _core_checks, _hmp_cycle
 from .graph_core import (
     Augmentation,
     ConstructionUnavailable,
@@ -228,83 +231,44 @@ def kop_construct(m: int, k: int) -> ConstructionResult:
 def hmp_construct(n: int) -> ConstructionResult:
     """A planar triangulation of order n that is decomposable as it stands.
 
-    Built as a cycle plus two apex vertices (with a small rearrangement for
-    odd orders, which is why 4, 5, and 7 are impossible); 3n-6 edges, all
-    degrees even, Hamiltonian, and triangle decomposable with no additions.
-    The certificate is the colour class of the first listed face.  verify
-    checks the Hamiltonian cycle ``envelope._hmp_cycle`` derives from n, so
-    a change to this layout must keep that cycle in the graph.
+    The face list is the whole description: a ring 0..n-3 with the apexes
+    n-2 and n-1, rearranged around vertex 3 for odd orders.  Orders 4, 5
+    and 7 have no member: exactly those for which ``envelope._hmp_cycle``
+    is None are refused.  The graph is the union of the faces' edges:
+    3n-6 edges, all degrees even, Hamiltonian.  The certificate is the
+    colour class of the first face in the faces' 2-colouring (faces sharing
+    an edge differ), which covers every edge once.  For even n that is the
+    ring face on apex n-2 at even i and on apex n-1 at odd i; for odd n it
+    is (0, 1, 2), every other ring and band face, (n-3, 0, n-2) and
+    (1, 3, n-3).  verify checks the Hamiltonian cycle ``envelope._hmp_cycle``
+    derives from n, so a change to this layout must keep that cycle in the
+    graph.
     """
-    if n < 6 or n == 7:
+    _check_order(n)
+    if _hmp_cycle(n) is None:
         raise ConstructionUnavailable(
             f"no even-degree triangulation of order {n} exists"
         )
-    _check_order(n)
-    cyc = n - 2  # cycle length; the apexes are n-2 and n-1
-    p = n - 2
-    q = n - 1
-    pairs = [(i, (i + 1) % cyc) for i in range(cyc)]
-    faces: List[Triangle] = []
+    p, q = n - 2, n - 1  # the apexes; the ring 0..p-1 has length p
     if n % 2 == 0:
-        for i in range(cyc):
-            pairs.append((i, p))
-            pairs.append((i, q))
-        for i in range(cyc):
-            ni = (i + 1) % cyc
-            faces.append(triangle(i, ni, p))
-            faces.append(triangle(i, ni, q))
+        faces = [(i, (i + 1) % p, x) for i in range(p) for x in (p, q)]
+        cert = [(i, (i + 1) % p, (p, q)[i % 2]) for i in range(p)]
     else:
-        pairs.append((0, 2))
-        pairs.append((0, p))
-        for i in range(2, cyc):
-            pairs.append((i, p))
-        pairs.extend([(1, cyc - 1), (1, 3), (3, cyc - 1)])
-        for i in range(3, cyc):
-            pairs.append((i, q))
-        faces.append(triangle(0, 1, 2))
-        faces.append(triangle(0, 2, p))
-        for i in range(2, cyc - 1):
-            faces.append(triangle(i, i + 1, p))
-        faces.append(triangle(cyc - 1, 0, p))
-        faces.append(triangle(0, 1, cyc - 1))
-        faces.append(triangle(1, 2, 3))
-        faces.append(triangle(1, 3, cyc - 1))
-        for i in range(3, cyc - 1):
-            faces.append(triangle(i, i + 1, q))
-        faces.append(triangle(3, cyc - 1, q))
+        ring = [(i, i + 1, p) for i in range(2, p - 1)]
+        band = [(i, i + 1, q) for i in range(3, p - 1)]
+        faces = [(0, 1, 2), (0, 2, p), *ring, (p - 1, 0, p), (0, 1, p - 1), (1, 2, 3),
+                 (1, 3, p - 1), *band, (3, p - 1, q)]
+        cert = [(0, 1, 2), *ring[::2], (p - 1, 0, p), (1, 3, p - 1), *band[::2]]
+    tris = {t: triangle(*t) for t in faces}  # keyed by triple for the certificate
     return ConstructionResult(
         family="hmp",
         parameters={"n": n},
-        graph=Multigraph.from_edges(n, pairs),
+        graph=Multigraph(n, dict.fromkeys((e for t in tris.values() for e in t.edges()), 1)),
         augmentation=Augmentation(()),
-        certificate=Decomposition(tuple(_face_colour_class(faces))),
+        certificate=Decomposition(tris[t] for t in cert),
         claimed_epsilon=0,
-        faces=tuple(faces),
+        faces=tuple(tris.values()),
     )
-
-
-def _face_colour_class(faces: List[Triangle]) -> List[Triangle]:
-    """The faces coloured like faces[0] when faces sharing an edge differ.
-
-    The faces of an even plane triangulation 2-colour (Heawood), and each
-    colour class covers every edge exactly once.
-    """
-    on_edge: Dict[Tuple[int, int], List[int]] = {}
-    for i, (a, b, c) in enumerate(faces):
-        for e in ((a, b), (a, c), (b, c)):
-            on_edge.setdefault(e, []).append(i)
-    colour: List[Optional[int]] = [None] * len(faces)
-    colour[0] = 0
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        a, b, c = faces[i]
-        for e in ((a, b), (a, c), (b, c)):
-            for j in on_edge[e]:
-                if colour[j] is None:
-                    colour[j] = 1 - colour[i]
-                    stack.append(j)
-    return [t for t, k in zip(faces, colour) if k == 0]
 
 
 def _insert_between(succ: List[int], u: int, v: int, w: int) -> None:
@@ -376,59 +340,32 @@ def sc2_tree_seed(residue: int) -> ConstructionResult:
 def sc3_construct(n: int) -> ConstructionResult:
     """A 3-tree-like graph of order n whose augmentation count is exactly 3.
 
-    A K4 extended by a chain of degree-mostly-4 vertices each adjacent to
-    the two hubs; whatever the order, three added copies (never fewer) make
-    it decomposable.
+    A K4 on 0..3 and a chain 3, 4, ..., n-1 whose vertices from 4 on are
+    adjacent to the two hubs 1 and 2.  For n >= 5 one rule certifies it:
+    (0, 1, 2), (0, 1, 3), (1, 2, n-1) and the chain triangles (h, a, a+1)
+    for a = 3..n-2, on hub h(a) = 2 for odd a and 1 for even a.  They cover
+    (0, 1), (1, 2) and (h(n-2), n-1) twice, and whatever the order, those
+    three added copies (never fewer) make it decomposable.
     """
     if n < 4:
         raise DomainError(f"order must be >= 4, got {n}")
     _check_order(n)
-    k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     if n == 4:
-        adds = [edge(0, 1), edge(0, 2), edge(0, 3)]
-        cert = [triangle(0, 1, 2), triangle(0, 1, 3), triangle(0, 2, 3)]
-        g = Multigraph.from_edges(4, k4)
-    elif n == 5:
-        adds = [edge(0, 1), edge(1, 2), edge(2, 4)]
-        cert = [
-            triangle(0, 1, 2),
-            triangle(0, 1, 3),
-            triangle(1, 2, 4),
-            triangle(2, 3, 4),
-        ]
-        g = Multigraph.from_edges(5, k4 + [(1, 4), (2, 4), (3, 4)])
+        adds = [(0, 1), (0, 2), (0, 3)]
+        cert = [(0, 1, 2), (0, 1, 3), (0, 2, 3)]
     else:
-        chain = n - 5  # vertices past the first five
-        last = 4 + chain
-        pairs = k4 + [(1, 4), (2, 4), (3, 4)]
-        for j in range(1, chain + 1):
-            a = 4 + j
-            pairs.extend([(a - 1, a), (1, a), (2, a)])
-        g = Multigraph.from_edges(n, pairs)
-        cert = [triangle(0, 1, 3), triangle(0, 1, 2), triangle(1, 2, last)]
-        if chain % 2 == 0:
-            adds = [edge(0, 1), edge(1, 2), edge(2, last)]
-            cert.append(triangle(2, last, last - 1))
-            for j in range(1, (chain - 2) // 2 + 1):
-                cert.append(triangle(1, 4 + 2 * j, 5 + 2 * j))
-                cert.append(triangle(2, 3 + 2 * j, 4 + 2 * j))
-        else:
-            adds = [edge(0, 1), edge(1, 2), edge(1, last)]
-            if chain >= 3:
-                cert.append(triangle(1, last, last - 1))
-            for j in range(2, chain - 1):
-                hub = 1 if j % 2 == 0 else 2
-                cert.append(triangle(hub, 4 + j, 5 + j))
-            if chain >= 3:
-                cert.append(triangle(2, 5, 6))
-        cert.append(triangle(1, 4, 5))
-        cert.append(triangle(2, 3, 4))
+        for a in range(4, n):
+            pairs += [(a - 1, a), (1, a), (2, a)]
+        adds = [(0, 1), (1, 2), (1 + n % 2, n - 1)]
+        cert = [(0, 1, 2), (0, 1, 3), (1, 2, n - 1)]
+        cert += [(1 + a % 2, a, a + 1) for a in range(3, n - 1)]
     return ConstructionResult(
         family="sc3",
         parameters={"n": n},
-        graph=g,
-        augmentation=Augmentation(tuple(adds)),
-        certificate=Decomposition(tuple(cert)),
+        graph=Multigraph.from_edges(n, pairs),
+        augmentation=Augmentation(tuple(edge(u, v) for u, v in adds)),
+        certificate=Decomposition(triangle(*t) for t in cert),
         claimed_epsilon=3,
     )
 

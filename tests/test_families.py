@@ -13,6 +13,8 @@ from tridecomp import (
     DomainError,
     InvariantViolation,
     NotAFixture,
+    ORDER_LIMIT,
+    ScaleLimit,
     apply_augmentation,
     complete_graph,
     degree_sequence,
@@ -164,6 +166,14 @@ def test_intermediate_family_spans_the_ladder():
         intermediate(2, 0)
 
 
+def _printed_digest(members):
+    """One sha256 over the envelopes as ``construct`` prints them."""
+    digest = hashlib.sha256()
+    for res in members:
+        digest.update((json.dumps(res.to_json_dict(), indent=2) + "\n").encode())
+    return digest.hexdigest()
+
+
 def test_triangulated_cycle_envelopes_are_byte_pinned():
     # One digest over the printed envelopes of the triangulated-cycle ladder
     # and its kop and seed relatives, recorded before their builders shared
@@ -172,11 +182,8 @@ def test_triangulated_cycle_envelopes_are_byte_pinned():
     members += [intermediate(n, r) for n in range(3, 61) for r in range((n - 3) // 3 + 1)]
     members += [kop_construct(m, k) for m in range(3, 13) for k in range(1, 4)]
     members += [sc2_tree_seed(1), sc2_tree_seed(2)]
-    digest = hashlib.sha256()
-    for res in members:
-        digest.update((json.dumps(res.to_json_dict(), indent=2) + "\n").encode())
     assert len(members) == 738
-    assert digest.hexdigest() == "cbbbc0c492ebd10c6512147fbbf757d15b8b2f9fada50189ed4ec90abd24fd52"
+    assert _printed_digest(members) == "cbbbc0c492ebd10c6512147fbbf757d15b8b2f9fada50189ed4ec90abd24fd52"
 
 
 def test_intermediate_claim_is_exact():
@@ -244,6 +251,8 @@ def test_hmp_family():
     for n in [4, 5, 7]:
         with pytest.raises(ConstructionUnavailable):
             hmp_construct(n)
+    with pytest.raises(ScaleLimit):
+        hmp_construct(ORDER_LIMIT + 2)
 
 
 def test_verify_checks_the_hmp_cycle_of_the_order():
@@ -321,6 +330,16 @@ def test_sc3_claim_is_exact():
         res = sc3_construct(n)
         assert epsilon_exact(res.graph)[0] == 3
         assert oracle_parity_bound(res.graph)[2] == 3
+
+
+def test_hmp_and_sc3_envelopes_are_byte_pinned():
+    # One digest over the printed hmp and sc3 envelopes, recorded before
+    # each family was reduced to one rule (a face list for hmp, a chain rule
+    # for sc3), so any change to a printed byte shows here.
+    members = [hmp_construct(n) for n in [6, *range(8, 151)]]
+    members += [sc3_construct(n) for n in range(4, 151)]
+    assert len(members) == 291
+    assert _printed_digest(members) == "178b25edb9797812e1b795245880eca3275052aa0da065e0faa9a42423a1b2ea"
 
 
 def test_sf_fixtures():
