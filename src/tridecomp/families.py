@@ -15,10 +15,11 @@ chords it covers twice take the added copies.  An even planar
 triangulation (hmp) is its face list: the graph is the union of the faces'
 edges and the certificate the colour class of the first face in the faces'
 2-colouring.  The sc3 graphs are a K4 with a chain on two hubs, and one
-chain rule gives the certificate of every order from 5 on.  Every
-constructor runs in time linear in its output, up to a logarithmic
-factor, except ``sf_fixture``, which finds its certificate with the cover
-search (``find_decomposition``, under ``STEP_LIMIT``).
+chain rule gives the certificate of every order from 5 on.  The sc2 2-trees
+are one closed-form round rule, and each toroidal fixture is read off its
+rotation system.  Every constructor runs in time linear in its output,
+except ``sf_fixture``, which finds its certificate with the cover search
+(``find_decomposition``, under ``STEP_LIMIT``).
 
 validate_construction runs the envelope's core checks (augmentation count,
 divisibility residue, certificate coverage) and raises on the first
@@ -43,6 +44,7 @@ from .graph_core import (
     NotAFixture,
     Triangle,
     _check_order,
+    _shown,
     apply_augmentation,
     edge,
     triangle,
@@ -54,6 +56,15 @@ def validate_construction(result: ConstructionResult) -> None:
     for ok, message in _core_checks(result):
         if not ok:
             raise InvariantViolation(message)
+
+
+def _check_int(x, name: str = "order") -> None:
+    """Refuse x with DomainError unless it is an integer.
+
+    type() rather than isinstance(), as in graph_core._json_rows: True is no order.
+    """
+    if type(x) is not int:
+        raise DomainError(f"{name} must be an integer, got {_shown(x)}")
 
 
 # Certificates of small polygon triangulations, as polygon positions.  The
@@ -153,6 +164,7 @@ def _fanned_cycle(family: str, parameters: dict, cyc: List[int], f: int) -> Cons
 
 def mop_construct(n: int) -> ConstructionResult:
     """A triangulated n-cycle whose augmentation count is n mod 3."""
+    _check_int(n)
     if n < 3:
         raise DomainError(f"order must be >= 3, got {n}")
     _check_order(n)
@@ -165,6 +177,7 @@ def fan(n: int) -> ConstructionResult:
     Doubling all n-3 chords is unavoidable for this graph, which makes the
     fan the extremal triangulated cycle under the one-copy-per-edge cap.
     """
+    _check_int(n)
     if n < 3:
         raise DomainError(f"order must be >= 3, got {n}")
     _check_order(n)
@@ -179,6 +192,8 @@ def intermediate(n: int, r: int) -> ConstructionResult:
     economical triangulation) to the largest r with (n mod 3) + 3r <= n-3
     (the fan).
     """
+    _check_int(n)
+    _check_int(r, "fan rounds")
     if n < 3:
         raise DomainError(f"order must be >= 3, got {n}")
     if r < 0:
@@ -200,6 +215,8 @@ def kop_construct(m: int, k: int) -> ConstructionResult:
     regardless of k, and deleting the outermost layer leaves the k-1 layer
     graph on the same labels.
     """
+    _check_int(m, "cycle length")
+    _check_int(k, "layer count")
     if m < 3:
         raise DomainError(f"cycle length must be >= 3, got {m}")
     if k < 1:
@@ -244,6 +261,7 @@ def hmp_construct(n: int) -> ConstructionResult:
     derives from n, so a change to this layout must keep that cycle in the
     graph.
     """
+    _check_int(n)
     _check_order(n)
     if _hmp_cycle(n) is None:
         raise ConstructionUnavailable(
@@ -271,49 +289,35 @@ def hmp_construct(n: int) -> ConstructionResult:
     )
 
 
-def _insert_between(succ: List[int], u: int, v: int, w: int) -> None:
-    """Put w between u and v, adjacent in either direction on the successor map succ."""
-    if succ[v] == u:
-        u, v = v, u
-    elif succ[u] != v:
-        raise InvariantViolation(f"{u} and {v} are not adjacent on the boundary")
-    succ[u], succ[w] = w, v
-
-
 def sc2_tree_construct(n: int) -> ConstructionResult:
     """A 2-tree of order n (a multiple of 3) decomposable with no additions.
 
-    Grown from a triangle in rounds of three vertices: a new vertex over the
-    least fresh boundary edge, then one more over each of the two edges
-    that created, yielding two certificate triangles per round and leaving
-    every edge covered exactly once.  The boundary is a successor map and
-    the fresh boundary edges a heap, so a round costs O(log n); the outer
-    cycle is read off the map from vertex 0.
+    Grown from the triangle (0, 1, 2) in rounds w = 3, 6, ..., n - 3: w goes
+    on the edge (0, b), w + 1 on (0, w) and w + 2 on (b, w), where b = 1 for
+    w = 3, b = 2 for w = 6 and b = w - 5 from w = 9 on.  That is the least
+    boundary edge not yet built on, since the edges at 0 are the least and
+    the fresh ones at round w are (0, w - 5) and (0, w - 2).  The
+    certificate is (0, 1, 2) and, per round, (0, w, w + 1) and (b, w, w + 2),
+    covering every edge once.  The outer cycle is 0; then the rounds with
+    w mod 6 = 3, last round first, each as w + 1, w, w + 2; then 1, 2; then
+    the rounds with w mod 6 = 0, first round first, each as w + 2, w, w + 1.
     """
-    import heapq  # loaded only by the one constructor that uses it
-
+    _check_int(n)
     if n < 3 or n % 3 != 0:
         raise DomainError(f"order must be a positive multiple of 3, got {n}")
     _check_order(n)
-    pairs: List[Tuple[int, int]] = [(0, 1), (1, 2), (0, 2)]
+    pairs = [(0, 1), (1, 2), (0, 2)]
     cert = [triangle(0, 1, 2)]
-    succ = [1, 2, 0] + [0] * (n - 3)
-    # Every boundary edge is fresh: a round takes its base edge and the two
-    # edges it creates off the boundary.  Each pair is (smaller, larger).
-    fresh = [(0, 1), (0, 2), (1, 2)]
     for w in range(3, n, 3):
-        x, y = w + 1, w + 2
-        a, b = heapq.heappop(fresh)
-        pairs.extend([(a, w), (b, w), (a, x), (w, x), (b, y), (w, y)])
-        cert += [triangle(a, w, x), triangle(b, w, y)]
-        _insert_between(succ, a, b, w)
-        _insert_between(succ, a, w, x)
-        _insert_between(succ, w, b, y)
-        for pair in ((a, x), (w, x), (b, y), (w, y)):
-            heapq.heappush(fresh, pair)
+        b = w - 5 if w > 6 else w // 3
+        pairs += [(0, w), (b, w), (0, w + 1), (w, w + 1), (b, w + 2), (w, w + 2)]
+        cert += [triangle(0, w, w + 1), triangle(b, w, w + 2)]
     outer = [0]
-    for _ in range(n - 1):
-        outer.append(succ[outer[-1]])
+    for w in reversed(range(3, n, 6)):
+        outer += [w + 1, w, w + 2]
+    outer += [1, 2]
+    for w in range(6, n, 6):
+        outer += [w + 2, w, w + 1]
     return ConstructionResult(
         family="sc2tree",
         parameters={"n": n},
@@ -332,6 +336,7 @@ _SC2_SEEDS = {1: [0, 1, 3, 2], 2: [0, 1, 3, 4, 2]}
 
 def sc2_tree_seed(residue: int) -> ConstructionResult:
     """Smallest 2-trees of order 1 or 2 mod 3 with their minimum additions."""
+    _check_int(residue, "seed residue")
     if residue not in _SC2_SEEDS:
         raise DomainError(f"seed residue must be 1 or 2, got {residue}")
     return _fanned_cycle("sc2seed", {"residue": residue}, _SC2_SEEDS[residue], 0)
@@ -347,6 +352,7 @@ def sc3_construct(n: int) -> ConstructionResult:
     (0, 1), (1, 2) and (h(n-2), n-1) twice, and whatever the order, those
     three added copies (never fewer) make it decomposable.
     """
+    _check_int(n)
     if n < 4:
         raise DomainError(f"order must be >= 4, got {n}")
     _check_order(n)
@@ -370,25 +376,8 @@ def sc3_construct(n: int) -> ConstructionResult:
     )
 
 
-# Stored toroidal fixtures: simple edge list, minimum additions from the
-# drawing, and the genus-1 rotation system of the simple graph.
-_SF_EDGES: Dict[int, List[Tuple[int, int]]] = {
-    7: [
-        (0, 2), (2, 3), (0, 3), (0, 1), (1, 4), (4, 6), (5, 6), (2, 5),
-        (0, 6), (1, 6), (2, 6), (0, 5), (4, 5), (1, 2), (1, 5), (2, 4), (0, 4),
-    ],
-    8: [
-        (1, 4), (0, 1), (0, 2), (2, 5), (5, 6), (6, 7), (4, 7), (3, 4), (3, 7),
-        (1, 5), (5, 7), (0, 5), (4, 5), (0, 6), (1, 6), (1, 7), (2, 7), (2, 4), (0, 4),
-    ],
-    9: [
-        (0, 1), (1, 2), (2, 3), (3, 8), (7, 8), (6, 7), (3, 6), (0, 3),
-        (0, 4), (4, 6), (5, 8), (3, 5),
-        (3, 4), (0, 6), (1, 7), (1, 6), (2, 7),
-        (6, 8), (0, 2), (0, 8), (2, 8),
-    ],
-}
-
+# Stored toroidal fixtures: minimum additions from the drawing, and the
+# genus-1 rotation system of the simple graph, which also gives its edges.
 _SF_AUG: Dict[int, List[Tuple[int, int]]] = {
     7: [(0, 6), (0, 5), (4, 5), (1, 5)],
     8: [(0, 6), (1, 6)],
@@ -433,23 +422,21 @@ def sf_fixture(n: int) -> ConstructionResult:
     """A stored toroidal graph with its drawn additions and rotation system.
 
     Available for orders 7, 8 and 9; the rotation system embeds the simple
-    graph on the torus with one face visiting every vertex.
+    graph on the torus with one face visiting every vertex, and the graph
+    is read off it, each edge {v, u} with v < u taken at v.
     """
-    if n not in _SF_EDGES:
+    _check_int(n)
+    if n not in _SF_ROTATIONS:
         raise NotAFixture(f"no stored toroidal fixture of order {n}")
-    g = Multigraph.from_edges(n, _SF_EDGES[n])
+    rot = _SF_ROTATIONS[n]
+    g = Multigraph.from_edges(n, [(v, u) for v in range(n) for u in rot[v] if v < u])
     aug = Augmentation(tuple(edge(u, v) for u, v in _SF_AUG[n]))
     cert = find_decomposition(apply_augmentation(g, aug))
     if cert is None:
         raise InvariantViolation(f"order-{n} fixture augmentation failed to decompose")
     from .analysis import RotationSystem
 
-    rotation = RotationSystem(
-        n,
-        tuple(
-            tuple((nbr, 0) for nbr in _SF_ROTATIONS[n][v]) for v in range(n)
-        ),
-    )
+    rotation = RotationSystem(n, tuple(tuple((u, 0) for u in rot[v]) for v in range(n)))
     return ConstructionResult(
         family="sf",
         parameters={"n": n},

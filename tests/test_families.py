@@ -342,6 +342,39 @@ def test_hmp_and_sc3_envelopes_are_byte_pinned():
     assert _printed_digest(members) == "178b25edb9797812e1b795245880eca3275052aa0da065e0faa9a42423a1b2ea"
 
 
+def test_sc2tree_and_sf_envelopes_are_byte_pinned():
+    # One digest over printed sc2tree envelopes past the oracle test's range
+    # and the three sf fixtures, recorded before sc2tree lost its boundary
+    # heap and sf its edge list next to the rotation system.
+    members = [sc2_tree_construct(n) for n in range(603, 1144, 60)]
+    members += [sf_fixture(n) for n in (7, 8, 9)]
+    assert len(members) == 13
+    assert _printed_digest(members) == "481ee5b2c88291841dac5490ccb9cc5263432fa78bbb8e2190d2a6bf7c8a0e00"
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (intermediate, (6, True)),
+        (intermediate, (6, False)),
+        (kop_construct, (4, True)),
+        (sc2_tree_seed, (True,)),
+        (sf_fixture, (7.0,)),
+        (sc2_tree_construct, (6.0,)),
+        (hmp_construct, (8.0,)),
+        (kop_construct, (4, 1.0)),
+        (mop_construct, (6.0,)),
+        (fan, (6.0,)),
+        (sc3_construct, (6.0,)),
+    ],
+)
+def test_constructors_refuse_parameters_that_are_not_integers(build, args):
+    # A bool would print as JSON true/false, which verify refuses; a float
+    # would end in a TypeError.  Both are DomainError at the call.
+    with pytest.raises(DomainError, match="must be an integer"):
+        build(*args)
+
+
 def test_sf_fixtures():
     sizes = {7: 17, 8: 19, 9: 21}
     augs = {7: 4, 8: 2, 9: 6}
