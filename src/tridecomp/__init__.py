@@ -21,12 +21,10 @@ _EXPORTS = {
     "RotationSystem": "analysis",
     "is_eulerian": "analysis",
     "is_maximal_outerplanar": "analysis",
-    "is_strongly_k3_divisible": "analysis",
     "trace_faces": "analysis",
     "epsilon_exact": "augment",
     "Decomposition": "decomposer",
     "RejectReason": "decomposer",
-    "check_decomposition": "decomposer",
     "coverage_error": "decomposer",
     "enumerate_triangles": "decomposer",
     "fast_reject": "decomposer",
@@ -59,8 +57,6 @@ _EXPORTS = {
     "Triangle": "graph_core",
     "TridecompError": "graph_core",
     "apply_augmentation": "graph_core",
-    "complete_graph": "graph_core",
-    "cycle_graph": "graph_core",
     "degree_sequence": "graph_core",
     "edge": "graph_core",
     "triangle": "graph_core",

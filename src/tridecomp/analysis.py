@@ -1,12 +1,11 @@
-"""Structural predicates, necessary conditions and embedding face tracing.
+"""Structural predicates and embedding face tracing.
 
-The conditions on a graph are here together: is_eulerian (every degree even,
-one edge component) and is_strongly_k3_divisible (also size divisible by 3
-and every edge on a triangle).  Each check has one copy: degree, size and
-triangle conditions in ``decomposer.fast_reject``, which is imported only
-where it is used so that ``faces`` loads no solver, chord crossings in
-``graph_core``, and one connectivity walk, _edges_connected, here.  Every
-function here runs in polynomial time; none searches.
+The structural predicates are is_eulerian (every degree even, one edge
+component) and is_maximal_outerplanar.  Each check has one copy: the
+degree, size and triangle conditions of a decomposition in
+``decomposer.fast_reject``, which this module does not import, chord
+crossings in ``graph_core``, and one connectivity walk, _edges_connected,
+here.  Every function here runs in polynomial time; none searches.
 
 A rotation system lists, for every vertex, the cyclic order of its incident
 edge ends as (neighbor, copy index) pairs.  Tracing: after arriving at v
@@ -23,6 +22,7 @@ from typing import Dict, List, Sequence, Tuple
 from .graph_core import (
     DomainError,
     Multigraph,
+    _check_int,
     _crossing_chords,
     _json_rows,
     _shown,
@@ -39,6 +39,7 @@ class RotationSystem(namedtuple("RotationSystem", "order rotations")):
     def __new__(
         cls, order: int, rotations: Tuple[Tuple[Tuple[int, int], ...], ...]
     ) -> "RotationSystem":
+        _check_int(order)
         if order < 0:
             raise DomainError(f"order must be >= 0, got {order}")
         if len(rotations) != order:
@@ -186,13 +187,6 @@ def is_eulerian(g: Multigraph) -> bool:
     allowed; a graph with no edges counts as Eulerian).
     """
     return all(d % 2 == 0 for d in degree_sequence(g)) and _edges_connected(g.adjacency())
-
-
-def is_strongly_k3_divisible(g: Multigraph) -> bool:
-    """Eulerian, size divisible by 3, and every edge on a triangle."""
-    from .decomposer import fast_reject
-
-    return fast_reject(g) is None and _edges_connected(g.adjacency())
 
 
 def is_maximal_outerplanar(g: Multigraph, outer: Sequence[int]) -> bool:

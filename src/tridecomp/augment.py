@@ -26,6 +26,7 @@ from .graph_core import (
     EdgeKey,
     EdgeNotOnTriangle,
     Multigraph,
+    _check_int,
 )
 
 
@@ -73,8 +74,10 @@ def epsilon_exact(
     if off is not None:
         raise EdgeNotOnTriangle(off)
     cap = max_copies_per_edge
-    if cap is not None and cap < 0:
-        raise DomainError(f"max_copies_per_edge must be >= 0, got {cap}")
+    if cap is not None:
+        _check_int(cap, "max_copies_per_edge")
+        if cap < 0:
+            raise DomainError(f"max_copies_per_edge must be >= 0, got {cap}")
     hit = _least_level(g, cap)
     if hit is None:  # only a cap can stop the climb without a hit
         raise CapInfeasible(f"no augmentation with at most {cap} extra copies per edge works")

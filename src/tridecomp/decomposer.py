@@ -102,37 +102,33 @@ def enumerate_triangles(g: Multigraph) -> List[Triangle]:
     return out
 
 
-def check_decomposition(g: Multigraph, d: Decomposition) -> bool:
-    """True iff d covers every edge exactly multiplicity times and nothing else."""
-    return coverage_error(g, d) is None
-
-
 def coverage_error(g: Multigraph, d: Decomposition) -> Optional[Tuple[str, EdgeKey]]:
     """First coverage defect as (kind, edge), or None if the certificate is valid.
 
     kind is "undercovered", "overcovered", or "notanedge"; the defect with the
-    lexicographically least edge is reported.
+    lexicographically least edge is reported.  One pass counts the plain
+    vertex pairs of the triangles, and the edges of g are scanned for one
+    that no triangle meets only when some edge was not met.
     """
-    counts: Dict[EdgeKey, int] = {}
-    for t in d.triangles:
-        for e in t.edges():
-            counts[e] = counts.get(e, 0) + 1
-    defects: List[Tuple[EdgeKey, str]] = []
-    for e, c in counts.items():
-        m = g.multiplicity(e)
-        if e.v >= g.order or m == 0:
-            defects.append((e, "notanedge"))
-        elif c > m:
-            defects.append((e, "overcovered"))
-        elif c < m:
-            defects.append((e, "undercovered"))
-    for e in g.edges():
-        if e not in counts:
-            defects.append((e, "undercovered"))
+    counts: Dict[Tuple[int, int], int] = {}
+    for a, b, c in d.triangles:
+        for pair in ((a, b), (a, c), (b, c)):
+            counts[pair] = counts.get(pair, 0) + 1
+    mult = g._mult  # EdgeKey hashes and compares as its (u, v) tuple
+    defects = []
+    met = 0  # edges of g that some triangle covers
+    for pair, c in counts.items():
+        m = mult.get(pair, 0)
+        met += m > 0
+        if c != m:
+            kind = "notanedge" if m == 0 else "overcovered" if c > m else "undercovered"
+            defects.append((pair, kind))
+    if met < len(mult):
+        defects.extend((e, "undercovered") for e in mult if e not in counts)
     if not defects:
         return None
-    e, kind = min(defects)
-    return (kind, e)
+    (u, v), kind = min(defects)
+    return (kind, EdgeKey(u, v))
 
 
 def fast_reject(g: Multigraph) -> Optional[RejectReason]:

@@ -43,8 +43,8 @@ from .graph_core import (
     Multigraph,
     NotAFixture,
     Triangle,
+    _check_int,
     _check_order,
-    _shown,
     apply_augmentation,
     edge,
     triangle,
@@ -56,15 +56,6 @@ def validate_construction(result: ConstructionResult) -> None:
     for ok, message in _core_checks(result):
         if not ok:
             raise InvariantViolation(message)
-
-
-def _check_int(x, name: str = "order") -> None:
-    """Refuse x with DomainError unless it is an integer.
-
-    type() rather than isinstance(), as in graph_core._json_rows: True is no order.
-    """
-    if type(x) is not int:
-        raise DomainError(f"{name} must be an integer, got {_shown(x)}")
 
 
 # Certificates of small polygon triangulations, as polygon positions.  The

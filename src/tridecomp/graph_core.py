@@ -8,7 +8,8 @@ lexicographically so that every consumer sees a deterministic order.
 graph, an augmentation, a triangle list, a rotation or an outer cycle
 passes its list through it, and checks only ranges and meaning itself.
 Its messages, and every other reader's, show an input value through
-``_shown``, so a bad container is not printed back whole.
+``_shown``, so a bad container is not printed back whole.  ``_check_int``
+is the one integer check of an order or a count passed in by a caller.
 
 The two ceilings live here too: ORDER_LIMIT on the vertex count of a
 graph, and STEP_LIMIT on the steps of every exhaustive search, whose
@@ -118,6 +119,16 @@ def _step_limit(what: str) -> ScaleLimit:
     return ScaleLimit(f"{what} exceeds the ceiling of {STEP_LIMIT} steps")
 
 
+def _check_int(x, name: str = "order") -> None:
+    """Refuse x with DomainError unless it is an integer.
+
+    type() rather than isinstance(), as in _json_rows: True is no order.
+    Every public entry point that takes a count or an order starts here.
+    """
+    if type(x) is not int:
+        raise DomainError(f"{name} must be an integer, got {_shown(x)}")
+
+
 def _check_multiplicity(e: "EdgeKey", m) -> None:
     """Refuse m with DomainError unless it is an integer >= 1.
 
@@ -144,7 +155,7 @@ class EdgeKey(namedtuple("EdgeKey", "u v")):
     __slots__ = ()
 
     def __new__(cls, u: int, v: int) -> "EdgeKey":
-        if not (isinstance(u, int) and isinstance(v, int)):
+        if not (type(u) is int and type(v) is int):
             raise DomainError(f"edge endpoints must be integers, got ({u!r}, {v!r})")
         if u < 0:
             raise DomainError(f"negative vertex {u}")
@@ -169,7 +180,7 @@ class Triangle(namedtuple("Triangle", "a b c")):
     __slots__ = ()
 
     def __new__(cls, a: int, b: int, c: int) -> "Triangle":
-        if not (isinstance(a, int) and isinstance(b, int) and isinstance(c, int)):
+        if not (type(a) is int and type(b) is int and type(c) is int):
             raise DomainError(f"triangle vertices must be integers, got ({a!r}, {b!r}, {c!r})")
         if not (0 <= a < b < c):
             raise DomainError(f"triangle vertices must satisfy 0 <= a < b < c, got ({a}, {b}, {c})")
@@ -203,6 +214,7 @@ class Multigraph:
     __slots__ = ("order", "_mult")
 
     def __init__(self, order: int, multiplicities: Optional[Dict[EdgeKey, int]] = None):
+        _check_int(order)
         if order < 0:
             raise DomainError(f"order must be nonnegative, got {order}")
         _check_order(order)
@@ -250,18 +262,8 @@ class Multigraph:
         """Total number of edge copies."""
         return sum(self._mult.values())
 
-    def simple_size(self) -> int:
-        """Number of distinct present edges."""
-        return len(self._mult)
-
     def is_simple(self) -> bool:
         return all(m == 1 for m in self._mult.values())
-
-    def neighbors(self, v: int) -> List[int]:
-        """Distinct adjacent vertices, sorted."""
-        if not (0 <= v < self.order):
-            raise DomainError(f"vertex {v} out of range for order {self.order}")
-        return self.adjacency()[v]
 
     def adjacency(self) -> List[List[int]]:
         """Neighbor lists for all vertices at once (sorted per vertex)."""
@@ -291,8 +293,7 @@ class Multigraph:
         if not isinstance(data, dict) or "order" not in data or "edges" not in data:
             raise DomainError("graph JSON must have 'order' and 'edges' fields")
         order = data["order"]
-        if type(order) is not int:
-            raise DomainError(f"graph order must be an integer, got {_shown(order)}")
+        _check_int(order, "graph order")
         rows = _json_rows(data["edges"], 3, "graph 'edges'")
         mult = {edge(u, v): m for u, v, m in rows}
         if len(mult) < len(rows):
@@ -399,12 +400,3 @@ def degree_sequence(g: Multigraph) -> List[int]:
         deg[e.v] += m
     return deg
 
-
-def complete_graph(n: int) -> Multigraph:
-    return Multigraph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def cycle_graph(n: int) -> Multigraph:
-    if n < 3:
-        raise DomainError(f"a cycle needs at least 3 vertices, got {n}")
-    return Multigraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])

@@ -16,7 +16,7 @@ from collections import namedtuple
 from typing import Iterable, List, Optional, Tuple
 
 from .augment import _least_level
-from .graph_core import DomainError, EdgeKey, Multigraph, ScaleLimit, _crossing_chords
+from .graph_core import DomainError, EdgeKey, Multigraph, ScaleLimit, _check_int, _crossing_chords
 
 # Default order ceiling for the class sweeps when the caller gives none.
 DEFAULT_SWEEP_CEILING = 12
@@ -32,6 +32,7 @@ class MopCode(namedtuple("MopCode", "order chords")):
     __slots__ = ()
 
     def __new__(cls, order: int, chords: Iterable[EdgeKey]) -> "MopCode":
+        _check_int(order)
         chords = tuple(sorted(chords))
         n = order
         if n < 3:
@@ -68,6 +69,7 @@ class MopCode(namedtuple("MopCode", "order chords")):
 
 def enumerate_mops(n: int) -> List[MopCode]:
     """Every triangulation of the labelled n-cycle, sorted by chord set."""
+    _check_int(n)
     if n < 3:
         raise DomainError(f"order must be >= 3, got {n}")
 
@@ -97,6 +99,15 @@ def enumerate_mops(n: int) -> List[MopCode]:
     return codes
 
 
+def _check_sweep_order(n: int, ceiling: Optional[int]) -> None:
+    """Refuse a non-integer order or ceiling with DomainError, an order above it with ScaleLimit."""
+    _check_int(n)
+    if ceiling is not None:
+        _check_int(ceiling, "sweep ceiling")
+        if n > ceiling:
+            raise ScaleLimit(f"order {n} exceeds the sweep ceiling {ceiling}")
+
+
 def epsilon_class_exact(n: int, ceiling: Optional[int] = None) -> Tuple[int, MopCode]:
     """Least augmentation count over all order-n triangulated cycles.
 
@@ -105,8 +116,7 @@ def epsilon_class_exact(n: int, ceiling: Optional[int] = None) -> Tuple[int, Mop
     first graph that hits the class residue n mod 3 (the residue of the
     shared size 2n - 3), below which no level exists.
     """
-    if ceiling is not None and n > ceiling:
-        raise ScaleLimit(f"order {n} exceeds the sweep ceiling {ceiling}")
+    _check_sweep_order(n, ceiling)
     best = None
     for code in enumerate_mops(n):
         hit = _least_level(code.graph(), None, None if best is None else best[0])
@@ -125,8 +135,7 @@ def xi_class_exact(n: int, ceiling: Optional[int] = None) -> Tuple[int, MopCode]
     climbs to its own count; the greatest is witnessed by its first graph
     in chord-set order.  A graph whose climb finds no level is skipped.
     """
-    if ceiling is not None and n > ceiling:
-        raise ScaleLimit(f"order {n} exceeds the sweep ceiling {ceiling}")
+    _check_sweep_order(n, ceiling)
     best = None
     for code in enumerate_mops(n):
         hit = _least_level(code.graph(), 1)

@@ -13,7 +13,8 @@ the production code.  scan_solve is the cover search with every node's
 tests recomputed in full; it reads the triangle tables of a
 CoverInstance.  find_hamiltonian_cycle is a depth-first search for a
 Hamiltonian cycle, stopped at STEP_LIMIT passes; ``verify`` checks the
-cycle that an hmp envelope's order determines instead.  Otherwise only the
+cycle that an hmp envelope's order determines instead.  complete_graph and
+cycle_graph are the test fixtures K_n and C_n.  Otherwise only the
 Multigraph container is shared with the production code.
 """
 
@@ -21,7 +22,17 @@ import itertools
 from collections import deque
 from typing import List, Optional, Sequence, Tuple
 
-from tridecomp import EdgeKey, Multigraph, degree_sequence, edge, graph_core
+from tridecomp import DomainError, EdgeKey, Multigraph, degree_sequence, edge, graph_core
+
+
+def complete_graph(n: int) -> Multigraph:
+    return Multigraph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def cycle_graph(n: int) -> Multigraph:
+    if n < 3:
+        raise DomainError(f"a cycle needs at least 3 vertices, got {n}")
+    return Multigraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def oracle_triangles(g: Multigraph) -> List[Tuple[int, int, int]]:

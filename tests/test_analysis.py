@@ -11,16 +11,16 @@ from tridecomp import (
     MopCode,
     Multigraph,
     RotationSystem,
-    complete_graph,
-    cycle_graph,
     edge,
+    fast_reject,
     is_eulerian,
     is_maximal_outerplanar,
-    is_strongly_k3_divisible,
     trace_faces,
 )
 
 from oracle_helpers import (
+    complete_graph,
+    cycle_graph,
     find_hamiltonian_cycle,
     oracle_chords_cross,
     oracle_is_maximal_outerplanar,
@@ -130,16 +130,20 @@ def test_is_eulerian():
 
 
 def test_is_strongly_k3_divisible():
-    assert is_strongly_k3_divisible(complete_graph(3))
-    assert is_strongly_k3_divisible(complete_graph(7))
-    assert not is_strongly_k3_divisible(cycle_graph(6))  # no triangles
-    assert not is_strongly_k3_divisible(complete_graph(4))  # odd degrees
-    assert not is_strongly_k3_divisible(cycle_graph(5))  # size not divisible
-    doubled = Multigraph.from_edges(3, [(0, 1, 2), (0, 2, 2), (1, 2, 2)])
-    assert is_strongly_k3_divisible(doubled)
-    assert is_strongly_k3_divisible(Multigraph.from_edges(4, [(1, 2), (2, 3), (1, 3)]))
+    # Strongly K3-divisible: no cheap obstruction from fast_reject (size
+    # divisible by 3, even degrees, every edge on a triangle) and Eulerian.
+    for g in (
+        complete_graph(3),
+        complete_graph(7),
+        Multigraph.from_edges(3, [(0, 1, 2), (0, 2, 2), (1, 2, 2)]),  # doubled
+        Multigraph.from_edges(4, [(1, 2), (2, 3), (1, 3)]),
+    ):
+        assert fast_reject(g) is None and is_eulerian(g)
+    assert fast_reject(cycle_graph(6)) is not None  # no triangles
+    assert fast_reject(complete_graph(4)) is not None  # odd degrees
+    assert fast_reject(cycle_graph(5)) is not None  # size not divisible
     two = Multigraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    assert not is_strongly_k3_divisible(two)  # two edge components
+    assert fast_reject(two) is None and not is_eulerian(two)  # two edge components
 
 
 def test_is_maximal_outerplanar():

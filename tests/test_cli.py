@@ -287,10 +287,10 @@ def test_decompose_hmp_1000_needs_no_recursion(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["decomposable"] is True
-    assert tridecomp.check_decomposition(
+    assert tridecomp.coverage_error(
         tridecomp.Multigraph.from_json_dict(graph),
         tridecomp.Decomposition.from_json_dict(payload["certificate"]),
-    )
+    ) is None
 
 
 def test_decompose_command(capsys, tmp_path):

@@ -10,10 +10,7 @@ from tridecomp import (
     DomainError,
     Multigraph,
     Triangle,
-    check_decomposition,
-    complete_graph,
     coverage_error,
-    cycle_graph,
     edge,
     enumerate_triangles,
     fast_reject,
@@ -22,7 +19,14 @@ from tridecomp import (
 )
 from tridecomp.decomposer import CoverInstance
 
-from oracle_helpers import oracle_decomposable, oracle_triangles, scan_solve, simple_graphs
+from oracle_helpers import (
+    complete_graph,
+    cycle_graph,
+    oracle_decomposable,
+    oracle_triangles,
+    scan_solve,
+    simple_graphs,
+)
 
 
 def test_enumerate_triangles_on_known_graphs():
@@ -74,10 +78,11 @@ def test_decomposition_json_round_trip():
 
 def test_check_decomposition_accepts_exact_cover():
     g = complete_graph(3)
-    assert check_decomposition(g, Decomposition((triangle(0, 1, 2),)))
+    assert coverage_error(g, Decomposition((triangle(0, 1, 2),))) is None
     doubled = Multigraph.from_edges(3, [(0, 1, 2), (0, 2, 2), (1, 2, 2)])
-    assert check_decomposition(doubled, Decomposition((triangle(0, 1, 2),) * 2))
-    assert not check_decomposition(doubled, Decomposition((triangle(0, 1, 2),)))
+    assert coverage_error(doubled, Decomposition((triangle(0, 1, 2),) * 2)) is None
+    assert coverage_error(doubled, Decomposition((triangle(0, 1, 2),))) == (
+        "undercovered", edge(0, 1))
 
 
 def test_coverage_error_reports_least_defective_edge():
@@ -126,7 +131,7 @@ def test_find_decomposition_on_known_positives():
     # complete graph on 7 vertices: 21 edges, 7 triangles
     d7 = find_decomposition(complete_graph(7))
     assert d7 is not None and len(d7) == 7
-    assert check_decomposition(complete_graph(7), d7)
+    assert coverage_error(complete_graph(7), d7) is None
     # octahedron: complete graph on 6 vertices minus a perfect matching
     octa = Multigraph.from_edges(
         6,
@@ -138,14 +143,14 @@ def test_find_decomposition_on_known_positives():
     )
     do = find_decomposition(octa)
     assert do is not None and len(do) == 4
-    assert check_decomposition(octa, do)
+    assert coverage_error(octa, do) is None
     # complete graph on 6 vertices plus a doubled perfect matching
     k6aug = Multigraph.from_edges(
         6, [(u, v) for u, v in combinations(range(6), 2)] + [(0, 1), (2, 3), (4, 5)]
     )
     da = find_decomposition(k6aug)
     assert da is not None and len(da) == 6
-    assert check_decomposition(k6aug, da)
+    assert coverage_error(k6aug, da) is None
 
 
 def test_find_decomposition_on_known_negatives():
@@ -280,7 +285,7 @@ def test_solver_agrees_with_oracle_on_simple_graphs():
             d = find_decomposition(g)
             assert (d is not None) == oracle_decomposable(g)
             if d is not None:
-                assert check_decomposition(g, d)
+                assert coverage_error(g, d) is None
 
 
 def test_solver_agrees_with_oracle_on_doubled_variants():
@@ -294,4 +299,4 @@ def test_solver_agrees_with_oracle_on_doubled_variants():
         d = find_decomposition(doubled)
         assert (d is not None) == oracle_decomposable(doubled)
         if d is not None:
-            assert check_decomposition(doubled, d)
+            assert coverage_error(doubled, d) is None

@@ -16,7 +16,6 @@ from tridecomp import (
     ORDER_LIMIT,
     ScaleLimit,
     apply_augmentation,
-    complete_graph,
     degree_sequence,
     edge,
     epsilon_class_exact,
@@ -39,6 +38,7 @@ from tridecomp import (
 from tridecomp import envelope
 
 from oracle_helpers import (
+    complete_graph,
     find_hamiltonian_cycle,
     oracle_parity_bound,
     oracle_sc2_tree_envelopes,

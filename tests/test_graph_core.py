@@ -5,16 +5,22 @@ import pytest
 from tridecomp import (
     DomainError,
     EdgeKey,
+    MopCode,
     Multigraph,
     ORDER_LIMIT,
+    RotationSystem,
     ScaleLimit,
     Triangle,
-    complete_graph,
-    cycle_graph,
     degree_sequence,
     edge,
+    enumerate_mops,
+    epsilon_class_exact,
+    epsilon_exact,
     triangle,
+    xi_class_exact,
 )
+
+from oracle_helpers import complete_graph, cycle_graph
 
 
 def test_edge_canonicalizes_endpoint_order():
@@ -61,7 +67,7 @@ def test_from_edges_accumulates_repeats_and_explicit_multiplicity():
     assert g.multiplicity(edge(2, 3)) == 2
     assert g.multiplicity(edge(0, 2)) == 0
     assert g.size() == 5
-    assert g.simple_size() == 2
+    assert len(g.edges()) == 2
     assert not g.is_simple()
 
 
@@ -92,6 +98,35 @@ def test_multigraph_refuses_non_integer_multiplicities(m):
         Multigraph.from_edges(3, [(0, 1), (0, 1, m)])
 
 
+_K3 = Multigraph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+_K3_ROTATIONS = (((1, 0), (2, 0)), ((2, 0), (0, 0)), ((0, 0), (1, 0)))
+
+
+# Each call names a public entry point with an order, a count or a vertex
+# that is not an int; the call is its own test id.
+@pytest.mark.parametrize("call, message", [
+    ("Multigraph(3.0)", "order must be an integer, got 3.0"),
+    ("Multigraph(True)", "order must be an integer, got True"),
+    ("Multigraph.from_edges(3.0, [(0, 1)])", "order must be an integer, got 3.0"),
+    ("epsilon_exact(_K3, 1.5)", "max_copies_per_edge must be an integer, got 1.5"),
+    ("epsilon_exact(_K3, '1')", "max_copies_per_edge must be an integer, got '1'"),
+    ("epsilon_exact(_K3, True)", "max_copies_per_edge must be an integer, got True"),
+    ("epsilon_class_exact(6.0)", "order must be an integer, got 6.0"),
+    ("epsilon_class_exact(5, 12.0)", "sweep ceiling must be an integer, got 12.0"),
+    ("xi_class_exact(True)", "order must be an integer, got True"),
+    ("xi_class_exact(5, True)", "sweep ceiling must be an integer, got True"),
+    ("enumerate_mops(6.0)", "order must be an integer, got 6.0"),
+    ("MopCode(5.0, (edge(0, 2), edge(0, 3)))", "order must be an integer, got 5.0"),
+    ("RotationSystem(3.0, _K3_ROTATIONS)", "order must be an integer, got 3.0"),
+    ("EdgeKey(True, 2)", "edge endpoints must be integers, got (True, 2)"),
+    ("Triangle(False, 1, 2)", "triangle vertices must be integers, got (False, 1, 2)"),
+])
+def test_public_entry_points_refuse_orders_and_counts_that_are_not_integers(call, message):
+    with pytest.raises(DomainError) as refused:
+        eval(call)
+    assert str(refused.value) == message
+
+
 def test_multigraph_refuses_order_above_ceiling():
     assert Multigraph(ORDER_LIMIT).order == ORDER_LIMIT
     with pytest.raises(ScaleLimit):
@@ -102,11 +137,9 @@ def test_multigraph_refuses_order_above_ceiling():
 
 def test_neighbors_and_adjacency_ignore_multiplicity():
     g = Multigraph.from_edges(5, [(0, 1, 3), (1, 2), (3, 4)])
-    assert g.neighbors(1) == [0, 2]
-    assert g.neighbors(4) == [3]
+    assert g.adjacency()[1] == [0, 2]
+    assert g.adjacency()[4] == [3]
     assert g.adjacency() == [[1], [0, 2], [1], [4], [3]]
-    with pytest.raises(DomainError):
-        g.neighbors(5)
 
 
 def test_equality_compares_order_and_multiplicities():

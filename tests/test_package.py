@@ -3,6 +3,7 @@
 import importlib
 import json
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -120,3 +121,11 @@ def test_no_module_registers_an_atexit_handler():
     assert set(tridecomp._EXPORTS.values()) | {"cli"} <= modules
     bare = _child_output("import atexit, json; print(json.dumps(atexit._ncallbacks()))")[1]
     assert _child_output(_ATEXIT)[1] == bare
+
+
+def test_every_python_block_of_the_readme_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
