@@ -7,14 +7,14 @@ augmentation search in ``augment`` widens hi.  The branch rule picks the
 edge still short of lo with the fewest triangles fitting under hi (ties
 broken by lexicographic edge order) and tries those triangles in
 lexicographic order, so the returned certificate is a pure function of the
-input.  The search keeps its node state incrementally: each chosen
-triangle lowers the least room of the triangles sharing one of its edges,
-and records them on a trail that the undo pops, so a node reads its prunes
-and its branch edge from per-edge counts instead of rescanning every
-triangle.  Each solver instance counts the triangles it chooses, and the
-edges and triangles its set-ups read, over all its searches, and gives up
-with ScaleLimit past STEP_LIMIT of either; listing more than STEP_LIMIT
-triangles is refused the same way.
+input.  The search keeps its node state incrementally: a triangle is live
+while each of its edges has room for one more covering, and a choose or
+undo that empties or refills an edge flips the triangles through it, so a
+node reads its prunes and its branch edge from per-edge counts instead of
+rescanning every triangle.  Each solver instance counts the triangles it
+chooses, and the edges and triangles its set-ups read, over all its
+searches, and gives up with ScaleLimit past STEP_LIMIT of either; listing
+more than STEP_LIMIT triangles is refused the same way.
 """
 
 from __future__ import annotations
@@ -227,19 +227,19 @@ class CoverInstance:
         search finds first.
 
         A node reads its tests from state that each choose and undo keeps
-        up to date, rather than rescanning every triangle: the least room
-        (hi minus coverage) over each triangle's edges, which is positive
-        exactly when the triangle fits; per edge, the number of fitting
-        triangles through it; the short edges in ascending order; and the
-        parity of each vertex's total shortfall, with the count of odd
-        ones, kept only while coverings beyond lo remain to place (never
-        in an exact cover).  Choosing a triangle lowers the room of its
-        three edges, and every triangle through them whose least room
-        drops goes on a trail; undoing it pops the trail back to its mark.
-        Each fitting triangle can cover its edges at least once more, so
-        only a short edge with fewer fitting triangles than it needs sums
-        their least rooms for the reach test, and only the edge the node
-        branches on has its fitting triangles listed.
+        up to date, rather than rescanning every triangle: per triangle,
+        whether it is dead, true exactly when one of its edges has no room
+        (hi minus coverage) left, so a live triangle fits; per edge, the
+        number of live triangles through it; the short edges in ascending
+        order; and the parity of each vertex's total shortfall, with the
+        count of odd ones, kept only while coverings beyond lo remain to
+        place (never in an exact cover).  A choose that takes an edge's
+        room to 0 kills the live triangles through it, and the undo that
+        gives the room back revives each of them whose three edges all
+        have room again.  Each live triangle can cover its edges at least
+        once more, so only a short edge with fewer live triangles than it
+        needs sums their least rooms for the reach test, and only the edge
+        the node branches on has its live triangles listed.
 
         The open nodes live on an explicit stack, the root's frame and one
         more per chosen triangle, so a search hundreds of triangles deep
@@ -276,10 +276,10 @@ class CoverInstance:
             return None
         tri_edges = self.tri_edges
         tris_of_edge = self.tris_of_edge
-        low = [min(room[e1], room[e2], room[e3]) for e1, e2, e3 in tri_edges]
-        fitting = [0] * len(short)  # triangles through the edge with low > 0
-        for (e1, e2, e3), r in zip(tri_edges, low):
-            if r > 0:
+        dead = [not (room[e1] and room[e2] and room[e3]) for e1, e2, e3 in tri_edges]
+        fitting = [0] * len(short)  # live triangles through the edge
+        for (e1, e2, e3), d in zip(tri_edges, dead):
+            if not d:
                 fitting[e1] += 1
                 fitting[e2] += 1
                 fitting[e3] += 1
@@ -290,8 +290,6 @@ class CoverInstance:
                 odd_at[v] ^= s & 1
         odd = sum(odd_at)
         shorts = [ei for ei, s in enumerate(short) if s > 0]  # ascending
-        trail: List[int] = []  # the triangles whose low each choose lowered
-        marks: List[int] = []  # the trail's length before each chosen triangle
         banned = [False] * len(tri_edges)
         chosen: List[int] = []
         steps = self.steps
@@ -312,7 +310,11 @@ class CoverInstance:
                 need = short[ei]
                 count = fitting[ei]
                 if count < need:
-                    reach = sum([low[t] for t in tris_of_edge[ei] if low[t] > 0])
+                    reach = 0
+                    for t in tris_of_edge[ei]:
+                        if not dead[t]:
+                            e1, e2, e3 = tri_edges[t]
+                            reach += min(room[e1], room[e2], room[e3])
                     if reach < need:
                         return []  # this edge cannot reach lo even with full reuse
                 if count < fewest:
@@ -323,7 +325,7 @@ class CoverInstance:
             if best < 0:
                 # No slack triangles, as the docstring explains.
                 return None if left == 0 else []
-            return [ti for ti in tris_of_edge[best] if low[ti] > 0]
+            return [ti for ti in tris_of_edge[best] if not dead[ti]]
 
         # One frame per open node: [fits, next index, failed, left, shortfall].
         # chosen[d] is the triangle frame d is trying, so popping frame d + 1
@@ -343,20 +345,19 @@ class CoverInstance:
                 frames.pop()
                 if frames:
                     ti = chosen.pop()
-                    mark = marks.pop()
-                    for t in trail[mark:]:
-                        r = low[t]
-                        low[t] = r + 1
-                        if r == 0:
-                            e1, e2, e3 = tri_edges[t]
-                            fitting[e1] += 1
-                            fitting[e2] += 1
-                            fitting[e3] += 1
-                    del trail[mark:]
                     _, _, _, left, shortfall = frames[-1]
                     keep_parity = 3 * left > shortfall
                     for e in tri_edges[ti]:
-                        room[e] += 1
+                        r = room[e] + 1
+                        room[e] = r
+                        if r == 1:  # every triangle through e was dead
+                            for t in tris_of_edge[e]:
+                                e1, e2, e3 = tri_edges[t]
+                                if room[e1] and room[e2] and room[e3]:
+                                    dead[t] = False
+                                    fitting[e1] += 1
+                                    fitting[e2] += 1
+                                    fitting[e3] += 1
                         s = short[e] + 1
                         short[e] = s
                         if s > 0:
@@ -376,7 +377,6 @@ class CoverInstance:
                 raise graph_core._step_limit("cover search")
             ti = fits[i]
             frame[1] = i + 1
-            marks.append(len(trail))
             # Spare coverings never grow down the tree, so below a node
             # without them no node reads the parities.
             keep_parity = 3 * left > shortfall
@@ -395,13 +395,10 @@ class CoverInstance:
                         odd_at[v] ^= 1
                 r = room[e] - 1
                 room[e] = r
-                # Room only fell by one, so a triangle through e above it
-                # was at r + 1 and drops by exactly one.
-                for t in tris_of_edge[e]:
-                    if low[t] > r:
-                        low[t] = r
-                        trail.append(t)
-                        if r == 0:
+                if r == 0:
+                    for t in tris_of_edge[e]:
+                        if not dead[t]:
+                            dead[t] = True
                             e1, e2, e3 = tri_edges[t]
                             fitting[e1] -= 1
                             fitting[e2] -= 1

@@ -267,7 +267,7 @@ def test_solve_keeps_no_state_between_calls():
         least += 1
     k = g.size() // 3
     calls = [
-        (m, m, k),  # a hit: it returns mid-search with its trail not empty
+        (m, m, k),  # a hit: it returns mid-search, its chosen triangles not undone
         (ones, twos, least - 1),  # a refusal after a search
         (ones, twos, least),  # lo < hi
         (m, m, k - 1),  # lo == hi, refused at the root
