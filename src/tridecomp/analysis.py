@@ -17,7 +17,7 @@ and hence the genus of the implied orientable surface.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Dict, List, Sequence, Tuple
+from collections.abc import Sequence
 
 from .graph_core import (
     DomainError,
@@ -37,7 +37,7 @@ class RotationSystem(namedtuple("RotationSystem", "order rotations")):
     __slots__ = ()
 
     def __new__(
-        cls, order: int, rotations: Tuple[Tuple[Tuple[int, int], ...], ...]
+        cls, order: int, rotations: tuple[tuple[tuple[int, int], ...], ...]
     ) -> "RotationSystem":
         _check_int(order)
         if order < 0:
@@ -102,7 +102,7 @@ def trace_faces(r: RotationSystem) -> FaceTrace:
     """Walk every face of the embedding; DomainError on an invalid system."""
     n = r.order
     # Each (v, u, c) edge end must appear exactly once, with its mate present.
-    position: Dict[Tuple[int, int, int], int] = {}
+    position: dict[tuple[int, int, int], int] = {}
     for v, rot in enumerate(r.rotations):
         for i, (u, c) in enumerate(rot):
             key = (v, u, c)
@@ -118,7 +118,7 @@ def trace_faces(r: RotationSystem) -> FaceTrace:
             )
     darts = sorted(position)
     # Copies of each edge must be numbered 0..count-1.
-    copy_count: Dict[Tuple[int, int], int] = {}
+    copy_count: dict[tuple[int, int], int] = {}
     for (v, u, c) in darts:
         if v < u:
             key = (v, u)
@@ -139,11 +139,11 @@ def trace_faces(r: RotationSystem) -> FaceTrace:
         raise DomainError("rotation system is not connected")
 
     visited: set = set()
-    faces: List[Tuple[int, ...]] = []
+    faces: list[tuple[int, ...]] = []
     for start in darts:
         if start in visited:
             continue
-        walk: List[int] = []
+        walk: list[int] = []
         dart = start
         while True:
             visited.add(dart)

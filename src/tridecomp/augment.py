@@ -16,8 +16,6 @@ STEP_LIMIT bounds them together: past it they give up with ScaleLimit.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
 from .decomposer import CoverInstance, Decomposition, _edge_off_triangles
 from .graph_core import (
     Augmentation,
@@ -30,8 +28,8 @@ from .graph_core import (
 )
 
 
-def _least_level(g: Multigraph, cap: Optional[int],
-                 below: Optional[int] = None) -> Optional[tuple]:
+def _least_level(g: Multigraph, cap: int | None,
+                 below: int | None = None) -> tuple | None:
     """(t, instance, base, hi, chosen) at the least level t of g, or None.
 
     Level t adds t copies, at most cap per edge, so k = (size + t) / 3
@@ -58,8 +56,8 @@ def _least_level(g: Multigraph, cap: Optional[int],
 
 
 def epsilon_exact(
-    g: Multigraph, max_copies_per_edge: Optional[int] = None
-) -> Tuple[int, Augmentation, Decomposition]:
+    g: Multigraph, max_copies_per_edge: int | None = None
+) -> tuple[int, Augmentation, Decomposition]:
     """Minimum copies to add for decomposability, with witness and certificate.
 
     Among minimum-size augmentations the lexicographically least edge
@@ -99,7 +97,7 @@ def epsilon_exact(
         lo[i] = hi[i] = cover[i]
         unpinned -= cover[i] - b
     chosen = inst.solve(lo, hi, k)  # lo == hi: the certificate search
-    additions: List[EdgeKey] = []
+    additions: list[EdgeKey] = []
     for e, c, b in zip(inst.edge_keys, cover, base):
         additions.extend([e] * (c - b))
     return t, Augmentation(tuple(additions)), inst.certificate(chosen)

@@ -18,10 +18,10 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, List, Optional
 
 from . import graph_core
 
+TYPE_CHECKING = False  # true only to a type checker; spares importing ``typing``
 if TYPE_CHECKING:
     from .decomposer import Decomposition
     from .envelope import ConstructionResult
@@ -62,7 +62,7 @@ _DOT_PALETTE = ("red", "blue", "forestgreen", "darkorange", "purple", "brown", "
                 "teal", "goldenrod", "navy", "crimson", "darkcyan")
 
 
-def _usage(command: Optional[str]) -> str:
+def _usage(command: str | None) -> str:
     if command is None:
         return f"usage: tridecomp [-h] {{{','.join(COMMANDS)}}} ..."
     _, positionals, options = COMMANDS[command]
@@ -73,7 +73,7 @@ def _usage(command: Optional[str]) -> str:
     return " ".join(words)
 
 
-def _exit(command: Optional[str], error: Optional[str] = None):
+def _exit(command: str | None, error: str | None = None):
     """Help on stdout and exit 0, or with an error, usage and error on stderr and exit 1."""
     if error is not None:
         print(f"{_usage(command)}\ntridecomp: error: {error}", file=sys.stderr)
@@ -95,7 +95,7 @@ def _convert(command: str, name: str, word: str, convert, choices):
     return value
 
 
-def parse_args(argv: List[str]) -> SimpleNamespace:
+def parse_args(argv: list[str]) -> SimpleNamespace:
     """The namespace run_<command> reads; help and usage errors raise SystemExit.
 
     Options go anywhere after the subcommand, as ``--cap 1`` or ``--cap=1``.
@@ -285,7 +285,7 @@ def run_faces(args: SimpleNamespace) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import namedtuple
-from typing import Dict, Iterable, List, Optional, Tuple
+from collections.abc import Iterable
 
 from . import graph_core
 from .graph_core import (
@@ -56,7 +56,7 @@ class Decomposition(_SortedItems):
         return cls(_triangles_from_json(data["triangles"], "certificate 'triangles'"))
 
 
-def _triangles_from_json(entries: list, name: str) -> Tuple[Triangle, ...]:
+def _triangles_from_json(entries: list, name: str) -> tuple[Triangle, ...]:
     """[[a, b, c], ...] as Triangles in the listed order; DomainError if malformed."""
     return tuple([triangle(a, b, c) for a, b, c in _json_rows(entries, 3, name)])
 
@@ -79,7 +79,7 @@ class RejectReason(namedtuple("RejectReason", "kind vertex edge", defaults=(None
         return out
 
 
-def enumerate_triangles(g: Multigraph) -> List[Triangle]:
+def enumerate_triangles(g: Multigraph) -> list[Triangle]:
     """All triangles of the underlying simple graph, lexicographic, each once.
 
     ScaleLimit past STEP_LIMIT of them, before the list takes memory
@@ -87,7 +87,7 @@ def enumerate_triangles(g: Multigraph) -> List[Triangle]:
     """
     adj = [set(ns) for ns in g.adjacency()]
     limit = graph_core.STEP_LIMIT
-    out: List[Triangle] = []
+    out: list[Triangle] = []
     # The loops give a < b < c: skip the Triangle checks, as enumerate_mops does.
     new = tuple.__new__
     for a in range(g.order):
@@ -102,7 +102,7 @@ def enumerate_triangles(g: Multigraph) -> List[Triangle]:
     return out
 
 
-def coverage_error(g: Multigraph, d: Decomposition) -> Optional[Tuple[str, EdgeKey]]:
+def coverage_error(g: Multigraph, d: Decomposition) -> tuple[str, EdgeKey] | None:
     """First coverage defect as (kind, edge), or None if the certificate is valid.
 
     kind is "undercovered", "overcovered", or "notanedge"; the defect with the
@@ -110,7 +110,7 @@ def coverage_error(g: Multigraph, d: Decomposition) -> Optional[Tuple[str, EdgeK
     vertex pairs of the triangles, and the edges of g are scanned for one
     that no triangle meets only when some edge was not met.
     """
-    counts: Dict[Tuple[int, int], int] = {}
+    counts: dict[tuple[int, int], int] = {}
     for a, b, c in d.triangles:
         for pair in ((a, b), (a, c), (b, c)):
             counts[pair] = counts.get(pair, 0) + 1
@@ -131,7 +131,7 @@ def coverage_error(g: Multigraph, d: Decomposition) -> Optional[Tuple[str, EdgeK
     return (kind, EdgeKey(u, v))
 
 
-def fast_reject(g: Multigraph) -> Optional[RejectReason]:
+def fast_reject(g: Multigraph) -> RejectReason | None:
     """Cheap necessary conditions, checked in a fixed order.
 
     Size divisible by 3, then all degrees even, then every edge on a triangle.
@@ -148,7 +148,7 @@ def fast_reject(g: Multigraph) -> Optional[RejectReason]:
     return None
 
 
-def _edge_off_triangles(g: Multigraph) -> Optional[EdgeKey]:
+def _edge_off_triangles(g: Multigraph) -> EdgeKey | None:
     """The least edge of g lying on no triangle, or None."""
     adj = [set(ns) for ns in g.adjacency()]
     for e in g.edges():
@@ -174,27 +174,27 @@ class CoverInstance:
                  "steps", "scanned")
 
     def __init__(self, g: Multigraph):
-        self.edge_keys: List[EdgeKey] = g.edges()
+        self.edge_keys: list[EdgeKey] = g.edges()
         edge_index = {e: i for i, e in enumerate(self.edge_keys)}
         tris = enumerate_triangles(g)
-        self.tri_verts: List[Triangle] = tris
-        self.tri_edges: List[Tuple[int, int, int]] = [
+        self.tri_verts: list[Triangle] = tris
+        self.tri_edges: list[tuple[int, int, int]] = [
             tuple(edge_index[e] for e in t.edges()) for t in tris  # type: ignore[misc]
         ]
-        self.tris_of_edge: List[List[int]] = [[] for _ in self.edge_keys]
+        self.tris_of_edge: list[list[int]] = [[] for _ in self.edge_keys]
         for ti, (e1, e2, e3) in enumerate(self.tri_edges):
             self.tris_of_edge[e1].append(ti)
             self.tris_of_edge[e2].append(ti)
             self.tris_of_edge[e3].append(ti)
-        self.ends: List[Tuple[int, int]] = [e.as_pair() for e in self.edge_keys]
+        self.ends: list[tuple[int, int]] = [e.as_pair() for e in self.edge_keys]
         self.order = max((v for _, v in self.ends), default=-1) + 1
         self.steps = 0
         self.scanned = 0
 
-    def base_multiplicities(self, g: Multigraph) -> List[int]:
+    def base_multiplicities(self, g: Multigraph) -> list[int]:
         return [g.multiplicity(e) for e in self.edge_keys]
 
-    def edge_counts(self, chosen: List[int]) -> List[int]:
+    def edge_counts(self, chosen: list[int]) -> list[int]:
         """How many of the chosen triangles cover each edge."""
         counts = [0] * len(self.edge_keys)
         for ti in chosen:
@@ -202,7 +202,7 @@ class CoverInstance:
                 counts[ei] += 1
         return counts
 
-    def solve(self, lo: List[int], hi: List[int], k: int) -> Optional[List[int]]:
+    def solve(self, lo: list[int], hi: list[int], k: int) -> list[int] | None:
         """k triangle indices (repeats allowed) covering edge i between lo[i] and hi[i] times.
 
         None when no such multiset exists.  With lo == hi this is an exact
@@ -291,10 +291,10 @@ class CoverInstance:
         odd = sum(odd_at)
         shorts = [ei for ei, s in enumerate(short) if s > 0]  # ascending
         banned = [False] * len(tri_edges)
-        chosen: List[int] = []
+        chosen: list[int] = []
         steps = self.steps
 
-        def branch(left: int, shortfall: int) -> Optional[List[int]]:
+        def branch(left: int, shortfall: int) -> list[int] | None:
             """The triangles to try at this node: None on success, [] at a dead end."""
             spare = 3 * left - shortfall  # coverings beyond lo still to place
             if spare < 0:
@@ -412,16 +412,16 @@ class CoverInstance:
         self.steps = steps
         return None
 
-    def certificate(self, chosen: List[int]) -> Decomposition:
+    def certificate(self, chosen: list[int]) -> Decomposition:
         return Decomposition(tuple(self.tri_verts[t] for t in chosen))
 
 
-def find_decomposition(g: Multigraph) -> Optional[Decomposition]:
+def find_decomposition(g: Multigraph) -> Decomposition | None:
     """A triangle decomposition of g, or None; deterministic certificate."""
     return None if fast_reject(g) is not None else _exact_cover(g)
 
 
-def _exact_cover(g: Multigraph) -> Optional[Decomposition]:
+def _exact_cover(g: Multigraph) -> Decomposition | None:
     """find_decomposition without the fast_reject screen, for a caller that ran it."""
     inst = CoverInstance(g)
     m = inst.base_multiplicities(g)

@@ -20,7 +20,6 @@ is the one that runs.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import List, Optional, Tuple
 
 from . import decomposer
 from .decomposer import Decomposition, _triangles_from_json
@@ -29,7 +28,7 @@ from .graph_core import (
 )
 
 # One verifier line: True "ok", False "fail", None informational.
-Check = Tuple[Optional[bool], str]
+Check = tuple[bool | None, str]
 
 _CYCLE_FAMILIES = ("mop", "fan", "intermediate", "sc2tree", "sc2seed")
 
@@ -106,7 +105,7 @@ def _check(ok: bool, good: str, bad: str) -> Check:
     return (ok, good if ok else bad)
 
 
-def _core_checks(result: ConstructionResult) -> List[Check]:
+def _core_checks(result: ConstructionResult) -> list[Check]:
     """Augmentation count, divisibility residue and certificate coverage."""
     g, eps, aug = result.graph, result.claimed_epsilon, result.augmentation
     checks = [
@@ -126,7 +125,7 @@ def _core_checks(result: ConstructionResult) -> List[Check]:
     return checks + [(False, f"edge {{{e.u}, {e.v}}} {kind}")]
 
 
-def _hmp_cycle(n: int) -> Optional[List[int]]:
+def _hmp_cycle(n: int) -> list[int] | None:
     """The Hamiltonian cycle that ``hmp_construct(n)`` builds, or None if it builds none.
 
     The cycle runs 0, 1, ..., n - 3 with the apexes n - 2 and n - 1 spliced
@@ -139,7 +138,7 @@ def _hmp_cycle(n: int) -> Optional[List[int]]:
     return [0, 1, 2, n - 2, 3, n - 1, *range(4, n - 2)]
 
 
-def verify_construction(result: ConstructionResult) -> List[Check]:
+def verify_construction(result: ConstructionResult) -> list[Check]:
     """Recheck a construction from scratch: the core checks, then its family's.
 
     A structure field that the checks cannot use, such as an outer cycle

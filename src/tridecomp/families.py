@@ -30,8 +30,6 @@ the toroidal fixtures, for their rotation systems.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
-
 from .decomposer import Decomposition, find_decomposition
 from .envelope import ConstructionResult, _core_checks, _hmp_cycle
 from .graph_core import (
@@ -61,7 +59,7 @@ def validate_construction(result: ConstructionResult) -> None:
 # Certificates of small polygon triangulations, as polygon positions.  The
 # chords are the certificate's edges off the polygon, and the chords it
 # covers twice take a second copy: always len(polygon) mod 3 of them.
-_MOP_BASES: Dict[int, List[Tuple[int, int, int]]] = {
+_MOP_BASES: dict[int, list[tuple[int, int, int]]] = {
     3: [(0, 1, 2)],
     4: [(0, 1, 2), (0, 2, 3)],
     5: [(0, 1, 2), (2, 3, 4), (0, 2, 4)],
@@ -80,7 +78,7 @@ _MOP_BASES: Dict[int, List[Tuple[int, int, int]]] = {
 }
 
 
-def _mop_fill(cyc: List[int]) -> Tuple[List[EdgeKey], List[Triangle], List[EdgeKey]]:
+def _mop_fill(cyc: list[int]) -> tuple[list[EdgeKey], list[Triangle], list[EdgeKey]]:
     """Triangulate the polygon on cyc: (chords, certificate, doubled chords).
 
     The certificate covers each polygon edge once, each chord once, and each
@@ -89,7 +87,7 @@ def _mop_fill(cyc: List[int]) -> Tuple[List[EdgeKey], List[Triangle], List[EdgeK
     m = len(cyc)
     if m in _MOP_BASES:
         tris = [triangle(cyc[a], cyc[b], cyc[c]) for a, b, c in _MOP_BASES[m]]
-        cover: Dict[EdgeKey, int] = {}
+        cover: dict[EdgeKey, int] = {}
         for t in tris:
             for e in t.edges():
                 cover[e] = cover.get(e, 0) + 1
@@ -100,7 +98,7 @@ def _mop_fill(cyc: List[int]) -> Tuple[List[EdgeKey], List[Triangle], List[EdgeK
     # corrective ears sized so the inner polygon keeps length 0 mod 3
     # relative to m, then a recursion on every fourth position.
     shape = (m // 3 - m % 3) % 4
-    chords: List[EdgeKey] = []
+    chords: list[EdgeKey] = []
     tris = []
     for i in range(m // 2):
         a, b, c = 2 * i, 2 * i + 1, (2 * i + 2) % m
@@ -128,7 +126,7 @@ def _mop_fill(cyc: List[int]) -> Tuple[List[EdgeKey], List[Triangle], List[EdgeK
     return chords + inner_chords, tris + inner_tris, inner_doubles
 
 
-def _fanned_cycle(family: str, parameters: dict, cyc: List[int], f: int) -> ConstructionResult:
+def _fanned_cycle(family: str, parameters: dict, cyc: list[int], f: int) -> ConstructionResult:
     """The cycle cyc with f doubled chords fanned at cyc[0], the rest economical.
 
     The triangles (cyc[0], cyc[i], cyc[i+1]) for i = 1..f cover the fan
@@ -369,13 +367,13 @@ def sc3_construct(n: int) -> ConstructionResult:
 
 # Stored toroidal fixtures: minimum additions from the drawing, and the
 # genus-1 rotation system of the simple graph, which also gives its edges.
-_SF_AUG: Dict[int, List[Tuple[int, int]]] = {
+_SF_AUG: dict[int, list[tuple[int, int]]] = {
     7: [(0, 6), (0, 5), (4, 5), (1, 5)],
     8: [(0, 6), (1, 6)],
     9: [(0, 3), (0, 6), (1, 6), (1, 7), (2, 7), (3, 4)],
 }
 
-_SF_ROTATIONS: Dict[int, List[List[int]]] = {
+_SF_ROTATIONS: dict[int, list[list[int]]] = {
     7: [
         [4, 5, 6, 1, 3, 2],
         [0, 6, 2, 5, 4],

@@ -24,7 +24,7 @@ cost every command its import and a class build per record.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Dict, Iterable, List, Optional, Tuple
+from collections.abc import Iterable
 
 # Largest vertex count a Multigraph accepts.  Degree sequences and adjacency
 # lists take memory in proportion to the order, so a larger order is refused
@@ -89,7 +89,7 @@ def _shown(value) -> str:
     return text if len(text) <= 80 else text[:80] + "..."
 
 
-def _json_rows(value, width: Optional[int], name: str) -> list:
+def _json_rows(value, width: int | None, name: str) -> list:
     """value if it is a JSON list of rows of width integers, else DomainError.
 
     width None asks for a flat list of integers instead.  type() rather
@@ -163,7 +163,7 @@ class EdgeKey(namedtuple("EdgeKey", "u v")):
             raise DomainError(f"edge endpoints must satisfy u < v, got ({u}, {v})")
         return tuple.__new__(cls, (u, v))
 
-    def as_pair(self) -> Tuple[int, int]:
+    def as_pair(self) -> tuple[int, int]:
         return (self.u, self.v)
 
 
@@ -186,14 +186,14 @@ class Triangle(namedtuple("Triangle", "a b c")):
             raise DomainError(f"triangle vertices must satisfy 0 <= a < b < c, got ({a}, {b}, {c})")
         return tuple.__new__(cls, (a, b, c))
 
-    def edges(self) -> Tuple[EdgeKey, EdgeKey, EdgeKey]:
+    def edges(self) -> tuple[EdgeKey, EdgeKey, EdgeKey]:
         # a < b < c was checked when the triangle was made, so the three
         # pairs are canonical and skip EdgeKey's checks.
         a, b, c = self
         new = tuple.__new__
         return (new(EdgeKey, (a, b)), new(EdgeKey, (a, c)), new(EdgeKey, (b, c)))
 
-    def as_triple(self) -> Tuple[int, int, int]:
+    def as_triple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
 
 
@@ -213,13 +213,13 @@ class Multigraph:
 
     __slots__ = ("order", "_mult")
 
-    def __init__(self, order: int, multiplicities: Optional[Dict[EdgeKey, int]] = None):
+    def __init__(self, order: int, multiplicities: dict[EdgeKey, int] | None = None):
         _check_int(order)
         if order < 0:
             raise DomainError(f"order must be nonnegative, got {order}")
         _check_order(order)
         self.order = order
-        mult: Dict[EdgeKey, int] = {}
+        mult: dict[EdgeKey, int] = {}
         for e, m in (multiplicities or {}).items():
             if not isinstance(e, EdgeKey):
                 raise DomainError(f"edge keys must be EdgeKey, got {e!r}")
@@ -232,7 +232,7 @@ class Multigraph:
     @classmethod
     def from_edges(cls, order: int, edges: Iterable) -> "Multigraph":
         """Build from (u, v) or (u, v, mult) entries; repeats accumulate."""
-        mult: Dict[EdgeKey, int] = {}
+        mult: dict[EdgeKey, int] = {}
         for item in edges:
             if len(item) == 2:
                 u, v = item
@@ -250,11 +250,11 @@ class Multigraph:
     def has_edge(self, e: EdgeKey) -> bool:
         return e in self._mult
 
-    def edges(self) -> List[EdgeKey]:
+    def edges(self) -> list[EdgeKey]:
         """Present edges, sorted."""
         return sorted(self._mult)
 
-    def items(self) -> List[Tuple[EdgeKey, int]]:
+    def items(self) -> list[tuple[EdgeKey, int]]:
         """(edge, multiplicity) pairs, sorted by edge."""
         return sorted(self._mult.items())
 
@@ -265,9 +265,9 @@ class Multigraph:
     def is_simple(self) -> bool:
         return all(m == 1 for m in self._mult.values())
 
-    def adjacency(self) -> List[List[int]]:
+    def adjacency(self) -> list[list[int]]:
         """Neighbor lists for all vertices at once (sorted per vertex)."""
-        sets: List[set] = [set() for _ in range(self.order)]
+        sets: list[set] = [set() for _ in range(self.order)]
         for e in self._mult:
             sets[e.u].add(e.v)
             sets[e.v].add(e.u)
@@ -364,7 +364,7 @@ class Augmentation(_SortedItems):
 
 def apply_augmentation(g: Multigraph, aug: Augmentation) -> Multigraph:
     """g with one extra parallel copy added per listed edge (repeats stack)."""
-    mult: Dict[EdgeKey, int] = {e: m for e, m in g.items()}
+    mult: dict[EdgeKey, int] = {e: m for e, m in g.items()}
     for e in aug.additions:
         if e not in mult:
             raise AugmentNonAdjacent(f"cannot add copies of absent edge ({e.u}, {e.v})")
@@ -372,7 +372,7 @@ def apply_augmentation(g: Multigraph, aug: Augmentation) -> Multigraph:
     return Multigraph(g.order, mult)
 
 
-def _crossing_chords(chords: Iterable[Tuple[int, int]]) -> Optional[tuple]:
+def _crossing_chords(chords: Iterable[tuple[int, int]]) -> tuple | None:
     """Two crossing chords of a convex polygon, or None; the package's one such test.
 
     Chords are distinct position pairs (a, b), a < b, sorted by a and then
@@ -382,7 +382,7 @@ def _crossing_chords(chords: Iterable[Tuple[int, int]]) -> Optional[tuple]:
     crosses an open chord exactly when b passes the end of the one on top.
     O(c log c) for c chords.
     """
-    open_chords: List[Tuple[int, int]] = []
+    open_chords: list[tuple[int, int]] = []
     for a, b in sorted(chords, key=lambda chord: (chord[0], -chord[1])):
         while open_chords and open_chords[-1][1] <= a:
             open_chords.pop()
@@ -392,7 +392,7 @@ def _crossing_chords(chords: Iterable[Tuple[int, int]]) -> Optional[tuple]:
     return None
 
 
-def degree_sequence(g: Multigraph) -> List[int]:
+def degree_sequence(g: Multigraph) -> list[int]:
     """Degrees of all vertices in one pass."""
     deg = [0] * g.order
     for e, m in g._mult.items():

@@ -13,7 +13,7 @@ MopCode checks chord crossings with the test in ``graph_core``.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable, List, Optional, Tuple
+from collections.abc import Iterable
 
 from .augment import _least_level
 from .graph_core import DomainError, EdgeKey, Multigraph, ScaleLimit, _check_int, _crossing_chords
@@ -67,13 +67,13 @@ class MopCode(namedtuple("MopCode", "order chords")):
         }
 
 
-def enumerate_mops(n: int) -> List[MopCode]:
+def enumerate_mops(n: int) -> list[MopCode]:
     """Every triangulation of the labelled n-cycle, sorted by chord set."""
     _check_int(n)
     if n < 3:
         raise DomainError(f"order must be >= 3, got {n}")
 
-    def fill(i: int, j: int) -> List[List[Tuple[int, int]]]:
+    def fill(i: int, j: int) -> list[list[tuple[int, int]]]:
         # All chord sets triangulating the polygon arc i..j (j - i >= 2).
         if j - i == 1:
             return [[]]
@@ -99,7 +99,7 @@ def enumerate_mops(n: int) -> List[MopCode]:
     return codes
 
 
-def _check_sweep_order(n: int, ceiling: Optional[int]) -> None:
+def _check_sweep_order(n: int, ceiling: int | None) -> None:
     """Refuse a non-integer order or ceiling with DomainError, an order above it with ScaleLimit."""
     _check_int(n)
     if ceiling is not None:
@@ -108,7 +108,7 @@ def _check_sweep_order(n: int, ceiling: Optional[int]) -> None:
             raise ScaleLimit(f"order {n} exceeds the sweep ceiling {ceiling}")
 
 
-def epsilon_class_exact(n: int, ceiling: Optional[int] = None) -> Tuple[int, MopCode]:
+def epsilon_class_exact(n: int, ceiling: int | None = None) -> tuple[int, MopCode]:
     """Least augmentation count over all order-n triangulated cycles.
 
     Returns the count and the first witness in chord-set order.  Each graph
@@ -127,7 +127,7 @@ def epsilon_class_exact(n: int, ceiling: Optional[int] = None) -> Tuple[int, Mop
     return best
 
 
-def xi_class_exact(n: int, ceiling: Optional[int] = None) -> Tuple[int, MopCode]:
+def xi_class_exact(n: int, ceiling: int | None = None) -> tuple[int, MopCode]:
     """Largest augmentation count over order-n triangulated cycles, one copy cap.
 
     Every graph in the class admits a capped augmentation (doubling all

@@ -56,8 +56,9 @@ _BARE = "import json, sys; print(json.dumps(sorted(sys.modules)))"
 
 
 def _child_output(*args):
+    # -S: no site or .pth file pre-imports anything; -c puts the cwd, src, on sys.path.
     proc = subprocess.run(
-        [sys.executable, "-c", *args],
+        [sys.executable, "-S", "-c", *args],
         capture_output=True,
         text=True,
         cwd=Path(tridecomp.__file__).resolve().parents[1],
@@ -86,7 +87,7 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
     core = {"tridecomp", "tridecomp.cli", "tridecomp.graph_core"}
     base = core | {"tridecomp.decomposer"}
     search = base | {"tridecomp.augment"}
-    # Against a bare interpreter's modules, so that a site that imports them is no failure.
+    # Against a bare interpreter's modules: those that the interpreter itself loads are no failure.
     bare = set(_child_output(_BARE)[1])
     for argv, layers in (
         (("decompose", str(path)), base),
@@ -100,7 +101,7 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
     ):
         loaded, every = _modules_loaded_by(*argv)
         assert loaded == layers, argv
-        unwanted = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
+        unwanted = {"dataclasses", "inspect", "argparse", "gettext", "locale", "typing"}
         assert not (every - bare) & unwanted, argv
         if argv[0] == "epsilon":  # neither the class sweeps nor the structural predicates
             assert not loaded & {"tridecomp.sweep", "tridecomp.analysis"}
