@@ -39,9 +39,7 @@ class RotationSystem(namedtuple("RotationSystem", "order rotations")):
     def __new__(
         cls, order: int, rotations: tuple[tuple[tuple[int, int], ...], ...]
     ) -> "RotationSystem":
-        _check_int(order)
-        if order < 0:
-            raise DomainError(f"order must be >= 0, got {order}")
+        _check_int(order, least=0)
         if len(rotations) != order:
             raise DomainError(
                 f"expected {order} rotation lists, got {len(rotations)}"
@@ -200,8 +198,7 @@ def is_maximal_outerplanar(g: Multigraph, outer: Sequence[int]) -> bool:
     n = g.order
     if sorted(outer) != list(range(n)):
         raise DomainError("outer cycle must be a permutation of the vertices")
-    if n < 3:
-        raise DomainError(f"order must be >= 3, got {n}")
+    _check_int(n, least=3)
     if not g.is_simple():
         return False
     for i in range(n):

@@ -20,7 +20,6 @@ from .decomposer import CoverInstance, Decomposition, _edge_off_triangles
 from .graph_core import (
     Augmentation,
     CapInfeasible,
-    DomainError,
     EdgeKey,
     EdgeNotOnTriangle,
     Multigraph,
@@ -73,9 +72,7 @@ def epsilon_exact(
         raise EdgeNotOnTriangle(off)
     cap = max_copies_per_edge
     if cap is not None:
-        _check_int(cap, "max_copies_per_edge")
-        if cap < 0:
-            raise DomainError(f"max_copies_per_edge must be >= 0, got {cap}")
+        _check_int(cap, "max_copies_per_edge", least=0)
     hit = _least_level(g, cap)
     if hit is None:  # only a cap can stop the climb without a hit
         raise CapInfeasible(f"no augmentation with at most {cap} extra copies per edge works")

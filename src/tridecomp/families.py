@@ -2,7 +2,11 @@
 
 Each constructor returns a ConstructionResult (defined in ``envelope``)
 bundling the base graph, the parallel copies to add, a triangle certificate
-for the augmented graph, and the claimed augmentation count.
+for the augmented graph, and the claimed augmentation count.  Every one
+returns through the one envelope builder ``_member``, which sets the count
+to the number of listed additions, so an envelope claims exactly the copies
+it adds.  Each parameter is checked by ``_check_int``, which refuses a
+non-integer or a value below its least with DomainError.
 
 One builder makes every triangulated cycle: f doubled chords fanned at the
 first vertex, and the economical triangulation of the polygon left over,
@@ -30,6 +34,8 @@ the toroidal fixtures, for their rotation systems.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from .decomposer import Decomposition, find_decomposition
 from .envelope import ConstructionResult, _core_checks, _hmp_cycle
 from .graph_core import (
@@ -54,6 +60,21 @@ def validate_construction(result: ConstructionResult) -> None:
     for ok, message in _core_checks(result):
         if not ok:
             raise InvariantViolation(message)
+
+
+def _member(family: str, parameters: dict, graph: Multigraph, additions: Iterable[EdgeKey],
+            triangles: Iterable[Triangle], **structure) -> ConstructionResult:
+    """The envelope of one family member; it claims exactly the copies it adds."""
+    augmentation = Augmentation(additions)
+    return ConstructionResult(
+        family=family,
+        parameters=parameters,
+        graph=graph,
+        augmentation=augmentation,
+        certificate=Decomposition(triangles),
+        claimed_epsilon=len(augmentation),
+        **structure,
+    )
 
 
 # Certificates of small polygon triangulations, as polygon positions.  The
@@ -139,23 +160,13 @@ def _fanned_cycle(family: str, parameters: dict, cyc: list[int], f: int) -> Cons
     tris += [triangle(hub, u, v) for u, v in zip(cyc[1 : f + 1], cyc[2 : f + 2])]
     pairs = [(cyc[i - 1], cyc[i]) for i in range(len(cyc))]
     pairs.extend(e.as_pair() for e in fan_chords + chords)
-    additions = fan_chords + doubles
-    return ConstructionResult(
-        family=family,
-        parameters=parameters,
-        graph=Multigraph.from_edges(len(cyc), pairs),
-        augmentation=Augmentation(tuple(additions)),
-        certificate=Decomposition(tuple(tris)),
-        claimed_epsilon=len(additions),
-        outer_cycle=tuple(cyc),
-    )
+    return _member(family, parameters, Multigraph.from_edges(len(cyc), pairs),
+                   fan_chords + doubles, tris, outer_cycle=tuple(cyc))
 
 
 def mop_construct(n: int) -> ConstructionResult:
     """A triangulated n-cycle whose augmentation count is n mod 3."""
-    _check_int(n)
-    if n < 3:
-        raise DomainError(f"order must be >= 3, got {n}")
+    _check_int(n, least=3)
     _check_order(n)
     return _fanned_cycle("mop", {"n": n}, list(range(n)), 0)
 
@@ -166,9 +177,7 @@ def fan(n: int) -> ConstructionResult:
     Doubling all n-3 chords is unavoidable for this graph, which makes the
     fan the extremal triangulated cycle under the one-copy-per-edge cap.
     """
-    _check_int(n)
-    if n < 3:
-        raise DomainError(f"order must be >= 3, got {n}")
+    _check_int(n, least=3)
     _check_order(n)
     return _fanned_cycle("fan", {"n": n}, list(range(n)), n - 3)
 
@@ -181,12 +190,8 @@ def intermediate(n: int, r: int) -> ConstructionResult:
     economical triangulation) to the largest r with (n mod 3) + 3r <= n-3
     (the fan).
     """
-    _check_int(n)
-    _check_int(r, "fan rounds")
-    if n < 3:
-        raise DomainError(f"order must be >= 3, got {n}")
-    if r < 0:
-        raise DomainError(f"fan rounds must be >= 0, got {r}")
+    _check_int(n, least=3)
+    _check_int(r, "fan rounds", least=0)
     if n - 3 * r < 3:
         raise DomainError(
             f"order {n} admits at most {(n - 3) // 3} fan rounds, got {r}"
@@ -204,12 +209,8 @@ def kop_construct(m: int, k: int) -> ConstructionResult:
     regardless of k, and deleting the outermost layer leaves the k-1 layer
     graph on the same labels.
     """
-    _check_int(m, "cycle length")
-    _check_int(k, "layer count")
-    if m < 3:
-        raise DomainError(f"cycle length must be >= 3, got {m}")
-    if k < 1:
-        raise DomainError(f"layer count must be >= 1, got {k}")
+    _check_int(m, "cycle length", least=3)
+    _check_int(k, "layer count", least=1)
     _check_order(m * k)
     core = mop_construct(m)
     pairs = [e.as_pair() for e in core.graph.edges()]
@@ -223,15 +224,9 @@ def kop_construct(m: int, k: int) -> ConstructionResult:
             pairs.append((off + i, below + i))
             pairs.append((off + i, below + ni))
             tris.append(triangle(off + i, off + ni, below + ni))
-    return ConstructionResult(
-        family="kop",
-        parameters={"m": m, "k": k},
-        graph=Multigraph.from_edges(m * k, pairs),
-        augmentation=core.augmentation,
-        certificate=Decomposition(tuple(tris)),
-        claimed_epsilon=core.claimed_epsilon,
-        outer_cycle=tuple((k - 1) * m + i for i in range(m)),
-    )
+    return _member("kop", {"m": m, "k": k}, Multigraph.from_edges(m * k, pairs),
+                   core.augmentation.additions, tris,
+                   outer_cycle=tuple((k - 1) * m + i for i in range(m)))
 
 
 def hmp_construct(n: int) -> ConstructionResult:
@@ -267,15 +262,8 @@ def hmp_construct(n: int) -> ConstructionResult:
                  (1, 3, p - 1), *band, (3, p - 1, q)]
         cert = [(0, 1, 2), *ring[::2], (p - 1, 0, p), (1, 3, p - 1), *band[::2]]
     tris = {t: triangle(*t) for t in faces}  # keyed by triple for the certificate
-    return ConstructionResult(
-        family="hmp",
-        parameters={"n": n},
-        graph=Multigraph(n, dict.fromkeys((e for t in tris.values() for e in t.edges()), 1)),
-        augmentation=Augmentation(()),
-        certificate=Decomposition(tris[t] for t in cert),
-        claimed_epsilon=0,
-        faces=tuple(tris.values()),
-    )
+    g = Multigraph(n, dict.fromkeys((e for t in tris.values() for e in t.edges()), 1))
+    return _member("hmp", {"n": n}, g, (), (tris[t] for t in cert), faces=tuple(tris.values()))
 
 
 def sc2_tree_construct(n: int) -> ConstructionResult:
@@ -307,15 +295,8 @@ def sc2_tree_construct(n: int) -> ConstructionResult:
     outer += [1, 2]
     for w in range(6, n, 6):
         outer += [w + 2, w, w + 1]
-    return ConstructionResult(
-        family="sc2tree",
-        parameters={"n": n},
-        graph=Multigraph.from_edges(n, pairs),
-        augmentation=Augmentation(()),
-        certificate=Decomposition(tuple(cert)),
-        claimed_epsilon=0,
-        outer_cycle=tuple(outer),
-    )
+    return _member("sc2tree", {"n": n}, Multigraph.from_edges(n, pairs), (), cert,
+                   outer_cycle=tuple(outer))
 
 
 # Outer cycles of the sc2 seeds: each seed is the stored base triangulation
@@ -341,9 +322,7 @@ def sc3_construct(n: int) -> ConstructionResult:
     (0, 1), (1, 2) and (h(n-2), n-1) twice, and whatever the order, those
     three added copies (never fewer) make it decomposable.
     """
-    _check_int(n)
-    if n < 4:
-        raise DomainError(f"order must be >= 4, got {n}")
+    _check_int(n, least=4)
     _check_order(n)
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     if n == 4:
@@ -355,14 +334,8 @@ def sc3_construct(n: int) -> ConstructionResult:
         adds = [(0, 1), (1, 2), (1 + n % 2, n - 1)]
         cert = [(0, 1, 2), (0, 1, 3), (1, 2, n - 1)]
         cert += [(1 + a % 2, a, a + 1) for a in range(3, n - 1)]
-    return ConstructionResult(
-        family="sc3",
-        parameters={"n": n},
-        graph=Multigraph.from_edges(n, pairs),
-        augmentation=Augmentation(tuple(edge(u, v) for u, v in adds)),
-        certificate=Decomposition(triangle(*t) for t in cert),
-        claimed_epsilon=3,
-    )
+    return _member("sc3", {"n": n}, Multigraph.from_edges(n, pairs),
+                   (edge(u, v) for u, v in adds), (triangle(*t) for t in cert))
 
 
 # Stored toroidal fixtures: minimum additions from the drawing, and the
@@ -419,19 +392,11 @@ def sf_fixture(n: int) -> ConstructionResult:
         raise NotAFixture(f"no stored toroidal fixture of order {n}")
     rot = _SF_ROTATIONS[n]
     g = Multigraph.from_edges(n, [(v, u) for v in range(n) for u in rot[v] if v < u])
-    aug = Augmentation(tuple(edge(u, v) for u, v in _SF_AUG[n]))
-    cert = find_decomposition(apply_augmentation(g, aug))
+    adds = [edge(u, v) for u, v in _SF_AUG[n]]
+    cert = find_decomposition(apply_augmentation(g, Augmentation(adds)))
     if cert is None:
         raise InvariantViolation(f"order-{n} fixture augmentation failed to decompose")
     from .analysis import RotationSystem
 
     rotation = RotationSystem(n, tuple(tuple((u, 0) for u in rot[v]) for v in range(n)))
-    return ConstructionResult(
-        family="sf",
-        parameters={"n": n},
-        graph=g,
-        augmentation=aug,
-        certificate=cert,
-        claimed_epsilon=len(aug),
-        rotation=rotation,
-    )
+    return _member("sf", {"n": n}, g, adds, cert.triangles, rotation=rotation)

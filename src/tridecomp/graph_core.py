@@ -9,7 +9,8 @@ graph, an augmentation, a triangle list, a rotation or an outer cycle
 passes its list through it, and checks only ranges and meaning itself.
 Its messages, and every other reader's, show an input value through
 ``_shown``, so a bad container is not printed back whole.  ``_check_int``
-is the one integer check of an order or a count passed in by a caller.
+is the one integer check of an order or a count passed in by a caller, and
+with ``least`` given also its one range check.
 
 The two ceilings live here too: ORDER_LIMIT on the vertex count of a
 graph, and STEP_LIMIT on the steps of every exhaustive search, whose
@@ -119,14 +120,16 @@ def _step_limit(what: str) -> ScaleLimit:
     return ScaleLimit(f"{what} exceeds the ceiling of {STEP_LIMIT} steps")
 
 
-def _check_int(x, name: str = "order") -> None:
-    """Refuse x with DomainError unless it is an integer.
+def _check_int(x, name: str = "order", least: int | None = None) -> None:
+    """Refuse x with DomainError unless it is an integer, and not below least.
 
     type() rather than isinstance(), as in _json_rows: True is no order.
     Every public entry point that takes a count or an order starts here.
     """
     if type(x) is not int:
         raise DomainError(f"{name} must be an integer, got {_shown(x)}")
+    if least is not None and x < least:
+        raise DomainError(f"{name} must be >= {least}, got {x}")
 
 
 def _check_multiplicity(e: "EdgeKey", m) -> None:
@@ -214,9 +217,7 @@ class Multigraph:
     __slots__ = ("order", "_mult")
 
     def __init__(self, order: int, multiplicities: dict[EdgeKey, int] | None = None):
-        _check_int(order)
-        if order < 0:
-            raise DomainError(f"order must be nonnegative, got {order}")
+        _check_int(order, least=0)
         _check_order(order)
         self.order = order
         mult: dict[EdgeKey, int] = {}

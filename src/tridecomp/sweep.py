@@ -32,11 +32,9 @@ class MopCode(namedtuple("MopCode", "order chords")):
     __slots__ = ()
 
     def __new__(cls, order: int, chords: Iterable[EdgeKey]) -> "MopCode":
-        _check_int(order)
+        _check_int(order, least=3)
         chords = tuple(sorted(chords))
         n = order
-        if n < 3:
-            raise DomainError(f"order must be >= 3, got {n}")
         if len(set(chords)) != len(chords):
             raise DomainError("duplicate chord")
         if len(chords) != n - 3:
@@ -69,9 +67,7 @@ class MopCode(namedtuple("MopCode", "order chords")):
 
 def enumerate_mops(n: int) -> list[MopCode]:
     """Every triangulation of the labelled n-cycle, sorted by chord set."""
-    _check_int(n)
-    if n < 3:
-        raise DomainError(f"order must be >= 3, got {n}")
+    _check_int(n, least=3)
 
     def fill(i: int, j: int) -> list[list[tuple[int, int]]]:
         # All chord sets triangulating the polygon arc i..j (j - i >= 2).

@@ -16,6 +16,11 @@ from tridecomp import (
     enumerate_mops,
     epsilon_class_exact,
     epsilon_exact,
+    fan,
+    intermediate,
+    kop_construct,
+    mop_construct,
+    sc3_construct,
     triangle,
     xi_class_exact,
 )
@@ -122,6 +127,27 @@ _K3_ROTATIONS = (((1, 0), (2, 0)), ((2, 0), (0, 0)), ((0, 0), (1, 0)))
     ("Triangle(False, 1, 2)", "triangle vertices must be integers, got (False, 1, 2)"),
 ])
 def test_public_entry_points_refuse_orders_and_counts_that_are_not_integers(call, message):
+    with pytest.raises(DomainError) as refused:
+        eval(call)
+    assert str(refused.value) == message
+
+
+# Each call names a public entry point with an integer below its least
+# value.  Parameters are checked one after the other, each in full, so an
+# input bad in two of them is refused for the first.
+@pytest.mark.parametrize("call, message", [
+    ("mop_construct(2)", "order must be >= 3, got 2"),
+    ("fan(2)", "order must be >= 3, got 2"),
+    ("intermediate(9, -1)", "fan rounds must be >= 0, got -1"),
+    ("intermediate(2, 1.5)", "order must be >= 3, got 2"),
+    ("kop_construct(2, 1)", "cycle length must be >= 3, got 2"),
+    ("kop_construct(3, 0)", "layer count must be >= 1, got 0"),
+    ("sc3_construct(3)", "order must be >= 4, got 3"),
+    ("enumerate_mops(2)", "order must be >= 3, got 2"),
+    ("epsilon_exact(_K3, -1)", "max_copies_per_edge must be >= 0, got -1"),
+    ("Multigraph(-1)", "order must be >= 0, got -1"),
+])
+def test_public_entry_points_refuse_orders_and_counts_below_their_least(call, message):
     with pytest.raises(DomainError) as refused:
         eval(call)
     assert str(refused.value) == message
