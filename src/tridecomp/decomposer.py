@@ -265,14 +265,14 @@ class CoverInstance:
         if slack < 0 or 3 * k > sum(room):
             return None
         ends = self.ends
-        degree = [0] * self.order
+        odd_at = [0] * self.order  # the parity of the vertex's total shortfall, here lo
         free = set()
         for (u, v), a, b in zip(ends, lo, room):
-            degree[u] += a
-            degree[v] += a
+            odd_at[u] ^= a & 1
+            odd_at[v] ^= a & 1
             if a != b:
                 free.update((u, v))
-        if any(d % 2 and v not in free for v, d in enumerate(degree)):
+        if any(o and v not in free for v, o in enumerate(odd_at)):
             return None
         tri_edges = self.tri_edges
         tris_of_edge = self.tris_of_edge
@@ -283,11 +283,6 @@ class CoverInstance:
                 fitting[e1] += 1
                 fitting[e2] += 1
                 fitting[e3] += 1
-        odd_at = [0] * self.order  # the parity of the vertex's total shortfall
-        for (u, v), s in zip(ends, short):
-            if s > 0:
-                odd_at[u] ^= s & 1
-                odd_at[v] ^= s & 1
         odd = sum(odd_at)
         shorts = [ei for ei, s in enumerate(short) if s > 0]  # ascending
         banned = [False] * len(tri_edges)

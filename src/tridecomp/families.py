@@ -2,38 +2,43 @@
 
 Each constructor returns a ConstructionResult (defined in ``envelope``)
 bundling the base graph, the parallel copies to add, a triangle certificate
-for the augmented graph, and the claimed augmentation count.  Every one
-returns through the one envelope builder ``_member``, which sets the count
-to the number of listed additions, so an envelope claims exactly the copies
-it adds.  Each parameter is checked by ``_check_int``, which refuses a
-non-integer or a value below its least with DomainError.
+for the augmented graph, and the claimed augmentation count.  A constructor
+states only its certificate: every one returns through the one envelope
+builder ``_member``, which reads the member off the triangles.  The graph is
+every edge they cover, once; the additions are c - 1 copies of each edge
+covered c times; and the claimed count is the number of those copies.  That
+rule needs every family's base graph to be simple, which they all are: each
+member is a simple graph plus parallel copies of its edges.  Each parameter
+is checked by ``_check_int``, which refuses a non-integer or a value below
+its least with DomainError.
 
 One builder makes every triangulated cycle: f doubled chords fanned at the
 first vertex, and the economical triangulation of the polygon left over,
 which splits off polygon ears in rounds and recurses on the inner polygon.
 The economical triangulation (mop) is f = 0, the fan is f = n - 3, the
 intermediate family is f = 3r, and the sc2 seeds are f = 0 on a relabelled
-cycle.  Small polygons are stored only as their certificates, in polygon
-positions: the chords are the certificate's edges off the polygon, and the
-chords it covers twice take the added copies.  An even planar
-triangulation (hmp) is its face list: the graph is the union of the faces'
-edges and the certificate the colour class of the first face in the faces'
-2-colouring.  The sc3 graphs are a K4 with a chain on two hubs, and one
-chain rule gives the certificate of every order from 5 on.  The sc2 2-trees
-are one closed-form round rule, and each toroidal fixture is read off its
-rotation system.  Every constructor runs in time linear in its output,
-except ``sf_fixture``, which finds its certificate with the cover search
-(``find_decomposition``, under ``STEP_LIMIT``).
+cycle.  Small polygons are stored as their certificates, in polygon
+positions.  The kop bands wrap that triangulation in rings of triangles.  An
+even planar triangulation (hmp) is its face list, and its certificate the
+colour class of the first face in the faces' 2-colouring.  The sc3 graphs
+are a K4 with a chain on two hubs, and one chain rule gives the certificate
+of every order from 5 on.  The sc2 2-trees are one closed-form round rule,
+and each toroidal fixture is read off its rotation system.  Every
+constructor runs in time linear in its output, except ``sf_fixture``, which
+finds its certificate with the cover search (``find_decomposition``, under
+``STEP_LIMIT``) on the graph plus its drawn additions.
 
 validate_construction runs the envelope's core checks (augmentation count,
 divisibility residue, certificate coverage) and raises on the first
-failure; ``construct`` runs it before it prints.  The structure checks and
-the envelope format live in ``envelope``, and ``analysis`` is loaded only by
-the toroidal fixtures, for their rotation systems.
+failure; ``construct`` runs it before it prints, so it guards ``_member``
+too.  The structure checks and the envelope format live in ``envelope``,
+and ``analysis`` is loaded only by the toroidal fixtures, for their rotation
+systems.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 
 from .decomposer import Decomposition, find_decomposition
@@ -42,7 +47,6 @@ from .graph_core import (
     Augmentation,
     ConstructionUnavailable,
     DomainError,
-    EdgeKey,
     InvariantViolation,
     Multigraph,
     NotAFixture,
@@ -62,24 +66,33 @@ def validate_construction(result: ConstructionResult) -> None:
             raise InvariantViolation(message)
 
 
-def _member(family: str, parameters: dict, graph: Multigraph, additions: Iterable[EdgeKey],
-            triangles: Iterable[Triangle], **structure) -> ConstructionResult:
-    """The envelope of one family member; it claims exactly the copies it adds."""
-    augmentation = Augmentation(additions)
+def _member(family: str, parameters: dict, order: int, triangles: Iterable[Triangle],
+            **structure) -> ConstructionResult:
+    """The envelope of the member on vertices 0..order-1 that the triangles certify.
+
+    The graph is every edge the triangles cover, with multiplicity 1; the
+    augmentation is c - 1 copies of each edge they cover c times; and the
+    claimed count is the number of those copies.  So the certificate covers
+    the augmented graph exactly, and the envelope claims exactly the copies
+    it adds.  The caller's base graph must be simple, as every family's is.
+    """
+    certificate = Decomposition(triangles)
+    cover = Counter(e for t in certificate.triangles for e in t.edges())
+    augmentation = Augmentation(e for e, c in cover.items() for _ in range(1, c))
     return ConstructionResult(
         family=family,
         parameters=parameters,
-        graph=graph,
+        graph=Multigraph(order, dict.fromkeys(cover, 1)),
         augmentation=augmentation,
-        certificate=Decomposition(triangles),
+        certificate=certificate,
         claimed_epsilon=len(augmentation),
         **structure,
     )
 
 
-# Certificates of small polygon triangulations, as polygon positions.  The
-# chords are the certificate's edges off the polygon, and the chords it
-# covers twice take a second copy: always len(polygon) mod 3 of them.
+# Certificates of small polygon triangulations, as polygon positions.  They
+# cover each chord once or twice, and the chords covered twice, always
+# len(polygon) mod 3 of them, are the ones that take an added copy.
 _MOP_BASES: dict[int, list[tuple[int, int, int]]] = {
     3: [(0, 1, 2)],
     4: [(0, 1, 2), (0, 2, 3)],
@@ -99,52 +112,29 @@ _MOP_BASES: dict[int, list[tuple[int, int, int]]] = {
 }
 
 
-def _mop_fill(cyc: list[int]) -> tuple[list[EdgeKey], list[Triangle], list[EdgeKey]]:
-    """Triangulate the polygon on cyc: (chords, certificate, doubled chords).
+def _mop_fill(cyc: list[int]) -> list[Triangle]:
+    """The certificate of the economical triangulation of the polygon on cyc.
 
-    The certificate covers each polygon edge once, each chord once, and each
-    doubled chord twice; the doubled-chord count is len(cyc) mod 3.
+    It covers each polygon edge once and each chord once or twice; the
+    chords it covers twice, which take the added copies, number len(cyc)
+    mod 3.
     """
     m = len(cyc)
     if m in _MOP_BASES:
-        tris = [triangle(cyc[a], cyc[b], cyc[c]) for a, b, c in _MOP_BASES[m]]
-        cover: dict[EdgeKey, int] = {}
-        for t in tris:
-            for e in t.edges():
-                cover[e] = cover.get(e, 0) + 1
-        for i in range(m):
-            del cover[edge(cyc[i - 1], cyc[i])]
-        return list(cover), tris, [e for e, k in cover.items() if k == 2]
+        return [triangle(cyc[a], cyc[b], cyc[c]) for a, b, c in _MOP_BASES[m]]
     # Ear rounds: consecutive ears around the polygon, then up to two
     # corrective ears sized so the inner polygon keeps length 0 mod 3
     # relative to m, then a recursion on every fourth position.
     shape = (m // 3 - m % 3) % 4
-    chords: list[EdgeKey] = []
-    tris = []
-    for i in range(m // 2):
-        a, b, c = 2 * i, 2 * i + 1, (2 * i + 2) % m
-        chords.append(edge(cyc[a], cyc[c]))
-        tris.append(triangle(cyc[a], cyc[b], cyc[c]))
+    tris = [triangle(cyc[2 * i], cyc[2 * i + 1], cyc[(2 * i + 2) % m]) for i in range(m // 2)]
     if shape in (1, 3):
         # m odd: one ear over positions (m-5 .. m-1 .. 0).
-        x = m - 5
-        chords.append(edge(cyc[m - 1], cyc[x]))
-        chords.append(edge(cyc[x], cyc[0]))
-        tris.append(triangle(cyc[0], cyc[m - 1], cyc[x]))
+        tris.append(triangle(cyc[0], cyc[m - 1], cyc[m - 5]))
     if shape in (2, 3):
         y1 = m - 4 if shape == 2 else m - 7
-        y2 = y1 - 4
-        chords.append(edge(cyc[0], cyc[y1]))
-        chords.append(edge(cyc[y1], cyc[y2]))
-        chords.append(edge(cyc[y2], cyc[0]))
-        tris.append(triangle(cyc[0], cyc[y1], cyc[y2]))
+        tris.append(triangle(cyc[0], cyc[y1], cyc[y1 - 4]))
     top = m - 4 - 3 * shape
-    inner_pos = list(range(0, top + 1, 4))
-    for p_, q_ in zip(inner_pos, inner_pos[1:]):
-        chords.append(edge(cyc[p_], cyc[q_]))
-    chords.append(edge(cyc[top], cyc[0]))
-    inner_chords, inner_tris, inner_doubles = _mop_fill([cyc[p] for p in inner_pos])
-    return chords + inner_chords, tris + inner_tris, inner_doubles
+    return tris + _mop_fill(cyc[0 : top + 1 : 4])
 
 
 def _fanned_cycle(family: str, parameters: dict, cyc: list[int], f: int) -> ConstructionResult:
@@ -155,13 +145,9 @@ def _fanned_cycle(family: str, parameters: dict, cyc: list[int], f: int) -> Cons
     the polygon cyc[0], cyc[f+1], ..., cyc[-1].
     """
     hub = cyc[0]
-    chords, tris, doubles = _mop_fill([hub, *cyc[f + 1 :]])
-    fan_chords = [edge(hub, v) for v in cyc[2 : f + 2]]
+    tris = _mop_fill([hub, *cyc[f + 1 :]])
     tris += [triangle(hub, u, v) for u, v in zip(cyc[1 : f + 1], cyc[2 : f + 2])]
-    pairs = [(cyc[i - 1], cyc[i]) for i in range(len(cyc))]
-    pairs.extend(e.as_pair() for e in fan_chords + chords)
-    return _member(family, parameters, Multigraph.from_edges(len(cyc), pairs),
-                   fan_chords + doubles, tris, outer_cycle=tuple(cyc))
+    return _member(family, parameters, len(cyc), tris, outer_cycle=tuple(cyc))
 
 
 def mop_construct(n: int) -> ConstructionResult:
@@ -212,20 +198,11 @@ def kop_construct(m: int, k: int) -> ConstructionResult:
     _check_int(m, "cycle length", least=3)
     _check_int(k, "layer count", least=1)
     _check_order(m * k)
-    core = mop_construct(m)
-    pairs = [e.as_pair() for e in core.graph.edges()]
-    tris = list(core.certificate.triangles)
+    tris = _mop_fill(list(range(m)))
     for j in range(1, k):
-        below = (j - 1) * m
-        off = j * m
-        for i in range(m):
-            ni = (i + 1) % m
-            pairs.append((off + i, off + ni))
-            pairs.append((off + i, below + i))
-            pairs.append((off + i, below + ni))
-            tris.append(triangle(off + i, off + ni, below + ni))
-    return _member("kop", {"m": m, "k": k}, Multigraph.from_edges(m * k, pairs),
-                   core.augmentation.additions, tris,
+        below, off = (j - 1) * m, j * m
+        tris += [triangle(off + i, off + (i + 1) % m, below + (i + 1) % m) for i in range(m)]
+    return _member("kop", {"m": m, "k": k}, m * k, tris,
                    outer_cycle=tuple((k - 1) * m + i for i in range(m)))
 
 
@@ -238,7 +215,7 @@ def hmp_construct(n: int) -> ConstructionResult:
     is None are refused.  The graph is the union of the faces' edges:
     3n-6 edges, all degrees even, Hamiltonian.  The certificate is the
     colour class of the first face in the faces' 2-colouring (faces sharing
-    an edge differ), which covers every edge once.  For even n that is the
+    an edge differ), which covers every edge once, so no copy is added.  For even n that is the
     ring face on apex n-2 at even i and on apex n-1 at odd i; for odd n it
     is (0, 1, 2), every other ring and band face, (n-3, 0, n-2) and
     (1, 3, n-3).  verify checks the Hamiltonian cycle ``envelope._hmp_cycle``
@@ -261,9 +238,8 @@ def hmp_construct(n: int) -> ConstructionResult:
         faces = [(0, 1, 2), (0, 2, p), *ring, (p - 1, 0, p), (0, 1, p - 1), (1, 2, 3),
                  (1, 3, p - 1), *band, (3, p - 1, q)]
         cert = [(0, 1, 2), *ring[::2], (p - 1, 0, p), (1, 3, p - 1), *band[::2]]
-    tris = {t: triangle(*t) for t in faces}  # keyed by triple for the certificate
-    g = Multigraph(n, dict.fromkeys((e for t in tris.values() for e in t.edges()), 1))
-    return _member("hmp", {"n": n}, g, (), (tris[t] for t in cert), faces=tuple(tris.values()))
+    return _member("hmp", {"n": n}, n, (triangle(*t) for t in cert),
+                   faces=tuple(triangle(*t) for t in faces))
 
 
 def sc2_tree_construct(n: int) -> ConstructionResult:
@@ -283,11 +259,9 @@ def sc2_tree_construct(n: int) -> ConstructionResult:
     if n < 3 or n % 3 != 0:
         raise DomainError(f"order must be a positive multiple of 3, got {n}")
     _check_order(n)
-    pairs = [(0, 1), (1, 2), (0, 2)]
     cert = [triangle(0, 1, 2)]
     for w in range(3, n, 3):
         b = w - 5 if w > 6 else w // 3
-        pairs += [(0, w), (b, w), (0, w + 1), (w, w + 1), (b, w + 2), (w, w + 2)]
         cert += [triangle(0, w, w + 1), triangle(b, w, w + 2)]
     outer = [0]
     for w in reversed(range(3, n, 6)):
@@ -295,8 +269,7 @@ def sc2_tree_construct(n: int) -> ConstructionResult:
     outer += [1, 2]
     for w in range(6, n, 6):
         outer += [w + 2, w, w + 1]
-    return _member("sc2tree", {"n": n}, Multigraph.from_edges(n, pairs), (), cert,
-                   outer_cycle=tuple(outer))
+    return _member("sc2tree", {"n": n}, n, cert, outer_cycle=tuple(outer))
 
 
 # Outer cycles of the sc2 seeds: each seed is the stored base triangulation
@@ -324,22 +297,17 @@ def sc3_construct(n: int) -> ConstructionResult:
     """
     _check_int(n, least=4)
     _check_order(n)
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     if n == 4:
-        adds = [(0, 1), (0, 2), (0, 3)]
         cert = [(0, 1, 2), (0, 1, 3), (0, 2, 3)]
     else:
-        for a in range(4, n):
-            pairs += [(a - 1, a), (1, a), (2, a)]
-        adds = [(0, 1), (1, 2), (1 + n % 2, n - 1)]
         cert = [(0, 1, 2), (0, 1, 3), (1, 2, n - 1)]
         cert += [(1 + a % 2, a, a + 1) for a in range(3, n - 1)]
-    return _member("sc3", {"n": n}, Multigraph.from_edges(n, pairs),
-                   (edge(u, v) for u, v in adds), (triangle(*t) for t in cert))
+    return _member("sc3", {"n": n}, n, (triangle(*t) for t in cert))
 
 
-# Stored toroidal fixtures: minimum additions from the drawing, and the
-# genus-1 rotation system of the simple graph, which also gives its edges.
+# Stored toroidal fixtures: the additions of the source drawing, on which
+# the cover search finds the certificate, and the genus-1 rotation system of
+# the simple graph, which also gives its edges.
 _SF_AUG: dict[int, list[tuple[int, int]]] = {
     7: [(0, 6), (0, 5), (4, 5), (1, 5)],
     8: [(0, 6), (1, 6)],
@@ -392,11 +360,11 @@ def sf_fixture(n: int) -> ConstructionResult:
         raise NotAFixture(f"no stored toroidal fixture of order {n}")
     rot = _SF_ROTATIONS[n]
     g = Multigraph.from_edges(n, [(v, u) for v in range(n) for u in rot[v] if v < u])
-    adds = [edge(u, v) for u, v in _SF_AUG[n]]
-    cert = find_decomposition(apply_augmentation(g, Augmentation(adds)))
+    adds = Augmentation(edge(u, v) for u, v in _SF_AUG[n])
+    cert = find_decomposition(apply_augmentation(g, adds))
     if cert is None:
         raise InvariantViolation(f"order-{n} fixture augmentation failed to decompose")
     from .analysis import RotationSystem
 
     rotation = RotationSystem(n, tuple(tuple((u, 0) for u in rot[v]) for v in range(n)))
-    return _member("sf", {"n": n}, g, adds, cert.triangles, rotation=rotation)
+    return _member("sf", {"n": n}, n, cert.triangles, rotation=rotation)

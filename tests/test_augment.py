@@ -1,6 +1,8 @@
 """Tests for exact minimum augmentation, checked against lower bounds, and the class sweeps."""
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,10 @@ from oracle_helpers import (
     oracle_parity_bound,
     oracle_witness,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import corpus  # noqa: E402
 
 # A 9-vertex multigraph of size 37 whose minimum needs 20 added copies.
 NINE_VERTEX = Multigraph.from_edges(
@@ -233,6 +239,11 @@ def test_epsilon_exact_matches_the_integer_program():
     cases = [(g, cap) for g in graphs for cap in (None, 1)]
     # Sizes 66, 66 and 55; K11 with the cap runs past the step ceiling.
     cases += [(complete_graph(12), None), (complete_graph(12), 1), (complete_graph(11), None)]
+    # The epsilon-mix benchmark pool, whose answers golden.json records.
+    pool = [corpus.fan_graph(n) for n in corpus.FAN_ORDERS] + [corpus.NINE_VERTEX]
+    pool += [corpus.random_multigraph(seed) for seed in range(corpus.EPS_POOL)]
+    assert len(pool) == 100
+    cases += [(Multigraph.from_json_dict(g), cap) for g in pool for cap in (None, 1)]
     for g, cap in cases:
         expected = milp_epsilon(g, cap)
         if expected is None:

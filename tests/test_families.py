@@ -12,6 +12,7 @@ from tridecomp import (
     Decomposition,
     DomainError,
     InvariantViolation,
+    Multigraph,
     NotAFixture,
     ORDER_LIMIT,
     ScaleLimit,
@@ -330,6 +331,27 @@ def test_sc3_claim_is_exact():
         res = sc3_construct(n)
         assert epsilon_exact(res.graph)[0] == 3
         assert oracle_parity_bound(res.graph)[2] == 3
+
+
+def test_sc3_and_kop_graphs_follow_their_edge_rules():
+    # The constructors list only certificates; the graphs they cover must
+    # still be the ones the docstrings describe, past the byte-pinned ranges.
+    for n in range(4, 301):
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        for a in range(4, n):
+            pairs += [(a - 1, a), (1, a), (2, a)]  # the chain, and both hubs
+        assert sc3_construct(n).graph == Multigraph.from_edges(n, pairs), n
+    for m in range(3, 31):
+        core = [e.as_pair() for e in mop_construct(m).graph.edges()]
+        for k in range(1, 6):
+            pairs = list(core)
+            for j in range(1, k):
+                below, off = (j - 1) * m, j * m
+                for i in range(m):
+                    ni = (i + 1) % m
+                    # the ring, the matching below and the shifted matching
+                    pairs += [(off + i, off + ni), (off + i, below + i), (off + i, below + ni)]
+            assert kop_construct(m, k).graph == Multigraph.from_edges(m * k, pairs), (m, k)
 
 
 def test_hmp_and_sc3_envelopes_are_byte_pinned():
