@@ -115,17 +115,11 @@ def trace_faces(r: RotationSystem) -> FaceTrace:
                 f"vertex {v} lists neighbor {u} (copy {c}) but not vice versa"
             )
     darts = sorted(position)
-    # Copies of each edge must be numbered 0..count-1.
-    copy_count: dict[tuple[int, int], int] = {}
+    # Copies of each edge must be numbered 0..count-1: copy c > 0 needs c - 1.
     for (v, u, c) in darts:
-        if v < u:
-            key = (v, u)
-            copy_count[key] = copy_count.get(key, 0) + 1
-    for (v, u, c) in darts:
-        lo, hi = min(v, u), max(v, u)
-        if c >= copy_count[(lo, hi)]:
+        if c and (v, u, c - 1) not in position:
             raise DomainError(
-                f"copy index {c} on edge ({lo}, {hi}) skips a lower copy"
+                f"copy index {c} on edge ({min(v, u)}, {max(v, u)}) skips a lower copy"
             )
     total_ends = len(darts)
     if total_ends == 0:

@@ -189,7 +189,7 @@ def render_dot(result: ConstructionResult) -> str:
     """One edge line per certificate use, colored by certificate triangle."""
     lines = [f"graph {result.family} {{", "  node [shape=circle];"]
     lines += (f"  {v};" for v in range(result.graph.order))
-    for ti, t in enumerate(result.certificate.triangles):
+    for ti, t in enumerate(result.certificate):
         color = _DOT_PALETTE[ti % len(_DOT_PALETTE)]
         for e in t.edges():
             lines.append(f'  {e.u} -- {e.v} [color="{color}"];')

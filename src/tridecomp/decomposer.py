@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import namedtuple
-from collections.abc import Iterable
 
 from . import graph_core
 from .graph_core import (
@@ -41,13 +40,12 @@ from .graph_core import (
 class Decomposition(_SortedItems):
     """A multiset of triangles, kept sorted; repeats are meaningful."""
 
-    __slots__ = ("triangles",)
-
-    def __init__(self, triangles: Iterable[Triangle]) -> None:
-        super().__init__(triangles)
+    __slots__ = ()
+    _field = "triangles"
+    triangles = property(tuple)
 
     def to_json_dict(self) -> dict:
-        return {"triangles": [list(t.as_triple()) for t in self.triangles]}
+        return {"triangles": [list(t.as_triple()) for t in self]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Decomposition":
@@ -108,23 +106,19 @@ def coverage_error(g: Multigraph, d: Decomposition) -> tuple[str, EdgeKey] | Non
     kind is "undercovered", "overcovered", or "notanedge"; the defect with the
     lexicographically least edge is reported.  One pass counts the plain
     vertex pairs of the triangles, and the edges of g are scanned for one
-    that no triangle meets only when some edge was not met.
+    that no triangle meets.
     """
     counts: dict[tuple[int, int], int] = {}
-    for a, b, c in d.triangles:
+    for a, b, c in d:
         for pair in ((a, b), (a, c), (b, c)):
             counts[pair] = counts.get(pair, 0) + 1
     mult = g._mult  # EdgeKey hashes and compares as its (u, v) tuple
-    defects = []
-    met = 0  # edges of g that some triangle covers
+    defects = [(e, "undercovered") for e in mult if e not in counts]
     for pair, c in counts.items():
         m = mult.get(pair, 0)
-        met += m > 0
         if c != m:
             kind = "notanedge" if m == 0 else "overcovered" if c > m else "undercovered"
             defects.append((pair, kind))
-    if met < len(mult):
-        defects.extend((e, "undercovered") for e in mult if e not in counts)
     if not defects:
         return None
     (u, v), kind = min(defects)

@@ -77,7 +77,7 @@ def _member(family: str, parameters: dict, order: int, triangles: Iterable[Trian
     it adds.  The caller's base graph must be simple, as every family's is.
     """
     certificate = Decomposition(triangles)
-    cover = Counter(e for t in certificate.triangles for e in t.edges())
+    cover = Counter(e for t in certificate for e in t.edges())
     augmentation = Augmentation(e for e, c in cover.items() for _ in range(1, c))
     return ConstructionResult(
         family=family,
@@ -367,4 +367,4 @@ def sf_fixture(n: int) -> ConstructionResult:
     from .analysis import RotationSystem
 
     rotation = RotationSystem(n, tuple(tuple((u, 0) for u in rot[v]) for v in range(n)))
-    return _member("sf", {"n": n}, n, cert.triangles, rotation=rotation)
+    return _member("sf", {"n": n}, n, cert, rotation=rotation)

@@ -16,10 +16,10 @@ The two ceilings live here too: ORDER_LIMIT on the vertex count of a
 graph, and STEP_LIMIT on the steps of every exhaustive search, whose
 refusal ``_step_limit`` builds.  Both raise ScaleLimit (exit 3).
 
-The records of this package are immutable: named tuples where a record is
-a plain tuple of fields, and ``_SortedItems`` classes where len() counts
-the items of a multiset.  Neither kind needs ``dataclasses``, which would
-cost every command its import and a class build per record.
+Every record of this package is an immutable tuple: a named tuple of its
+fields, or for a multiset a ``_SortedItems`` tuple of its sorted items.
+Neither kind needs ``dataclasses``, which would cost every command its
+import and a class build per record.
 """
 
 from __future__ import annotations
@@ -307,56 +307,43 @@ class Multigraph:
         return cls(order, mult)
 
 
-class _SortedItems:
-    """A frozen record whose one field is a tuple of items, kept sorted.
+class _SortedItems(tuple):
+    """A frozen record that is the sorted tuple of its items, repeats included.
 
-    Like the tuple records it equals a record of its own type with the same
-    field, hashes as the tuple of its fields and prints as Name(field=...).
-    It is no tuple itself: len() counts its items, repeats included.
+    It equals only a record of its own type with the same items, hashes as
+    the tuple of its one field and prints as Name(field=...); _field names
+    that field, a read-only property giving the items as a plain tuple.
     """
 
     __slots__ = ()
 
-    def __init__(self, items: Iterable) -> None:
-        object.__setattr__(self, self.__slots__[0], tuple(sorted(items)))
+    def __new__(cls, items: Iterable):
+        return tuple.__new__(cls, sorted(items))
 
-    def _items(self) -> tuple:
-        return getattr(self, self.__slots__[0])
-
-    def __len__(self) -> int:
-        return len(self._items())
-
+    # False, not NotImplemented, for another class: Python would fall back
+    # to tuple.__eq__ on a plain tuple's side and equate (e,) with a record.
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._items() == other._items()
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
 
     def __hash__(self) -> int:
-        return hash((self._items(),))
+        return hash((tuple(self),))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.__slots__[0]}={self._items()!r})"
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (type(self), (self._items(),))
+        return f"{type(self).__name__}({self._field}={tuple(self)!r})"
 
 
 class Augmentation(_SortedItems):
     """A multiset of edges to duplicate, kept sorted."""
 
-    __slots__ = ("additions",)
-
-    def __init__(self, additions: Iterable[EdgeKey]) -> None:
-        super().__init__(additions)
+    __slots__ = ()
+    _field = "additions"
+    additions = property(tuple)
 
     def to_json_list(self) -> list:
-        return [[e.u, e.v] for e in self.additions]
+        return [[e.u, e.v] for e in self]
 
     @classmethod
     def from_json_list(cls, data: list) -> "Augmentation":
@@ -366,7 +353,7 @@ class Augmentation(_SortedItems):
 def apply_augmentation(g: Multigraph, aug: Augmentation) -> Multigraph:
     """g with one extra parallel copy added per listed edge (repeats stack)."""
     mult: dict[EdgeKey, int] = {e: m for e, m in g.items()}
-    for e in aug.additions:
+    for e in aug:
         if e not in mult:
             raise AugmentNonAdjacent(f"cannot add copies of absent edge ({e.u}, {e.v})")
         mult[e] += 1

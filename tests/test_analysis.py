@@ -87,12 +87,21 @@ def test_trace_faces_triangle_is_spherical():
     assert tr.to_json_dict()["faces"] == [list(f) for f in tr.faces]
 
 
+def _one_edge(copies, back):
+    """Vertices 0 and 1 joined by the listed copies, listed at 1 in the order back."""
+    return RotationSystem(2, (tuple((1, c) for c in copies), tuple((0, c) for c in back)))
+
+
 def test_trace_faces_handles_parallel_copies():
     # a doubled edge embedded as a 2-gon
     r = RotationSystem(2, (((1, 0), (1, 1)), ((0, 0), (0, 1))))
     tr = trace_faces(r)
     assert (tr.V, tr.E, tr.F) == (2, 2, 2)
     assert tr.genus == 0
+    # a tripled edge, reversed at 1, bounds three 2-gons on the sphere
+    tr = trace_faces(_one_edge((0, 1, 2), (2, 1, 0)))
+    assert tr.faces == ((0, 1), (0, 1), (0, 1))
+    assert (tr.V, tr.E, tr.F, tr.genus) == (2, 3, 3, 0)
 
 
 def test_trace_faces_rejects_malformed_systems():
@@ -111,6 +120,13 @@ def test_trace_faces_rejects_malformed_systems():
     for lists in ([[1, 2], [0, 2], [0, 1], []], [[], [2, 3], [1, 3], [1, 2]]):
         with pytest.raises(DomainError, match="not connected"):
             trace_faces(rotation_from_lists(lists))  # an isolated vertex
+
+
+@pytest.mark.parametrize("copies, missing", [((1,), 1), ((0, 2), 2), ((1, 2), 1)])
+def test_trace_faces_names_the_first_copy_without_the_one_below(copies, missing):
+    message = f"copy index {missing} on edge (0, 1) skips a lower copy"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        trace_faces(_one_edge(copies, copies))
 
 
 def test_is_eulerian():

@@ -21,7 +21,13 @@ from tridecomp import (
     epsilon_class_exact,
     epsilon_exact,
     fan,
+    hmp_construct,
+    intermediate,
     is_maximal_outerplanar,
+    kop_construct,
+    mop_construct,
+    sc2_tree_construct,
+    sc3_construct,
     xi_class_exact,
 )
 from tridecomp import graph_core
@@ -124,6 +130,40 @@ def test_epsilon_exact_certificates_check_out():
         t, aug, cert = epsilon_exact(g)
         assert len(aug) == t
         assert coverage_error(apply_augmentation(g, aug), cert) is None
+
+
+# (constructor, parameters, triangles chosen by epsilon's cover search)
+LARGE_MEMBERS = [
+    pytest.param(hmp_construct, (1000,), 1996, id="hmp 1000"),
+    pytest.param(sc2_tree_construct, (999,), 1330, id="sc2tree 999"),
+    pytest.param(kop_construct, (10, 100), 2884, id="kop 10 100"),
+    pytest.param(mop_construct, (700,), 1125, id="mop 700"),
+    pytest.param(intermediate, (300, 10), 1323, id="intermediate 300 10"),
+    pytest.param(sc3_construct, (100,), 4864, id="sc3 100"),
+    pytest.param(fan, (100,), 10007, id="fan 100"),
+]
+
+
+@pytest.mark.parametrize("construct, args, steps", LARGE_MEMBERS)
+def test_epsilon_agrees_with_the_envelope_of_large_members(construct, args, steps, monkeypatch):
+    from tridecomp import augment
+
+    built = []
+
+    class Kept(augment.CoverInstance):
+        __slots__ = ()
+
+        def __init__(self, g):
+            super().__init__(g)
+            built.append(self)
+
+    monkeypatch.setattr(augment, "CoverInstance", Kept)
+    member = construct(*args)
+    t, aug, cert = epsilon_exact(member.graph)
+    assert (t, aug) == (member.claimed_epsilon, member.augmentation)
+    assert coverage_error(apply_augmentation(member.graph, aug), cert) is None
+    # Pinned as in tests/test_golden.py, so a change to the search tree shows.
+    assert [inst.steps for inst in built] == [steps]
 
 
 def test_epsilon_exact_meets_lower_bound_or_exceeds_by_steps():

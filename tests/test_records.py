@@ -157,6 +157,23 @@ def test_multiset_records_keep_their_items_sorted():
     assert len(a) == 3 and not Augmentation(())
     code = MopCode(6, (EdgeKey(3, 5), EdgeKey(0, 3), EdgeKey(1, 3)))
     assert code.chords == (EdgeKey(0, 3), EdgeKey(1, 3), EdgeKey(3, 5))
+    # The multisets are tuples of their items, and equal only their own type.
+    e, f = EdgeKey(0, 1), EdgeKey(0, 2)
+    a = Augmentation([f, e, f])
+    assert list(a) == [e, f, f] and a[0] == e and a[-1] == f and a[1:] == (f, f)
+    assert e in a and EdgeKey(1, 2) not in a
+    assert len(a) == 3 and hash(a) == hash(((e, f, f),))
+    assert type(a.additions) is tuple
+    t = Triangle(0, 1, 2)
+    d = Decomposition([Triangle(1, 2, 3), t])
+    assert list(d) == [t, Triangle(1, 2, 3)] and d[0] == t and t in d
+    assert len(d) == 2 and hash(d) == hash(((t, Triangle(1, 2, 3)),))
+    assert type(d.triangles) is tuple
+    for record, items in ((Augmentation([e]), (e,)), (Decomposition([t]), (t,))):
+        assert record != items and items != record
+        assert not record == items and not items == record
+    assert Augmentation(()) != Decomposition(()) and Decomposition(()) != Augmentation(())
+    assert not Augmentation(()) == Decomposition(())
 
 
 def test_edges_and_triangles_order_by_their_fields():
