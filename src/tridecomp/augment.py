@@ -41,7 +41,7 @@ def _least_level(g: Multigraph, cap: int | None,
     decomposes); None means no level up to there hits.
     """
     inst = CoverInstance(g)
-    base = inst.base_multiplicities(g)
+    base = inst.base
     size = sum(base)
     ceiling = 2 * size if cap is None else cap * len(base)
     if below is not None:

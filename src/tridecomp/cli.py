@@ -23,7 +23,6 @@ from . import graph_core
 
 TYPE_CHECKING = False  # true only to a type checker; spares importing ``typing``
 if TYPE_CHECKING:
-    from .decomposer import Decomposition
     from .envelope import ConstructionResult
 
 # Family name -> (name of its constructor in ``families``, parameter names).
@@ -213,22 +212,12 @@ def run_construct(args: SimpleNamespace) -> int:
     return 0
 
 
-def _recheck(g: graph_core.Multigraph, cert: Decomposition) -> None:
-    """Refuse to print a certificate that does not cover g exactly: InvariantViolation."""
-    from . import decomposer
-
-    defect = decomposer.coverage_error(g, cert)
-    if defect is not None:
-        kind, e = defect
-        raise graph_core.InvariantViolation(f"certificate leaves edge {{{e.u}, {e.v}}} {kind}")
-
-
 def run_epsilon(args: SimpleNamespace) -> int:
-    from . import augment
+    from . import augment, decomposer
 
     g = graph_core.Multigraph.from_json_dict(_load_json(args.file))
     value, aug, cert = augment.epsilon_exact(g, args.cap)
-    _recheck(graph_core.apply_augmentation(g, aug), cert)
+    decomposer._recheck(g, aug, cert, value)
     _print_json({"epsilon": value, "augmentation": aug.to_json_list(),
                  "certificate": cert.to_json_dict()})
     return 0
@@ -241,7 +230,7 @@ def run_decompose(args: SimpleNamespace) -> int:
     reject = decomposer.fast_reject(g)
     cert = None if reject is not None else decomposer._exact_cover(g)
     if cert is not None:
-        _recheck(g, cert)
+        decomposer._recheck(g, graph_core.Augmentation(()), cert, 0)
         _print_json({"decomposable": True, "certificate": cert.to_json_dict()})
     else:
         reason = {"kind": "search_exhausted"} if reject is None else reject.to_json_dict()
@@ -269,7 +258,8 @@ def run_sweep(args: SimpleNamespace) -> int:
     try:
         ceiling = int(env)
     except ValueError:
-        raise graph_core.DomainError(f"TRIDECOMP_SWEEP_CEILING must be an integer, got {env!r}")
+        raise graph_core.DomainError(
+            f"TRIDECOMP_SWEEP_CEILING must be an integer, got {graph_core._shown(env)}")
     extremum = sweep.epsilon_class_exact if args.kind == "epsilon" else sweep.xi_class_exact
     value, witness = extremum(args.n, ceiling)
     _print_json({"kind": args.kind, "n": args.n, "value": value,

@@ -15,6 +15,10 @@ rescanning every triangle.  Each solver instance counts the triangles it
 chooses, and the edges and triangles its set-ups read, over all its
 searches, and gives up with ScaleLimit past STEP_LIMIT of either; listing
 more than STEP_LIMIT triangles is refused the same way.
+
+Every printed answer is rechecked here, in the module each printing command
+loads: _answer_checks makes the count, residue and coverage lines that
+``verify`` prints, and _recheck raises InvariantViolation on the first failure.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from collections import namedtuple
 from . import graph_core
 from .graph_core import (
     ORDER_LIMIT,
+    Augmentation,
     DomainError,
     EdgeKey,
     Multigraph,
@@ -45,7 +50,7 @@ class Decomposition(_SortedItems):
     triangles = property(tuple)
 
     def to_json_dict(self) -> dict:
-        return {"triangles": [list(t.as_triple()) for t in self]}
+        return {"triangles": [list(t) for t in self]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Decomposition":
@@ -125,6 +130,40 @@ def coverage_error(g: Multigraph, d: Decomposition) -> tuple[str, EdgeKey] | Non
     return (kind, EdgeKey(u, v))
 
 
+def _check(ok: bool, good: str, bad: str) -> tuple[bool, str]:
+    return (ok, good if ok else bad)
+
+
+def _answer_checks(g: Multigraph, aug: Augmentation, cert: Decomposition,
+                   count: int) -> list[tuple[bool, str]]:
+    """The count, residue and coverage lines of an answer, as ``verify`` prints them.
+
+    coverage_error and apply_augmentation are looked up when called, so a rebound one runs.
+    """
+    checks = [
+        _check(len(aug) == count, f"augmentation lists {count} added copies",
+               f"augmentation lists {len(aug)} added copies, envelope claims {count}"),
+        _check(count % 3 == (-g.size()) % 3, "count matches the divisibility residue",
+               f"count {count} cannot make size {g.size()} divisible by 3"),
+    ]
+    try:
+        augmented = graph_core.apply_augmentation(g, aug)
+    except DomainError as exc:
+        return checks + [(False, f"augmentation lists an absent edge: {exc}")]
+    defect = coverage_error(augmented, cert)
+    if defect is None:
+        return checks + [(True, "certificate covers every edge exactly")]
+    kind, e = defect
+    return checks + [(False, f"edge {{{e.u}, {e.v}}} {kind}")]
+
+
+def _recheck(g: Multigraph, aug: Augmentation, cert: Decomposition, count: int) -> None:
+    """Refuse to print an answer that fails _answer_checks: InvariantViolation, first failure."""
+    for ok, message in _answer_checks(g, aug, cert, count):
+        if not ok:
+            raise graph_core.InvariantViolation(message)
+
+
 def fast_reject(g: Multigraph) -> RejectReason | None:
     """Cheap necessary conditions, checked in a fixed order.
 
@@ -164,11 +203,12 @@ class CoverInstance:
     bounds all the searches on one graph together.
     """
 
-    __slots__ = ("edge_keys", "tri_verts", "tri_edges", "tris_of_edge", "ends", "order",
+    __slots__ = ("edge_keys", "base", "tri_verts", "tri_edges", "tris_of_edge", "ends", "order",
                  "steps", "scanned")
 
     def __init__(self, g: Multigraph):
         self.edge_keys: list[EdgeKey] = g.edges()
+        self.base: list[int] = [g.multiplicity(e) for e in self.edge_keys]
         edge_index = {e: i for i, e in enumerate(self.edge_keys)}
         tris = enumerate_triangles(g)
         self.tri_verts: list[Triangle] = tris
@@ -180,13 +220,10 @@ class CoverInstance:
             self.tris_of_edge[e1].append(ti)
             self.tris_of_edge[e2].append(ti)
             self.tris_of_edge[e3].append(ti)
-        self.ends: list[tuple[int, int]] = [e.as_pair() for e in self.edge_keys]
+        self.ends: list[tuple[int, int]] = [tuple(e) for e in self.edge_keys]
         self.order = max((v for _, v in self.ends), default=-1) + 1
         self.steps = 0
         self.scanned = 0
-
-    def base_multiplicities(self, g: Multigraph) -> list[int]:
-        return [g.multiplicity(e) for e in self.edge_keys]
 
     def edge_counts(self, chosen: list[int]) -> list[int]:
         """How many of the chosen triangles cover each edge."""
@@ -413,8 +450,5 @@ def find_decomposition(g: Multigraph) -> Decomposition | None:
 def _exact_cover(g: Multigraph) -> Decomposition | None:
     """find_decomposition without the fast_reject screen, for a caller that ran it."""
     inst = CoverInstance(g)
-    m = inst.base_multiplicities(g)
-    chosen = inst.solve(m, m, g.size() // 3)
-    if chosen is None:
-        return None
-    return inst.certificate(chosen)
+    chosen = inst.solve(inst.base, inst.base, g.size() // 3)
+    return None if chosen is None else inst.certificate(chosen)

@@ -5,16 +5,16 @@ copies to add, a triangle certificate for the augmented graph, the claimed
 augmentation count and the structure field of its family.
 ConstructionResult.to_json_dict writes the JSON that ``construct`` prints
 and from_json_dict reads it back.  verify_construction rechecks a result
-from scratch as an ordered list of (ok, message) lines, the three core
-checks (augmentation count, divisibility residue, certificate coverage)
-first, then the structure checks of its family.
+from scratch as an ordered list of (ok, message) lines: first the count,
+residue and coverage lines of ``decomposer._answer_checks``, then the
+structure checks of its family.
 
 The constructors live in ``families``; ``verify`` loads only this module.
 ``analysis`` is imported inside the structure checks that use it and when a
 rotation system is read, so verifying a family without them never compiles
-it.  Coverage and the structure predicates are called through their module
-objects, so a rebound module attribute (a test double, a tracing wrapper)
-is the one that runs.
+it.  The core checks, coverage and the structure predicates are called
+through their module objects, so a rebound module attribute (a test
+double, a tracing wrapper) is the one that runs.
 """
 
 from __future__ import annotations
@@ -22,10 +22,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import decomposer
-from .decomposer import Decomposition, _triangles_from_json
-from .graph_core import (
-    Augmentation, DomainError, Multigraph, _json_rows, _shown, apply_augmentation, edge,
-)
+from .decomposer import Decomposition, _check, _triangles_from_json
+from .graph_core import Augmentation, DomainError, Multigraph, _json_rows, _shown, edge
 
 # One verifier line: True "ok", False "fail", None informational.
 Check = tuple[bool | None, str]
@@ -64,7 +62,7 @@ class ConstructionResult(
         if self.outer_cycle is not None:
             out["outer_cycle"] = list(self.outer_cycle)
         if self.faces is not None:
-            out["faces"] = [list(t.as_triple()) for t in self.faces]
+            out["faces"] = [list(t) for t in self.faces]
         if self.rotation is not None:
             out["rotation"] = self.rotation.to_json_dict()
         return out
@@ -101,30 +99,6 @@ class ConstructionResult(
         )
 
 
-def _check(ok: bool, good: str, bad: str) -> Check:
-    return (ok, good if ok else bad)
-
-
-def _core_checks(result: ConstructionResult) -> list[Check]:
-    """Augmentation count, divisibility residue and certificate coverage."""
-    g, eps, aug = result.graph, result.claimed_epsilon, result.augmentation
-    checks = [
-        _check(len(aug) == eps, f"augmentation lists {eps} added copies",
-               f"augmentation lists {len(aug)} added copies, envelope claims {eps}"),
-        _check(eps % 3 == (-g.size()) % 3, "count matches the divisibility residue",
-               f"count {eps} cannot make size {g.size()} divisible by 3"),
-    ]
-    try:
-        augmented = apply_augmentation(g, aug)
-    except DomainError as exc:
-        return checks + [(False, f"augmentation lists an absent edge: {exc}")]
-    defect = decomposer.coverage_error(augmented, result.certificate)
-    if defect is None:
-        return checks + [(True, "certificate covers every edge exactly")]
-    kind, e = defect
-    return checks + [(False, f"edge {{{e.u}, {e.v}}} {kind}")]
-
-
 def _hmp_cycle(n: int) -> list[int] | None:
     """The Hamiltonian cycle that ``hmp_construct(n)`` builds, or None if it builds none.
 
@@ -144,7 +118,9 @@ def verify_construction(result: ConstructionResult) -> list[Check]:
     A structure field that the checks cannot use, such as an outer cycle
     that is not a permutation of the vertices, raises DomainError.
     """
-    g, family, checks = result.graph, result.family, _core_checks(result)
+    g, family = result.graph, result.family
+    checks = decomposer._answer_checks(result.graph, result.augmentation, result.certificate,
+                                       result.claimed_epsilon)
     if family in _CYCLE_FAMILIES:
         if result.outer_cycle is None:
             checks.append((False, "triangulated-cycle envelope has no outer cycle"))

@@ -28,12 +28,12 @@ constructor runs in time linear in its output, except ``sf_fixture``, which
 finds its certificate with the cover search (``find_decomposition``, under
 ``STEP_LIMIT``) on the graph plus its drawn additions.
 
-validate_construction runs the envelope's core checks (augmentation count,
-divisibility residue, certificate coverage) and raises on the first
-failure; ``construct`` runs it before it prints, so it guards ``_member``
-too.  The structure checks and the envelope format live in ``envelope``,
-and ``analysis`` is loaded only by the toroidal fixtures, for their rotation
-systems.
+validate_construction runs ``decomposer._recheck``, the core checks of
+every printed answer (augmentation count, divisibility residue,
+certificate coverage), which raises on the first failure; ``construct``
+runs it before it prints, so it guards ``_member`` too.  The structure
+checks and the envelope format live in ``envelope``, and ``analysis`` is
+loaded only by the toroidal fixtures, for their rotation systems.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 
-from .decomposer import Decomposition, find_decomposition
-from .envelope import ConstructionResult, _core_checks, _hmp_cycle
+from .decomposer import Decomposition, _recheck, find_decomposition
+from .envelope import ConstructionResult, _hmp_cycle
 from .graph_core import (
     Augmentation,
     ConstructionUnavailable,
@@ -60,10 +60,8 @@ from .graph_core import (
 
 
 def validate_construction(result: ConstructionResult) -> None:
-    """Run the core checks; raise InvariantViolation with the first failure."""
-    for ok, message in _core_checks(result):
-        if not ok:
-            raise InvariantViolation(message)
+    """Run the answer checks of ``decomposer``; InvariantViolation with the first failure."""
+    _recheck(result.graph, result.augmentation, result.certificate, result.claimed_epsilon)
 
 
 def _member(family: str, parameters: dict, order: int, triangles: Iterable[Triangle],

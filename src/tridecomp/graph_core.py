@@ -166,9 +166,6 @@ class EdgeKey(namedtuple("EdgeKey", "u v")):
             raise DomainError(f"edge endpoints must satisfy u < v, got ({u}, {v})")
         return tuple.__new__(cls, (u, v))
 
-    def as_pair(self) -> tuple[int, int]:
-        return (self.u, self.v)
-
 
 def edge(u: int, v: int) -> EdgeKey:
     """EdgeKey from endpoints in either order."""
@@ -195,9 +192,6 @@ class Triangle(namedtuple("Triangle", "a b c")):
         a, b, c = self
         new = tuple.__new__
         return (new(EdgeKey, (a, b)), new(EdgeKey, (a, c)), new(EdgeKey, (b, c)))
-
-    def as_triple(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
 
 
 def triangle(a: int, b: int, c: int) -> Triangle:

@@ -55,7 +55,7 @@ class MopCode(namedtuple("MopCode", "order chords")):
 
     def graph(self) -> Multigraph:
         pairs = [(i, (i + 1) % self.order) for i in range(self.order)]
-        pairs.extend(c.as_pair() for c in self.chords)
+        pairs.extend(self.chords)
         return Multigraph.from_edges(self.order, pairs)
 
     def to_json_dict(self) -> dict:

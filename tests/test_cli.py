@@ -358,7 +358,14 @@ def test_sweep_ceiling_and_override(capsys, monkeypatch):
     monkeypatch.setenv("TRIDECOMP_SWEEP_CEILING", "many")
     code, _, err = run_cli(capsys, "sweep", "epsilon", "6")
     assert code == 1
-    assert "TRIDECOMP_SWEEP_CEILING" in err
+    assert err == "error: TRIDECOMP_SWEEP_CEILING must be an integer, got 'many'\n"
+    # A long value is shown cut to 80 characters, as every reader shows input.
+    long_value = "9" * 299 + "x"
+    monkeypatch.setenv("TRIDECOMP_SWEEP_CEILING", long_value)
+    code, out, err = run_cli(capsys, "sweep", "epsilon", "6")
+    assert (code, out) == (1, "")
+    assert err == ("error: TRIDECOMP_SWEEP_CEILING must be an integer, got "
+                   f"{repr(long_value)[:80]}...\n")
 
 
 def test_faces_command(capsys, tmp_path):
@@ -556,10 +563,10 @@ def test_epsilon_and_decompose_recheck_the_certificate(capsys, tmp_path, monkeyp
     monkeypatch.setattr(decomposer, "_exact_cover", short_cover)
     code, out, err = run_cli(capsys, "decompose", k7_path)
     assert (code, out) == (2, "")
-    assert err.startswith("internal error: certificate leaves edge {0, 1} undercovered")
+    assert err.startswith("internal error: edge {0, 1} undercovered")
 
-    k4_path = write_json(tmp_path, "k4.json", {"order": 4, "edges": [
-        [u, v, 1] for u in range(4) for v in range(u + 1, 4)]})
+    k4 = {"order": 4, "edges": [[u, v, 1] for u in range(4) for v in range(u + 1, 4)]}
+    k4_path = write_json(tmp_path, "k4.json", k4)
     real_epsilon = augment.epsilon_exact
 
     def extra_triangle(g, cap=None):
@@ -569,7 +576,18 @@ def test_epsilon_and_decompose_recheck_the_certificate(capsys, tmp_path, monkeyp
     monkeypatch.setattr(augment, "epsilon_exact", extra_triangle)
     code, out, err = run_cli(capsys, "epsilon", k4_path)
     assert (code, out) == (2, "")
-    assert err.startswith("internal error: certificate leaves edge")
+    assert err.startswith("internal error: edge")
+
+    def inflated_count(g, cap=None):
+        value, aug, cert = real_epsilon(g, cap)
+        return value + 3, aug, cert
+
+    value = real_epsilon(graph_core.Multigraph.from_json_dict(k4))[0]
+    monkeypatch.setattr(augment, "epsilon_exact", inflated_count)
+    code, out, err = run_cli(capsys, "epsilon", k4_path)
+    assert (code, out) == (2, "")
+    assert err == (f"internal error: augmentation lists {value} added copies, "
+                   f"envelope claims {value + 3}\n")
 
 
 def _child(argv, unbuffered=False, **kwargs):

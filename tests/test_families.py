@@ -342,7 +342,7 @@ def test_sc3_and_kop_graphs_follow_their_edge_rules():
             pairs += [(a - 1, a), (1, a), (2, a)]  # the chain, and both hubs
         assert sc3_construct(n).graph == Multigraph.from_edges(n, pairs), n
     for m in range(3, 31):
-        core = [e.as_pair() for e in mop_construct(m).graph.edges()]
+        core = [tuple(e) for e in mop_construct(m).graph.edges()]
         for k in range(1, 6):
             pairs = list(core)
             for j in range(1, k):

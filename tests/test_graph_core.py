@@ -31,7 +31,6 @@ from oracle_helpers import complete_graph, cycle_graph
 def test_edge_canonicalizes_endpoint_order():
     assert edge(3, 1) == EdgeKey(1, 3)
     assert edge(1, 3) == EdgeKey(1, 3)
-    assert edge(0, 9).as_pair() == (0, 9)
 
 
 def test_edge_rejects_loops_and_bad_endpoints():
@@ -53,7 +52,6 @@ def test_edge_keys_sort_lexicographically():
 def test_triangle_canonicalizes_and_reports_edges():
     t = triangle(5, 0, 2)
     assert t == Triangle(0, 2, 5)
-    assert t.as_triple() == (0, 2, 5)
     assert t.edges() == (edge(0, 2), edge(0, 5), edge(2, 5))
 
 
