@@ -23,11 +23,7 @@ _EXPORTS = {
     "is_maximal_outerplanar": "analysis",
     "trace_faces": "analysis",
     "epsilon_exact": "augment",
-    "Decomposition": "decomposer",
-    "RejectReason": "decomposer",
-    "coverage_error": "decomposer",
     "enumerate_triangles": "decomposer",
-    "fast_reject": "decomposer",
     "find_decomposition": "decomposer",
     "ConstructionResult": "envelope",
     "verify_construction": "envelope",
@@ -45,6 +41,7 @@ _EXPORTS = {
     "Augmentation": "graph_core",
     "CapInfeasible": "graph_core",
     "ConstructionUnavailable": "graph_core",
+    "Decomposition": "graph_core",
     "DomainError": "graph_core",
     "EdgeKey": "graph_core",
     "EdgeNotOnTriangle": "graph_core",
@@ -52,13 +49,16 @@ _EXPORTS = {
     "Multigraph": "graph_core",
     "NotAFixture": "graph_core",
     "ORDER_LIMIT": "graph_core",
+    "RejectReason": "graph_core",
     "STEP_LIMIT": "graph_core",
     "ScaleLimit": "graph_core",
     "Triangle": "graph_core",
     "TridecompError": "graph_core",
     "apply_augmentation": "graph_core",
+    "coverage_error": "graph_core",
     "degree_sequence": "graph_core",
     "edge": "graph_core",
+    "fast_reject": "graph_core",
     "triangle": "graph_core",
     "DEFAULT_SWEEP_CEILING": "sweep",
     "MopCode": "sweep",

@@ -3,9 +3,8 @@
 The structural predicates are is_eulerian (every degree even, one edge
 component) and is_maximal_outerplanar.  Each check has one copy: the
 degree, size and triangle conditions of a decomposition in
-``decomposer.fast_reject``, which this module does not import, chord
-crossings in ``graph_core``, and one connectivity walk, _edges_connected,
-here.  Every function here runs in polynomial time; none searches.
+``graph_core.fast_reject``, chord crossings in ``graph_core``, and one
+connectivity walk, _edges_connected, here.  All run in polynomial time.
 
 A rotation system lists, for every vertex, the cyclic order of its incident
 edge ends as (neighbor, copy index) pairs.  Tracing: after arriving at v

@@ -16,14 +16,16 @@ STEP_LIMIT bounds them together: past it they give up with ScaleLimit.
 
 from __future__ import annotations
 
-from .decomposer import CoverInstance, Decomposition, _edge_off_triangles
+from .decomposer import CoverInstance
 from .graph_core import (
     Augmentation,
     CapInfeasible,
+    Decomposition,
     EdgeKey,
     EdgeNotOnTriangle,
     Multigraph,
     _check_int,
+    _edge_off_triangles,
 )
 
 

@@ -213,24 +213,26 @@ def run_construct(args: SimpleNamespace) -> int:
 
 
 def run_epsilon(args: SimpleNamespace) -> int:
-    from . import augment, decomposer
+    from . import augment
 
     g = graph_core.Multigraph.from_json_dict(_load_json(args.file))
     value, aug, cert = augment.epsilon_exact(g, args.cap)
-    decomposer._recheck(g, aug, cert, value)
+    graph_core._recheck(g, aug, cert, value)
     _print_json({"epsilon": value, "augmentation": aug.to_json_list(),
                  "certificate": cert.to_json_dict()})
     return 0
 
 
 def run_decompose(args: SimpleNamespace) -> int:
-    from . import decomposer
-
     g = graph_core.Multigraph.from_json_dict(_load_json(args.file))
-    reject = decomposer.fast_reject(g)
-    cert = None if reject is not None else decomposer._exact_cover(g)
+    reject = graph_core.fast_reject(g)
+    cert = None
+    if reject is None:  # only a graph that passes the screen loads the search
+        from . import decomposer
+
+        cert = decomposer._exact_cover(g)
     if cert is not None:
-        decomposer._recheck(g, graph_core.Augmentation(()), cert, 0)
+        graph_core._recheck(g, graph_core.Augmentation(()), cert, 0)
         _print_json({"decomposable": True, "certificate": cert.to_json_dict()})
     else:
         reason = {"kind": "search_exhausted"} if reject is None else reject.to_json_dict()

@@ -14,72 +14,17 @@ node reads its prunes and its branch edge from per-edge counts instead of
 rescanning every triangle.  Each solver instance counts the triangles it
 chooses, and the edges and triangles its set-ups read, over all its
 searches, and gives up with ScaleLimit past STEP_LIMIT of either; listing
-more than STEP_LIMIT triangles is refused the same way.
-
-Every printed answer is rechecked here, in the module each printing command
-loads: _answer_checks makes the count, residue and coverage lines that
-``verify`` prints, and _recheck raises InvariantViolation on the first failure.
+more than STEP_LIMIT triangles is refused the same way.  The certificate
+record, the screen fast_reject and the answer checks live in ``graph_core``,
+so a command that runs no search never compiles this module.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from collections import namedtuple
 
 from . import graph_core
-from .graph_core import (
-    ORDER_LIMIT,
-    Augmentation,
-    DomainError,
-    EdgeKey,
-    Multigraph,
-    ScaleLimit,
-    Triangle,
-    _json_rows,
-    _SortedItems,
-    degree_sequence,
-    triangle,
-)
-
-
-class Decomposition(_SortedItems):
-    """A multiset of triangles, kept sorted; repeats are meaningful."""
-
-    __slots__ = ()
-    _field = "triangles"
-    triangles = property(tuple)
-
-    def to_json_dict(self) -> dict:
-        return {"triangles": [list(t) for t in self]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Decomposition":
-        if not isinstance(data, dict) or "triangles" not in data:
-            raise DomainError("certificate JSON must have a 'triangles' field")
-        return cls(_triangles_from_json(data["triangles"], "certificate 'triangles'"))
-
-
-def _triangles_from_json(entries: list, name: str) -> tuple[Triangle, ...]:
-    """[[a, b, c], ...] as Triangles in the listed order; DomainError if malformed."""
-    return tuple([triangle(a, b, c) for a, b, c in _json_rows(entries, 3, name)])
-
-
-class RejectReason(namedtuple("RejectReason", "kind vertex edge", defaults=(None, None))):
-    """A cheap necessary-condition failure: (kind, vertex=None, edge=None).
-
-    kind is one of "size_not_divisible", "odd_vertex", "edge_not_on_triangle";
-    the vertex / edge fields carry the witness where applicable.
-    """
-
-    __slots__ = ()
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.vertex is not None:
-            out["vertex"] = self.vertex
-        if self.edge is not None:
-            out["edge"] = [self.edge.u, self.edge.v]
-        return out
+from .graph_core import ORDER_LIMIT, EdgeKey, Multigraph, ScaleLimit, Triangle
 
 
 def enumerate_triangles(g: Multigraph) -> list[Triangle]:
@@ -103,91 +48,6 @@ def enumerate_triangles(g: Multigraph) -> list[Triangle]:
             if len(out) > limit:
                 raise graph_core._step_limit("triangle listing")
     return out
-
-
-def coverage_error(g: Multigraph, d: Decomposition) -> tuple[str, EdgeKey] | None:
-    """First coverage defect as (kind, edge), or None if the certificate is valid.
-
-    kind is "undercovered", "overcovered", or "notanedge"; the defect with the
-    lexicographically least edge is reported.  One pass counts the plain
-    vertex pairs of the triangles, and the edges of g are scanned for one
-    that no triangle meets.
-    """
-    counts: dict[tuple[int, int], int] = {}
-    for a, b, c in d:
-        for pair in ((a, b), (a, c), (b, c)):
-            counts[pair] = counts.get(pair, 0) + 1
-    mult = g._mult  # EdgeKey hashes and compares as its (u, v) tuple
-    defects = [(e, "undercovered") for e in mult if e not in counts]
-    for pair, c in counts.items():
-        m = mult.get(pair, 0)
-        if c != m:
-            kind = "notanedge" if m == 0 else "overcovered" if c > m else "undercovered"
-            defects.append((pair, kind))
-    if not defects:
-        return None
-    (u, v), kind = min(defects)
-    return (kind, EdgeKey(u, v))
-
-
-def _check(ok: bool, good: str, bad: str) -> tuple[bool, str]:
-    return (ok, good if ok else bad)
-
-
-def _answer_checks(g: Multigraph, aug: Augmentation, cert: Decomposition,
-                   count: int) -> list[tuple[bool, str]]:
-    """The count, residue and coverage lines of an answer, as ``verify`` prints them.
-
-    coverage_error and apply_augmentation are looked up when called, so a rebound one runs.
-    """
-    checks = [
-        _check(len(aug) == count, f"augmentation lists {count} added copies",
-               f"augmentation lists {len(aug)} added copies, envelope claims {count}"),
-        _check(count % 3 == (-g.size()) % 3, "count matches the divisibility residue",
-               f"count {count} cannot make size {g.size()} divisible by 3"),
-    ]
-    try:
-        augmented = graph_core.apply_augmentation(g, aug)
-    except DomainError as exc:
-        return checks + [(False, f"augmentation lists an absent edge: {exc}")]
-    defect = coverage_error(augmented, cert)
-    if defect is None:
-        return checks + [(True, "certificate covers every edge exactly")]
-    kind, e = defect
-    return checks + [(False, f"edge {{{e.u}, {e.v}}} {kind}")]
-
-
-def _recheck(g: Multigraph, aug: Augmentation, cert: Decomposition, count: int) -> None:
-    """Refuse to print an answer that fails _answer_checks: InvariantViolation, first failure."""
-    for ok, message in _answer_checks(g, aug, cert, count):
-        if not ok:
-            raise graph_core.InvariantViolation(message)
-
-
-def fast_reject(g: Multigraph) -> RejectReason | None:
-    """Cheap necessary conditions, checked in a fixed order.
-
-    Size divisible by 3, then all degrees even, then every edge on a triangle.
-    None means no cheap obstruction was found (not that a decomposition exists).
-    """
-    if g.size() % 3 != 0:
-        return RejectReason("size_not_divisible")
-    for v, d in enumerate(degree_sequence(g)):
-        if d % 2 != 0:
-            return RejectReason("odd_vertex", vertex=v)
-    e = _edge_off_triangles(g)
-    if e is not None:
-        return RejectReason("edge_not_on_triangle", edge=e)
-    return None
-
-
-def _edge_off_triangles(g: Multigraph) -> EdgeKey | None:
-    """The least edge of g lying on no triangle, or None."""
-    adj = [set(ns) for ns in g.adjacency()]
-    for e in g.edges():
-        if adj[e.u].isdisjoint(adj[e.v]):  # stops at the first common neighbour
-            return e
-    return None
 
 
 class CoverInstance:
@@ -438,16 +298,16 @@ class CoverInstance:
         self.steps = steps
         return None
 
-    def certificate(self, chosen: list[int]) -> Decomposition:
-        return Decomposition(tuple(self.tri_verts[t] for t in chosen))
+    def certificate(self, chosen: list[int]) -> graph_core.Decomposition:
+        return graph_core.Decomposition(tuple(self.tri_verts[t] for t in chosen))
 
 
-def find_decomposition(g: Multigraph) -> Decomposition | None:
+def find_decomposition(g: Multigraph) -> graph_core.Decomposition | None:
     """A triangle decomposition of g, or None; deterministic certificate."""
-    return None if fast_reject(g) is not None else _exact_cover(g)
+    return None if graph_core.fast_reject(g) is not None else _exact_cover(g)
 
 
-def _exact_cover(g: Multigraph) -> Decomposition | None:
+def _exact_cover(g: Multigraph) -> graph_core.Decomposition | None:
     """find_decomposition without the fast_reject screen, for a caller that ran it."""
     inst = CoverInstance(g)
     chosen = inst.solve(inst.base, inst.base, g.size() // 3)

@@ -6,10 +6,11 @@ augmentation count and the structure field of its family.
 ConstructionResult.to_json_dict writes the JSON that ``construct`` prints
 and from_json_dict reads it back.  verify_construction rechecks a result
 from scratch as an ordered list of (ok, message) lines: first the count,
-residue and coverage lines of ``decomposer._answer_checks``, then the
+residue and coverage lines of ``graph_core._answer_checks``, then the
 structure checks of its family.
 
-The constructors live in ``families``; ``verify`` loads only this module.
+The constructors live in ``families`` and the search in ``decomposer``;
+``verify`` loads neither, only this module over ``graph_core``.
 ``analysis`` is imported inside the structure checks that use it and when a
 rotation system is read, so verifying a family without them never compiles
 it.  The core checks, coverage and the structure predicates are called
@@ -21,9 +22,17 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from . import decomposer
-from .decomposer import Decomposition, _check, _triangles_from_json
-from .graph_core import Augmentation, DomainError, Multigraph, _json_rows, _shown, edge
+from . import graph_core
+from .graph_core import (
+    Augmentation,
+    Decomposition,
+    DomainError,
+    Multigraph,
+    _check,
+    _json_rows,
+    _shown,
+    edge,
+)
 
 # One verifier line: True "ok", False "fail", None informational.
 Check = tuple[bool | None, str]
@@ -94,7 +103,7 @@ class ConstructionResult(
         return cls(
             family, params, graph, augmentation, certificate, eps,
             outer_cycle=None if outer is None else tuple(_json_rows(outer, None, "'outer_cycle'")),
-            faces=None if faces is None else _triangles_from_json(faces, "'faces'"),
+            faces=None if faces is None else graph_core._triangles_from_json(faces, "'faces'"),
             rotation=rotation,
         )
 
@@ -119,7 +128,7 @@ def verify_construction(result: ConstructionResult) -> list[Check]:
     that is not a permutation of the vertices, raises DomainError.
     """
     g, family = result.graph, result.family
-    checks = decomposer._answer_checks(result.graph, result.augmentation, result.certificate,
+    checks = graph_core._answer_checks(result.graph, result.augmentation, result.certificate,
                                        result.claimed_epsilon)
     if family in _CYCLE_FAMILIES:
         if result.outer_cycle is None:
@@ -139,7 +148,7 @@ def verify_construction(result: ConstructionResult) -> list[Check]:
             doubled = Multigraph(g.order, {e: 2 for e in g.edges()})
             chi = g.order - g.size() + len(result.faces)
             checks += [
-                _check(decomposer.coverage_error(doubled, Decomposition(result.faces)) is None,
+                _check(graph_core.coverage_error(doubled, Decomposition(result.faces)) is None,
                        "every edge lies on exactly two faces",
                        "face list does not cover every edge exactly twice"),
                 _check(chi == 2, "V - E + F = 2", f"V - E + F = {chi}, expected 2"),

@@ -28,12 +28,10 @@ constructor runs in time linear in its output, except ``sf_fixture``, which
 finds its certificate with the cover search (``find_decomposition``, under
 ``STEP_LIMIT``) on the graph plus its drawn additions.
 
-validate_construction runs ``decomposer._recheck``, the core checks of
-every printed answer (augmentation count, divisibility residue,
-certificate coverage), which raises on the first failure; ``construct``
-runs it before it prints, so it guards ``_member`` too.  The structure
-checks and the envelope format live in ``envelope``, and ``analysis`` is
-loaded only by the toroidal fixtures, for their rotation systems.
+validate_construction runs ``graph_core._recheck``, the checks of every
+printed answer, before ``construct`` prints, so it guards ``_member`` too.
+The structure checks and the envelope format live in ``envelope``, and
+``analysis`` is loaded only by the toroidal fixtures, for their rotations.
 """
 
 from __future__ import annotations
@@ -41,11 +39,12 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 
-from .decomposer import Decomposition, _recheck, find_decomposition
+from .decomposer import find_decomposition
 from .envelope import ConstructionResult, _hmp_cycle
 from .graph_core import (
     Augmentation,
     ConstructionUnavailable,
+    Decomposition,
     DomainError,
     InvariantViolation,
     Multigraph,
@@ -53,6 +52,7 @@ from .graph_core import (
     Triangle,
     _check_int,
     _check_order,
+    _recheck,
     apply_augmentation,
     edge,
     triangle,
@@ -60,7 +60,7 @@ from .graph_core import (
 
 
 def validate_construction(result: ConstructionResult) -> None:
-    """Run the answer checks of ``decomposer``; InvariantViolation with the first failure."""
+    """Run the answer checks of ``graph_core``; InvariantViolation with the first failure."""
     _recheck(result.graph, result.augmentation, result.certificate, result.claimed_epsilon)
 
 

@@ -1,4 +1,4 @@
-"""Multigraph value types: canonical edges, triangles, augmentations, degrees, JSON shape.
+"""Multigraph value types, JSON shape, and the one checker of every printed answer.
 
 Vertices are dense integers 0..n-1.  Edges are unordered pairs with a
 positive multiplicity; loops are forbidden.  All listings are sorted
@@ -16,10 +16,15 @@ The two ceilings live here too: ORDER_LIMIT on the vertex count of a
 graph, and STEP_LIMIT on the steps of every exhaustive search, whose
 refusal ``_step_limit`` builds.  Both raise ScaleLimit (exit 3).
 
-Every record of this package is an immutable tuple: a named tuple of its
-fields, or for a multiset a ``_SortedItems`` tuple of its sorted items.
-Neither kind needs ``dataclasses``, which would cost every command its
-import and a class build per record.
+Every answer is an Augmentation and a Decomposition of the augmented graph,
+checked here with no search: _answer_checks makes the count, residue and
+coverage lines that ``verify`` prints; _recheck raises the first failure as
+InvariantViolation before ``construct``, ``epsilon`` or ``decompose`` prints.
+fast_reject is the screen ``decompose`` runs before it loads ``decomposer``.
+
+Every record is an immutable tuple: a named tuple of its fields, or for a
+multiset a ``_SortedItems`` tuple of its sorted items; ``dataclasses``
+would cost every command its import and a class build per record.
 """
 
 from __future__ import annotations
@@ -352,6 +357,129 @@ def apply_augmentation(g: Multigraph, aug: Augmentation) -> Multigraph:
             raise AugmentNonAdjacent(f"cannot add copies of absent edge ({e.u}, {e.v})")
         mult[e] += 1
     return Multigraph(g.order, mult)
+
+
+class Decomposition(_SortedItems):
+    """A multiset of triangles, kept sorted; repeats are meaningful."""
+
+    __slots__ = ()
+    _field = "triangles"
+    triangles = property(tuple)
+
+    def to_json_dict(self) -> dict:
+        return {"triangles": [list(t) for t in self]}
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "Decomposition":
+        if not isinstance(data, dict) or "triangles" not in data:
+            raise DomainError("certificate JSON must have a 'triangles' field")
+        return cls(_triangles_from_json(data["triangles"], "certificate 'triangles'"))
+
+
+def _triangles_from_json(entries: list, name: str) -> tuple[Triangle, ...]:
+    """[[a, b, c], ...] as Triangles in the listed order; DomainError if malformed."""
+    return tuple([triangle(a, b, c) for a, b, c in _json_rows(entries, 3, name)])
+
+
+class RejectReason(namedtuple("RejectReason", "kind vertex edge", defaults=(None, None))):
+    """A cheap necessary-condition failure: (kind, vertex=None, edge=None).
+
+    kind is one of "size_not_divisible", "odd_vertex", "edge_not_on_triangle";
+    the vertex / edge fields carry the witness where applicable.
+    """
+
+    __slots__ = ()
+
+    def to_json_dict(self) -> dict:
+        out: dict = {"kind": self.kind}
+        if self.vertex is not None:
+            out["vertex"] = self.vertex
+        if self.edge is not None:
+            out["edge"] = [self.edge.u, self.edge.v]
+        return out
+
+
+def coverage_error(g: Multigraph, d: Decomposition) -> tuple[str, EdgeKey] | None:
+    """First coverage defect as (kind, edge), or None if the certificate is valid.
+
+    kind is "undercovered", "overcovered", or "notanedge"; the defect with the
+    lexicographically least edge is reported.  One pass counts the plain
+    vertex pairs of the triangles, and the edges of g are scanned for one
+    that no triangle meets.
+    """
+    counts: dict[tuple[int, int], int] = {}
+    for a, b, c in d:
+        for pair in ((a, b), (a, c), (b, c)):
+            counts[pair] = counts.get(pair, 0) + 1
+    mult = g._mult  # EdgeKey hashes and compares as its (u, v) tuple
+    defects = [(e, "undercovered") for e in mult if e not in counts]
+    for pair, c in counts.items():
+        m = mult.get(pair, 0)
+        if c != m:
+            kind = "notanedge" if m == 0 else "overcovered" if c > m else "undercovered"
+            defects.append((pair, kind))
+    if not defects:
+        return None
+    (u, v), kind = min(defects)
+    return (kind, EdgeKey(u, v))
+
+
+def _check(ok: bool, good: str, bad: str) -> tuple[bool, str]:
+    return (ok, good if ok else bad)
+
+
+def _answer_checks(g: Multigraph, aug: Augmentation, cert: Decomposition,
+                   count: int) -> list[tuple[bool, str]]:
+    """The count, residue and coverage lines of an answer, as ``verify`` prints them.
+
+    coverage_error and apply_augmentation are looked up when called, so a rebound one runs.
+    """
+    checks = [
+        _check(len(aug) == count, f"augmentation lists {count} added copies",
+               f"augmentation lists {len(aug)} added copies, the count is {count}"),
+        _check(count % 3 == (-g.size()) % 3, "count matches the divisibility residue",
+               f"count {count} cannot make size {g.size()} divisible by 3"),
+    ]
+    try:
+        augmented = apply_augmentation(g, aug)
+    except DomainError as exc:
+        return checks + [(False, f"augmentation lists an absent edge: {exc}")]
+    defect = coverage_error(augmented, cert)
+    if defect is None:
+        return checks + [(True, "certificate covers every edge exactly")]
+    kind, e = defect
+    return checks + [(False, f"edge {{{e.u}, {e.v}}} {kind}")]
+
+
+def _recheck(g: Multigraph, aug: Augmentation, cert: Decomposition, count: int) -> None:
+    """Refuse to print an answer that fails _answer_checks: InvariantViolation, first failure."""
+    for ok, message in _answer_checks(g, aug, cert, count):
+        if not ok:
+            raise InvariantViolation(message)
+
+
+def fast_reject(g: Multigraph) -> RejectReason | None:
+    """Cheap necessary conditions, checked in a fixed order.
+
+    Size divisible by 3, then all degrees even, then every edge on a triangle.
+    None means no cheap obstruction was found (not that a decomposition exists).
+    """
+    if g.size() % 3 != 0:
+        return RejectReason("size_not_divisible")
+    for v, d in enumerate(degree_sequence(g)):
+        if d % 2 != 0:
+            return RejectReason("odd_vertex", vertex=v)
+    e = _edge_off_triangles(g)
+    return None if e is None else RejectReason("edge_not_on_triangle", edge=e)
+
+
+def _edge_off_triangles(g: Multigraph) -> EdgeKey | None:
+    """The least edge of g lying on no triangle, or None."""
+    adj = [set(ns) for ns in g.adjacency()]
+    for e in g.edges():
+        if adj[e.u].isdisjoint(adj[e.v]):  # stops at the first common neighbour
+            return e
+    return None
 
 
 def _crossing_chords(chords: Iterable[tuple[int, int]]) -> tuple | None:

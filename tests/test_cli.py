@@ -124,7 +124,7 @@ def test_verify_flags_wrong_count(capsys, tmp_path):
     path = write_json(tmp_path, "wrong-count.json", env)
     code, out, _ = run_cli(capsys, "verify", path)
     assert code == 1
-    assert "fail: augmentation lists 0 added copies, envelope claims 1" in out
+    assert "fail: augmentation lists 0 added copies, the count is 1" in out
     assert "fail: count 1 cannot make size 9 divisible by 3" in out
 
 
@@ -587,7 +587,7 @@ def test_epsilon_and_decompose_recheck_the_certificate(capsys, tmp_path, monkeyp
     code, out, err = run_cli(capsys, "epsilon", k4_path)
     assert (code, out) == (2, "")
     assert err == (f"internal error: augmentation lists {value} added copies, "
-                   f"envelope claims {value + 3}\n")
+                   f"the count is {value + 3}\n")
 
 
 def _child(argv, unbuffered=False, **kwargs):

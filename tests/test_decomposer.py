@@ -76,7 +76,7 @@ def test_decomposition_json_round_trip():
         Decomposition.from_json_dict({"triangles": [[0, 1, 1]]})
 
 
-def test_check_decomposition_accepts_exact_cover():
+def test_coverage_error_accepts_exact_cover():
     g = complete_graph(3)
     assert coverage_error(g, Decomposition((triangle(0, 1, 2),))) is None
     doubled = Multigraph.from_edges(3, [(0, 1, 2), (0, 2, 2), (1, 2, 2)])

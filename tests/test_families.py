@@ -70,7 +70,7 @@ def test_validate_construction_raises_the_first_failing_check():
     base = mop_construct(4)
     with pytest.raises(InvariantViolation) as info:
         validate_construction(base._replace(claimed_epsilon=4))
-    assert str(info.value) == "augmentation lists 1 added copies, envelope claims 4"
+    assert str(info.value) == "augmentation lists 1 added copies, the count is 4"
     with pytest.raises(InvariantViolation) as info:
         validate_construction(base._replace(certificate=Decomposition(())))
     assert str(info.value) == "edge {0, 1} undercovered"

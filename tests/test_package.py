@@ -77,6 +77,9 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
     k4 = {"order": 4, "edges": [[u, v, 1] for u in range(4) for v in range(u + 1, 4)]}
     path = tmp_path / "k4.json"
     path.write_text(json.dumps(k4), encoding="utf-8")
+    triangle = tmp_path / "triangle.json"
+    triangle.write_text(json.dumps({"order": 3, "edges": [[0, 1, 1], [0, 2, 1], [1, 2, 1]]}),
+                        encoding="utf-8")
     envelope = tmp_path / "mop4.json"
     envelope.write_text(json.dumps(tridecomp.mop_construct(4).to_json_dict()), encoding="utf-8")
     rotation = tmp_path / "k3.json"
@@ -90,12 +93,15 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
     # Against a bare interpreter's modules: those that the interpreter itself loads are no failure.
     bare = set(_child_output(_BARE)[1])
     for argv, layers in (
-        (("decompose", str(path)), base),
+        # The screen refuses K4 for its odd degrees, so no search is loaded.
+        (("decompose", str(path)), core),
+        (("decompose", str(triangle)), base),
         (("epsilon", str(path)), search),
         (("sweep", "epsilon", "5"), search | {"tridecomp.sweep"}),
-        # construct runs only the core checks, and verify never builds a family.
+        # construct runs only the core checks, and verify neither builds a
+        # family nor searches.
         (("construct", "mop", "4"), base | {"tridecomp.envelope", "tridecomp.families"}),
-        (("verify", str(envelope)), base | {"tridecomp.envelope", "tridecomp.analysis"}),
+        (("verify", str(envelope)), core | {"tridecomp.envelope", "tridecomp.analysis"}),
         # faces runs no solver.
         (("faces", str(rotation)), core | {"tridecomp.analysis"}),
     ):
@@ -105,6 +111,16 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
         assert not (every - bare) & unwanted, argv
         if argv[0] == "epsilon":  # neither the class sweeps nor the structural predicates
             assert not loaded & {"tridecomp.sweep", "tridecomp.analysis"}
+
+
+def test_decomposer_holds_only_the_search():
+    defined = {name for name, obj in vars(decomposer).items()
+               if getattr(obj, "__module__", None) == decomposer.__name__}
+    assert defined == {"enumerate_triangles", "CoverInstance", "find_decomposition",
+                       "_exact_cover"}
+    for name in ("Decomposition", "_triangles_from_json", "RejectReason", "coverage_error",
+                 "_check", "_answer_checks", "_recheck", "fast_reject", "_edge_off_triangles"):
+        assert not hasattr(decomposer, name), name
 
 
 _ATEXIT = """
