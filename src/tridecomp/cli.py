@@ -256,14 +256,8 @@ def run_verify(args: SimpleNamespace) -> int:
 def run_sweep(args: SimpleNamespace) -> int:
     from . import sweep
 
-    env = os.environ.get("TRIDECOMP_SWEEP_CEILING", sweep.DEFAULT_SWEEP_CEILING)
-    try:
-        ceiling = int(env)
-    except ValueError:
-        raise graph_core.DomainError(
-            f"TRIDECOMP_SWEEP_CEILING must be an integer, got {graph_core._shown(env)}")
     extremum = sweep.epsilon_class_exact if args.kind == "epsilon" else sweep.xi_class_exact
-    value, witness = extremum(args.n, ceiling)
+    value, witness = extremum(args.n)
     _print_json({"kind": args.kind, "n": args.n, "value": value,
                  "witness": witness.to_json_dict()})
     return 0

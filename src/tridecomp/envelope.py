@@ -184,7 +184,8 @@ def verify_construction(result: ConstructionResult) -> list[Check]:
             ]
     elif family == "kop":
         m, k = result.parameters.get("m"), result.parameters.get("k")
-        if not (isinstance(m, int) and isinstance(k, int) and m >= 3 and k >= 1):
+        if not (isinstance(m, int) and isinstance(k, int) and m >= 3 and k >= 1
+                and m * k == g.order):
             checks.append((False, "layered envelope has no usable m, k parameters"))
         else:
             ring = ((j * m + i, j * m + (i + 1) % m) for j in range(k) for i in range(m))

@@ -1,24 +1,26 @@
 """Class sweeps: extremal augmentation counts over all triangulated cycles.
 
 A maximal outerplanar graph of order n is a triangulation of the n-cycle,
-coded by its chord set (MopCode); enumerate_mops lists all Catalan(n - 2)
-of them in chord-set order.  epsilon_class_exact and xi_class_exact run the
-per-graph level climb of ``augment`` on one member at a time, in that
-order, so each member's cover solver instance is freed as the sweep moves
-on and at most two are alive at once: the least count over the class, and
-the largest when at most one extra copy per edge is allowed.  Only the ``sweep`` subcommand loads this module.
-MopCode checks chord crossings with the test in ``graph_core``.
+coded by its chord set (MopCode); enumerate_mops, the one bound on a
+sweep's order, lists all Catalan(n - 2) of them in chord-set order.
+epsilon_class_exact and xi_class_exact run ``augment``'s level climb on
+one member at a time, in that order, so at most two cover solver
+instances are alive at once.  Only the ``sweep`` subcommand loads this
+module.  MopCode checks chord crossings with the test in ``graph_core``.
 """
 
 from __future__ import annotations
 
+import os
 from collections import namedtuple
 from collections.abc import Iterable
 
+from . import graph_core
 from .augment import _least_level
-from .graph_core import DomainError, EdgeKey, Multigraph, ScaleLimit, _check_int, _crossing_chords
+from .graph_core import (DomainError, EdgeKey, InvariantViolation, Multigraph, ScaleLimit,
+                         _check_int, _crossing_chords, _shown)
 
-# Default order ceiling for the class sweeps when the caller gives none.
+# Order ceiling of the class sweeps where TRIDECOMP_SWEEP_CEILING is unset.
 DEFAULT_SWEEP_CEILING = 12
 
 
@@ -66,8 +68,26 @@ class MopCode(namedtuple("MopCode", "order chords")):
 
 
 def enumerate_mops(n: int) -> list[MopCode]:
-    """Every triangulation of the labelled n-cycle, sorted by chord set."""
+    """Every triangulation of the labelled n-cycle, sorted by chord set.
+
+    ScaleLimit, before anything is listed, above TRIDECOMP_SWEEP_CEILING,
+    read at each call (default DEFAULT_SWEEP_CEILING), or past STEP_LIMIT
+    codes, counted by the Catalan recurrence up to the limit.
+    """
+    _check_int(n)
+    env = os.environ.get("TRIDECOMP_SWEEP_CEILING", DEFAULT_SWEEP_CEILING)
+    try:
+        ceiling = int(env)
+    except ValueError:
+        raise DomainError(f"TRIDECOMP_SWEEP_CEILING must be an integer, got {_shown(env)}")
+    if n > ceiling:
+        raise ScaleLimit(f"order {n} exceeds the sweep ceiling {ceiling}")
     _check_int(n, least=3)
+    count = 1
+    for k in range(1, n - 1):  # count = Catalan(k)
+        count = count * (4 * k - 2) // (k + 1)
+        if count > graph_core.STEP_LIMIT:
+            raise graph_core._step_limit("triangulation listing")
 
     def fill(i: int, j: int) -> list[list[tuple[int, int]]]:
         # All chord sets triangulating the polygon arc i..j (j - i >= 2).
@@ -95,16 +115,15 @@ def enumerate_mops(n: int) -> list[MopCode]:
     return codes
 
 
-def _check_sweep_order(n: int, ceiling: int | None) -> None:
-    """Refuse a non-integer order or ceiling with DomainError, an order above it with ScaleLimit."""
-    _check_int(n)
-    if ceiling is not None:
-        _check_int(ceiling, "sweep ceiling")
-        if n > ceiling:
-            raise ScaleLimit(f"order {n} exceeds the sweep ceiling {ceiling}")
+def _rechecked(n: int, best: tuple[int, MopCode]) -> tuple[int, MopCode]:
+    """best with its witness rebuilt through the MopCode checks that the listing skips."""
+    try:
+        return best[0], MopCode(n, best[1].chords)
+    except DomainError as exc:
+        raise InvariantViolation(f"sweep witness: {exc}") from exc
 
 
-def epsilon_class_exact(n: int, ceiling: int | None = None) -> tuple[int, MopCode]:
+def epsilon_class_exact(n: int) -> tuple[int, MopCode]:
     """Least augmentation count over all order-n triangulated cycles.
 
     Returns the count and the first witness in chord-set order.  Each graph
@@ -112,7 +131,6 @@ def epsilon_class_exact(n: int, ceiling: int | None = None) -> tuple[int, MopCod
     first graph that hits the class residue n mod 3 (the residue of the
     shared size 2n - 3), below which no level exists.
     """
-    _check_sweep_order(n, ceiling)
     best = None
     for code in enumerate_mops(n):
         hit = _least_level(code.graph(), None, None if best is None else best[0])
@@ -120,21 +138,22 @@ def epsilon_class_exact(n: int, ceiling: int | None = None) -> tuple[int, MopCod
             best = hit[0], code
             if best[0] == n % 3:
                 break
-    return best
+    return _rechecked(n, best)
 
 
-def xi_class_exact(n: int, ceiling: int | None = None) -> tuple[int, MopCode]:
+def xi_class_exact(n: int) -> tuple[int, MopCode]:
     """Largest augmentation count over order-n triangulated cycles, one copy cap.
 
     Every graph in the class admits a capped augmentation (doubling all
     chords works: the polygon faces then cover everything), so every graph
     climbs to its own count; the greatest is witnessed by its first graph
-    in chord-set order.  A graph whose climb finds no level is skipped.
+    in chord-set order.  A graph whose climb finds no level is a bug.
     """
-    _check_sweep_order(n, ceiling)
     best = None
     for code in enumerate_mops(n):
         hit = _least_level(code.graph(), 1)
-        if hit is not None and (best is None or hit[0] > best[0]):
+        if hit is None:
+            raise InvariantViolation(f"no capped level for chords {code.to_json_dict()['chords']}")
+        if best is None or hit[0] > best[0]:
             best = hit[0], code
-    return best
+    return _rechecked(n, best)

@@ -11,6 +11,7 @@ from tridecomp import (
     CapInfeasible,
     DomainError,
     EdgeNotOnTriangle,
+    InvariantViolation,
     MopCode,
     Multigraph,
     ScaleLimit,
@@ -327,6 +328,17 @@ def test_enumerate_mops_counts_and_order():
         enumerate_mops(2)
 
 
+def test_enumerate_mops_refuses_more_codes_than_the_step_limit(monkeypatch):
+    # Catalan(7) = 429 codes list; Catalan(8) = 1430 are refused before any is built.
+    monkeypatch.setattr(graph_core, "STEP_LIMIT", 1000)
+    monkeypatch.setenv("TRIDECOMP_SWEEP_CEILING", str(10**9))
+    assert len(enumerate_mops(9)) == 429
+    for n in (10, 10**6):  # the count stops at the first Catalan number past the limit
+        with pytest.raises(ScaleLimit) as refused:
+            enumerate_mops(n)
+        assert str(refused.value) == "triangulation listing exceeds the ceiling of 1000 steps"
+
+
 def test_enumerate_mops_yields_maximal_outerplanar_graphs():
     for n in range(3, 10):
         for code in enumerate_mops(n):
@@ -398,21 +410,20 @@ def test_class_sweeps_hold_one_solver_instance_at_a_time(monkeypatch):
     assert live["peak"] <= 2 and live["alive"] == 0
 
 
-def test_class_maximum_skips_a_graph_without_a_level(monkeypatch):
+def test_class_maximum_refuses_a_graph_without_a_level(monkeypatch):
+    # Every triangulated cycle has a capped level; a climb that finds none is a bug.
     from tridecomp import sweep
 
     climb = sweep._least_level
-    skipped = enumerate_mops(6)[0].graph()  # the fan, the witness otherwise
+    missing = enumerate_mops(6)[0].graph()  # the fan, the witness otherwise
 
     def least_level(g, cap, below=None):
-        return None if g == skipped else climb(g, cap, below)
+        return None if g == missing else climb(g, cap, below)
 
     monkeypatch.setattr(sweep, "_least_level", least_level)
-    value, witness = xi_class_exact(6)
-    codes = enumerate_mops(6)
-    per_graph = [epsilon_exact(c.graph(), max_copies_per_edge=1)[0] for c in codes[1:]]
-    assert value == max(per_graph) == 3
-    assert witness == codes[1 + per_graph.index(value)]
+    with pytest.raises(InvariantViolation) as refused:
+        xi_class_exact(6)
+    assert str(refused.value) == "no capped level for chords [[0, 2], [0, 3], [0, 4]]"
 
 
 def test_class_sweeps_are_deterministic():
@@ -420,9 +431,13 @@ def test_class_sweeps_are_deterministic():
     assert xi_class_exact(6) == xi_class_exact(6)
 
 
-def test_class_sweeps_respect_ceiling():
-    with pytest.raises(ScaleLimit):
-        epsilon_class_exact(13, ceiling=12)
-    with pytest.raises(ScaleLimit):
-        xi_class_exact(10, ceiling=9)
-    assert epsilon_class_exact(5, ceiling=12)[0] == 2
+def test_class_sweeps_respect_ceiling(monkeypatch):
+    # enumerate_mops reads TRIDECOMP_SWEEP_CEILING at each call; unset, the default binds.
+    monkeypatch.delenv("TRIDECOMP_SWEEP_CEILING", raising=False)
+    for refused in (enumerate_mops, epsilon_class_exact):
+        with pytest.raises(ScaleLimit, match="^order 13 exceeds the sweep ceiling 12$"):
+            refused(13)
+    monkeypatch.setenv("TRIDECOMP_SWEEP_CEILING", "9")
+    with pytest.raises(ScaleLimit, match="^order 10 exceeds the sweep ceiling 9$"):
+        xi_class_exact(10)
+    assert epsilon_class_exact(5)[0] == 2

@@ -368,6 +368,19 @@ def test_sweep_ceiling_and_override(capsys, monkeypatch):
                    f"{repr(long_value)[:80]}...\n")
 
 
+def test_sweep_rechecks_its_witness(capsys, monkeypatch):
+    # The listing skips MopCode's checks, so the printed witness is rebuilt
+    # through them: a crossing chord set there is an internal error.
+    from tridecomp import sweep
+
+    new = tuple.__new__
+    chords = tuple(new(graph_core.EdgeKey, c) for c in ((0, 2), (1, 6), (2, 4), (4, 6)))
+    monkeypatch.setattr(sweep, "enumerate_mops", lambda n: [new(sweep.MopCode, (n, chords))])
+    code, out, err = run_cli(capsys, "sweep", "epsilon", "7")
+    assert (code, out) == (2, "")
+    assert err == "internal error: sweep witness: chords (0,2) and (1,6) cross\n"
+
+
 def test_faces_command(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "construct", "sf", "8")
     rotation = json.loads(out)["rotation"]
@@ -758,8 +771,16 @@ HMP_TAIL = "ok: hamiltonian cycle found\nok: all degrees even and the graph is c
         pytest.param(
             ("kop", "3", "2"),
             lambda env: env.update(parameters={"m": 10**12, "k": 10**12}),
-            CORE_OK.format(eps=0) + "fail: ring edge (2, 3) missing\n1 check(s) failed\n",
+            CORE_OK.format(eps=0)
+            + "fail: layered envelope has no usable m, k parameters\n1 check(s) failed\n",
             id="kop-huge-parameters",
+        ),
+        pytest.param(
+            ("kop", "5", "3"),
+            lambda env: env.update(parameters={"m": 5, "k": 2}),
+            CORE_OK.format(eps=2)
+            + "fail: layered envelope has no usable m, k parameters\n1 check(s) failed\n",
+            id="kop-parameters-not-the-order",
         ),
         pytest.param(
             ("kop", "5", "2"),
