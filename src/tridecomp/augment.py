@@ -96,7 +96,13 @@ def epsilon_exact(
         lo[i] = hi[i] = cover[i]
         unpinned -= cover[i] - b
     chosen = inst.solve(lo, hi, k)  # lo == hi: the certificate search
+    return (t, *_records(inst, base, chosen))
+
+
+def _records(inst: CoverInstance, base: list[int],
+             chosen: list[int]) -> tuple[Augmentation, Decomposition]:
+    """A cover as records: c - base copies of each edge it covers c times; its triangles."""
     additions: list[EdgeKey] = []
-    for e, c, b in zip(inst.edge_keys, cover, base):
+    for e, c, b in zip(inst.edge_keys, inst.edge_counts(chosen), base):
         additions.extend([e] * (c - b))
-    return t, Augmentation(tuple(additions)), inst.certificate(chosen)
+    return Augmentation(additions), inst.certificate(chosen)

@@ -19,7 +19,9 @@ refusal ``_step_limit`` builds.  Both raise ScaleLimit (exit 3).
 Every answer is an Augmentation and a Decomposition of the augmented graph,
 checked here with no search: _answer_checks makes the count, residue and
 coverage lines that ``verify`` prints; _recheck raises the first failure as
-InvariantViolation before ``construct``, ``epsilon`` or ``decompose`` prints.
+InvariantViolation before ``construct``, ``epsilon``, ``decompose`` or
+``sweep`` prints.  _packing_bound is the matching lower bound: the least
+count any augmentation can add, read off edges that no triangle pairs.
 fast_reject is the screen ``decompose`` runs before it loads ``decomposer``.
 
 Every record is an immutable tuple: a named tuple of its fields, or for a
@@ -456,6 +458,29 @@ def _recheck(g: Multigraph, aug: Augmentation, cert: Decomposition, count: int) 
     for ok, message in _answer_checks(g, aug, cert, count):
         if not ok:
             raise InvariantViolation(message)
+
+
+def _packing_bound(g: Multigraph, edges: Iterable[EdgeKey]) -> int | None:
+    """The least count any augmentation of g can add, read off edges no triangle pairs.
+
+    A decomposition of g plus k - size copies takes a triangle for each
+    copy of each listed edge, and no triangle serves two when no triangle
+    of g holds two listed edges: so k >= sum of their multiplicities, and
+    the count 3k - size is at least 3 * that sum - size, and at least the
+    residue (-size) % 3.  None when an edge is absent from g or a triangle,
+    found through the common neighbours of each edge, holds two of them.
+    """
+    edges = set(edges)
+    adj = [set(ns) for ns in g.adjacency()]
+    total = 0
+    for e in edges:
+        m = g.multiplicity(e)
+        if m == 0 or any(edge(e.u, w) in edges or edge(e.v, w) in edges
+                         for w in adj[e.u] & adj[e.v]):
+            return None
+        total += m
+    size = g.size()
+    return max(3 * total - size, (-size) % 3)
 
 
 def fast_reject(g: Multigraph) -> RejectReason | None:

@@ -1,12 +1,15 @@
-"""Class sweeps: extremal augmentation counts over all triangulated cycles.
+"""Class extremes: extremal augmentation counts over all triangulated cycles.
 
 A maximal outerplanar graph of order n is a triangulation of the n-cycle,
-coded by its chord set (MopCode); enumerate_mops, the one bound on a
-sweep's order, lists all Catalan(n - 2) of them in chord-set order.
-epsilon_class_exact and xi_class_exact run ``augment``'s level climb on
-one member at a time, in that order, so at most two cover solver
-instances are alive at once.  Only the ``sweep`` subcommand loads this
-module.  MopCode checks chord crossings with the test in ``graph_core``.
+coded by its chord set (MopCode); enumerate_mops, the one bound on the
+epsilon sweep's order, lists all Catalan(n - 2) of them in chord-set order.
+epsilon_class_exact runs ``augment``'s level climb on one member at a
+time, in that order, so at most two cover solver instances are alive at
+once, and rechecks the winning cover as an answer.  xi_class_exact runs
+no search: it checks the paper's proof of its value on the fan, the first
+member, through ``graph_core``'s answer checks and packing bound.  Only
+the ``sweep`` subcommand loads this module.  MopCode checks chord
+crossings with the test in ``graph_core``.
 """
 
 from __future__ import annotations
@@ -16,11 +19,12 @@ from collections import namedtuple
 from collections.abc import Iterable
 
 from . import graph_core
-from .augment import _least_level
-from .graph_core import (DomainError, EdgeKey, InvariantViolation, Multigraph, ScaleLimit,
-                         _check_int, _crossing_chords, _shown)
+from .augment import _least_level, _records
+from .graph_core import (Augmentation, Decomposition, DomainError, EdgeKey, InvariantViolation,
+                         Multigraph, ScaleLimit, Triangle, _check_int, _crossing_chords,
+                         _packing_bound, _shown)
 
-# Order ceiling of the class sweeps where TRIDECOMP_SWEEP_CEILING is unset.
+# Order ceiling of the epsilon sweep where TRIDECOMP_SWEEP_CEILING is unset.
 DEFAULT_SWEEP_CEILING = 12
 
 
@@ -115,45 +119,52 @@ def enumerate_mops(n: int) -> list[MopCode]:
     return codes
 
 
-def _rechecked(n: int, best: tuple[int, MopCode]) -> tuple[int, MopCode]:
-    """best with its witness rebuilt through the MopCode checks that the listing skips."""
-    try:
-        return best[0], MopCode(n, best[1].chords)
-    except DomainError as exc:
-        raise InvariantViolation(f"sweep witness: {exc}") from exc
-
-
 def epsilon_class_exact(n: int) -> tuple[int, MopCode]:
     """Least augmentation count over all order-n triangulated cycles.
 
     Returns the count and the first witness in chord-set order.  Each graph
     climbs only below the best level so far, and the sweep stops at the
     first graph that hits the class residue n mod 3 (the residue of the
-    shared size 2n - 3), below which no level exists.
+    shared size 2n - 3), below which no level exists.  The best graph's
+    cover is kept as its records, so no solver instance outlives its graph,
+    and they are rechecked before returning.
     """
     best = None
     for code in enumerate_mops(n):
-        hit = _least_level(code.graph(), None, None if best is None else best[0])
+        g = code.graph()
+        hit = _least_level(g, None, None if best is None else best[0])
         if hit is not None:
-            best = hit[0], code
-            if best[0] == n % 3:
+            t, inst, base, _hi, chosen = hit
+            best = t, code, g, *_records(inst, base, chosen)
+            if t == n % 3:
                 break
-    return _rechecked(n, best)
+    t, code, g, aug, cert = best
+    graph_core._recheck(g, aug, cert, t)
+    try:  # the witness, rebuilt through the MopCode checks that the listing skips
+        return t, MopCode(n, code.chords)
+    except DomainError as exc:
+        raise InvariantViolation(f"sweep witness: {exc}") from exc
 
 
 def xi_class_exact(n: int) -> tuple[int, MopCode]:
     """Largest augmentation count over order-n triangulated cycles, one copy cap.
 
-    Every graph in the class admits a capped augmentation (doubling all
-    chords works: the polygon faces then cover everything), so every graph
-    climbs to its own count; the greatest is witnessed by its first graph
-    in chord-set order.  A graph whose climb finds no level is a bug.
+    The count is n - 3, and the fan at vertex 0, the first triangulation in
+    chord-set order, is the witness; nothing is searched or listed.  Upper
+    bound: a member with its n - 3 chords doubled decomposes into its n - 2
+    faces.  Lower bound: no face of the fan holds two of its path edges
+    (i, i + 1), 1 <= i <= n - 2, so its decompositions take n - 2
+    triangles and add 3(n - 2) - (2n - 3) = n - 3 copies.  Both halves are
+    checked on the fan before returning, the first through the answer
+    checks and the second through _packing_bound; a failure is a bug.
     """
-    best = None
-    for code in enumerate_mops(n):
-        hit = _least_level(code.graph(), 1)
-        if hit is None:
-            raise InvariantViolation(f"no capped level for chords {code.to_json_dict()['chords']}")
-        if best is None or hit[0] > best[0]:
-            best = hit[0], code
-    return _rechecked(n, best)
+    _check_int(n, least=3)
+    graph_core._check_order(n)
+    code = MopCode(n, [EdgeKey(0, i) for i in range(2, n - 1)])
+    g = code.graph()
+    faces = Decomposition(Triangle(0, i, i + 1) for i in range(1, n - 1))
+    graph_core._recheck(g, Augmentation(code.chords), faces, n - 3)
+    bound = _packing_bound(g, [EdgeKey(i, i + 1) for i in range(1, n - 1)])
+    if bound != n - 3:
+        raise InvariantViolation(f"the fan's path edges bound its count by {bound}, not {n - 3}")
+    return n - 3, code

@@ -14,7 +14,8 @@ tests recomputed in full; it reads the triangle tables of a
 CoverInstance.  find_hamiltonian_cycle is a depth-first search for a
 Hamiltonian cycle, stopped at STEP_LIMIT passes; ``verify`` checks the
 cycle that an hmp envelope's order determines instead.  complete_graph and
-cycle_graph are the test fixtures K_n and C_n.  Otherwise only the
+cycle_graph are the test fixtures K_n and C_n, and fort_hedlund is the
+known least count for K_n, which needs no scipy.  Otherwise only the
 Multigraph container is shared with the production code.
 """
 
@@ -27,6 +28,17 @@ from tridecomp import DomainError, EdgeKey, Multigraph, degree_sequence, edge, g
 
 def complete_graph(n: int) -> Multigraph:
     return Multigraph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def fort_hedlund(n: int) -> int:
+    """Least added copies that make K_n decomposable, from its covering number.
+
+    Fort and Hedlund (1958): the fewest triangles covering every edge of
+    K_n, n >= 3, is ceil((n / 3) * ceil((n - 1) / 2)); the count is three
+    times that less the n(n - 1) / 2 edges.
+    """
+    half = -(-(n - 1) // 2)
+    return 3 * -(-(n * half) // 3) - n * (n - 1) // 2
 
 
 def cycle_graph(n: int) -> Multigraph:

@@ -37,6 +37,7 @@ from oracle_helpers import (
     complete_graph,
     cycle_graph,
     every_edge_on_triangle_masks,
+    fort_hedlund,
     graph_from_mask,
     milp_epsilon,
     oracle_epsilon,
@@ -359,7 +360,8 @@ def test_class_minimum_matches_per_graph_brute_force():
 
 
 def test_class_maximum_matches_per_graph_brute_force():
-    for n in range(3, 8):
+    # xi_class_exact answers from its proof; the per-graph climb is the reference.
+    for n in range(3, 11):
         value, witness = xi_class_exact(n)
         codes = enumerate_mops(n)
         per_graph = [epsilon_exact(c.graph(), max_copies_per_edge=1)[0] for c in codes]
@@ -406,24 +408,104 @@ def test_class_sweeps_hold_one_solver_instance_at_a_time(monkeypatch):
     assert live["peak"] <= 2 and live["alive"] == 0
     live.update(built=0, peak=0)
     assert xi_class_exact(9)[0] == 6
-    assert live["built"] == len(codes) == 429
-    assert live["peak"] <= 2 and live["alive"] == 0
+    assert live["built"] == 0  # the class maximum runs no search
 
 
-def test_class_maximum_refuses_a_graph_without_a_level(monkeypatch):
-    # Every triangulated cycle has a capped level; a climb that finds none is a bug.
-    from tridecomp import sweep
+def test_class_maximum_refuses_a_fan_bound_short_of_its_count(monkeypatch, capsys):
+    # The proof's lower bound is checked on the fan; one that falls short is a bug.
+    from tridecomp import cli, sweep
 
-    climb = sweep._least_level
-    missing = enumerate_mops(6)[0].graph()  # the fan, the witness otherwise
-
-    def least_level(g, cap, below=None):
-        return None if g == missing else climb(g, cap, below)
-
-    monkeypatch.setattr(sweep, "_least_level", least_level)
+    monkeypatch.setattr(sweep, "_packing_bound", lambda g, edges: g.order - 4)
     with pytest.raises(InvariantViolation) as refused:
         xi_class_exact(6)
-    assert str(refused.value) == "no capped level for chords [[0, 2], [0, 3], [0, 4]]"
+    assert str(refused.value) == "the fan's path edges bound its count by 2, not 3"
+    assert cli.main(["sweep", "xi", "6"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: the fan's path edges bound its count by 2, not 3\n"
+
+
+def test_class_maximum_runs_no_search(monkeypatch):
+    from tridecomp import augment, decomposer, sweep
+
+    def refused(*args):
+        raise AssertionError("searched")
+
+    for module, name in ((decomposer, "CoverInstance"), (augment, "CoverInstance"),
+                         (sweep, "enumerate_mops"), (sweep, "_least_level")):
+        monkeypatch.setattr(module, name, refused)
+    for n in range(3, 51):
+        fan = MopCode(n, [edge(0, i) for i in range(2, n - 1)])
+        assert xi_class_exact(n) == (n - 3, fan)
+
+
+def test_class_maximum_refuses_an_order_over_the_limit_at_once():
+    with pytest.raises(ScaleLimit, match="^order 1000000000 exceeds the ceiling of 100000 vertices$"):
+        xi_class_exact(10**9)
+    with pytest.raises(DomainError, match="^order must be >= 3, got 2$"):
+        xi_class_exact(2)
+
+
+def test_class_minimum_rechecks_its_witness_records(monkeypatch):
+    # The best graph's cover is rechecked as an answer before the value returns.
+    from tridecomp import sweep
+
+    records = sweep._records
+
+    def short(inst, base, chosen):
+        aug, cert = records(inst, base, chosen)
+        return aug, type(cert)(cert[1:])
+
+    monkeypatch.setattr(sweep, "_records", short)
+    with pytest.raises(InvariantViolation, match="undercovered$"):
+        epsilon_class_exact(6)
+
+
+def _greedy_packing(g):
+    """Edges of g in sorted order, each kept when no triangle holds it and a kept edge."""
+    adj = g.adjacency()
+    kept = set()
+    for e in g.edges():
+        if not any(edge(e.u, w) in kept or edge(e.v, w) in kept
+                   for w in set(adj[e.u]) & set(adj[e.v])):
+            kept.add(e)
+    return kept
+
+
+def test_packing_bound_stays_below_the_least_count():
+    rng = random.Random(32)
+    for n in range(3, 9):  # all 196 triangulated cycles of order 3..8
+        for code in enumerate_mops(n):
+            g = code.graph()
+            bound = graph_core._packing_bound(g, _greedy_packing(g))
+            assert bound is not None and bound <= epsilon_exact(g)[0]
+            if n <= 6:  # with multiplicities, each edge counts its copies
+                heavy = Multigraph.from_edges(n, [(e.u, e.v, rng.randint(1, 3)) for e in g.edges()])
+                bound = graph_core._packing_bound(heavy, _greedy_packing(heavy))
+                assert bound is not None and bound <= epsilon_exact(heavy)[0]
+
+
+def test_packing_bound_of_the_fan_path_is_its_count():
+    for n in range(3, 41):
+        fan = MopCode(n, [edge(0, i) for i in range(2, n - 1)]).graph()
+        path = [edge(i, i + 1) for i in range(1, n - 1)]
+        assert graph_core._packing_bound(fan, path) == n - 3
+    # below zero the bound is the divisibility residue
+    assert graph_core._packing_bound(complete_graph(4), [edge(0, 1)]) == 0
+    assert graph_core._packing_bound(complete_graph(5), []) == 2
+
+
+def test_packing_bound_refuses_two_edges_of_a_triangle_or_an_absent_edge():
+    fan = MopCode(6, [edge(0, i) for i in range(2, 5)]).graph()
+    assert graph_core._packing_bound(fan, [edge(1, 2), edge(0, 2)]) is None  # face (0, 1, 2)
+    assert graph_core._packing_bound(fan, [edge(1, 2), edge(3, 4), edge(2, 4)]) is None
+    assert graph_core._packing_bound(fan, [edge(1, 3)]) is None  # absent
+    assert graph_core._packing_bound(fan, [edge(1, 2), edge(3, 4)]) == 0
+
+
+def test_epsilon_of_complete_graphs_is_fort_hedlund():
+    for n in [*range(3, 14), 15, 19, 21, 25]:
+        assert epsilon_exact(complete_graph(n))[0] == fort_hedlund(n)
 
 
 def test_class_sweeps_are_deterministic():
@@ -439,5 +521,7 @@ def test_class_sweeps_respect_ceiling(monkeypatch):
             refused(13)
     monkeypatch.setenv("TRIDECOMP_SWEEP_CEILING", "9")
     with pytest.raises(ScaleLimit, match="^order 10 exceeds the sweep ceiling 9$"):
-        xi_class_exact(10)
+        epsilon_class_exact(10)
+    # The class maximum lists nothing, so the ceiling does not bind it.
+    assert xi_class_exact(10) == (7, MopCode(10, [edge(0, i) for i in range(2, 9)]))
     assert epsilon_class_exact(5)[0] == 2

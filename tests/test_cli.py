@@ -343,6 +343,19 @@ def test_sweep_xi(capsys, monkeypatch):
     assert payload["witness"] == {"order": 5, "chords": [[0, 2], [0, 3]]}
 
 
+def test_sweep_xi_answers_every_order_up_to_the_order_limit(capsys, monkeypatch):
+    # sweep xi lists nothing, so the sweep ceiling does not bind it; the order limit does.
+    monkeypatch.setenv("TRIDECOMP_SWEEP_CEILING", "5")
+    code, out, _ = run_cli(capsys, "sweep", "xi", "13")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == 10
+    assert payload["witness"] == {"order": 13, "chords": [[0, i] for i in range(2, 12)]}
+    code, out, err = run_cli(capsys, "sweep", "xi", "100001")
+    assert (code, out) == (3, "")
+    assert err == "error: order 100001 exceeds the ceiling of 100000 vertices\n"
+
+
 def test_sweep_ceiling_and_override(capsys, monkeypatch):
     monkeypatch.delenv("TRIDECOMP_SWEEP_CEILING", raising=False)
     code, _, err = run_cli(capsys, "sweep", "epsilon", "13")

@@ -166,6 +166,12 @@ def test_find_decomposition_on_known_negatives():
     assert find_decomposition(book) is None
 
 
+def test_complete_graphs_decompose_exactly_at_steiner_orders():
+    # K_n has a triangle decomposition (a Steiner triple system) iff n = 1 or 3 mod 6.
+    for n in range(3, 41):
+        assert (find_decomposition(complete_graph(n)) is not None) == (n % 6 in (1, 3))
+
+
 def test_find_decomposition_is_deterministic():
     g = complete_graph(7)
     assert find_decomposition(g) == find_decomposition(g)
