@@ -31,10 +31,10 @@ from .graph_core import (
 
 def _least_level(g: Multigraph, cap: int | None,
                  below: int | None = None) -> tuple | None:
-    """(t, instance, base, hi, chosen) at the least level t of g, or None.
+    """(t, instance, hi, chosen) at the least level t of g, or None.
 
     Level t adds t copies, at most cap per edge, so k = (size + t) / 3
-    triangles cover edge i between base[i] and hi[i] times.  Levels start
+    triangles cover edge i between inst.base[i] and hi[i] times.  Levels start
     at the residue (-size) % 3, where k - 1 triangles cannot cover size
     edges, and rise by 3, so k rises one step at a time as solve() requires.
     The climb stops below `below` when one is given, else past the ceiling
@@ -52,7 +52,7 @@ def _least_level(g: Multigraph, cap: int | None,
         hi = [b + (t if cap is None else min(cap, t)) for b in base]
         chosen = inst.solve(base, hi, (size + t) // 3)
         if chosen is not None:
-            return t, inst, base, hi, chosen
+            return t, inst, hi, chosen
     return None
 
 
@@ -78,15 +78,15 @@ def epsilon_exact(
     hit = _least_level(g, cap)
     if hit is None:  # only a cap can stop the climb without a hit
         raise CapInfeasible(f"no augmentation with at most {cap} extra copies per edge works")
-    t, inst, base, hi, chosen = hit
+    t, inst, hi, chosen = hit
     k = len(chosen)
     # The lexicographically least multiset puts the most copies on edge 0,
     # then on edge 1, and so on.  Ask for one more copy on edge i than the
     # last solution used; the first refusal pins the edge.
-    lo = list(base)
+    lo = list(inst.base)
     cover = inst.edge_counts(chosen)
     unpinned = t  # added copies not yet pinned to an edge
-    for i, b in enumerate(base):
+    for i, b in enumerate(inst.base):
         while cover[i] < hi[i] and cover[i] - b < unpinned:
             lo[i] = cover[i] + 1
             more = inst.solve(lo, hi, k)
@@ -96,13 +96,12 @@ def epsilon_exact(
         lo[i] = hi[i] = cover[i]
         unpinned -= cover[i] - b
     chosen = inst.solve(lo, hi, k)  # lo == hi: the certificate search
-    return (t, *_records(inst, base, chosen))
+    return (t, *_records(inst, chosen))
 
 
-def _records(inst: CoverInstance, base: list[int],
-             chosen: list[int]) -> tuple[Augmentation, Decomposition]:
+def _records(inst: CoverInstance, chosen: list[int]) -> tuple[Augmentation, Decomposition]:
     """A cover as records: c - base copies of each edge it covers c times; its triangles."""
     additions: list[EdgeKey] = []
-    for e, c, b in zip(inst.edge_keys, inst.edge_counts(chosen), base):
-        additions.extend([e] * (c - b))
+    for (u, v), c, b in zip(inst.ends, inst.edge_counts(chosen), inst.base):
+        additions.extend([EdgeKey(u, v)] * (c - b))
     return Augmentation(additions), inst.certificate(chosen)

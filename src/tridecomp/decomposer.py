@@ -11,9 +11,10 @@ input.  The search keeps its node state incrementally: a triangle is live
 while each of its edges has room for one more covering, and a choose or
 undo that empties or refills an edge flips the triangles through it, so a
 node reads its prunes and its branch edge from per-edge counts instead of
-rescanning every triangle.  Each solver instance counts the triangles it
-chooses, and the edges and triangles its set-ups read, over all its
-searches, and gives up with ScaleLimit past STEP_LIMIT of either; listing
+rescanning every triangle.  Each solver instance keeps each edge once, as a
+vertex pair, and each triangle once, as three edge indices.  It counts the
+triangles it chooses, and the edges and triangles its set-ups read, over all
+its searches, and gives up with ScaleLimit past STEP_LIMIT of either; listing
 more than STEP_LIMIT triangles is refused the same way.  The certificate
 record, the screen fast_reject and the answer checks live in ``graph_core``,
 so a command that runs no search never compiles this module.
@@ -24,7 +25,7 @@ from __future__ import annotations
 from bisect import insort
 
 from . import graph_core
-from .graph_core import ORDER_LIMIT, EdgeKey, Multigraph, ScaleLimit, Triangle
+from .graph_core import ORDER_LIMIT, Multigraph, ScaleLimit, Triangle
 
 
 def enumerate_triangles(g: Multigraph) -> list[Triangle]:
@@ -60,34 +61,31 @@ class CoverInstance:
     and triangles that their set-ups read, so a climb of many levels that
     are refused before a triangle is chosen is counted too.  Past
     STEP_LIMIT of either the search gives up with ScaleLimit, so the limit
-    bounds all the searches on one graph together.
+    bounds all the searches on one graph together.  Edge i is the pair ends[i]
+    and triangle t the indices tri_edges[t] of its edges ab, ac and bc.
     """
 
-    __slots__ = ("edge_keys", "base", "tri_verts", "tri_edges", "tris_of_edge", "ends", "order",
-                 "steps", "scanned")
+    __slots__ = ("ends", "base", "tri_edges", "tris_of_edge", "order", "steps", "scanned")
 
     def __init__(self, g: Multigraph):
-        self.edge_keys: list[EdgeKey] = g.edges()
-        self.base: list[int] = [g.multiplicity(e) for e in self.edge_keys]
-        edge_index = {e: i for i, e in enumerate(self.edge_keys)}
-        tris = enumerate_triangles(g)
-        self.tri_verts: list[Triangle] = tris
-        self.tri_edges: list[tuple[int, int, int]] = [
-            tuple(edge_index[e] for e in t.edges()) for t in tris  # type: ignore[misc]
-        ]
-        self.tris_of_edge: list[list[int]] = [[] for _ in self.edge_keys]
+        edges = g.edges()
+        self.ends: list[tuple[int, int]] = [tuple(e) for e in edges]
+        self.base: list[int] = [g.multiplicity(e) for e in edges]
+        edge_index = {e: i for i, e in enumerate(edges)}
+        # The listing is not kept, so it is freed before tris_of_edge is built.
+        self.tri_edges = [tuple(edge_index[e] for e in t.edges()) for t in enumerate_triangles(g)]
+        self.tris_of_edge: list[list[int]] = [[] for _ in edges]
         for ti, (e1, e2, e3) in enumerate(self.tri_edges):
             self.tris_of_edge[e1].append(ti)
             self.tris_of_edge[e2].append(ti)
             self.tris_of_edge[e3].append(ti)
-        self.ends: list[tuple[int, int]] = [tuple(e) for e in self.edge_keys]
         self.order = max((v for _, v in self.ends), default=-1) + 1
         self.steps = 0
         self.scanned = 0
 
     def edge_counts(self, chosen: list[int]) -> list[int]:
         """How many of the chosen triangles cover each edge."""
-        counts = [0] * len(self.edge_keys)
+        counts = [0] * len(self.ends)
         for ti in chosen:
             for ei in self.tri_edges[ti]:
                 counts[ei] += 1
@@ -299,7 +297,9 @@ class CoverInstance:
         return None
 
     def certificate(self, chosen: list[int]) -> graph_core.Decomposition:
-        return graph_core.Decomposition(tuple(self.tri_verts[t] for t in chosen))
+        ends, new = self.ends, tuple.__new__  # (a, b, c) off ab and ac: a < b < c, as listed
+        return graph_core.Decomposition(new(Triangle, (*ends[ab], ends[ac][1]))
+                                        for ab, ac, _bc in (self.tri_edges[t] for t in chosen))
 
 
 def find_decomposition(g: Multigraph) -> graph_core.Decomposition | None:

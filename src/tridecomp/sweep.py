@@ -134,8 +134,8 @@ def epsilon_class_exact(n: int) -> tuple[int, MopCode]:
         g = code.graph()
         hit = _least_level(g, None, None if best is None else best[0])
         if hit is not None:
-            t, inst, base, _hi, chosen = hit
-            best = t, code, g, *_records(inst, base, chosen)
+            t, inst, _hi, chosen = hit
+            best = t, code, g, *_records(inst, chosen)
             if t == n % 3:
                 break
     t, code, g, aug, cert = best

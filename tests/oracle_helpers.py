@@ -306,7 +306,7 @@ def scan_solve(inst, lo: List[int], hi: List[int], k: int) -> Tuple[Optional[Lis
     room = [min(b, a + slack) for a, b in zip(lo, hi)]  # hi[i] minus the coverage
     if slack < 0 or 3 * k > sum(room):
         return None, 0
-    ends = [tuple(e) for e in inst.edge_keys]
+    ends = inst.ends
     order = max((v for _, v in ends), default=-1) + 1
     degree = [0] * order
     free = set()

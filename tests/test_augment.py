@@ -452,8 +452,8 @@ def test_class_minimum_rechecks_its_witness_records(monkeypatch):
 
     records = sweep._records
 
-    def short(inst, base, chosen):
-        aug, cert = records(inst, base, chosen)
+    def short(inst, chosen):
+        aug, cert = records(inst, chosen)
         return aug, type(cert)(cert[1:])
 
     monkeypatch.setattr(sweep, "_records", short)

@@ -1,11 +1,13 @@
 """Tests for triangle enumeration, certificate checking, and the exact solver."""
 
 import random
+import weakref
 from itertools import combinations
 
 import pytest
 
 from tridecomp import (
+    Augmentation,
     Decomposition,
     DomainError,
     Multigraph,
@@ -13,10 +15,15 @@ from tridecomp import (
     coverage_error,
     edge,
     enumerate_triangles,
+    fan,
     fast_reject,
     find_decomposition,
+    hmp_construct,
+    sc3_construct,
     triangle,
 )
+from tridecomp import decomposer
+from tridecomp.augment import _records
 from tridecomp.decomposer import CoverInstance
 
 from oracle_helpers import (
@@ -194,6 +201,48 @@ def test_cover_instance_reuses_triangles_across_residuals():
     assert inst.solve([1, 1, 2], [1, 1, 2], 1) is None
     assert inst.solve([0, 0, 0], [0, 0, 0], 0) == []
     assert inst.certificate([0, 0]) == Decomposition((triangle(0, 1, 2),) * 2)
+
+
+# Edges 01, 12 and 23 repeat; the triangles are 012, 123 and 234.
+REPEATED = Multigraph.from_edges(5, [(0, 1, 3), (0, 2, 1), (1, 2, 2), (1, 3, 1),
+                                     (2, 3, 2), (2, 4, 1), (3, 4, 1)])
+
+
+def test_cover_instance_keeps_no_triangle_listing(monkeypatch):
+    # Each triangle is kept only as its three edge indices, so the listing
+    # is freed as soon as the build has read it.
+    class Listing(list):
+        pass
+
+    listed = []
+
+    def listing(g):
+        out = Listing(enumerate_triangles(g))
+        listed.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(decomposer, "enumerate_triangles", listing)
+    for g, count in ((complete_graph(6), 20), (REPEATED, 3)):
+        inst = CoverInstance(g)
+        assert listed[-1]() is None
+        assert len(inst.tri_edges) == count
+
+
+def test_cover_instance_reads_its_records_off_every_index():
+    graphs = [complete_graph(n) for n in range(4, 10)] + [REPEATED]
+    graphs += [hmp_construct(10).graph, fan(12).graph, sc3_construct(9).graph]
+    for g in graphs:
+        inst = CoverInstance(g)
+        every = range(len(inst.tri_edges))
+        triangles = Decomposition(enumerate_triangles(g))
+        assert inst.certificate(every) == triangles
+        assert inst.ends == [tuple(e) for e in g.edges()]
+        assert all(type(e) is tuple for e in inst.ends)
+        # Every triangle once is an exact cover of the graph with these
+        # multiplicities, so its records add no copy.
+        counts = inst.edge_counts(every)
+        exact = Multigraph.from_edges(g.order, [(u, v, c) for (u, v), c in zip(inst.ends, counts)])
+        assert _records(CoverInstance(exact), every) == (Augmentation([]), triangles)
 
 
 def test_solve_covers_each_edge_between_lo_and_hi():
