@@ -230,7 +230,7 @@ def run_decompose(args: SimpleNamespace) -> int:
     if reject is None:  # only a graph that passes the screen loads the search
         from . import decomposer
 
-        cert = decomposer._exact_cover(g)
+        cert = decomposer.find_decomposition(g)
     if cert is not None:
         graph_core._recheck(g, graph_core.Augmentation(()), cert, 0)
         _print_json({"decomposable": True, "certificate": cert.to_json_dict()})

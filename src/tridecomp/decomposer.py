@@ -17,7 +17,9 @@ triangles it chooses, and the edges and triangles its set-ups read, over all
 its searches, and gives up with ScaleLimit past STEP_LIMIT of either; listing
 more than STEP_LIMIT triangles is refused the same way.  The certificate
 record, the screen fast_reject and the answer checks live in ``graph_core``,
-so a command that runs no search never compiles this module.
+so ``verify``, ``faces`` and a ``decompose`` that the screen refuses never
+compile this module.  ``construct`` and ``sweep xi`` compile it through
+``families``, which searches only for ``sf``.
 """
 
 from __future__ import annotations
@@ -136,14 +138,15 @@ class CoverInstance:
         A k above ORDER_LIMIT raises ScaleLimit: a stack that deep would take
         memory and time without bound.  So does a search that chooses more
         than STEP_LIMIT triangles, counted on from the instance's earlier
-        calls in ``steps``, and a call whose set-up would take ``scanned``,
-        one step per edge and per triangle, past STEP_LIMIT.
+        calls in ``steps``, and a call whose set-up would take ``scanned``
+        past STEP_LIMIT: one step per edge, and one per triangle once the
+        root tests above pass, since a refused call reads no triangle.
         """
         if k > ORDER_LIMIT:
             raise ScaleLimit(f"a cover of {k} triangles exceeds the ceiling of "
                              f"{ORDER_LIMIT} triangles")
         limit = graph_core.STEP_LIMIT
-        self.scanned += len(lo) + len(self.tri_edges)
+        self.scanned += len(lo)
         if self.scanned > limit:
             raise graph_core._step_limit("cover search")
         # k triangles cover 3k edge copies, so no edge can exceed lo by
@@ -165,6 +168,9 @@ class CoverInstance:
             return None
         tri_edges = self.tri_edges
         tris_of_edge = self.tris_of_edge
+        self.scanned += len(tri_edges)
+        if self.scanned > limit:
+            raise graph_core._step_limit("cover search")
         dead = [not (room[e1] and room[e2] and room[e3]) for e1, e2, e3 in tri_edges]
         fitting = [0] * len(short)  # live triangles through the edge
         for (e1, e2, e3), d in zip(tri_edges, dead):
@@ -304,11 +310,8 @@ class CoverInstance:
 
 def find_decomposition(g: Multigraph) -> graph_core.Decomposition | None:
     """A triangle decomposition of g, or None; deterministic certificate."""
-    return None if graph_core.fast_reject(g) is not None else _exact_cover(g)
-
-
-def _exact_cover(g: Multigraph) -> graph_core.Decomposition | None:
-    """find_decomposition without the fast_reject screen, for a caller that ran it."""
+    if graph_core.fast_reject(g) is not None:
+        return None
     inst = CoverInstance(g)
     chosen = inst.solve(inst.base, inst.base, g.size() // 3)
     return None if chosen is None else inst.certificate(chosen)

@@ -6,10 +6,10 @@ epsilon sweep's order, lists all Catalan(n - 2) of them in chord-set order.
 epsilon_class_exact runs ``augment``'s level climb on one member at a
 time, in that order, so at most two cover solver instances are alive at
 once, and rechecks the winning cover as an answer.  xi_class_exact runs
-no search: it checks the paper's proof of its value on the fan, the first
-member, through ``graph_core``'s answer checks and packing bound.  Only
-the ``sweep`` subcommand loads this module.  MopCode checks chord
-crossings with the test in ``graph_core``.
+no search: it checks the paper's proof of its value on the envelope that
+``construct fan n`` prints, through that command's answer checks and
+``graph_core``'s packing bound.  Only the ``sweep`` subcommand loads this
+module.  MopCode checks chord crossings with the test in ``graph_core``.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from collections.abc import Iterable
 
 from . import graph_core
 from .augment import _least_level, _records
-from .graph_core import (Augmentation, Decomposition, DomainError, EdgeKey, InvariantViolation,
-                         Multigraph, ScaleLimit, Triangle, _check_int, _crossing_chords,
-                         _packing_bound, _shown)
+from .graph_core import (DomainError, EdgeKey, InvariantViolation, Multigraph, ScaleLimit,
+                         _check_int, _crossing_chords, _packing_bound, _shown)
 
 # Order ceiling of the epsilon sweep where TRIDECOMP_SWEEP_CEILING is unset.
 DEFAULT_SWEEP_CEILING = 12
@@ -155,16 +154,16 @@ def xi_class_exact(n: int) -> tuple[int, MopCode]:
     faces.  Lower bound: no face of the fan holds two of its path edges
     (i, i + 1), 1 <= i <= n - 2, so its decompositions take n - 2
     triangles and add 3(n - 2) - (2n - 3) = n - 3 copies.  Both halves are
-    checked on the fan before returning, the first through the answer
-    checks and the second through _packing_bound; a failure is a bug.
+    checked on families.fan(n), which ``construct fan n`` prints, through
+    its answer checks and count and _packing_bound; a failure is a bug.
     """
-    _check_int(n, least=3)
-    graph_core._check_order(n)
-    code = MopCode(n, [EdgeKey(0, i) for i in range(2, n - 1)])
-    g = code.graph()
-    faces = Decomposition(Triangle(0, i, i + 1) for i in range(1, n - 1))
-    graph_core._recheck(g, Augmentation(code.chords), faces, n - 3)
-    bound = _packing_bound(g, [EdgeKey(i, i + 1) for i in range(1, n - 1)])
+    from . import families  # only the xi sweep builds a family
+
+    fan = families.fan(n)
+    families.validate_construction(fan)
+    if fan.claimed_epsilon != n - 3:
+        raise InvariantViolation(f"the fan claims {fan.claimed_epsilon} copies, not {n - 3}")
+    bound = _packing_bound(fan.graph, [EdgeKey(i, i + 1) for i in range(1, n - 1)])
     if bound != n - 3:
         raise InvariantViolation(f"the fan's path edges bound its count by {bound}, not {n - 3}")
-    return n - 3, code
+    return n - 3, MopCode(n, fan.augmentation)

@@ -134,20 +134,24 @@ def test_epsilon_exact_certificates_check_out():
         assert coverage_error(apply_augmentation(g, aug), cert) is None
 
 
-# (constructor, parameters, triangles chosen by epsilon's cover search)
+# (constructor, parameters, triangles chosen by epsilon's cover search,
+#  edges and triangles its set-ups read)
 LARGE_MEMBERS = [
-    pytest.param(hmp_construct, (1000,), 1996, id="hmp 1000"),
-    pytest.param(sc2_tree_construct, (999,), 1330, id="sc2tree 999"),
-    pytest.param(kop_construct, (10, 100), 2884, id="kop 10 100"),
-    pytest.param(mop_construct, (700,), 1125, id="mop 700"),
-    pytest.param(intermediate, (300, 10), 1323, id="intermediate 300 10"),
-    pytest.param(sc3_construct, (100,), 4864, id="sc3 100"),
-    pytest.param(fan, (100,), 10007, id="fan 100"),
+    pytest.param(hmp_construct, (1000,), 1996, 9980, id="hmp 1000"),
+    pytest.param(sc2_tree_construct, (999,), 1330, 5984, id="sc2tree 999"),
+    pytest.param(kop_construct, (10, 100), 2884, 18911, id="kop 10 100"),
+    pytest.param(mop_construct, (700,), 1125, 16763, id="mop 700"),
+    pytest.param(intermediate, (300, 10), 1323, 36994, id="intermediate 300 10"),
+    pytest.param(sc3_construct, (100,), 4864, 31742, id="sc3 100"),
+    pytest.param(fan, (100,), 10007, 38547, id="fan 100"),
+    # Under STEP_LIMIT reads only because a level refused at the root reads no triangle.
+    pytest.param(sc3_construct, (450,), 100589, 615542, id="sc3 450"),
 ]
 
 
-@pytest.mark.parametrize("construct, args, steps", LARGE_MEMBERS)
-def test_epsilon_agrees_with_the_envelope_of_large_members(construct, args, steps, monkeypatch):
+@pytest.mark.parametrize("construct, args, steps, scanned", LARGE_MEMBERS)
+def test_epsilon_agrees_with_the_envelope_of_large_members(construct, args, steps, scanned,
+                                                           monkeypatch):
     from tridecomp import augment
 
     built = []
@@ -165,7 +169,7 @@ def test_epsilon_agrees_with_the_envelope_of_large_members(construct, args, step
     assert (t, aug) == (member.claimed_epsilon, member.augmentation)
     assert coverage_error(apply_augmentation(member.graph, aug), cert) is None
     # Pinned as in tests/test_golden.py, so a change to the search tree shows.
-    assert [inst.steps for inst in built] == [steps]
+    assert [(inst.steps, inst.scanned) for inst in built] == [(steps, scanned)]
 
 
 def test_epsilon_exact_meets_lower_bound_or_exceeds_by_steps():
@@ -423,6 +427,24 @@ def test_class_maximum_refuses_a_fan_bound_short_of_its_count(monkeypatch, capsy
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: the fan's path edges bound its count by 2, not 3\n"
+
+
+def test_class_maximum_is_the_fan_family_envelope(monkeypatch):
+    # sweep xi proves its value on the envelope that construct fan n prints.
+    from tridecomp import families
+
+    for n in range(3, 41):
+        assert xi_class_exact(n) == (n - 3, MopCode(n, fan(n).augmentation))
+    real = families.fan
+    monkeypatch.setattr(families, "fan",
+                        lambda n: real(n)._replace(claimed_epsilon=n - 4))
+    with pytest.raises(InvariantViolation, match="^augmentation lists 6 added copies, "
+                                                 "the count is 5$"):
+        xi_class_exact(9)
+    # A sound envelope that claims fewer copies than the proof is refused too.
+    monkeypatch.setattr(families, "fan", lambda n: intermediate(n, 1))
+    with pytest.raises(InvariantViolation, match="^the fan claims 3 copies, not 6$"):
+        xi_class_exact(9)
 
 
 def test_class_maximum_runs_no_search(monkeypatch):

@@ -580,13 +580,13 @@ def test_writer_matches_json_dumps_on_edge_cases(capsys, payload):
 def test_epsilon_and_decompose_recheck_the_certificate(capsys, tmp_path, monkeypatch):
     k7 = {"order": 7, "edges": [[u, v, 1] for u in range(7) for v in range(u + 1, 7)]}
     k7_path = write_json(tmp_path, "k7.json", k7)
-    real_cover = decomposer._exact_cover
+    real_cover = decomposer.find_decomposition
 
     def short_cover(g):
         cert = real_cover(g)
         return tridecomp.Decomposition(cert.triangles[1:])
 
-    monkeypatch.setattr(decomposer, "_exact_cover", short_cover)
+    monkeypatch.setattr(decomposer, "find_decomposition", short_cover)
     code, out, err = run_cli(capsys, "decompose", k7_path)
     assert (code, out) == (2, "")
     assert err.startswith("internal error: edge {0, 1} undercovered")

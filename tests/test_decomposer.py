@@ -265,6 +265,18 @@ def test_solve_covers_each_edge_between_lo_and_hi():
     assert k5.solve(lo, hi, 4) is None
 
 
+def test_a_call_refused_at_the_root_reads_no_triangle():
+    k4 = CoverInstance(complete_graph(4))
+    # Every vertex is pinned at the odd degree 3, so the parity test refuses.
+    assert k4.solve(k4.base, k4.base, 2) is None
+    assert (k4.steps, k4.scanned) == (0, len(k4.base))
+    assert k4.solve(k4.base, k4.base, 1) is None  # three coverings, six edges
+    assert (k4.steps, k4.scanned) == (0, 2 * len(k4.base))
+    # A call that passes both reads every triangle once more.
+    assert k4.solve([1] * 6, [2] * 6, 3) == [0, 1, 2]
+    assert k4.scanned == 3 * len(k4.base) + len(k4.tri_edges)
+
+
 def _triangle_union(rng, n, count):
     """The multigraph union of count random triangles on n vertices."""
     mult = {}

@@ -98,6 +98,9 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
         (("decompose", str(triangle)), base),
         (("epsilon", str(path)), search),
         (("sweep", "epsilon", "5"), search | {"tridecomp.sweep"}),
+        # The class maximum is proved on the envelope of families.fan.
+        (("sweep", "xi", "5"), search | {"tridecomp.sweep", "tridecomp.envelope",
+                                         "tridecomp.families"}),
         # construct runs only the core checks, and verify neither builds a
         # family nor searches.
         (("construct", "mop", "4"), base | {"tridecomp.envelope", "tridecomp.families"}),
@@ -116,8 +119,7 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
 def test_decomposer_holds_only_the_search():
     defined = {name for name, obj in vars(decomposer).items()
                if getattr(obj, "__module__", None) == decomposer.__name__}
-    assert defined == {"enumerate_triangles", "CoverInstance", "find_decomposition",
-                       "_exact_cover"}
+    assert defined == {"enumerate_triangles", "CoverInstance", "find_decomposition"}
     for name in ("Decomposition", "_triangles_from_json", "RejectReason", "coverage_error",
                  "_check", "_answer_checks", "_recheck", "fast_reject", "_edge_off_triangles"):
         assert not hasattr(decomposer, name), name
