@@ -66,8 +66,9 @@ def epsilon_exact(
     the augmented graph.  max_copies_per_edge caps the extra copies per
     edge (None = uncapped); CapInfeasible is raised when no capped
     augmentation works, and ScaleLimit when the searches together choose
-    more than STEP_LIMIT triangles or their set-ups read more than
-    STEP_LIMIT edges and triangles.
+    more than STEP_LIMIT triangles or their set-ups are charged more than
+    STEP_LIMIT steps: the edges each reads, and its triangles once its
+    root tests pass.
     """
     off = _edge_off_triangles(g)
     if off is not None:
@@ -79,6 +80,8 @@ def epsilon_exact(
     if hit is None:  # only a cap can stop the climb without a hit
         raise CapInfeasible(f"no augmentation with at most {cap} extra copies per edge works")
     t, inst, hi, chosen = hit
+    if t == 0:  # the hit was the certificate search: lo == hi == base
+        return (t, *_records(inst, chosen))
     k = len(chosen)
     # The lexicographically least multiset puts the most copies on edge 0,
     # then on edge 1, and so on.  Ask for one more copy on edge i than the

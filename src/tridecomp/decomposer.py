@@ -8,18 +8,19 @@ edge still short of lo with the fewest triangles fitting under hi (ties
 broken by lexicographic edge order) and tries those triangles in
 lexicographic order, so the returned certificate is a pure function of the
 input.  The search keeps its node state incrementally: a triangle is live
-while each of its edges has room for one more covering, and a choose or
-undo that empties or refills an edge flips the triangles through it, so a
-node reads its prunes and its branch edge from per-edge counts instead of
-rescanning every triangle.  Each solver instance keeps each edge once, as a
-vertex pair, and each triangle once, as three edge indices.  It counts the
-triangles it chooses, and the edges and triangles its set-ups read, over all
-its searches, and gives up with ScaleLimit past STEP_LIMIT of either; listing
-more than STEP_LIMIT triangles is refused the same way.  The certificate
-record, the screen fast_reject and the answer checks live in ``graph_core``,
-so ``verify``, ``faces`` and a ``decompose`` that the screen refuses never
-compile this module.  ``construct`` and ``sweep xi`` compile it through
-``families``, which searches only for ``sf``.
+while each of its edges has room for one more covering, every triangle is
+live at the root, and a choose or undo that empties or refills an edge
+flips the triangles through it, so a node reads its prunes and its branch
+edge from per-edge counts instead of rescanning every triangle.  Each
+solver instance keeps each edge once, as a vertex pair, and each triangle
+once, as three edge indices.  It counts the triangles it chooses, and the
+edges its set-ups read plus the triangles of each set-up whose root tests
+pass, over all its searches, and gives up with ScaleLimit past STEP_LIMIT
+of either; listing more than STEP_LIMIT triangles is refused the same way.
+The certificate record, the screen fast_reject and the answer checks live
+in ``graph_core``, so ``verify``, ``faces`` and a ``decompose`` that the
+screen refuses never compile this module.  ``construct`` and ``sweep xi``
+compile it through ``families``, which searches only for ``sf``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from bisect import insort
 
 from . import graph_core
-from .graph_core import ORDER_LIMIT, Multigraph, ScaleLimit, Triangle
+from .graph_core import ORDER_LIMIT, InvariantViolation, Multigraph, ScaleLimit, Triangle
 
 
 def enumerate_triangles(g: Multigraph) -> list[Triangle]:
@@ -59,12 +60,13 @@ class CoverInstance:
     Augmenting a graph never changes which triples form triangles, so a
     single instance serves every query on the same graph: only the bounds
     and the triangle count vary between solve() calls.  steps counts the
-    triangles chosen by every solve() call so far, and scanned the edges
-    and triangles that their set-ups read, so a climb of many levels that
-    are refused before a triangle is chosen is counted too.  Past
-    STEP_LIMIT of either the search gives up with ScaleLimit, so the limit
-    bounds all the searches on one graph together.  Edge i is the pair ends[i]
-    and triangle t the indices tri_edges[t] of its edges ab, ac and bc.
+    triangles chosen by every solve() call so far, and scanned the set-up
+    charges: the edges each set-up reads, plus one per triangle once its
+    root tests pass, so a climb of many levels that are refused before a
+    triangle is chosen is counted too.  Past STEP_LIMIT of either the
+    search gives up with ScaleLimit, so the limit bounds all the searches
+    on one graph together.  Edge i is the pair ends[i] and triangle t the
+    indices tri_edges[t] of its edges ab, ac and bc.
     """
 
     __slots__ = ("ends", "base", "tri_edges", "tris_of_edge", "order", "steps", "scanned")
@@ -117,20 +119,26 @@ class CoverInstance:
         with lo == hi the certificate is the one the plain exact-cover
         search finds first.
 
+        Once the root tests pass, slack >= 0, so a bound with 1 <= lo <= hi
+        on every edge, as every caller passes, leaves each edge room for a
+        covering: no triangle is dead at the root.  A bound that leaves an
+        edge no room there is refused with InvariantViolation.
+
         A node reads its tests from state that each choose and undo keeps
         up to date, rather than rescanning every triangle: per triangle,
         whether it is dead, true exactly when one of its edges has no room
         (hi minus coverage) left, so a live triangle fits; per edge, the
-        number of live triangles through it; the short edges in ascending
-        order; and the parity of each vertex's total shortfall, with the
-        count of odd ones, kept only while coverings beyond lo remain to
-        place (never in an exact cover).  A choose that takes an edge's
-        room to 0 kills the live triangles through it, and the undo that
-        gives the room back revives each of them whose three edges all
-        have room again.  Each live triangle can cover its edges at least
-        once more, so only a short edge with fewer live triangles than it
-        needs sums their least rooms for the reach test, and only the edge
-        the node branches on has its live triangles listed.
+        number of live triangles through it, at the root its number of
+        triangles; the short edges in ascending order; and the parity of
+        each vertex's total shortfall, with the count of odd ones, kept
+        only while coverings beyond lo remain to place (never in an exact
+        cover).  A choose that takes an edge's room to 0 kills the live
+        triangles through it, and the undo that gives the room back revives
+        each of them whose three edges all have room again.  Each live
+        triangle can cover its edges at least once more, so only a short
+        edge with fewer live triangles than it needs sums their least rooms
+        for the reach test, and only the edge the node branches on has its
+        live triangles listed.
 
         The open nodes live on an explicit stack, the root's frame and one
         more per chosen triangle, so a search hundreds of triangles deep
@@ -140,7 +148,8 @@ class CoverInstance:
         than STEP_LIMIT triangles, counted on from the instance's earlier
         calls in ``steps``, and a call whose set-up would take ``scanned``
         past STEP_LIMIT: one step per edge, and one per triangle once the
-        root tests above pass, since a refused call reads no triangle.
+        root tests above pass, so a call refused at the root is charged no
+        triangle.
         """
         if k > ORDER_LIMIT:
             raise ScaleLimit(f"a cover of {k} triangles exceeds the ceiling of "
@@ -166,18 +175,15 @@ class CoverInstance:
                 free.update((u, v))
         if any(o and v not in free for v, o in enumerate(odd_at)):
             return None
+        if 0 in room:
+            raise InvariantViolation("a cover search bound leaves an edge no room at the root")
         tri_edges = self.tri_edges
         tris_of_edge = self.tris_of_edge
         self.scanned += len(tri_edges)
         if self.scanned > limit:
             raise graph_core._step_limit("cover search")
-        dead = [not (room[e1] and room[e2] and room[e3]) for e1, e2, e3 in tri_edges]
-        fitting = [0] * len(short)  # live triangles through the edge
-        for (e1, e2, e3), d in zip(tri_edges, dead):
-            if not d:
-                fitting[e1] += 1
-                fitting[e2] += 1
-                fitting[e3] += 1
+        dead = [False] * len(tri_edges)
+        fitting = [len(ts) for ts in tris_of_edge]  # live triangles through the edge
         odd = sum(odd_at)
         shorts = [ei for ei, s in enumerate(short) if s > 0]  # ascending
         banned = [False] * len(tri_edges)

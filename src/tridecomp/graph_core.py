@@ -44,10 +44,11 @@ ORDER_LIMIT = 100_000
 
 # Most steps an exhaustive search takes before it gives up with ScaleLimit,
 # built by _step_limit: a listed triangle; in the cover search, the only
-# exhaustive search, a chosen triangle, or an edge or triangle read by a
-# set-up, each counted over every solve() call on one CoverInstance.  It is
-# kept at ten times the largest known-good search or more (measured in
-# CHANGES.md).  Each search reads the limit when it starts.
+# exhaustive search, a chosen triangle, an edge a set-up reads, or a triangle
+# of a set-up whose root tests pass, each counted over every solve() call on
+# one CoverInstance.  It is kept at ten times the largest known-good search
+# or more (measured in CHANGES.md).  Each search reads the limit when it
+# starts.
 STEP_LIMIT = 10**6
 
 

@@ -135,10 +135,10 @@ def test_epsilon_exact_certificates_check_out():
 
 
 # (constructor, parameters, triangles chosen by epsilon's cover search,
-#  edges and triangles its set-ups read)
+#  its set-up charges: the edges each reads, its triangles once its root tests pass)
 LARGE_MEMBERS = [
-    pytest.param(hmp_construct, (1000,), 1996, 9980, id="hmp 1000"),
-    pytest.param(sc2_tree_construct, (999,), 1330, 5984, id="sc2tree 999"),
+    pytest.param(hmp_construct, (1000,), 998, 4990, id="hmp 1000"),
+    pytest.param(sc2_tree_construct, (999,), 665, 2992, id="sc2tree 999"),
     pytest.param(kop_construct, (10, 100), 2884, 18911, id="kop 10 100"),
     pytest.param(mop_construct, (700,), 1125, 16763, id="mop 700"),
     pytest.param(intermediate, (300, 10), 1323, 36994, id="intermediate 300 10"),
@@ -170,6 +170,30 @@ def test_epsilon_agrees_with_the_envelope_of_large_members(construct, args, step
     assert coverage_error(apply_augmentation(member.graph, aug), cert) is None
     # Pinned as in tests/test_golden.py, so a change to the search tree shows.
     assert [(inst.steps, inst.scanned) for inst in built] == [(steps, scanned)]
+
+
+def test_epsilon_zero_searches_once(monkeypatch):
+    # A graph that decomposes as it is hits at t = 0, and that search is the
+    # certificate search (lo == hi == base), so nothing is pinned or searched again.
+    from tridecomp import augment
+
+    calls = []
+
+    class Counted(augment.CoverInstance):
+        __slots__ = ()
+
+        def solve(self, lo, hi, k):
+            chosen = super().solve(lo, hi, k)
+            calls.append((self, lo == hi == self.base, chosen))
+            return chosen
+
+    monkeypatch.setattr(augment, "CoverInstance", Counted)
+    for g in (complete_graph(7), hmp_construct(9).graph):
+        calls.clear()
+        t, aug, cert = epsilon_exact(g)
+        [(inst, exact, chosen)] = calls
+        assert (t, aug.additions, exact) == (0, (), True)
+        assert cert == inst.certificate(chosen)
 
 
 def test_epsilon_exact_meets_lower_bound_or_exceeds_by_steps():
@@ -209,7 +233,8 @@ def test_epsilon_exact_preconditions(monkeypatch):
     t, aug, _ = epsilon_exact(complete_graph(12))
     assert (t, aug.additions) == (6, tuple(edge(i, i + 1) for i in range(0, 12, 2)))
     # Its 220 triangles are listed at a limit of 1 000, and the set-ups of
-    # its searches read 286 edges and triangles each, so the fourth passes it.
+    # its searches are charged 286 steps each (66 edges and, once the root
+    # tests pass, 220 triangles), so the fourth passes it.
     monkeypatch.setattr(graph_core, "STEP_LIMIT", 1000)
     with pytest.raises(ScaleLimit, match="^cover search exceeds the ceiling of 1000 steps$"):
         epsilon_exact(complete_graph(12))

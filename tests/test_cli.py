@@ -188,7 +188,7 @@ def test_step_ceiling_counts_every_search_of_a_command(capsys, tmp_path, monkeyp
 
 def test_decompose_step_ceiling_exit_code(capsys, tmp_path, monkeypatch):
     # A union of 50 triangles on 20 vertices: its search chooses 1 243
-    # triangles, and its set-up reads 296 edges and triangles.
+    # triangles, and its set-up is charged 296 edges and triangles.
     g = _triangle_union(random.Random(1), 20, 50)
     path = write_json(tmp_path, "union.json", g.to_json_dict())
     monkeypatch.setattr(graph_core, "STEP_LIMIT", 1243)
@@ -201,8 +201,9 @@ def test_decompose_step_ceiling_exit_code(capsys, tmp_path, monkeypatch):
 
 def test_epsilon_climb_set_ups_count_toward_the_ceiling(capsys, tmp_path):
     # On a fan, every level of the climb below about half the order is
-    # refused at the root without a triangle chosen, but each set-up still
-    # reads all 5 995 edges and triangles: the 167th passes the ceiling.
+    # refused without a triangle chosen, but each set-up still reads its
+    # 3 997 edges and, once its root tests pass, is charged its 1 998
+    # triangles: 5 995 steps, so the 167th passes the ceiling.
     path = write_json(tmp_path, "fan.json", tridecomp.fan(2000).graph.to_json_dict())
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "epsilon", path)

@@ -10,6 +10,7 @@ from tridecomp import (
     Augmentation,
     Decomposition,
     DomainError,
+    InvariantViolation,
     Multigraph,
     Triangle,
     coverage_error,
@@ -199,7 +200,8 @@ def test_cover_instance_reuses_triangles_across_residuals():
     assert inst.solve([1, 1, 1], [1, 1, 1], 1) == [0]
     assert inst.solve([2, 2, 2], [2, 2, 2], 2) == [0, 0]
     assert inst.solve([1, 1, 2], [1, 1, 2], 1) is None
-    assert inst.solve([0, 0, 0], [0, 0, 0], 0) == []
+    with pytest.raises(InvariantViolation):  # no room on any edge
+        inst.solve([0, 0, 0], [0, 0, 0], 0)
     assert inst.certificate([0, 0]) == Decomposition((triangle(0, 1, 2),) * 2)
 
 
@@ -266,15 +268,27 @@ def test_solve_covers_each_edge_between_lo_and_hi():
 
 
 def test_a_call_refused_at_the_root_reads_no_triangle():
+    # A set-up reads its edges; once its root tests pass it is charged one
+    # step per triangle too.
     k4 = CoverInstance(complete_graph(4))
     # Every vertex is pinned at the odd degree 3, so the parity test refuses.
     assert k4.solve(k4.base, k4.base, 2) is None
     assert (k4.steps, k4.scanned) == (0, len(k4.base))
     assert k4.solve(k4.base, k4.base, 1) is None  # three coverings, six edges
     assert (k4.steps, k4.scanned) == (0, 2 * len(k4.base))
-    # A call that passes both reads every triangle once more.
+    # A call that passes both is charged every triangle once more.
     assert k4.solve([1] * 6, [2] * 6, 3) == [0, 1, 2]
     assert k4.scanned == 3 * len(k4.base) + len(k4.tri_edges)
+
+
+def test_a_bound_that_leaves_an_edge_no_room_is_refused():
+    # Every search starts with all its triangles alive, which holds once
+    # each edge has room for one covering at the root.  Here edge 01 has
+    # hi = 0 while the slack, room and parity tests all pass.
+    k4 = CoverInstance(complete_graph(4))
+    with pytest.raises(InvariantViolation, match="leaves an edge no room"):
+        k4.solve([0] + [1] * 5, [0] + [2] * 5, 2)
+    assert (k4.steps, k4.scanned) == (0, len(k4.base))
 
 
 def _triangle_union(rng, n, count):
