@@ -60,7 +60,6 @@ _EXPORTS = {
     "edge": "graph_core",
     "fast_reject": "graph_core",
     "triangle": "graph_core",
-    "DEFAULT_SWEEP_CEILING": "sweep",
     "MopCode": "sweep",
     "enumerate_mops": "sweep",
     "epsilon_class_exact": "sweep",

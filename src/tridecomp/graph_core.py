@@ -43,12 +43,13 @@ from collections.abc import Iterable
 ORDER_LIMIT = 100_000
 
 # Most steps an exhaustive search takes before it gives up with ScaleLimit,
-# built by _step_limit: a listed triangle; in the cover search, the only
-# exhaustive search, a chosen triangle, an edge a set-up reads, or a triangle
-# of a set-up whose root tests pass, each counted over every solve() call on
-# one CoverInstance.  It is kept at ten times the largest known-good search
-# or more (measured in CHANGES.md).  Each search reads the limit when it
-# starts.
+# built by _step_limit: a listed triangle; each listed triangulation's
+# 2n - 3 edges, in the sweep's listing of triangulated n-cycles; in the cover
+# search, the only exhaustive search, a chosen triangle, an edge a set-up
+# reads, or a triangle of a set-up whose root tests pass, each counted over
+# every solve() call on one CoverInstance.  It is kept at ten times the
+# largest known-good search or more (measured in CHANGES.md).  Each search
+# reads the limit when it starts.
 STEP_LIMIT = 10**6
 
 
@@ -234,9 +235,11 @@ class Multigraph:
 
     @classmethod
     def from_edges(cls, order: int, edges: Iterable) -> "Multigraph":
-        """Build from (u, v) or (u, v, mult) entries; repeats accumulate."""
+        """Build from (u, v) or (u, v, mult) lists or tuples; repeats accumulate."""
         mult: dict[EdgeKey, int] = {}
         for item in edges:
+            if not isinstance(item, (list, tuple)) or len(item) not in (2, 3):
+                raise DomainError(f"expected an edge (u, v) or (u, v, mult), got {_shown(item)}")
             if len(item) == 2:
                 u, v = item
                 m = 1

@@ -48,8 +48,7 @@ def sweep(capsys, kind, n):
     return json.loads(capsys.readouterr().out)
 
 
-def test_criterion_1_class_minimum_is_n_mod_3(capsys, monkeypatch):
-    monkeypatch.delenv("TRIDECOMP_SWEEP_CEILING", raising=False)
+def test_criterion_1_class_minimum_is_n_mod_3(capsys):
     for n in range(3, 13):
         payload = sweep(capsys, "epsilon", n)
         assert payload["value"] == n % 3, f"class minimum at order {n}"
@@ -57,8 +56,7 @@ def test_criterion_1_class_minimum_is_n_mod_3(capsys, monkeypatch):
           "n-cycles equals n mod 3 for n = 3..12")
 
 
-def test_criterion_2_class_maximum_is_n_minus_3(capsys, monkeypatch):
-    monkeypatch.delenv("TRIDECOMP_SWEEP_CEILING", raising=False)
+def test_criterion_2_class_maximum_is_n_minus_3(capsys):
     for n in range(3, 10):
         payload = sweep(capsys, "xi", n)
         assert payload["value"] == n - 3, f"class maximum at order {n}"

@@ -359,11 +359,11 @@ def test_enumerate_mops_counts_and_order():
 
 
 def test_enumerate_mops_refuses_more_codes_than_the_step_limit(monkeypatch):
-    # Catalan(7) = 429 codes list; Catalan(8) = 1430 are refused before any is built.
+    # Each code is charged its 2n - 3 edges: n = 7 lists 42 codes (462 steps);
+    # n = 8, 132 codes (1,716 steps), is refused before any is built.
     monkeypatch.setattr(graph_core, "STEP_LIMIT", 1000)
-    monkeypatch.setenv("TRIDECOMP_SWEEP_CEILING", str(10**9))
-    assert len(enumerate_mops(9)) == 429
-    for n in (10, 10**6):  # the count stops at the first Catalan number past the limit
+    assert len(enumerate_mops(7)) == 42
+    for n in (8, 10**6):  # the count stops at the first Catalan number past the limit
         with pytest.raises(ScaleLimit) as refused:
             enumerate_mops(n)
         assert str(refused.value) == "triangulation listing exceeds the ceiling of 1000 steps"
@@ -560,15 +560,12 @@ def test_class_sweeps_are_deterministic():
     assert xi_class_exact(6) == xi_class_exact(6)
 
 
-def test_class_sweeps_respect_ceiling(monkeypatch):
-    # enumerate_mops reads TRIDECOMP_SWEEP_CEILING at each call; unset, the default binds.
-    monkeypatch.delenv("TRIDECOMP_SWEEP_CEILING", raising=False)
+def test_class_sweeps_respect_ceiling():
+    # Order 13's 58,786 codes at 23 steps each (1,352,078) are past STEP_LIMIT.
     for refused in (enumerate_mops, epsilon_class_exact):
-        with pytest.raises(ScaleLimit, match="^order 13 exceeds the sweep ceiling 12$"):
+        with pytest.raises(ScaleLimit, match="^triangulation listing exceeds the ceiling "
+                                             "of 1000000 steps$"):
             refused(13)
-    monkeypatch.setenv("TRIDECOMP_SWEEP_CEILING", "9")
-    with pytest.raises(ScaleLimit, match="^order 10 exceeds the sweep ceiling 9$"):
-        epsilon_class_exact(10)
-    # The class maximum lists nothing, so the ceiling does not bind it.
+    # The class maximum lists nothing, so the listing charge does not bind it.
     assert xi_class_exact(10) == (7, MopCode(10, [edge(0, i) for i in range(2, 9)]))
     assert epsilon_class_exact(5)[0] == 2

@@ -199,6 +199,15 @@ def test_decompose_step_ceiling_exit_code(capsys, tmp_path, monkeypatch):
     assert err == "error: cover search exceeds the ceiling of 1242 steps\n"
 
 
+@pytest.mark.parametrize("command", ["epsilon", "decompose"])
+def test_a_cover_of_more_triangles_than_the_order_limit_is_refused(capsys, tmp_path, command):
+    # K3 with 100 001 copies of each edge needs 100 001 triangles: more than ORDER_LIMIT.
+    big = {"order": 3, "edges": [[0, 1, 100001], [0, 2, 100001], [1, 2, 100001]]}
+    code, out, err = run_cli(capsys, command, write_json(tmp_path, "big.json", big))
+    assert (code, out) == (3, "")
+    assert err == "error: a cover of 100001 triangles exceeds the ceiling of 100000 triangles\n"
+
+
 def test_epsilon_climb_set_ups_count_toward_the_ceiling(capsys, tmp_path):
     # On a fan, every level of the climb below about half the order is
     # refused without a triangle chosen, but each set-up still reads its
@@ -322,8 +331,7 @@ def test_decompose_command(capsys, tmp_path):
     assert payload == {"decomposable": False, "reason": {"kind": "search_exhausted"}}
 
 
-def test_sweep_epsilon(capsys, monkeypatch):
-    monkeypatch.delenv("TRIDECOMP_SWEEP_CEILING", raising=False)
+def test_sweep_epsilon(capsys):
     code, out, _ = run_cli(capsys, "sweep", "epsilon", "4")
     assert code == 0
     payload = json.loads(out)
@@ -335,8 +343,7 @@ def test_sweep_epsilon(capsys, monkeypatch):
     }
 
 
-def test_sweep_xi(capsys, monkeypatch):
-    monkeypatch.delenv("TRIDECOMP_SWEEP_CEILING", raising=False)
+def test_sweep_xi(capsys):
     code, out, _ = run_cli(capsys, "sweep", "xi", "5")
     assert code == 0
     payload = json.loads(out)
@@ -344,9 +351,8 @@ def test_sweep_xi(capsys, monkeypatch):
     assert payload["witness"] == {"order": 5, "chords": [[0, 2], [0, 3]]}
 
 
-def test_sweep_xi_answers_every_order_up_to_the_order_limit(capsys, monkeypatch):
-    # sweep xi lists nothing, so the sweep ceiling does not bind it; the order limit does.
-    monkeypatch.setenv("TRIDECOMP_SWEEP_CEILING", "5")
+def test_sweep_xi_answers_every_order_up_to_the_order_limit(capsys):
+    # sweep xi lists nothing, so the listing charge does not bind it; the order limit does.
     code, out, _ = run_cli(capsys, "sweep", "xi", "13")
     assert code == 0
     payload = json.loads(out)
@@ -357,29 +363,15 @@ def test_sweep_xi_answers_every_order_up_to_the_order_limit(capsys, monkeypatch)
     assert err == "error: order 100001 exceeds the ceiling of 100000 vertices\n"
 
 
-def test_sweep_ceiling_and_override(capsys, monkeypatch):
-    monkeypatch.delenv("TRIDECOMP_SWEEP_CEILING", raising=False)
-    code, _, err = run_cli(capsys, "sweep", "epsilon", "13")
-    assert code == 3
-    assert "error:" in err
-    monkeypatch.setenv("TRIDECOMP_SWEEP_CEILING", "5")
-    code, _, err = run_cli(capsys, "sweep", "epsilon", "6")
-    assert code == 3
-    monkeypatch.setenv("TRIDECOMP_SWEEP_CEILING", "6")
-    code, out, _ = run_cli(capsys, "sweep", "epsilon", "6")
+def test_sweep_epsilon_ceiling_is_the_step_limit(capsys):
+    # Each listed triangulation is charged its 2n - 3 edges against STEP_LIMIT:
+    # 352,716 steps at order 12, 1,352,078 at 13.
+    code, out, err = run_cli(capsys, "sweep", "epsilon", "13")
+    assert (code, out) == (3, "")
+    assert err == "error: triangulation listing exceeds the ceiling of 1000000 steps\n"
+    code, out, _ = run_cli(capsys, "sweep", "epsilon", "12")
     assert code == 0
     assert json.loads(out)["value"] == 0
-    monkeypatch.setenv("TRIDECOMP_SWEEP_CEILING", "many")
-    code, _, err = run_cli(capsys, "sweep", "epsilon", "6")
-    assert code == 1
-    assert err == "error: TRIDECOMP_SWEEP_CEILING must be an integer, got 'many'\n"
-    # A long value is shown cut to 80 characters, as every reader shows input.
-    long_value = "9" * 299 + "x"
-    monkeypatch.setenv("TRIDECOMP_SWEEP_CEILING", long_value)
-    code, out, err = run_cli(capsys, "sweep", "epsilon", "6")
-    assert (code, out) == (1, "")
-    assert err == ("error: TRIDECOMP_SWEEP_CEILING must be an integer, got "
-                   f"{repr(long_value)[:80]}...\n")
 
 
 def test_sweep_rechecks_its_witness(capsys, monkeypatch):
@@ -522,8 +514,7 @@ def _assert_printed_like_json_dumps(out):
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
-def test_every_printed_payload_has_the_bytes_of_json_dumps(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("TRIDECOMP_SWEEP_CEILING", raising=False)
+def test_every_printed_payload_has_the_bytes_of_json_dumps(capsys, tmp_path):
     k4 = {"order": 4, "edges": [[u, v, 1] for u in range(4) for v in range(u + 1, 4)]}
     k7 = {"order": 7, "edges": [[u, v, 1] for u in range(7) for v in range(u + 1, 7)]}
     book = {"order": 4, "edges": [[0, 1, 8], [0, 2, 1], [0, 3, 1], [1, 2, 1], [1, 3, 1]]}
@@ -651,9 +642,8 @@ def _close_stdout():
         pytest.param(("sweep", "epsilon", "13"), id="over-ceiling"),
     ],
 )
-def test_module_entry_point(capsys, tmp_path, monkeypatch, hmp_1000_envelope, argv):
+def test_module_entry_point(capsys, tmp_path, hmp_1000_envelope, argv):
     """The child's exit code, stdout and stderr bytes are those of cli.main in process."""
-    monkeypatch.delenv("TRIDECOMP_SWEEP_CEILING", raising=False)
     envelope = tmp_path / "hmp1000.json"
     envelope.write_text(hmp_1000_envelope, encoding="utf-8")
     rotation = tridecomp.sf_fixture(8).rotation.to_json_dict()
@@ -695,7 +685,7 @@ def test_write_failure_is_one_error_line(target, unbuffered):
     [
         pytest.param(("construct", "nope", "3"), 1, "tridecomp: error: argument family",
                      id="usage-error"),
-        pytest.param(("sweep", "epsilon", "13"), 3, "error: order 13 exceeds the sweep ceiling",
+        pytest.param(("sweep", "epsilon", "13"), 3, "error: triangulation listing exceeds the ceiling",
                      id="over-ceiling"),
     ],
 )
@@ -976,3 +966,11 @@ def test_reader_errors_shorten_the_value_they_show(capsys, tmp_path, hmp_1000_en
     assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1
     assert len(err.encode()) < 300
+
+
+def test_a_long_value_is_shown_cut_to_80_characters(capsys, tmp_path):
+    long_value = "9" * 299 + "x"
+    path = write_json(tmp_path, "graph.json", {"order": long_value, "edges": []})
+    code, out, err = run_cli(capsys, "epsilon", path)
+    assert (code, out) == (1, "")
+    assert err == f"error: graph order must be an integer, got {repr(long_value)[:80]}...\n"

@@ -74,6 +74,21 @@ def test_from_edges_accumulates_repeats_and_explicit_multiplicity():
     assert not g.is_simple()
 
 
+@pytest.mark.parametrize("entry, shown", [
+    pytest.param((0, 1, 2, 3), "(0, 1, 2, 3)", id="four-items"),
+    pytest.param((0,), "(0,)", id="one-item"),
+    pytest.param([], "[]", id="empty"),
+    pytest.param(5, "5", id="int"),
+    pytest.param("01", "'01'", id="string"),
+    pytest.param({0: 1}, "{0: 1}", id="dict"),
+    pytest.param(tuple(range(100)), repr(tuple(range(100)))[:80] + "...", id="long"),
+])
+def test_from_edges_refuses_an_entry_that_is_not_an_edge(entry, shown):
+    with pytest.raises(DomainError) as refused:
+        Multigraph.from_edges(3, [(0, 1), entry])
+    assert str(refused.value) == f"expected an edge (u, v) or (u, v, mult), got {shown}"
+
+
 def test_multigraph_listings_are_sorted():
     g = Multigraph.from_edges(4, [(2, 3), (0, 3), (0, 1, 2)])
     assert g.edges() == [edge(0, 1), edge(0, 3), edge(2, 3)]

@@ -1,5 +1,5 @@
-"""Property tests: relabelling invariance of epsilon, Multigraph JSON round-trips
-and the CLI's JSON writer.
+"""Property tests: relabelling invariance of epsilon, its additivity over a
+disjoint union, Multigraph JSON round-trips and the CLI's JSON writer.
 
 Skipped when Hypothesis is not installed.  The examples are derandomized,
 so every run checks the same graphs.
@@ -25,6 +25,8 @@ from tridecomp import (  # noqa: E402
     epsilon_exact,
 )
 from tridecomp.cli import _print_json  # noqa: E402
+
+from oracle_helpers import complete_graph, fort_hedlund  # noqa: E402
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -73,6 +75,35 @@ def test_epsilon_is_invariant_under_relabelling(data):
     assert t == epsilon_exact(g)[0]
     assert coverage_error(apply_augmentation(h, aug), cert) is None
     assert capped_epsilon(h) == capped_epsilon(g)
+
+
+def shifted(e, s: int):
+    return edge(e.u + s, e.v + s)
+
+
+def disjoint_union(g: Multigraph, h: Multigraph) -> Multigraph:
+    """g, then h with its vertices moved above g's."""
+    mult = dict(g.items())
+    mult.update((shifted(e, g.order), m) for e, m in h.items())
+    return Multigraph(g.order + h.order, mult)
+
+
+@SETTINGS
+@given(triangle_supported(), triangle_supported())
+def test_epsilon_adds_over_a_disjoint_union(g, h):
+    # Every triangle lies in one part, so the least count is the sum; and
+    # g's edges sort first, so the least witness is g's, then h's shifted.
+    t, aug, _ = epsilon_exact(disjoint_union(g, h))
+    tg, aug_g, _ = epsilon_exact(g)
+    th, aug_h, _ = epsilon_exact(h)
+    assert t == tg + th
+    assert list(aug) == list(aug_g) + [shifted(e, g.order) for e in aug_h]
+
+
+@pytest.mark.parametrize("m, n", [(5, 8), (6, 8), (8, 10), (5, 11), (10, 12)])
+def test_epsilon_of_two_complete_graphs_is_the_fort_hedlund_sum(m, n):
+    assert epsilon_exact(disjoint_union(complete_graph(m), complete_graph(n)))[0] == (
+        fort_hedlund(m) + fort_hedlund(n))
 
 
 @SETTINGS
