@@ -143,6 +143,15 @@ class CoverInstance:
         The open nodes live on an explicit stack, the root's frame and one
         more per chosen triangle, so a search hundreds of triangles deep
         (the 998 of ``construct hmp 1000``) needs no interpreter recursion.
+        A frame holds three fields: its fits, the index of the next one to
+        try, and its spare coverings (beyond lo, still to place), which
+        start at the slack and change by gain - 3 per chosen triangle that
+        takes gain edges closer to lo.  The fits leave out the triangles
+        banned when the frame opens.  No ancestor bans a triangle while a
+        frame is open, and every descendant lifts its bans before it
+        closes, so a frame's own bans are exactly the fits it has tried,
+        and it lifts them all when it closes.
+
         A k above ORDER_LIMIT raises ScaleLimit: a stack that deep would take
         memory and time without bound.  So does a search that chooses more
         than STEP_LIMIT triangles, counted on from the instance's earlier
@@ -190,9 +199,8 @@ class CoverInstance:
         chosen: list[int] = []
         steps = self.steps
 
-        def branch(left: int, shortfall: int) -> list[int] | None:
+        def branch(spare: int) -> list[int] | None:
             """The triangles to try at this node: None on success, [] at a dead end."""
-            spare = 3 * left - shortfall  # coverings beyond lo still to place
             if spare < 0:
                 return []
             # A vertex still short by an odd amount needs a covering beyond
@@ -220,29 +228,29 @@ class CoverInstance:
                         break  # a forced move: no later edge can beat it
             if best < 0:
                 # No slack triangles, as the docstring explains.
-                return None if left == 0 else []
-            return [ti for ti in tris_of_edge[best] if not dead[ti]]
+                return None if len(chosen) == k else []
+            return [ti for ti in tris_of_edge[best] if not (dead[ti] or banned[ti])]
 
-        # One frame per open node: [fits, next index, failed, left, shortfall].
-        # chosen[d] is the triangle frame d is trying, so popping frame d + 1
-        # takes chosen[d] back.
-        fits = branch(k, sum(lo))
+        # One frame per open node: [fits, next index, spare], spare being
+        # 3 * (k - len(chosen)) minus the total shortfall.  fits leaves out
+        # the triangles banned when the frame opens, so the frame's bans are
+        # the fits it has tried, lifted when it closes.  chosen[d] is the
+        # triangle frame d is trying, so popping frame d + 1 takes chosen[d]
+        # back.
+        fits = branch(slack)
         if fits is None:
             return chosen
-        frames = [[fits, 0, [], k, sum(lo)]]
+        frames = [[fits, 0, slack]]
         while frames:
             frame = frames[-1]
-            fits, i, failed, left, shortfall = frame
-            while i < len(fits) and banned[fits[i]]:
-                i += 1
+            fits, i, spare = frame
             if i == len(fits):
-                for ti in failed:
+                for ti in fits:
                     banned[ti] = False
                 frames.pop()
                 if frames:
                     ti = chosen.pop()
-                    _, _, _, left, shortfall = frames[-1]
-                    keep_parity = 3 * left > shortfall
+                    keep_parity = frames[-1][2] > 0
                     for e in tri_edges[ti]:
                         r = room[e] + 1
                         room[e] = r
@@ -265,23 +273,20 @@ class CoverInstance:
                                 odd_at[u] ^= 1
                                 odd_at[v] ^= 1
                     banned[ti] = True
-                    frames[-1][2].append(ti)
                 continue
             steps += 1
             if steps > limit:
-                self.steps = steps
-                raise graph_core._step_limit("cover search")
+                break
             ti = fits[i]
             frame[1] = i + 1
             # Spare coverings never grow down the tree, so below a node
             # without them no node reads the parities.
-            keep_parity = 3 * left > shortfall
-            gain = 0
+            keep_parity = spare > 0
             for e in tri_edges[ti]:
                 s = short[e]
                 short[e] = s - 1
                 if s > 0:
-                    gain += 1
+                    spare += 1
                     if s == 1:
                         shorts.remove(e)
                     if keep_parity:
@@ -300,13 +305,15 @@ class CoverInstance:
                             fitting[e2] -= 1
                             fitting[e3] -= 1
             chosen.append(ti)
-            fits = branch(left - 1, shortfall - gain)
+            spare -= 3
+            fits = branch(spare)
             if fits is None:
-                self.steps = steps
-                return chosen
-            frames.append([fits, 0, [], left - 1, shortfall - gain])
+                break
+            frames.append([fits, 0, spare])
         self.steps = steps
-        return None
+        if steps > limit:
+            raise graph_core._step_limit("cover search")
+        return chosen if frames else None  # only a solution leaves frames open
 
     def certificate(self, chosen: list[int]) -> graph_core.Decomposition:
         ends, new = self.ends, tuple.__new__  # (a, b, c) off ab and ac: a < b < c, as listed

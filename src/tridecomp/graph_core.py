@@ -183,6 +183,15 @@ def edge(u: int, v: int) -> EdgeKey:
     return EdgeKey(u, v) if u < v else EdgeKey(v, u)
 
 
+def _as_edge(item) -> EdgeKey:
+    """An EdgeKey as it is, a vertex pair through edge(), anything else DomainError."""
+    if item.__class__ is EdgeKey:
+        return item
+    if isinstance(item, (list, tuple)) and len(item) == 2:
+        return edge(*item)
+    raise DomainError(f"expected an edge (u, v), got {_shown(item)}")
+
+
 class Triangle(namedtuple("Triangle", "a b c")):
     """Vertex triple a < b < c; a tuple, so it sorts as (a, b, c)."""
 
@@ -341,18 +350,21 @@ class _SortedItems(tuple):
 
 
 class Augmentation(_SortedItems):
-    """A multiset of edges to duplicate, kept sorted."""
+    """A multiset of edges to duplicate, kept sorted; each item an EdgeKey or a vertex pair."""
 
     __slots__ = ()
     _field = "additions"
     additions = property(tuple)
+
+    def __new__(cls, items: Iterable):
+        return _SortedItems.__new__(cls, map(_as_edge, items))
 
     def to_json_list(self) -> list:
         return [[e.u, e.v] for e in self]
 
     @classmethod
     def from_json_list(cls, data: list) -> "Augmentation":
-        return cls([edge(u, v) for u, v in _json_rows(data, 2, "'augmentation'")])
+        return cls(_json_rows(data, 2, "'augmentation'"))
 
 
 def apply_augmentation(g: Multigraph, aug: Augmentation) -> Multigraph:

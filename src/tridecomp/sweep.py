@@ -20,22 +20,23 @@ from collections.abc import Iterable
 
 from . import graph_core
 from .augment import _least_level, _records
-from .graph_core import (DomainError, EdgeKey, InvariantViolation, Multigraph, _check_int,
-                         _crossing_chords, _packing_bound)
+from .graph_core import (DomainError, EdgeKey, InvariantViolation, Multigraph, _as_edge,
+                         _check_int, _crossing_chords, _packing_bound)
 
 
 class MopCode(namedtuple("MopCode", "order chords")):
     """A maximal outerplanar graph as its chord set over the standard cycle.
 
     Vertices 0..order-1 form the outer cycle in numeric order; chords, kept
-    sorted, must be pairwise non-crossing and exactly order-3 of them.
+    sorted, must be pairwise non-crossing and exactly order-3 of them, each
+    an EdgeKey or a vertex pair.
     """
 
     __slots__ = ()
 
-    def __new__(cls, order: int, chords: Iterable[EdgeKey]) -> "MopCode":
+    def __new__(cls, order: int, chords: Iterable) -> "MopCode":
         _check_int(order, least=3)
-        chords = tuple(sorted(chords))
+        chords = tuple(sorted(map(_as_edge, chords)))
         n = order
         if len(set(chords)) != len(chords):
             raise DomainError("duplicate chord")

@@ -8,6 +8,7 @@ import pytest
 
 from tridecomp import (
     Augmentation,
+    CapInfeasible,
     Decomposition,
     DomainError,
     InvariantViolation,
@@ -16,6 +17,7 @@ from tridecomp import (
     coverage_error,
     edge,
     enumerate_triangles,
+    epsilon_exact,
     fan,
     fast_reject,
     find_decomposition,
@@ -35,6 +37,7 @@ from oracle_helpers import (
     scan_solve,
     simple_graphs,
 )
+from test_augment import NINE_VERTEX
 
 
 def test_enumerate_triangles_on_known_graphs():
@@ -301,14 +304,15 @@ def _triangle_union(rng, n, count):
     return Multigraph.from_edges(n, [(u, v, m) for (u, v), m in sorted(mult.items())])
 
 
-def test_solve_matches_the_scan_reference():
+def test_solve_matches_the_scan_reference(monkeypatch):
     rng = random.Random(2108)
     compared = 0
+    solve = CoverInstance.solve
 
     def agree(inst, lo, hi, k):
         nonlocal compared
         before = inst.steps
-        got = inst.solve(lo, hi, k)
+        got = solve(inst, lo, hi, k)
         assert (got, inst.steps - before) == scan_solve(inst, lo, hi, k), (lo, hi, k)
         compared += 1
         return got
@@ -337,6 +341,17 @@ def test_solve_matches_the_scan_reference():
         m = inst.base
         assert agree(inst, m, m, g.size() // 3) is not None
     assert compared >= 300
+    # Every call of epsilon's climb and witness pinning, uncapped and with
+    # one copy per edge, on the nine-vertex graph and fans 13-15.
+    start = compared
+    monkeypatch.setattr(CoverInstance, "solve", agree)
+    for g in (NINE_VERTEX, fan(13).graph, fan(14).graph, fan(15).graph):
+        for cap in (None, 1):
+            try:
+                epsilon_exact(g, max_copies_per_edge=cap)
+            except CapInfeasible:
+                assert g is NINE_VERTEX and cap == 1
+    assert compared - start == 106
 
 
 def test_solve_keeps_no_state_between_calls():

@@ -3,6 +3,8 @@
 import pytest
 
 from tridecomp import (
+    AugmentNonAdjacent,
+    Augmentation,
     DomainError,
     EdgeKey,
     MopCode,
@@ -11,6 +13,7 @@ from tridecomp import (
     RotationSystem,
     ScaleLimit,
     Triangle,
+    apply_augmentation,
     degree_sequence,
     edge,
     enumerate_mops,
@@ -87,6 +90,46 @@ def test_from_edges_refuses_an_entry_that_is_not_an_edge(entry, shown):
     with pytest.raises(DomainError) as refused:
         Multigraph.from_edges(3, [(0, 1), entry])
     assert str(refused.value) == f"expected an edge (u, v) or (u, v, mult), got {shown}"
+
+
+def test_records_of_edges_take_vertex_pairs():
+    fan5 = MopCode(5, [(3, 0), [0, 2]])
+    assert fan5 == MopCode(5, (edge(0, 2), edge(0, 3)))
+    assert all(type(e) is EdgeKey for e in fan5.chords)
+    aug = Augmentation([(0, 1), [2, 0], edge(1, 2)])
+    assert aug.to_json_list() == [[0, 1], [0, 2], [1, 2]]
+    assert Augmentation.from_json_list([[0, 1], [0, 2], [1, 2]]) == aug
+    with pytest.raises(AugmentNonAdjacent, match=r"absent edge \(0, 5\)"):
+        apply_augmentation(complete_graph(3), Augmentation([(0, 5)]))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda entry: MopCode(5, [(0, 2), entry]), id="MopCode"),
+    pytest.param(lambda entry: Augmentation([(0, 1), entry]), id="Augmentation"),
+])
+@pytest.mark.parametrize("entry, shown", [
+    pytest.param(5, "5", id="int"),
+    pytest.param((0, 3, 1), "(0, 3, 1)", id="three-items"),
+    pytest.param((0,), "(0,)", id="one-item"),
+    pytest.param("03", "'03'", id="string"),
+    pytest.param(tuple(range(100)), repr(tuple(range(100)))[:80] + "...", id="long"),
+])
+def test_records_of_edges_refuse_an_entry_that_is_not_an_edge(make, entry, shown):
+    with pytest.raises(DomainError) as refused:
+        make(entry)
+    assert str(refused.value) == f"expected an edge (u, v), got {shown}"
+
+
+def test_records_of_edges_refuse_a_pair_that_is_not_an_edge():
+    with pytest.raises(DomainError, match="loop at vertex 3"):
+        MopCode(5, [(0, 2), (3, 3)])
+    with pytest.raises(DomainError, match="edge endpoints must be integers"):
+        Augmentation([(0, 1.0)])
+    # The MopCode checks keep their messages for pairs.
+    with pytest.raises(DomainError, match=r"^chord endpoint 7 out of range$"):
+        MopCode(5, [(0, 2), (2, 7)])
+    with pytest.raises(DomainError, match=r"^\(0, 1\) is a cycle edge, not a chord$"):
+        MopCode(5, [(1, 0), (0, 3)])
 
 
 def test_multigraph_listings_are_sorted():

@@ -1,5 +1,6 @@
 """The package root resolves its names on first use; each subcommand loads only its layers."""
 
+import ast
 import importlib
 import json
 import pkgutil
@@ -114,6 +115,18 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
         assert not (every - bare) & unwanted, argv
         if argv[0] == "epsilon":  # neither the class sweeps nor the structural predicates
             assert not loaded & {"tridecomp.sweep", "tridecomp.analysis"}
+
+
+def test_the_package_imports_only_the_standard_library():
+    imported = set()
+    for path in Path(tridecomp.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update((path.name, alias.name.split(".")[0]) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((path.name, node.module.split(".")[0]))
+    assert imported
+    assert {(name, m) for name, m in imported if m not in sys.stdlib_module_names} == set()
 
 
 def test_decomposer_holds_only_the_search():

@@ -1,5 +1,7 @@
 """Property tests: relabelling invariance of epsilon, its additivity over a
-disjoint union, Multigraph JSON round-trips and the CLI's JSON writer.
+disjoint union, its fall under an added triangle, its zero once the witness
+is added, its order over copy caps, Multigraph JSON round-trips and the
+CLI's JSON writer.
 
 Skipped when Hypothesis is not installed.  The examples are derandomized,
 so every run checks the same graphs.
@@ -17,12 +19,18 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from tridecomp import (  # noqa: E402
+    Augmentation,
     CapInfeasible,
     Multigraph,
     apply_augmentation,
     coverage_error,
     edge,
+    enumerate_triangles,
     epsilon_exact,
+    fan,
+    intermediate,
+    mop_construct,
+    sc3_construct,
 )
 from tridecomp.cli import _print_json  # noqa: E402
 
@@ -58,9 +66,9 @@ def relabel(g: Multigraph, perm) -> Multigraph:
     return Multigraph.from_edges(g.order, [(perm[e.u], perm[e.v], m) for e, m in g.items()])
 
 
-def capped_epsilon(g: Multigraph):
+def capped_epsilon(g: Multigraph, cap: int = 1):
     try:
-        return epsilon_exact(g, max_copies_per_edge=1)[0]
+        return epsilon_exact(g, max_copies_per_edge=cap)[0]
     except CapInfeasible:
         return None
 
@@ -104,6 +112,49 @@ def test_epsilon_adds_over_a_disjoint_union(g, h):
 def test_epsilon_of_two_complete_graphs_is_the_fort_hedlund_sum(m, n):
     assert epsilon_exact(disjoint_union(complete_graph(m), complete_graph(n)))[0] == (
         fort_hedlund(m) + fort_hedlund(n))
+
+
+# Two family members of hundreds of vertices each: (sc3 100, mop 700) and
+# (fan 100, intermediate 300 10).  The reverse of the first, mop 700 then
+# sc3 100, is refused at the set-up reads of its witness pinning.
+@pytest.mark.parametrize("parts, t", [
+    pytest.param(lambda: (sc3_construct(100), mop_construct(700)), 4, id="sc3-100+mop-700"),
+    pytest.param(lambda: (fan(100), intermediate(300, 10)), 127, id="fan-100+intermediate-300-10"),
+])
+def test_epsilon_adds_over_a_union_of_family_members(parts, t):
+    g, h = (member.graph for member in parts())
+    got, aug, _ = epsilon_exact(disjoint_union(g, h))
+    _, aug_g, _ = epsilon_exact(g)
+    _, aug_h, _ = epsilon_exact(h)
+    assert got == t == len(aug_g) + len(aug_h)
+    assert list(aug) == list(aug_g) + [shifted(e, g.order) for e in aug_h]
+
+
+@SETTINGS
+@given(st.data())
+def test_an_added_triangle_never_raises_epsilon(data):
+    # T joins any decomposition of G's augmentation, so G + T needs no more.
+    g = data.draw(triangle_supported())
+    t = data.draw(st.sampled_from(enumerate_triangles(g)))
+    assert epsilon_exact(apply_augmentation(g, Augmentation(t.edges())))[0] <= epsilon_exact(g)[0]
+
+
+@SETTINGS
+@given(triangle_supported())
+def test_the_witness_added_leaves_nothing_to_add(g):
+    _, aug, _ = epsilon_exact(g)
+    assert epsilon_exact(apply_augmentation(g, aug))[0] == 0
+
+
+@SETTINGS
+@given(triangle_supported())
+def test_epsilon_falls_as_the_cap_rises(g):
+    # A cover under one cap is a cover under every higher one, so the count
+    # never rises with the cap and a feasible cap stays feasible; uncapped,
+    # every graph with each edge on a triangle is feasible.
+    counts = [capped_epsilon(g, cap) for cap in (0, 1, 2)] + [epsilon_exact(g)[0]]
+    assert counts == sorted(counts, key=lambda c: (c is None, c), reverse=True)
+    assert counts[-1] is not None
 
 
 @SETTINGS
