@@ -69,6 +69,17 @@ def epsilon_exact(
     more than STEP_LIMIT triangles or their set-ups are charged more than
     STEP_LIMIT steps: the edges each reads, and its triangles once its
     root tests pass.
+
+    The witness is pinned edge by edge, each question asking for one more
+    copy on an edge than the last cover used.  A question without slack
+    (3k == sum(lo)) is never asked: the last cover has one copy left over,
+    on a later edge j, so the question's bound differs from a cover by
+    e_i - e_j and leaves at least two vertices odd, which the parity test
+    at the root of the search refuses.  So every hit of the pinning has
+    coverings to spare and is no exact cover, and the certificate, the
+    solver's exact cover of the augmented graph, takes one more search iff
+    t > 0; at t = 0 the climb's hit, with lo == hi == base, is the
+    certificate.
     """
     off = _edge_off_triangles(g)
     if off is not None:
@@ -80,17 +91,23 @@ def epsilon_exact(
     if hit is None:  # only a cap can stop the climb without a hit
         raise CapInfeasible(f"no augmentation with at most {cap} extra copies per edge works")
     t, inst, hi, chosen = hit
-    if t == 0:  # the hit was the certificate search: lo == hi == base
-        return (t, *_records(inst, chosen))
     k = len(chosen)
     # The lexicographically least multiset puts the most copies on edge 0,
     # then on edge 1, and so on.  Ask for one more copy on edge i than the
-    # last solution used; the first refusal pins the edge.
+    # last solution used; the first refusal pins the edge.  A question
+    # leaves slack 3k - sum(lo) = unpinned - (cover[i] + 1 - b), and one
+    # with slack 0 is never asked, since it cannot succeed: it asks for an
+    # exact cover of G' + (cover[i] + 1 - b) e_i, G' being the base graph
+    # with edges 0..i-1 pinned, while the last cover, whose vertex totals
+    # are all even, has exactly one copy left over, on some edge j > i.
+    # The two graphs differ by e_i - e_j, which leaves at least two
+    # vertices odd, so the root parity test would refuse it; skipping it
+    # keeps the witness, the certificate and the steps.
     lo = list(inst.base)
     cover = inst.edge_counts(chosen)
     unpinned = t  # added copies not yet pinned to an edge
     for i, b in enumerate(inst.base):
-        while cover[i] < hi[i] and cover[i] - b < unpinned:
+        while cover[i] < hi[i] and cover[i] - b + 1 < unpinned:
             lo[i] = cover[i] + 1
             more = inst.solve(lo, hi, k)
             if more is None:
@@ -98,7 +115,9 @@ def epsilon_exact(
             cover = inst.edge_counts(more)
         lo[i] = hi[i] = cover[i]
         unpinned -= cover[i] - b
-    chosen = inst.solve(lo, hi, k)  # lo == hi: the certificate search
+    # Every pinning hit had slack, so the certificate takes a search iff t > 0.
+    if t:
+        chosen = inst.solve(lo, hi, k)
     return (t, *_records(inst, chosen))
 
 

@@ -105,14 +105,25 @@ class CoverInstance:
         above lo, so the search only adds triangles through an edge still
         short of lo, and a node with no short edge succeeds only at k.
 
+        The root tests refuse, in this order:
+        - k above ORDER_LIMIT, with ScaleLimit: a stack that deep would
+          take memory and time without bound;
+        - a negative slack 3k - sum(lo), the coverings beyond lo, or fewer
+          than 3k coverings of room, hi[i] capped at lo[i] + slack;
+        - more vertices with an odd lo total than the 2 * slack that the
+          coverings beyond lo can fix, each serving two vertices, or an odd
+          vertex whose edges are all pinned (room == lo), since a triangle
+          covers two edges at each of its corners; at slack 0 the two agree;
+        - an edge with no room, with InvariantViolation (see below).
+        All of them come before any triangle is read, so only a call that
+        passes them is charged its triangles.
+
         The search branches on the short edge with the fewest triangles
         fitting under hi (the first such edge; one fitting triangle ends
-        the scan) and tries them in order.  It refuses at the root a vertex
-        whose edges are all pinned (lo == hi) with an odd total, since a
-        triangle covers two edges at each of its corners.  A node is pruned
-        when a short edge cannot reach lo, when the triangles left cannot
-        cover the total shortfall, or when more vertices are short by an
-        odd amount than the coverings beyond lo can serve.  A triangle
+        the scan) and tries them in order.  A node is pruned when a short
+        edge cannot reach lo, when the triangles left cannot cover the
+        total shortfall, or when more vertices are short by an odd amount
+        than the coverings beyond lo can serve.  A triangle
         whose branch failed is banned from its later siblings' subtrees,
         since a solution there holding it would also solve the failed
         branch.  Prunes and bans cut only subtrees without a solution, so
@@ -152,12 +163,11 @@ class CoverInstance:
         closes, so a frame's own bans are exactly the fits it has tried,
         and it lifts them all when it closes.
 
-        A k above ORDER_LIMIT raises ScaleLimit: a stack that deep would take
-        memory and time without bound.  So does a search that chooses more
-        than STEP_LIMIT triangles, counted on from the instance's earlier
-        calls in ``steps``, and a call whose set-up would take ``scanned``
-        past STEP_LIMIT: one step per edge, and one per triangle once the
-        root tests above pass, so a call refused at the root is charged no
+        A search that chooses more than STEP_LIMIT triangles, counted on
+        from the instance's earlier calls in ``steps``, raises ScaleLimit,
+        and so does a call whose set-up would take ``scanned`` past
+        STEP_LIMIT: one step per edge, and one per triangle once the root
+        tests above pass, so a call refused at the root is charged no
         triangle.
         """
         if k > ORDER_LIMIT:
@@ -182,7 +192,10 @@ class CoverInstance:
             odd_at[v] ^= a & 1
             if a != b:
                 free.update((u, v))
-        if any(o and v not in free for v, o in enumerate(odd_at)):
+        # branch()'s parity prune, run at the root ahead of the triangle
+        # reads, and a pinned odd vertex.
+        odd = sum(odd_at)
+        if odd > 2 * slack or any(o and v not in free for v, o in enumerate(odd_at)):
             return None
         if 0 in room:
             raise InvariantViolation("a cover search bound leaves an edge no room at the root")
@@ -193,7 +206,6 @@ class CoverInstance:
             raise graph_core._step_limit("cover search")
         dead = [False] * len(tri_edges)
         fitting = [len(ts) for ts in tris_of_edge]  # live triangles through the edge
-        odd = sum(odd_at)
         shorts = [ei for ei, s in enumerate(short) if s > 0]  # ascending
         banned = [False] * len(tri_edges)
         chosen: list[int] = []

@@ -220,6 +220,15 @@ def triangle(a: int, b: int, c: int) -> Triangle:
     return Triangle(x, y, z)
 
 
+def _as_triangle(item) -> Triangle:
+    """A Triangle as it is, a vertex triple through triangle(), anything else DomainError."""
+    if item.__class__ is Triangle:
+        return item
+    if isinstance(item, (list, tuple)) and len(item) == 3:
+        return triangle(*item)
+    raise DomainError(f"expected a triangle (a, b, c), got {_shown(item)}")
+
+
 class Multigraph:
     """Immutable-by-convention multigraph: vertex count plus EdgeKey -> multiplicity.
 
@@ -378,11 +387,17 @@ def apply_augmentation(g: Multigraph, aug: Augmentation) -> Multigraph:
 
 
 class Decomposition(_SortedItems):
-    """A multiset of triangles, kept sorted; repeats are meaningful."""
+    """A multiset of triangles, kept sorted; repeats are meaningful.
+
+    Each item is a Triangle or a vertex triple in any order.
+    """
 
     __slots__ = ()
     _field = "triangles"
     triangles = property(tuple)
+
+    def __new__(cls, items: Iterable):
+        return _SortedItems.__new__(cls, map(_as_triangle, items))
 
     def to_json_dict(self) -> dict:
         return {"triangles": [list(t) for t in self]}
@@ -391,7 +406,7 @@ class Decomposition(_SortedItems):
     def from_json_dict(cls, data: dict) -> "Decomposition":
         if not isinstance(data, dict) or "triangles" not in data:
             raise DomainError("certificate JSON must have a 'triangles' field")
-        return cls(_triangles_from_json(data["triangles"], "certificate 'triangles'"))
+        return cls(_json_rows(data["triangles"], 3, "certificate 'triangles'"))
 
 
 def _triangles_from_json(entries: list, name: str) -> tuple[Triangle, ...]:

@@ -139,13 +139,16 @@ def test_epsilon_exact_certificates_check_out():
 LARGE_MEMBERS = [
     pytest.param(hmp_construct, (1000,), 998, 4990, id="hmp 1000"),
     pytest.param(sc2_tree_construct, (999,), 665, 2992, id="sc2tree 999"),
-    pytest.param(kop_construct, (10, 100), 2884, 18911, id="kop 10 100"),
-    pytest.param(mop_construct, (700,), 1125, 16763, id="mop 700"),
-    pytest.param(intermediate, (300, 10), 1323, 36994, id="intermediate 300 10"),
-    pytest.param(sc3_construct, (100,), 4864, 31742, id="sc3 100"),
-    pytest.param(fan, (100,), 10007, 38547, id="fan 100"),
-    # Under STEP_LIMIT reads only because a level refused at the root reads no triangle.
-    pytest.param(sc3_construct, (450,), 100589, 615542, id="sc3 450"),
+    pytest.param(kop_construct, (10, 100), 2884, 9950, id="kop 10 100"),
+    pytest.param(mop_construct, (700,), 1125, 4190, id="mop 700"),
+    # mop 800's pinning asks about 530 questions that the root's odd count
+    # refuses before any triangle is read; mop 901's asks none without slack.
+    pytest.param(mop_construct, (800,), 2547, 847207, id="mop 800"),
+    pytest.param(mop_construct, (901,), 1444, 5396, id="mop 901"),
+    pytest.param(intermediate, (300, 10), 1323, 34907, id="intermediate 300 10"),
+    pytest.param(sc3_construct, (100,), 4864, 2640, id="sc3 100"),
+    pytest.param(fan, (100,), 10007, 36684, id="fan 100"),
+    pytest.param(sc3_construct, (450,), 100589, 12090, id="sc3 450"),
 ]
 
 
@@ -194,6 +197,31 @@ def test_epsilon_zero_searches_once(monkeypatch):
         [(inst, exact, chosen)] = calls
         assert (t, aug.additions, exact) == (0, (), True)
         assert cert == inst.certificate(chosen)
+
+
+def test_epsilon_asks_no_question_without_slack(monkeypatch):
+    # A question with lo < hi and no slack (3k == sum(lo)) would ask for an
+    # exact cover that the vertex parities refuse, so epsilon never asks one.
+    from tridecomp import augment
+
+    asked = []
+
+    class Counted(augment.CoverInstance):
+        __slots__ = ()
+
+        def solve(self, lo, hi, k):
+            asked.append(lo == hi or 3 * k - sum(lo) >= 1)
+            return super().solve(lo, hi, k)
+
+    monkeypatch.setattr(augment, "CoverInstance", Counted)
+    for g in (mop_construct(700).graph, fan(13).graph, fan(14).graph, fan(15).graph,
+              NINE_VERTEX):
+        for cap in (None, 1):
+            try:
+                epsilon_exact(g, max_copies_per_edge=cap)
+            except CapInfeasible:
+                assert g is NINE_VERTEX and cap == 1
+    assert asked and all(asked)
 
 
 def test_epsilon_exact_meets_lower_bound_or_exceeds_by_steps():

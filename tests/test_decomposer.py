@@ -279,9 +279,13 @@ def test_a_call_refused_at_the_root_reads_no_triangle():
     assert (k4.steps, k4.scanned) == (0, len(k4.base))
     assert k4.solve(k4.base, k4.base, 1) is None  # three coverings, six edges
     assert (k4.steps, k4.scanned) == (0, 2 * len(k4.base))
-    # A call that passes both is charged every triangle once more.
+    # Slack 1 with four odd vertices: one covering beyond lo fixes two.
+    lo = [1, 1, 1, 1, 1, 3]
+    assert k4.solve(lo, [a + 1 for a in lo], 3) is None
+    assert (k4.steps, k4.scanned) == (0, 3 * len(k4.base))
+    # A call that passes them all is charged every triangle once more.
     assert k4.solve([1] * 6, [2] * 6, 3) == [0, 1, 2]
-    assert k4.scanned == 3 * len(k4.base) + len(k4.tri_edges)
+    assert k4.scanned == 4 * len(k4.base) + len(k4.tri_edges)
 
 
 def test_a_bound_that_leaves_an_edge_no_room_is_refused():
@@ -351,7 +355,7 @@ def test_solve_matches_the_scan_reference(monkeypatch):
                 epsilon_exact(g, max_copies_per_edge=cap)
             except CapInfeasible:
                 assert g is NINE_VERTEX and cap == 1
-    assert compared - start == 106
+    assert compared - start == 102
 
 
 def test_solve_keeps_no_state_between_calls():

@@ -5,6 +5,7 @@ import pytest
 from tridecomp import (
     AugmentNonAdjacent,
     Augmentation,
+    Decomposition,
     DomainError,
     EdgeKey,
     MopCode,
@@ -14,6 +15,7 @@ from tridecomp import (
     ScaleLimit,
     Triangle,
     apply_augmentation,
+    coverage_error,
     degree_sequence,
     edge,
     enumerate_mops,
@@ -130,6 +132,28 @@ def test_records_of_edges_refuse_a_pair_that_is_not_an_edge():
         MopCode(5, [(0, 2), (2, 7)])
     with pytest.raises(DomainError, match=r"^\(0, 1\) is a cycle edge, not a chord$"):
         MopCode(5, [(1, 0), (0, 3)])
+
+
+def test_decompositions_take_vertex_triples():
+    d = Decomposition([(2, 1, 0), [3, 1, 2], triangle(0, 1, 3)])
+    assert d.triangles == (Triangle(0, 1, 2), Triangle(0, 1, 3), Triangle(1, 2, 3))
+    assert all(type(t) is Triangle for t in d)
+    assert coverage_error(complete_graph(3), Decomposition([(2, 1, 0)])) is None
+    with pytest.raises(DomainError, match="triangle vertices must be distinct"):
+        Decomposition([(0, 1, 1)])
+
+
+@pytest.mark.parametrize("entry, shown", [
+    pytest.param(5, "5", id="int"),
+    pytest.param((0, 1), "(0, 1)", id="pair"),
+    pytest.param((0, 1, 2, 3), "(0, 1, 2, 3)", id="four-items"),
+    pytest.param("012", "'012'", id="string"),
+    pytest.param(tuple(range(100)), repr(tuple(range(100)))[:80] + "...", id="long"),
+])
+def test_decompositions_refuse_an_entry_that_is_not_a_triangle(entry, shown):
+    with pytest.raises(DomainError) as refused:
+        Decomposition([(0, 1, 2), entry])
+    assert str(refused.value) == f"expected a triangle (a, b, c), got {shown}"
 
 
 def test_multigraph_listings_are_sorted():
