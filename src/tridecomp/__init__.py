@@ -17,16 +17,16 @@ __version__ = "0.1.0"
 
 # Public name -> the module that defines it.
 _EXPORTS = {
+    "ConstructionResult": "analysis",
     "FaceTrace": "analysis",
     "RotationSystem": "analysis",
     "is_eulerian": "analysis",
     "is_maximal_outerplanar": "analysis",
     "trace_faces": "analysis",
+    "verify_construction": "analysis",
     "epsilon_exact": "augment",
     "enumerate_triangles": "decomposer",
     "find_decomposition": "decomposer",
-    "ConstructionResult": "envelope",
-    "verify_construction": "envelope",
     "fan": "families",
     "hmp_construct": "families",
     "intermediate": "families",

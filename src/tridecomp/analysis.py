@@ -1,4 +1,13 @@
-"""Structural predicates and embedding face tracing.
+"""The construction envelope, its one verifier, and the predicates it calls.
+
+ConstructionResult bundles a family member: the base graph, the parallel
+copies to add, a triangle certificate for the augmented graph, the claimed
+augmentation count and the structure field of its family.
+ConstructionResult.to_json_dict writes the JSON that ``construct`` prints
+and from_json_dict reads it back.  verify_construction rechecks a result
+from scratch as an ordered list of (ok, message) lines: first the count,
+residue and coverage lines of ``graph_core._answer_checks``, then the
+structure checks of its family.
 
 The structural predicates are is_eulerian (every degree even, one edge
 component) and is_maximal_outerplanar.  Each check has one copy: the
@@ -11,6 +20,13 @@ edge ends as (neighbor, copy index) pairs.  Tracing: after arriving at v
 along some edge end, leave along the next end in v's rotation; the orbits
 of that rule are the faces, and V - E + F gives the Euler characteristic
 and hence the genus of the implied orientable surface.
+
+The constructors live in ``families`` and the search in ``decomposer``;
+``verify`` and ``faces`` load neither, only this module over
+``graph_core``.  verify_construction calls the core checks and coverage
+through the ``graph_core`` module object and the predicates by their
+global names, so a rebound module attribute (a test double, a tracing
+wrapper) is the one that runs.
 """
 
 from __future__ import annotations
@@ -18,9 +34,13 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 
+from . import graph_core
 from .graph_core import (
+    Augmentation,
+    Decomposition,
     DomainError,
     Multigraph,
+    _check,
     _check_int,
     _crossing_chords,
     _json_rows,
@@ -28,6 +48,11 @@ from .graph_core import (
     degree_sequence,
     edge,
 )
+
+# One verifier line: True "ok", False "fail", None informational.
+Check = tuple[bool | None, str]
+
+_CYCLE_FAMILIES = ("mop", "fan", "intermediate", "sc2tree", "sc2seed")
 
 
 class RotationSystem(namedtuple("RotationSystem", "order rotations")):
@@ -39,11 +64,17 @@ class RotationSystem(namedtuple("RotationSystem", "order rotations")):
         cls, order: int, rotations: tuple[tuple[tuple[int, int], ...], ...]
     ) -> "RotationSystem":
         _check_int(order, least=0)
+        if not isinstance(rotations, (list, tuple)):
+            raise DomainError(
+                f"rotations must be a list of per-vertex lists, got {_shown(rotations)}"
+            )
         if len(rotations) != order:
             raise DomainError(
                 f"expected {order} rotation lists, got {len(rotations)}"
             )
         for v, rot in enumerate(rotations):
+            if not isinstance(rot, (list, tuple)):
+                raise DomainError(f"rotation of vertex {v} must be a list, got {_shown(rot)}")
             for entry in rot:
                 if not (isinstance(entry, tuple) and len(entry) == 2):
                     raise DomainError(
@@ -183,13 +214,15 @@ def is_eulerian(g: Multigraph) -> bool:
 def is_maximal_outerplanar(g: Multigraph, outer: Sequence[int]) -> bool:
     """True iff g is a triangulation of the cycle given by the outer order.
 
-    outer must be a permutation of the vertices (DomainError otherwise); the
-    check is that g is simple, every consecutive outer pair is an edge,
-    the size is 2n-3, and the remaining edges are pairwise non-crossing
-    chords of that cycle, by the crossing test in ``graph_core``.
+    outer must be a permutation of the vertices, each an int as in
+    ``_json_rows`` (DomainError otherwise); the check is that g is simple,
+    every consecutive outer pair is an edge, the size is 2n-3, and the
+    remaining edges are pairwise non-crossing chords of that cycle, by the
+    crossing test in ``graph_core``.
     """
     n = g.order
-    if sorted(outer) != list(range(n)):
+    if not (isinstance(outer, Sequence) and all(type(v) is int for v in outer)
+            and sorted(outer) == list(range(n))):
         raise DomainError("outer cycle must be a permutation of the vertices")
     _check_int(n, least=3)
     if not g.is_simple():
@@ -206,3 +239,150 @@ def is_maximal_outerplanar(g: Multigraph, outer: Sequence[int]) -> bool:
         if 1 < b - a < n - 1:  # not a cycle edge: those are one apart, or 0 and n - 1
             chords.append((a, b))
     return _crossing_chords(chords) is None
+
+
+class ConstructionResult(
+    namedtuple(
+        "ConstructionResult",
+        "family parameters graph augmentation certificate claimed_epsilon"
+        " outer_cycle faces rotation",
+        defaults=(None, None, None),
+    )
+):
+    """A constructed graph together with its decomposability witness data.
+
+    Fields: family (str), parameters (name -> int), graph (Multigraph),
+    augmentation (Augmentation), certificate (Decomposition), claimed_epsilon
+    (int), and the optional structure fields outer_cycle (vertex tuple),
+    faces (Triangle tuple) and rotation (RotationSystem).
+    """
+
+    __slots__ = ()
+
+    def to_json_dict(self) -> dict:
+        """The envelope that construct prints; absent structure fields are left out."""
+        out = {
+            "family": self.family,
+            "parameters": dict(self.parameters),
+            "epsilon": self.claimed_epsilon,
+            "graph": self.graph.to_json_dict(),
+            "augmentation": self.augmentation.to_json_list(),
+            "certificate": self.certificate.to_json_dict(),
+        }
+        if self.outer_cycle is not None:
+            out["outer_cycle"] = list(self.outer_cycle)
+        if self.faces is not None:
+            out["faces"] = [list(t) for t in self.faces]
+        if self.rotation is not None:
+            out["rotation"] = self.rotation.to_json_dict()
+        return out
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "ConstructionResult":
+        """Read an envelope back; DomainError on a missing or malformed field."""
+        if not isinstance(data, dict):
+            raise DomainError("envelope JSON must be an object")
+        for key in ("family", "epsilon", "graph", "augmentation", "certificate"):
+            if key not in data:
+                raise DomainError(f"envelope is missing the '{key}' field")
+        graph = Multigraph.from_json_dict(data["graph"])
+        augmentation = Augmentation.from_json_list(data["augmentation"])
+        certificate = Decomposition.from_json_dict(data["certificate"])
+        family, eps, params = data["family"], data["epsilon"], data.get("parameters", {})
+        outer, faces, rotation = (data.get(k) for k in ("outer_cycle", "faces", "rotation"))
+        if not isinstance(family, str):
+            raise DomainError(f"'family' must be a string, got {_shown(family)}")
+        if type(eps) is not int:
+            raise DomainError(f"'epsilon' must be an integer, got {_shown(eps)}")
+        if not isinstance(params, dict):
+            raise DomainError(f"'parameters' must map names to integers, got {_shown(params)}")
+        _json_rows(list(params.values()), None, "'parameters' values")
+        if rotation is not None:
+            rotation = RotationSystem.from_json_dict(rotation)
+        return cls(
+            family, params, graph, augmentation, certificate, eps,
+            outer_cycle=None if outer is None else tuple(_json_rows(outer, None, "'outer_cycle'")),
+            faces=None if faces is None else graph_core._triangles_from_json(faces, "'faces'"),
+            rotation=rotation,
+        )
+
+
+def _hmp_cycle(n: int) -> list[int] | None:
+    """The Hamiltonian cycle that ``hmp_construct(n)`` builds, or None if it builds none.
+
+    The cycle runs 0, 1, ..., n - 3 with the apexes n - 2 and n - 1 spliced
+    in: after 0 and at the end for even n, around 3 for odd n.
+    """
+    if n < 6 or n == 7:
+        return None
+    if n % 2 == 0:
+        return [0, n - 2, *range(1, n - 2), n - 1]
+    return [0, 1, 2, n - 2, 3, n - 1, *range(4, n - 2)]
+
+
+def verify_construction(result: ConstructionResult) -> list[Check]:
+    """Recheck a construction from scratch: the core checks, then its family's.
+
+    A structure field that the checks cannot use, such as an outer cycle
+    that is not a permutation of the vertices, raises DomainError.
+    """
+    g, family = result.graph, result.family
+    checks = graph_core._answer_checks(result.graph, result.augmentation, result.certificate,
+                                       result.claimed_epsilon)
+    if family in _CYCLE_FAMILIES:
+        if result.outer_cycle is None:
+            checks.append((False, "triangulated-cycle envelope has no outer cycle"))
+        else:
+            checks.append(_check(is_maximal_outerplanar(g, result.outer_cycle),
+                                 "maximal outerplanar on the given outer cycle",
+                                 "not maximal outerplanar on the given outer cycle"))
+    elif family == "hmp":
+        if result.faces is None:
+            checks.append((False, "triangulation envelope has no face list"))
+        else:
+            doubled = Multigraph(g.order, {e: 2 for e in g.edges()})
+            chi = g.order - g.size() + len(result.faces)
+            checks += [
+                _check(graph_core.coverage_error(doubled, Decomposition(result.faces)) is None,
+                       "every edge lies on exactly two faces",
+                       "face list does not cover every edge exactly twice"),
+                _check(chi == 2, "V - E + F = 2", f"V - E + F = {chi}, expected 2"),
+            ]
+        cycle = _hmp_cycle(g.order)
+        if cycle is None:
+            checks.append((False, f"no hmp member has order {g.order}"))
+        else:
+            gap = next((p for p in zip(cycle, cycle[1:] + cycle[:1])
+                        if not g.has_edge(edge(*p))), None)
+            checks.append(_check(gap is None, "hamiltonian cycle found",
+                                 f"hamiltonian cycle edge {gap} missing"))
+        checks.append(_check(is_eulerian(g), "all degrees even and the graph is connected",
+                             "graph is not eulerian"))
+    elif family == "sf":
+        if result.rotation is None:
+            checks.append((False, "fixture envelope has no rotation system"))
+        else:
+            trace = trace_faces(result.rotation)
+            rotation_edges = {edge(v, u) for v, rot in enumerate(result.rotation.rotations)
+                              for u, _c in rot}
+            checks += [
+                (None, f"genus: {trace.genus}"),
+                _check(trace.genus == 1, "rotation system embeds the graph on the torus",
+                       f"rotation system has genus {trace.genus}, expected 1"),
+                _check(any(set(face) == set(range(g.order)) for face in trace.faces),
+                       "one face visits every vertex", "no face visits every vertex"),
+                _check(rotation_edges == set(g.edges()),
+                       "rotation system covers exactly the graph edges",
+                       "rotation system edges differ from the graph edges"),
+            ]
+    elif family == "kop":
+        m, k = result.parameters.get("m"), result.parameters.get("k")
+        if not (isinstance(m, int) and isinstance(k, int) and m >= 3 and k >= 1
+                and m * k == g.order):
+            checks.append((False, "layered envelope has no usable m, k parameters"))
+        else:
+            ring = ((j * m + i, j * m + (i + 1) % m) for j in range(k) for i in range(m))
+            gap = next((p for p in ring if not g.has_edge(edge(*p))), None)
+            checks.append(_check(gap is None, f"all {k} layer rings present",
+                                 f"ring edge {gap} missing"))
+    return checks

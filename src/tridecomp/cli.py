@@ -7,7 +7,7 @@ All output is deterministic for a given command line.
 
 ``COMMANDS`` is the whole grammar: ``parse_args`` walks it, and the usage,
 help and usage errors are printed from it.  Each subcommand imports only the
-layers it runs, when it runs; at module level there is only ``graph_core``.
+layers it needs, when it runs; at module level there is only ``graph_core``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from . import graph_core
 
 TYPE_CHECKING = False  # true only to a type checker; spares importing ``typing``
 if TYPE_CHECKING:
-    from .envelope import ConstructionResult
+    from .analysis import ConstructionResult
 
 # Family name -> (name of its constructor in ``families``, parameter names).
 # The constructor is looked up on the module when the command runs.
@@ -241,10 +241,10 @@ def run_decompose(args: SimpleNamespace) -> int:
 
 
 def run_verify(args: SimpleNamespace) -> int:
-    from . import envelope
+    from . import analysis
 
     data = _load_json(args.file)
-    checks = envelope.verify_construction(envelope.ConstructionResult.from_json_dict(data))
+    checks = analysis.verify_construction(analysis.ConstructionResult.from_json_dict(data))
     for ok, message in checks:
         print(message if ok is None else f"{'ok' if ok else 'fail'}: {message}")
     failures = sum(ok is False for ok, _ in checks)

@@ -1,6 +1,6 @@
 """Graph families with stored minimum augmentations and certificates.
 
-Each constructor returns a ConstructionResult (defined in ``envelope``)
+Each constructor returns a ConstructionResult (defined in ``analysis``)
 bundling the base graph, the parallel copies to add, a triangle certificate
 for the augmented graph, and the claimed augmentation count.  A constructor
 states only its certificate: every one returns through the one envelope
@@ -30,8 +30,8 @@ finds its certificate with the cover search (``find_decomposition``, under
 
 validate_construction runs ``graph_core._recheck``, the checks of every
 printed answer, before ``construct`` prints, so it guards ``_member`` too.
-The structure checks and the envelope format live in ``envelope``, and
-``analysis`` is loaded only by the toroidal fixtures, for their rotations.
+The envelope format, the structure checks and the rotation systems of the
+toroidal fixtures live in ``analysis``.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 
+from .analysis import ConstructionResult, RotationSystem, _hmp_cycle
 from .decomposer import find_decomposition
-from .envelope import ConstructionResult, _hmp_cycle
 from .graph_core import (
     Augmentation,
     ConstructionUnavailable,
@@ -209,14 +209,14 @@ def hmp_construct(n: int) -> ConstructionResult:
 
     The face list is the whole description: a ring 0..n-3 with the apexes
     n-2 and n-1, rearranged around vertex 3 for odd orders.  Orders 4, 5
-    and 7 have no member: exactly those for which ``envelope._hmp_cycle``
+    and 7 have no member: exactly those for which ``analysis._hmp_cycle``
     is None are refused.  The graph is the union of the faces' edges:
     3n-6 edges, all degrees even, Hamiltonian.  The certificate is the
     colour class of the first face in the faces' 2-colouring (faces sharing
     an edge differ), which covers every edge once, so no copy is added.  For even n that is the
     ring face on apex n-2 at even i and on apex n-1 at odd i; for odd n it
     is (0, 1, 2), every other ring and band face, (n-3, 0, n-2) and
-    (1, 3, n-3).  verify checks the Hamiltonian cycle ``envelope._hmp_cycle``
+    (1, 3, n-3).  verify checks the Hamiltonian cycle ``analysis._hmp_cycle``
     derives from n, so a change to this layout must keep that cycle in the
     graph.
     """
@@ -362,7 +362,5 @@ def sf_fixture(n: int) -> ConstructionResult:
     cert = find_decomposition(apply_augmentation(g, adds))
     if cert is None:
         raise InvariantViolation(f"order-{n} fixture augmentation failed to decompose")
-    from .analysis import RotationSystem
-
     rotation = RotationSystem(n, tuple(tuple((u, 0) for u in rot[v]) for v in range(n)))
     return _member("sf", {"n": n}, n, cert, rotation=rotation)

@@ -376,10 +376,14 @@ class Augmentation(_SortedItems):
         return cls(_json_rows(data, 2, "'augmentation'"))
 
 
-def apply_augmentation(g: Multigraph, aug: Augmentation) -> Multigraph:
-    """g with one extra parallel copy added per listed edge (repeats stack)."""
+def apply_augmentation(g: Multigraph, aug: Iterable) -> Multigraph:
+    """g with one extra parallel copy added per listed edge (repeats stack).
+
+    Each item is an EdgeKey or a vertex pair in either order, as in Augmentation.
+    """
     mult: dict[EdgeKey, int] = {e: m for e, m in g.items()}
-    for e in aug:
+    for item in aug:
+        e = _as_edge(item)
         if e not in mult:
             raise AugmentNonAdjacent(f"cannot add copies of absent edge ({e.u}, {e.v})")
         mult[e] += 1

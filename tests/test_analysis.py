@@ -185,6 +185,13 @@ def test_is_maximal_outerplanar():
         is_maximal_outerplanar(Multigraph(2), (0, 1))
 
 
+@pytest.mark.parametrize("outer", [[0, 1, "x"], 5, [True, 0, 2]], ids=["str", "int", "bool"])
+def test_is_maximal_outerplanar_refuses_an_outer_order_of_non_integers(outer):
+    # True == 1, so only a check of each entry's type refuses the last.
+    with pytest.raises(DomainError, match="^outer cycle must be a permutation of the vertices$"):
+        is_maximal_outerplanar(complete_graph(3), outer)
+
+
 def _outerplanar_answer(g, outer):
     try:
         return is_maximal_outerplanar(g, outer)

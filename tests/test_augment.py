@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from tridecomp import (
+    AugmentNonAdjacent,
     Augmentation,
     CapInfeasible,
     DomainError,
@@ -102,6 +103,17 @@ def test_apply_augmentation_stacks_copies():
     assert apply_augmentation(g, Augmentation(())) == g
     with pytest.raises(DomainError):
         apply_augmentation(Multigraph.from_edges(3, [(0, 1)]), Augmentation((edge(1, 2),)))
+
+
+def test_apply_augmentation_reads_plain_pairs_as_augmentation_does():
+    g = complete_graph(3)
+    assert apply_augmentation(g, [(1, 0)]) == apply_augmentation(g, Augmentation([(1, 0)]))
+    assert apply_augmentation(g, [(1, 0)]).multiplicity(edge(0, 1)) == 2
+    with pytest.raises(AugmentNonAdjacent, match=r"^cannot add copies of absent edge \(0, 5\)$"):
+        apply_augmentation(g, [(0, 5)])
+    with pytest.raises(DomainError, match=r"^expected an edge \(u, v\), got 5$") as info:
+        apply_augmentation(g, [5])
+    assert not isinstance(info.value, AugmentNonAdjacent)
 
 
 def test_lower_bound_hand_values():

@@ -36,7 +36,7 @@ from tridecomp import (
     validate_construction,
     verify_construction,
 )
-from tridecomp import envelope
+from tridecomp import analysis
 
 from oracle_helpers import (
     complete_graph,
@@ -261,10 +261,10 @@ def test_verify_checks_the_hmp_cycle_of_the_order():
     # of the member hmp_construct builds at that order.
     for n in [6, *range(8, 301)]:
         g = hmp_construct(n).graph
-        cycle = envelope._hmp_cycle(n)
+        cycle = analysis._hmp_cycle(n)
         assert sorted(cycle) == list(range(n)), n
         assert all(g.has_edge(edge(u, v)) for u, v in zip(cycle, cycle[1:] + cycle[:1])), n
-    assert [n for n in range(12) if envelope._hmp_cycle(n) is None] == [0, 1, 2, 3, 4, 5, 7]
+    assert [n for n in range(12) if analysis._hmp_cycle(n) is None] == [0, 1, 2, 3, 4, 5, 7]
     # An order with no member fails the cycle check; it does not raise.
     for n in [3, 4, 5, 7]:
         fake = ConstructionResult("hmp", {}, complete_graph(n), Augmentation(()),

@@ -5,9 +5,11 @@ benchmark command that finished when it was recorded.  A benchmark run
 draws only some of them, so here every command of a fully recorded unit
 runs once.  The deep searches the file has no bytes for are pinned below,
 with the number of triangles their cover searches choose, so a change to
-the search tree shows even where the certificate stays the same.
+the search tree shows even where the certificate stays the same.  The
+benchmark's tracer must see the verifier and the predicates it calls.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -21,6 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import check  # noqa: E402
 import corpus  # noqa: E402
 import run  # noqa: E402
+import tracer  # noqa: E402
 
 RECORDED = {"epsilon-mix": 198, "certify": 384}
 
@@ -94,3 +97,19 @@ def test_deep_searches_keep_their_bytes_and_steps(monkeypatch, tmp_path):
     assert _failures(done.rows) == []
     chosen = {r["key"]: n for r, n in zip(done.rows, steps)}
     assert {key: chosen[key] for key in PINNED} == {key: p[2] for key, p in PINNED.items()}
+
+
+def test_the_tracer_spans_verify_and_the_predicates_it_calls(tmp_path):
+    envelope = tmp_path / "hmp8.json"
+    envelope.write_text(json.dumps(hmp_construct(8).to_json_dict()), encoding="utf-8")
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        code, _out, err, _s, timed_out = run.run_in_process(["verify", str(envelope)], 60.0)
+    finally:
+        spans.uninstall()
+    assert (code, timed_out) == (0, False), err
+    names = [spans.names[s[tracer.NAME]] for s in spans.spans]
+    verify = names.index("analysis.verify_construction")
+    # is_eulerian is called by its global name, so the rebound wrapper runs.
+    assert spans.spans[names.index("analysis.is_eulerian")][tracer.PARENT] == verify

@@ -83,6 +83,8 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
                         encoding="utf-8")
     envelope = tmp_path / "mop4.json"
     envelope.write_text(json.dumps(tridecomp.mop_construct(4).to_json_dict()), encoding="utf-8")
+    sc3 = tmp_path / "sc3.json"
+    sc3.write_text(json.dumps(tridecomp.sc3_construct(7).to_json_dict()), encoding="utf-8")
     rotation = tmp_path / "k3.json"
     rotation.write_text(
         json.dumps({"rotations": [[[1, 0], [2, 0]], [[2, 0], [0, 0]], [[0, 0], [1, 0]]]}),
@@ -100,12 +102,13 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
         (("epsilon", str(path)), search),
         (("sweep", "epsilon", "5"), search | {"tridecomp.sweep"}),
         # The class maximum is proved on the envelope of families.fan.
-        (("sweep", "xi", "5"), search | {"tridecomp.sweep", "tridecomp.envelope",
+        (("sweep", "xi", "5"), search | {"tridecomp.sweep", "tridecomp.analysis",
                                          "tridecomp.families"}),
         # construct runs only the core checks, and verify neither builds a
-        # family nor searches.
-        (("construct", "mop", "4"), base | {"tridecomp.envelope", "tridecomp.families"}),
-        (("verify", str(envelope)), core | {"tridecomp.envelope", "tridecomp.analysis"}),
+        # family nor searches, with a structure check or without one (sc3).
+        (("construct", "mop", "4"), base | {"tridecomp.analysis", "tridecomp.families"}),
+        (("verify", str(envelope)), core | {"tridecomp.analysis"}),
+        (("verify", str(sc3)), core | {"tridecomp.analysis"}),
         # faces runs no solver.
         (("faces", str(rotation)), core | {"tridecomp.analysis"}),
     ):

@@ -214,3 +214,5 @@ def test_record_validation_messages():
     _raises("neighbor True at vertex 0 out of range", RotationSystem, 2, (((True, 0),), ()))
     _raises("loop at vertex 1", RotationSystem, 2, ((), ((1, 0),)))
     _raises("copy index -1 at vertex 0 invalid", RotationSystem, 2, (((1, -1),), ()))
+    _raises("rotations must be a list of per-vertex lists, got 5", RotationSystem, 3, 5)
+    _raises("rotation of vertex 0 must be a list, got None", RotationSystem, 2, [None, None])
