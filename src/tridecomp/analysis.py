@@ -10,7 +10,8 @@ residue and coverage lines of ``graph_core._answer_checks``, then the
 structure checks of its family.
 
 The structural predicates are is_eulerian (every degree even, one edge
-component) and is_maximal_outerplanar.  Each check has one copy: the
+component) and is_maximal_outerplanar, the package's one chord-set check,
+which ``sweep`` also runs on its witnesses.  Each check has one copy: the
 degree, size and triangle conditions of a decomposition in
 ``graph_core.fast_reject``, chord crossings in ``graph_core``, and one
 connectivity walk, _edges_connected, here.  All run in polynomial time.
@@ -56,7 +57,10 @@ _CYCLE_FAMILIES = ("mop", "fan", "intermediate", "sc2tree", "sc2seed")
 
 
 class RotationSystem(namedtuple("RotationSystem", "order rotations")):
-    """Cyclic edge-end orders: rotations[v] is a tuple of (neighbor, copy)."""
+    """Cyclic edge-end orders: rotations[v] is a tuple of (neighbor, copy).
+
+    List rows are kept as tuples, so each system is one hashable value.
+    """
 
     __slots__ = ()
 
@@ -87,7 +91,7 @@ class RotationSystem(namedtuple("RotationSystem", "order rotations")):
                     raise DomainError(f"loop at vertex {v}")
                 if not (type(c) is int and c >= 0):
                     raise DomainError(f"copy index {_shown(c)} at vertex {v} invalid")
-        return tuple.__new__(cls, (order, rotations))
+        return tuple.__new__(cls, (order, tuple(map(tuple, rotations))))
 
     def to_json_dict(self) -> dict:
         return {

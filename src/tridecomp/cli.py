@@ -257,9 +257,9 @@ def run_sweep(args: SimpleNamespace) -> int:
     from . import sweep
 
     extremum = sweep.epsilon_class_exact if args.kind == "epsilon" else sweep.xi_class_exact
-    value, witness = extremum(args.n)
+    value, chords = extremum(args.n)
     _print_json({"kind": args.kind, "n": args.n, "value": value,
-                 "witness": witness.to_json_dict()})
+                 "witness": {"order": args.n, "chords": [[e.u, e.v] for e in chords]}})
     return 0
 
 

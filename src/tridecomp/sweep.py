@@ -1,79 +1,47 @@
 """Class extremes: extremal augmentation counts over all triangulated cycles.
 
-A maximal outerplanar graph of order n is a triangulation of the n-cycle,
-coded by its chord set (MopCode); enumerate_mops lists all Catalan(n - 2)
-of them in chord-set order, charged 2n - 3 steps each against STEP_LIMIT,
-the one bound on the epsilon sweep's order.
-epsilon_class_exact runs ``augment``'s level climb on one member at a
-time, in that order, so at most two cover solver instances are alive at
-once, and rechecks the winning cover as an answer.  xi_class_exact runs
+A maximal outerplanar graph of order n is a triangulation of the n-cycle
+0, 1, ..., n - 1, given by its sorted tuple of EdgeKey chords;
+enumerate_mops lists all Catalan(n - 2) chord tuples in order, charged
+2n - 3 steps each against STEP_LIMIT, the one bound on the epsilon sweep's
+order.  epsilon_class_exact runs ``augment``'s level climb on one member
+at a time, in that order, so at most two cover solver instances are alive
+at once, and rechecks the winning cover as an answer.  xi_class_exact runs
 no search: it checks the paper's proof of its value on the envelope that
 ``construct fan n`` prints, through that command's answer checks and
-``graph_core``'s packing bound.  Only the ``sweep`` subcommand loads this
-module.  MopCode checks chord crossings with the test in ``graph_core``.
+``graph_core``'s packing bound.  Both return their witness's chords only
+once ``analysis.is_maximal_outerplanar``, the package's one chord-set
+check, accepts the cycle plus them.  Only the ``sweep`` subcommand loads
+this module.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-from collections.abc import Iterable
-
-from . import graph_core
+from . import analysis, graph_core
 from .augment import _least_level, _records
-from .graph_core import (DomainError, EdgeKey, InvariantViolation, Multigraph, _as_edge,
-                         _check_int, _crossing_chords, _packing_bound)
+from .graph_core import EdgeKey, InvariantViolation, Multigraph, _check_int, _packing_bound
 
 
-class MopCode(namedtuple("MopCode", "order chords")):
-    """A maximal outerplanar graph as its chord set over the standard cycle.
-
-    Vertices 0..order-1 form the outer cycle in numeric order; chords, kept
-    sorted, must be pairwise non-crossing and exactly order-3 of them, each
-    an EdgeKey or a vertex pair.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, order: int, chords: Iterable) -> "MopCode":
-        _check_int(order, least=3)
-        chords = tuple(sorted(map(_as_edge, chords)))
-        n = order
-        if len(set(chords)) != len(chords):
-            raise DomainError("duplicate chord")
-        if len(chords) != n - 3:
-            raise DomainError(
-                f"a triangulation of an {n}-cycle has {n - 3} chords, "
-                f"got {len(chords)}"
-            )
-        for e in chords:
-            if e.v >= n:
-                raise DomainError(f"chord endpoint {e.v} out of range")
-            if (e.v - e.u) % n in (1, n - 1):
-                raise DomainError(f"({e.u}, {e.v}) is a cycle edge, not a chord")
-        crossing = _crossing_chords(chords)
-        if crossing is not None:
-            (a, b), (c, d) = crossing
-            raise DomainError(f"chords ({a},{b}) and ({c},{d}) cross")
-        return tuple.__new__(cls, (order, chords))
-
-    def graph(self) -> Multigraph:
-        pairs = [(i, (i + 1) % self.order) for i in range(self.order)]
-        pairs.extend(self.chords)
-        return Multigraph.from_edges(self.order, pairs)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "chords": [[e.u, e.v] for e in self.chords],
-        }
+def _mop(n: int, chords: tuple[EdgeKey, ...]) -> Multigraph:
+    """The n-cycle 0, 1, ..., n - 1 plus the chords."""
+    pairs = [(i, (i + 1) % n) for i in range(n)]
+    pairs.extend(chords)
+    return Multigraph.from_edges(n, pairs)
 
 
-def enumerate_mops(n: int) -> list[MopCode]:
-    """Every triangulation of the labelled n-cycle, sorted by chord set.
+def _witness(n: int, chords: tuple[EdgeKey, ...]) -> tuple[EdgeKey, ...]:
+    """The chords, once they triangulate the n-cycle; InvariantViolation if not."""
+    if not analysis.is_maximal_outerplanar(_mop(n, chords), range(n)):
+        raise InvariantViolation(f"sweep witness is no triangulation of the {n}-cycle")
+    return chords
 
-    Each code is charged its 2n - 3 edges against STEP_LIMIT, so past the
-    limit ScaleLimit is raised before anything is listed; the Catalan
-    recurrence counts the codes only up to the limit.  At the default
+
+def enumerate_mops(n: int) -> list[tuple[EdgeKey, ...]]:
+    """Every triangulation of the labelled n-cycle as its sorted chords, in order.
+
+    Each is charged its 2n - 3 edges against STEP_LIMIT, so past the limit
+    ScaleLimit is raised before anything is listed; the Catalan recurrence
+    counts the triangulations only up to the limit.  At the default
     limit orders 3..12 list (352,716 steps at 12); 13 would take 1,352,078.
     """
     _check_int(n, least=3)
@@ -103,13 +71,12 @@ def enumerate_mops(n: int) -> list[MopCode]:
 
     # fill yields n - 3 distinct non-crossing chords (u, v), u < v: skip the checks.
     new = tuple.__new__
-    codes = [new(MopCode, (n, tuple(new(EdgeKey, c) for c in sorted(chordset))))
-             for chordset in fill(0, n - 1)]
-    codes.sort(key=lambda c: c.chords)
+    codes = [tuple(new(EdgeKey, c) for c in sorted(chordset)) for chordset in fill(0, n - 1)]
+    codes.sort()
     return codes
 
 
-def epsilon_class_exact(n: int) -> tuple[int, MopCode]:
+def epsilon_class_exact(n: int) -> tuple[int, tuple[EdgeKey, ...]]:
     """Least augmentation count over all order-n triangulated cycles.
 
     Returns the count and the first witness in chord-set order.  Each graph
@@ -120,23 +87,20 @@ def epsilon_class_exact(n: int) -> tuple[int, MopCode]:
     and they are rechecked before returning.
     """
     best = None
-    for code in enumerate_mops(n):
-        g = code.graph()
+    for chords in enumerate_mops(n):
+        g = _mop(n, chords)
         hit = _least_level(g, None, None if best is None else best[0])
         if hit is not None:
             t, inst, _hi, chosen = hit
-            best = t, code, g, *_records(inst, chosen)
+            best = t, chords, g, *_records(inst, chosen)
             if t == n % 3:
                 break
-    t, code, g, aug, cert = best
+    t, chords, g, aug, cert = best
     graph_core._recheck(g, aug, cert, t)
-    try:  # the witness, rebuilt through the MopCode checks that the listing skips
-        return t, MopCode(n, code.chords)
-    except DomainError as exc:
-        raise InvariantViolation(f"sweep witness: {exc}") from exc
+    return t, _witness(n, chords)
 
 
-def xi_class_exact(n: int) -> tuple[int, MopCode]:
+def xi_class_exact(n: int) -> tuple[int, tuple[EdgeKey, ...]]:
     """Largest augmentation count over order-n triangulated cycles, one copy cap.
 
     The count is n - 3, and the fan at vertex 0, the first triangulation in
@@ -157,4 +121,4 @@ def xi_class_exact(n: int) -> tuple[int, MopCode]:
     bound = _packing_bound(fan.graph, [EdgeKey(i, i + 1) for i in range(1, n - 1)])
     if bound != n - 3:
         raise InvariantViolation(f"the fan's path edges bound its count by {bound}, not {n - 3}")
-    return n - 3, MopCode(n, fan.augmentation)
+    return n - 3, _witness(n, fan.augmentation.additions)

@@ -8,15 +8,14 @@ import pytest
 
 from tridecomp import (
     DomainError,
-    MopCode,
     Multigraph,
     RotationSystem,
-    edge,
     fast_reject,
     is_eulerian,
     is_maximal_outerplanar,
     trace_faces,
 )
+from tridecomp.graph_core import _crossing_chords
 
 from oracle_helpers import (
     complete_graph,
@@ -209,26 +208,20 @@ def _triangulation_chords(rng, lo, hi, out):
     _triangulation_chords(rng, k, hi, out)
 
 
-def _mop_code_answer(n, chords):
-    """MopCode(n, chords) against the oracle on the cycle 0..n-1 plus the chords.
+def _crossing_answer(chords):
+    """graph_core._crossing_chords against the pairwise oracle.
 
-    It must accept exactly when the oracle does, and a crossing refusal must
-    name two of the chords that cross.  True when it named a crossing.
+    It must find a crossing exactly when two of the chords cross, and name
+    two chords that cross.  True when it named a crossing.
     """
-    g = Multigraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)] + list(chords))
-    expected = oracle_is_maximal_outerplanar(g, tuple(range(n)))
-    try:
-        MopCode(n, [edge(*c) for c in chords])
-    except DomainError as exc:
-        assert expected is False, (n, chords)
-        named = re.fullmatch(r"chords \((\d+),(\d+)\) and \((\d+),(\d+)\) cross", str(exc))
-        if named is None:
-            return False
-        a, b, c, d = map(int, named.groups())
-        assert {(a, b), (c, d)} <= set(chords) and oracle_chords_cross((a, b), (c, d)), exc
-        return True
-    assert expected is True, (n, chords)
-    return False
+    crossing = _crossing_chords(chords)
+    if crossing is None:
+        assert not any(oracle_chords_cross(p, q)
+                       for p, q in itertools.combinations(chords, 2)), chords
+        return False
+    p, q = crossing
+    assert {p, q} <= set(chords) and oracle_chords_cross(p, q), (chords, crossing)
+    return True
 
 
 def test_is_maximal_outerplanar_matches_the_pairwise_oracle():
@@ -245,8 +238,8 @@ def test_is_maximal_outerplanar_matches_the_pairwise_oracle():
                 answers.append(_outerplanar_answer(g, outer))
                 assert answers[-1] == oracle_is_maximal_outerplanar(g, outer), (g.edges(), outer)
             # On the identity outer order the chords are the vertex pairs themselves.
-            crossings_named += _mop_code_answer(
-                n, [e for e in g.edges() if (e.v - e.u) % n not in (1, n - 1)])
+            crossings_named += _crossing_answer(
+                [e for e in g.edges() if (e.v - e.u) % n not in (1, n - 1)])
     for _ in range(2000):
         n = rng.randint(4, 16)
         outer = rng.sample(range(n), n)
@@ -271,7 +264,7 @@ def test_is_maximal_outerplanar_matches_the_pairwise_oracle():
         answers.append(_outerplanar_answer(g, outer))
         assert answers[-1] == oracle_is_maximal_outerplanar(g, outer), (g.edges(), outer)
         # The chords as position pairs: the graph relabelled onto the identity outer order.
-        crossings_named += _mop_code_answer(n, chords)
+        crossings_named += _crossing_answer(chords)
     assert min(answers.count(True), answers.count(False), answers.count(None)) >= 50
     assert crossings_named >= 50
 

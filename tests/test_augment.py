@@ -11,9 +11,9 @@ from tridecomp import (
     Augmentation,
     CapInfeasible,
     DomainError,
+    EdgeKey,
     EdgeNotOnTriangle,
     InvariantViolation,
-    MopCode,
     Multigraph,
     ScaleLimit,
     apply_augmentation,
@@ -32,7 +32,7 @@ from tridecomp import (
     sc3_construct,
     xi_class_exact,
 )
-from tridecomp import graph_core
+from tridecomp import graph_core, sweep
 
 from oracle_helpers import (
     complete_graph,
@@ -366,25 +366,17 @@ def test_epsilon_exact_matches_the_integer_program():
         assert coverage_error(apply_augmentation(g, aug), cert) is None
 
 
-def test_mop_code_validation():
-    code = MopCode(5, (edge(0, 2), edge(0, 3)))
-    assert code.chords == (edge(0, 2), edge(0, 3))
-    assert code.graph() == fan_graph(5)
-    assert code.to_json_dict() == {"order": 5, "chords": [[0, 2], [0, 3]]}
-    with pytest.raises(DomainError):
-        MopCode(2, ())
-    with pytest.raises(DomainError):
-        MopCode(5, (edge(0, 2),))  # wrong chord count
-    with pytest.raises(DomainError):
-        MopCode(5, (edge(0, 1), edge(0, 3)))  # cycle edge
-    with pytest.raises(DomainError):
-        MopCode(5, (edge(0, 4), edge(0, 2)))  # wrap-around cycle edge
-    with pytest.raises(DomainError):
-        MopCode(6, (edge(0, 2), edge(1, 3), edge(3, 5)))  # crossing chords
-    with pytest.raises(DomainError):
-        MopCode(6, (edge(0, 2), edge(0, 2), edge(0, 3)))  # duplicate
-    with pytest.raises(DomainError):
-        MopCode(5, (edge(0, 2), edge(2, 7)))  # endpoint out of range
+def test_is_maximal_outerplanar_refuses_each_bad_chord_set_of_a_cycle():
+    # A sweep's triangulation is the n-cycle plus its chords, checked by the one predicate.
+    assert sweep._mop(5, (edge(0, 2), edge(0, 3))) == fan_graph(5)
+    for n, chords in ((5, [(0, 2)]),  # too few chords
+                      (5, [(0, 1), (0, 3)]),  # a cycle edge
+                      (5, [(0, 4), (0, 2)]),  # the wrap-around cycle edge
+                      (6, [(0, 2), (1, 3), (3, 5)]),  # crossing chords
+                      (6, [(0, 2), (0, 2), (0, 3)])):  # a repeated chord
+        assert not is_maximal_outerplanar(sweep._mop(n, chords), range(n)), chords
+    with pytest.raises(DomainError, match=r"^edge \{2,7\} exceeds order 5$"):
+        sweep._mop(5, [(0, 2), (2, 7)])
 
 
 def test_enumerate_mops_counts_and_order():
@@ -392,8 +384,8 @@ def test_enumerate_mops_counts_and_order():
     for n, count in [(3, 1), (4, 2), (5, 5), (6, 14), (7, 42), (8, 132), (9, 429)]:
         codes = enumerate_mops(n)
         assert len(codes) == count
-        assert codes == sorted(codes, key=lambda c: c.chords)
-        assert len({c.chords for c in codes}) == count
+        assert codes == sorted(codes)
+        assert len(set(codes)) == count
     with pytest.raises(DomainError):
         enumerate_mops(2)
 
@@ -412,8 +404,8 @@ def test_enumerate_mops_refuses_more_codes_than_the_step_limit(monkeypatch):
 def test_enumerate_mops_yields_maximal_outerplanar_graphs():
     for n in range(3, 10):
         for code in enumerate_mops(n):
-            assert MopCode(n, code.chords) == code  # the skipped checks pass
-            g = code.graph()
+            assert all(type(e) is EdgeKey for e in code)  # the package's edge type
+            g = sweep._mop(n, code)
             assert g.size() == 2 * n - 3
             assert is_maximal_outerplanar(g, tuple(range(n)))
 
@@ -422,7 +414,7 @@ def test_class_minimum_matches_per_graph_brute_force():
     for n in range(3, 8):
         value, witness = epsilon_class_exact(n)
         codes = enumerate_mops(n)
-        per_graph = [epsilon_exact(c.graph())[0] for c in codes]
+        per_graph = [epsilon_exact(sweep._mop(n, c))[0] for c in codes]
         assert value == min(per_graph)
         assert witness == codes[per_graph.index(value)]  # first hit in chord-set order
         assert value == n % 3
@@ -433,7 +425,7 @@ def test_class_maximum_matches_per_graph_brute_force():
     for n in range(3, 11):
         value, witness = xi_class_exact(n)
         codes = enumerate_mops(n)
-        per_graph = [epsilon_exact(c.graph(), max_copies_per_edge=1)[0] for c in codes]
+        per_graph = [epsilon_exact(sweep._mop(n, c), max_copies_per_edge=1)[0] for c in codes]
         assert value == max(per_graph)
         assert witness == codes[per_graph.index(value)]  # first hit in chord-set order
         assert value == n - 3
@@ -444,8 +436,8 @@ def test_class_sweeps_match_the_integer_program():
     pytest.importorskip("scipy")
     for n in (8, 9):
         codes = enumerate_mops(n)
-        least = [milp_epsilon(c.graph()) for c in codes]
-        most = [milp_epsilon(c.graph(), 1) for c in codes]
+        least = [milp_epsilon(sweep._mop(n, c)) for c in codes]
+        most = [milp_epsilon(sweep._mop(n, c), 1) for c in codes]
         # the witness is the first graph in chord-set order at the extremal value
         assert epsilon_class_exact(n) == (min(least), codes[least.index(min(least))])
         assert xi_class_exact(n) == (max(most), codes[most.index(max(most))])
@@ -482,7 +474,7 @@ def test_class_sweeps_hold_one_solver_instance_at_a_time(monkeypatch):
 
 def test_class_maximum_refuses_a_fan_bound_short_of_its_count(monkeypatch, capsys):
     # The proof's lower bound is checked on the fan; one that falls short is a bug.
-    from tridecomp import cli, sweep
+    from tridecomp import cli
 
     monkeypatch.setattr(sweep, "_packing_bound", lambda g, edges: g.order - 4)
     with pytest.raises(InvariantViolation) as refused:
@@ -499,7 +491,7 @@ def test_class_maximum_is_the_fan_family_envelope(monkeypatch):
     from tridecomp import families
 
     for n in range(3, 41):
-        assert xi_class_exact(n) == (n - 3, MopCode(n, fan(n).augmentation))
+        assert xi_class_exact(n) == (n - 3, fan(n).augmentation.additions)
     real = families.fan
     monkeypatch.setattr(families, "fan",
                         lambda n: real(n)._replace(claimed_epsilon=n - 4))
@@ -513,7 +505,7 @@ def test_class_maximum_is_the_fan_family_envelope(monkeypatch):
 
 
 def test_class_maximum_runs_no_search(monkeypatch):
-    from tridecomp import augment, decomposer, sweep
+    from tridecomp import augment, decomposer
 
     def refused(*args):
         raise AssertionError("searched")
@@ -522,7 +514,7 @@ def test_class_maximum_runs_no_search(monkeypatch):
                          (sweep, "enumerate_mops"), (sweep, "_least_level")):
         monkeypatch.setattr(module, name, refused)
     for n in range(3, 51):
-        fan = MopCode(n, [edge(0, i) for i in range(2, n - 1)])
+        fan = tuple(edge(0, i) for i in range(2, n - 1))
         assert xi_class_exact(n) == (n - 3, fan)
 
 
@@ -535,8 +527,6 @@ def test_class_maximum_refuses_an_order_over_the_limit_at_once():
 
 def test_class_minimum_rechecks_its_witness_records(monkeypatch):
     # The best graph's cover is rechecked as an answer before the value returns.
-    from tridecomp import sweep
-
     records = sweep._records
 
     def short(inst, chosen):
@@ -563,7 +553,7 @@ def test_packing_bound_stays_below_the_least_count():
     rng = random.Random(32)
     for n in range(3, 9):  # all 196 triangulated cycles of order 3..8
         for code in enumerate_mops(n):
-            g = code.graph()
+            g = sweep._mop(n, code)
             bound = graph_core._packing_bound(g, _greedy_packing(g))
             assert bound is not None and bound <= epsilon_exact(g)[0]
             if n <= 6:  # with multiplicities, each edge counts its copies
@@ -574,7 +564,7 @@ def test_packing_bound_stays_below_the_least_count():
 
 def test_packing_bound_of_the_fan_path_is_its_count():
     for n in range(3, 41):
-        fan = MopCode(n, [edge(0, i) for i in range(2, n - 1)]).graph()
+        fan = fan_graph(n)
         path = [edge(i, i + 1) for i in range(1, n - 1)]
         assert graph_core._packing_bound(fan, path) == n - 3
     # below zero the bound is the divisibility residue
@@ -583,7 +573,7 @@ def test_packing_bound_of_the_fan_path_is_its_count():
 
 
 def test_packing_bound_refuses_two_edges_of_a_triangle_or_an_absent_edge():
-    fan = MopCode(6, [edge(0, i) for i in range(2, 5)]).graph()
+    fan = fan_graph(6)
     assert graph_core._packing_bound(fan, [edge(1, 2), edge(0, 2)]) is None  # face (0, 1, 2)
     assert graph_core._packing_bound(fan, [edge(1, 2), edge(3, 4), edge(2, 4)]) is None
     assert graph_core._packing_bound(fan, [edge(1, 3)]) is None  # absent
@@ -607,5 +597,5 @@ def test_class_sweeps_respect_ceiling():
                                              "of 1000000 steps$"):
             refused(13)
     # The class maximum lists nothing, so the listing charge does not bind it.
-    assert xi_class_exact(10) == (7, MopCode(10, [edge(0, i) for i in range(2, 9)]))
+    assert xi_class_exact(10) == (7, tuple(edge(0, i) for i in range(2, 9)))
     assert epsilon_class_exact(5)[0] == 2

@@ -375,16 +375,15 @@ def test_sweep_epsilon_ceiling_is_the_step_limit(capsys):
 
 
 def test_sweep_rechecks_its_witness(capsys, monkeypatch):
-    # The listing skips MopCode's checks, so the printed witness is rebuilt
-    # through them: a crossing chord set there is an internal error.
+    # The listing skips every chord check, so the printed witness goes through
+    # is_maximal_outerplanar: a crossing chord set there is an internal error.
     from tridecomp import sweep
 
-    new = tuple.__new__
-    chords = tuple(new(graph_core.EdgeKey, c) for c in ((0, 2), (1, 6), (2, 4), (4, 6)))
-    monkeypatch.setattr(sweep, "enumerate_mops", lambda n: [new(sweep.MopCode, (n, chords))])
+    chords = tuple(graph_core.edge(*c) for c in ((0, 2), (1, 6), (2, 4), (4, 6)))
+    monkeypatch.setattr(sweep, "enumerate_mops", lambda n: [chords])
     code, out, err = run_cli(capsys, "sweep", "epsilon", "7")
     assert (code, out) == (2, "")
-    assert err == "internal error: sweep witness: chords (0,2) and (1,6) cross\n"
+    assert err == "internal error: sweep witness is no triangulation of the 7-cycle\n"
 
 
 def test_faces_command(capsys, tmp_path):

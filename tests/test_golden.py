@@ -5,12 +5,14 @@ benchmark command that finished when it was recorded.  A benchmark run
 draws only some of them, so here every command of a fully recorded unit
 runs once.  The deep searches the file has no bytes for are pinned below,
 with the number of triangles their cover searches choose, so a change to
-the search tree shows even where the certificate stays the same.  The
-benchmark's tracer must see the verifier and the predicates it calls.
+the search tree shows even where the certificate stays the same, and so
+is the search work of each workload's seed-1 pass.  The benchmark's
+tracer must see the verifier and the predicates it calls.
 """
 
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,7 +27,16 @@ import corpus  # noqa: E402
 import run  # noqa: E402
 import tracer  # noqa: E402
 
-RECORDED = {"epsilon-mix": 198, "certify": 384}
+RECORDED = {"epsilon-mix": 198, "class-sweep": 4, "certify": 384}
+
+# Per workload, the work of its seed-1 pass summed over the commands: solve
+# calls, triangles chosen, set-up reads and triangles listed by the cover
+# instances that were solved; then the status of each row, tallied.
+WORK = {
+    "epsilon-mix": ((504, 20445, 14634, 850), {check.OK: 56}),
+    "class-sweep": ((1573, 173, 33313, 15155), {check.OK: 4}),
+    "certify": ((11, 77794, 3052, 2054), {check.OK: 54}),
+}
 
 # key: (stdout bytes, stdout sha256, triangles chosen by the command's cover
 # searches).  Exit code 0 for each.
@@ -97,6 +108,33 @@ def test_deep_searches_keep_their_bytes_and_steps(monkeypatch, tmp_path):
     assert _failures(done.rows) == []
     chosen = {r["key"]: n for r, n in zip(done.rows, steps)}
     assert {key: chosen[key] for key in PINNED} == {key: p[2] for key, p in PINNED.items()}
+
+
+@pytest.mark.parametrize("workload", sorted(WORK))
+def test_each_workload_pass_does_its_recorded_work(workload, monkeypatch, tmp_path):
+    golden, unfinished = corpus.load_golden()
+    commands = corpus.build_corpus(workload, 1, golden, unfinished)
+    searched = set()  # the cover instances of the running command
+    work = [0, 0, 0, 0]
+    solve = CoverInstance.solve
+
+    def counted(inst, lo, hi, k):
+        searched.add(inst)
+        work[0] += 1
+        return solve(inst, lo, hi, k)
+
+    def runner(argv, limit):
+        searched.clear()
+        result = run.run_in_process(argv, limit)
+        for inst in searched:
+            work[1] += inst.steps
+            work[2] += inst.scanned
+            work[3] += len(inst.tri_edges)
+        return result
+
+    monkeypatch.setattr(CoverInstance, "solve", counted)
+    done = run.run_pass(commands, runner, corpus.LIMIT_S[workload], golden, tmp_path)
+    assert (tuple(work), Counter(r["status"] for r in done.rows)) == WORK[workload]
 
 
 def test_the_tracer_spans_verify_and_the_predicates_it_calls(tmp_path):

@@ -8,7 +8,6 @@ from tridecomp import (
     Decomposition,
     DomainError,
     EdgeKey,
-    MopCode,
     Multigraph,
     ORDER_LIMIT,
     RotationSystem,
@@ -95,9 +94,6 @@ def test_from_edges_refuses_an_entry_that_is_not_an_edge(entry, shown):
 
 
 def test_records_of_edges_take_vertex_pairs():
-    fan5 = MopCode(5, [(3, 0), [0, 2]])
-    assert fan5 == MopCode(5, (edge(0, 2), edge(0, 3)))
-    assert all(type(e) is EdgeKey for e in fan5.chords)
     aug = Augmentation([(0, 1), [2, 0], edge(1, 2)])
     assert aug.to_json_list() == [[0, 1], [0, 2], [1, 2]]
     assert Augmentation.from_json_list([[0, 1], [0, 2], [1, 2]]) == aug
@@ -106,8 +102,9 @@ def test_records_of_edges_take_vertex_pairs():
 
 
 @pytest.mark.parametrize("make", [
-    pytest.param(lambda entry: MopCode(5, [(0, 2), entry]), id="MopCode"),
     pytest.param(lambda entry: Augmentation([(0, 1), entry]), id="Augmentation"),
+    pytest.param(lambda entry: apply_augmentation(complete_graph(3), [(0, 1), entry]),
+                 id="apply_augmentation"),
 ])
 @pytest.mark.parametrize("entry, shown", [
     pytest.param(5, "5", id="int"),
@@ -124,14 +121,9 @@ def test_records_of_edges_refuse_an_entry_that_is_not_an_edge(make, entry, shown
 
 def test_records_of_edges_refuse_a_pair_that_is_not_an_edge():
     with pytest.raises(DomainError, match="loop at vertex 3"):
-        MopCode(5, [(0, 2), (3, 3)])
+        Augmentation([(0, 2), (3, 3)])
     with pytest.raises(DomainError, match="edge endpoints must be integers"):
         Augmentation([(0, 1.0)])
-    # The MopCode checks keep their messages for pairs.
-    with pytest.raises(DomainError, match=r"^chord endpoint 7 out of range$"):
-        MopCode(5, [(0, 2), (2, 7)])
-    with pytest.raises(DomainError, match=r"^\(0, 1\) is a cycle edge, not a chord$"):
-        MopCode(5, [(1, 0), (0, 3)])
 
 
 def test_decompositions_take_vertex_triples():
@@ -199,7 +191,6 @@ _K3_ROTATIONS = (((1, 0), (2, 0)), ((2, 0), (0, 0)), ((0, 0), (1, 0)))
     ("epsilon_class_exact(6.0)", "order must be an integer, got 6.0"),
     ("xi_class_exact(True)", "order must be an integer, got True"),
     ("enumerate_mops(6.0)", "order must be an integer, got 6.0"),
-    ("MopCode(5.0, (edge(0, 2), edge(0, 3)))", "order must be an integer, got 5.0"),
     ("RotationSystem(3.0, _K3_ROTATIONS)", "order must be an integer, got 3.0"),
     ("EdgeKey(True, 2)", "edge endpoints must be integers, got (True, 2)"),
     ("Triangle(False, 1, 2)", "triangle vertices must be integers, got (False, 1, 2)"),

@@ -100,7 +100,8 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
         (("decompose", str(path)), core),
         (("decompose", str(triangle)), base),
         (("epsilon", str(path)), search),
-        (("sweep", "epsilon", "5"), search | {"tridecomp.sweep"}),
+        # Both sweeps recheck their witness with is_maximal_outerplanar.
+        (("sweep", "epsilon", "5"), search | {"tridecomp.sweep", "tridecomp.analysis"}),
         # The class maximum is proved on the envelope of families.fan.
         (("sweep", "xi", "5"), search | {"tridecomp.sweep", "tridecomp.analysis",
                                          "tridecomp.families"}),

@@ -18,7 +18,6 @@ from tridecomp import (
     DomainError,
     EdgeKey,
     FaceTrace,
-    MopCode,
     Multigraph,
     RejectReason,
     RotationSystem,
@@ -72,13 +71,6 @@ RECORDS = [
         Augmentation([EdgeKey(0, 2)]),
         "Augmentation(additions=(EdgeKey(u=0, v=1), EdgeKey(u=0, v=2), EdgeKey(u=0, v=2)))",
         id="Augmentation",
-    ),
-    pytest.param(
-        lambda: MopCode(5, [EdgeKey(2, 4), EdgeKey(0, 2)]),
-        ("order", "chords"),
-        MopCode(5, [EdgeKey(0, 2), EdgeKey(0, 3)]),
-        "MopCode(order=5, chords=(EdgeKey(u=0, v=2), EdgeKey(u=2, v=4)))",
-        id="MopCode",
     ),
     pytest.param(
         lambda: RotationSystem(3, K3_ROTATIONS),
@@ -155,8 +147,6 @@ def test_multiset_records_keep_their_items_sorted():
     a = Augmentation((EdgeKey(1, 2), EdgeKey(0, 3), EdgeKey(0, 1)))
     assert a.additions == (EdgeKey(0, 1), EdgeKey(0, 3), EdgeKey(1, 2))
     assert len(a) == 3 and not Augmentation(())
-    code = MopCode(6, (EdgeKey(3, 5), EdgeKey(0, 3), EdgeKey(1, 3)))
-    assert code.chords == (EdgeKey(0, 3), EdgeKey(1, 3), EdgeKey(3, 5))
     # The multisets are tuples of their items, and equal only their own type.
     e, f = EdgeKey(0, 1), EdgeKey(0, 2)
     a = Augmentation([f, e, f])
@@ -174,6 +164,13 @@ def test_multiset_records_keep_their_items_sorted():
         assert not record == items and not items == record
     assert Augmentation(()) != Decomposition(()) and Decomposition(()) != Augmentation(())
     assert not Augmentation(()) == Decomposition(())
+
+
+def test_rotation_system_keeps_list_rows_as_tuples():
+    listed = RotationSystem(3, [list(rot) for rot in K3_ROTATIONS])
+    assert listed == RotationSystem(3, K3_ROTATIONS) and listed.rotations == K3_ROTATIONS
+    assert hash(listed) == hash(RotationSystem(3, K3_ROTATIONS))
+    assert all(type(rot) is tuple for rot in listed.rotations)
 
 
 def test_edges_and_triangles_order_by_their_fields():
@@ -199,13 +196,6 @@ def test_record_validation_messages():
     _raises("edge endpoints must satisfy u < v, got (1, 1)", EdgeKey, 1, 1)
     _raises("triangle vertices must satisfy 0 <= a < b < c, got (0, 2, 1)", Triangle, 0, 2, 1)
     _raises("triangle vertices must satisfy 0 <= a < b < c, got (-1, 0, 1)", Triangle, -1, 0, 1)
-    _raises("order must be >= 3, got 2", MopCode, 2, ())
-    _raises("duplicate chord", MopCode, 5, (EdgeKey(0, 2), EdgeKey(0, 2)))
-    _raises("a triangulation of an 5-cycle has 2 chords, got 1", MopCode, 5, (EdgeKey(0, 2),))
-    _raises("chord endpoint 5 out of range", MopCode, 5, (EdgeKey(0, 2), EdgeKey(0, 5)))
-    _raises("(0, 1) is a cycle edge, not a chord", MopCode, 5, (EdgeKey(0, 1), EdgeKey(0, 2)))
-    _raises("(0, 4) is a cycle edge, not a chord", MopCode, 5, (EdgeKey(0, 2), EdgeKey(0, 4)))
-    _raises("chords (0,2) and (1,3) cross", MopCode, 5, (EdgeKey(1, 3), EdgeKey(0, 2)))
     _raises("order must be >= 0, got -1", RotationSystem, -1, ())
     _raises("expected 3 rotation lists, got 2", RotationSystem, 3, K3_ROTATIONS[:2])
     _raises("rotation entries must be (neighbor, copy), got [1, 0]",
