@@ -71,15 +71,15 @@ def epsilon_exact(
     root tests pass.
 
     The witness is pinned edge by edge, each question asking for one more
-    copy on an edge than the last cover used.  A question without slack
-    (3k == sum(lo)) is never asked: the last cover has one copy left over,
-    on a later edge j, so the question's bound differs from a cover by
-    e_i - e_j and leaves at least two vertices odd, which the parity test
-    at the root of the search refuses.  So every hit of the pinning has
-    coverings to spare and is no exact cover, and the certificate, the
-    solver's exact cover of the augmented graph, takes one more search iff
-    t > 0; at t = 0 the climb's hit, with lo == hi == base, is the
-    certificate.
+    copy on an edge than the last cover used.  A question that the parity
+    tests at the root of the search would refuse is never asked: one with
+    more vertices of odd lo total than the 2 * (3k - sum(lo)) that the
+    coverings beyond lo can fix, or one that takes an edge to its bound
+    while an end of it, all of whose edges are then pinned, is odd.  Such
+    a question is refused before any triangle is chosen, so skipping it
+    keeps the witness, the certificate and the steps.  The certificate is
+    the solver's exact cover of the augmented graph: at t = 0 the climb's
+    hit, with lo == hi == base, and otherwise one more search.
     """
     off = _edge_off_triangles(g)
     if off is not None:
@@ -94,28 +94,43 @@ def epsilon_exact(
     k = len(chosen)
     # The lexicographically least multiset puts the most copies on edge 0,
     # then on edge 1, and so on.  Ask for one more copy on edge i than the
-    # last solution used; the first refusal pins the edge.  A question
-    # leaves slack 3k - sum(lo) = unpinned - (cover[i] + 1 - b), and one
-    # with slack 0 is never asked, since it cannot succeed: it asks for an
-    # exact cover of G' + (cover[i] + 1 - b) e_i, G' being the base graph
-    # with edges 0..i-1 pinned, while the last cover, whose vertex totals
-    # are all even, has exactly one copy left over, on some edge j > i.
-    # The two graphs differ by e_i - e_j, which leaves at least two
-    # vertices odd, so the root parity test would refuse it; skipping it
-    # keeps the witness, the certificate and the steps.
+    # last solution used; the first refusal pins the edge.  The parity of
+    # each vertex's lo total, the count of odd ones and sum(lo) follow lo.
+    # Every vertex whose edges all come before edge i is even, since the
+    # last cover pinned them all, so the only odd vertex with every edge
+    # pinned can be an end whose last edge is i.
+    ends = inst.ends
     lo = list(inst.base)
     cover = inst.edge_counts(chosen)
-    unpinned = t  # added copies not yet pinned to an edge
-    for i, b in enumerate(inst.base):
-        while cover[i] < hi[i] and cover[i] - b + 1 < unpinned:
-            lo[i] = cover[i] + 1
+    odd_at = [0] * inst.order
+    last = [0] * inst.order  # the index of the vertex's last edge
+    for i, ((u, v), b) in enumerate(zip(ends, lo)):
+        odd_at[u] ^= b & 1
+        odd_at[v] ^= b & 1
+        last[u] = last[v] = i
+    odd, total = sum(odd_at), sum(lo)
+
+    def move(i: int, a: int) -> None:
+        nonlocal odd, total
+        if (a - lo[i]) & 1:
+            for w in ends[i]:
+                odd += 1 - 2 * odd_at[w]
+                odd_at[w] ^= 1
+        total += a - lo[i]
+        lo[i] = a
+
+    for i in range(len(lo)):
+        while cover[i] < hi[i]:
+            move(i, cover[i] + 1)
+            if odd > 2 * (3 * k - total) or lo[i] == hi[i] and any(
+                    odd_at[w] and last[w] == i for w in ends[i]):
+                break
             more = inst.solve(lo, hi, k)
             if more is None:
                 break
             cover = inst.edge_counts(more)
-        lo[i] = hi[i] = cover[i]
-        unpinned -= cover[i] - b
-    # Every pinning hit had slack, so the certificate takes a search iff t > 0.
+        move(i, cover[i])
+        hi[i] = cover[i]
     if t:
         chosen = inst.solve(lo, hi, k)
     return (t, *_records(inst, chosen))

@@ -111,9 +111,8 @@ class CoverInstance:
         - a negative slack 3k - sum(lo), the coverings beyond lo, or fewer
           than 3k coverings of room, hi[i] capped at lo[i] + slack;
         - more vertices with an odd lo total than the 2 * slack that the
-          coverings beyond lo can fix, each serving two vertices, or an odd
-          vertex whose edges are all pinned (room == lo), since a triangle
-          covers two edges at each of its corners; at slack 0 the two agree;
+          coverings beyond lo can fix, each serving two vertices, since a
+          triangle covers two edges at each of its corners;
         - an edge with no room, with InvariantViolation (see below).
         All of them come before any triangle is read, so only a call that
         passes them is charged its triangles.
@@ -186,16 +185,12 @@ class CoverInstance:
             return None
         ends = self.ends
         odd_at = [0] * self.order  # the parity of the vertex's total shortfall, here lo
-        free = set()
-        for (u, v), a, b in zip(ends, lo, room):
+        for (u, v), a in zip(ends, lo):
             odd_at[u] ^= a & 1
             odd_at[v] ^= a & 1
-            if a != b:
-                free.update((u, v))
-        # branch()'s parity prune, run at the root ahead of the triangle
-        # reads, and a pinned odd vertex.
+        # branch()'s parity prune, run at the root ahead of the triangle reads.
         odd = sum(odd_at)
-        if odd > 2 * slack or any(o and v not in free for v, o in enumerate(odd_at)):
+        if odd > 2 * slack:
             return None
         if 0 in room:
             raise InvariantViolation("a cover search bound leaves an edge no room at the root")

@@ -11,8 +11,8 @@ no search: it checks the paper's proof of its value on the envelope that
 ``construct fan n`` prints, through that command's answer checks and
 ``graph_core``'s packing bound.  Both return their witness's chords only
 once ``analysis.is_maximal_outerplanar``, the package's one chord-set
-check, accepts the cycle plus them.  Only the ``sweep`` subcommand loads
-this module.
+check, accepts the graph the sweep holds, the cycle plus them.  Only the
+``sweep`` subcommand loads this module.
 """
 
 from __future__ import annotations
@@ -29,9 +29,10 @@ def _mop(n: int, chords: tuple[EdgeKey, ...]) -> Multigraph:
     return Multigraph.from_edges(n, pairs)
 
 
-def _witness(n: int, chords: tuple[EdgeKey, ...]) -> tuple[EdgeKey, ...]:
-    """The chords, once they triangulate the n-cycle; InvariantViolation if not."""
-    if not analysis.is_maximal_outerplanar(_mop(n, chords), range(n)):
+def _witness(g: Multigraph, chords: tuple[EdgeKey, ...]) -> tuple[EdgeKey, ...]:
+    """g's chords, once g, the n-cycle plus them, triangulates it; InvariantViolation if not."""
+    n = g.order
+    if not analysis.is_maximal_outerplanar(g, range(n)):
         raise InvariantViolation(f"sweep witness is no triangulation of the {n}-cycle")
     return chords
 
@@ -97,7 +98,7 @@ def epsilon_class_exact(n: int) -> tuple[int, tuple[EdgeKey, ...]]:
                 break
     t, chords, g, aug, cert = best
     graph_core._recheck(g, aug, cert, t)
-    return t, _witness(n, chords)
+    return t, _witness(g, chords)
 
 
 def xi_class_exact(n: int) -> tuple[int, tuple[EdgeKey, ...]]:
@@ -121,4 +122,4 @@ def xi_class_exact(n: int) -> tuple[int, tuple[EdgeKey, ...]]:
     bound = _packing_bound(fan.graph, [EdgeKey(i, i + 1) for i in range(1, n - 1)])
     if bound != n - 3:
         raise InvariantViolation(f"the fan's path edges bound its count by {bound}, not {n - 3}")
-    return n - 3, _witness(n, fan.augmentation.additions)
+    return n - 3, _witness(fan.graph, fan.augmentation.additions)

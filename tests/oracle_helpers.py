@@ -309,13 +309,10 @@ def scan_solve(inst, lo: List[int], hi: List[int], k: int) -> Tuple[Optional[Lis
     ends = inst.ends
     order = max((v for _, v in ends), default=-1) + 1
     degree = [0] * order
-    free = set()
-    for (u, v), a, b in zip(ends, lo, room):
+    for (u, v), a in zip(ends, lo):
         degree[u] += a
         degree[v] += a
-        if a != b:
-            free.update((u, v))
-    if any(d % 2 and v not in free for v, d in enumerate(degree)):
+    if sum(d % 2 for d in degree) > 2 * slack:
         return None, 0
     tri_edges = inst.tri_edges
     tris_of_edge = inst.tris_of_edge

@@ -153,14 +153,13 @@ LARGE_MEMBERS = [
     pytest.param(sc2_tree_construct, (999,), 665, 2992, id="sc2tree 999"),
     pytest.param(kop_construct, (10, 100), 2884, 9950, id="kop 10 100"),
     pytest.param(mop_construct, (700,), 1125, 4190, id="mop 700"),
-    # mop 800's pinning asks about 530 questions that the root's odd count
-    # refuses before any triangle is read; mop 901's asks none without slack.
-    pytest.param(mop_construct, (800,), 2547, 847207, id="mop 800"),
+    pytest.param(mop_construct, (800,), 2547, 7185, id="mop 800"),
+    pytest.param(mop_construct, (875,), 2965, 7860, id="mop 875"),
     pytest.param(mop_construct, (901,), 1444, 5396, id="mop 901"),
-    pytest.param(intermediate, (300, 10), 1323, 34907, id="intermediate 300 10"),
-    pytest.param(sc3_construct, (100,), 4864, 2640, id="sc3 100"),
-    pytest.param(fan, (100,), 10007, 36684, id="fan 100"),
-    pytest.param(sc3_construct, (450,), 100589, 12090, id="sc3 450"),
+    pytest.param(intermediate, (300, 10), 1323, 34310, id="intermediate 300 10"),
+    pytest.param(sc3_construct, (100,), 4864, 2052, id="sc3 100"),
+    pytest.param(fan, (100,), 10007, 36487, id="fan 100"),
+    pytest.param(sc3_construct, (450,), 100589, 9402, id="sc3 450"),
 ]
 
 
@@ -211,9 +210,39 @@ def test_epsilon_zero_searches_once(monkeypatch):
         assert cert == inst.certificate(chosen)
 
 
-def test_epsilon_asks_no_question_without_slack(monkeypatch):
-    # A question with lo < hi and no slack (3k == sum(lo)) would ask for an
-    # exact cover that the vertex parities refuse, so epsilon never asks one.
+def _root_parity_refuses(inst, lo, hi, k):
+    """True when the solver's root refuses on vertex parities, before any triangle.
+
+    Either more vertices have an odd lo total than the 2 * slack coverings
+    beyond lo can fix, or an odd vertex has every edge pinned (room == lo),
+    where a triangle, covering two edges at each corner, cannot even it.
+    """
+    slack = 3 * k - sum(lo)
+    odd_at = [0] * inst.order
+    free = set()
+    for (u, v), a, b in zip(inst.ends, lo, hi):
+        odd_at[u] ^= a & 1
+        odd_at[v] ^= a & 1
+        if a < min(b, a + slack):
+            free.update((u, v))
+    return sum(odd_at) > 2 * slack or any(o and v not in free for v, o in enumerate(odd_at))
+
+
+def _pool_cases():
+    """The epsilon-mix benchmark pool, capped and not, whose answers golden.json records.
+
+    It holds fans 13-15, the nine-vertex graph and 96 random multigraphs.
+    """
+    pool = [corpus.fan_graph(n) for n in corpus.FAN_ORDERS] + [corpus.NINE_VERTEX]
+    pool += [corpus.random_multigraph(seed) for seed in range(corpus.EPS_POOL)]
+    assert len(pool) == 100
+    return [(Multigraph.from_json_dict(g), cap) for g in pool for cap in (None, 1)]
+
+
+def test_epsilon_asks_no_question_the_root_parities_refuse(monkeypatch):
+    # A pinning question (lo above base on some edge, below hi on another)
+    # that the root's parity tests refuse is answered None before any
+    # triangle is read, so epsilon skips it; none has zero slack.
     from tridecomp import augment
 
     asked = []
@@ -222,18 +251,79 @@ def test_epsilon_asks_no_question_without_slack(monkeypatch):
         __slots__ = ()
 
         def solve(self, lo, hi, k):
-            asked.append(lo == hi or 3 * k - sum(lo) >= 1)
+            if lo not in (self.base, hi):
+                asked.append(3 * k - sum(lo) >= 1 and not _root_parity_refuses(self, lo, hi, k))
             return super().solve(lo, hi, k)
 
     monkeypatch.setattr(augment, "CoverInstance", Counted)
-    for g in (mop_construct(700).graph, fan(13).graph, fan(14).graph, fan(15).graph,
-              NINE_VERTEX):
-        for cap in (None, 1):
-            try:
-                epsilon_exact(g, max_copies_per_edge=cap)
-            except CapInfeasible:
-                assert g is NINE_VERTEX and cap == 1
+    graphs = (mop_construct(700).graph, mop_construct(800).graph, complete_graph(12))
+    for g, cap in [(g, cap) for g in graphs for cap in (None, 1)] + _pool_cases():
+        try:
+            epsilon_exact(g, max_copies_per_edge=cap)
+        except CapInfeasible:
+            pass
     assert asked and all(asked)
+
+
+def _epsilon_asking_every_question(g, cap):
+    """epsilon_exact with a pinning that hands every question to the solver.
+
+    The solver's root is given back its clause for an odd vertex with every
+    edge pinned, so each question is refused or searched as before the
+    pinning screened them.  Returns (t, witness, certificate, steps), or None
+    when the cap leaves no augmentation.
+    """
+    from tridecomp import augment
+
+    def solve(inst, lo, hi, k):
+        return None if _root_parity_refuses(inst, lo, hi, k) else inst.solve(lo, hi, k)
+
+    hit = augment._least_level(g, cap)
+    if hit is None:
+        return None
+    t, inst, hi, chosen = hit
+    k = len(chosen)
+    lo = list(inst.base)
+    cover = inst.edge_counts(chosen)
+    for i in range(len(lo)):
+        while cover[i] < hi[i]:
+            lo[i] = cover[i] + 1
+            more = solve(inst, lo, hi, k)
+            if more is None:
+                break
+            cover = inst.edge_counts(more)
+        lo[i] = hi[i] = cover[i]
+    if t:
+        chosen = solve(inst, lo, hi, k)
+    return (t, *augment._records(inst, chosen), inst.steps)
+
+
+def test_epsilon_pinning_matches_asking_every_question(monkeypatch):
+    # Each skipped question is one the root refuses before choosing a
+    # triangle, so the witness, the certificate and the steps stay the same.
+    from tridecomp import augment
+
+    built = []
+
+    class Kept(augment.CoverInstance):
+        __slots__ = ()
+
+        def __init__(self, g):
+            super().__init__(g)
+            built.append(self)
+
+    for g, cap in _pool_cases():
+        expected = _epsilon_asking_every_question(g, cap)
+        built.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(augment, "CoverInstance", Kept)
+            try:
+                got = epsilon_exact(g, max_copies_per_edge=cap)
+            except CapInfeasible:
+                assert expected is None
+                continue
+        [inst] = built
+        assert (*got, inst.steps) == expected, (g.to_json_dict(), cap)
 
 
 def test_epsilon_exact_meets_lower_bound_or_exceeds_by_steps():
@@ -272,11 +362,13 @@ def test_epsilon_exact_preconditions(monkeypatch):
     # K12 (66 edges) takes 178 cover steps: a perfect matching of copies.
     t, aug, _ = epsilon_exact(complete_graph(12))
     assert (t, aug.additions) == (6, tuple(edge(i, i + 1) for i in range(0, 12, 2)))
-    # Its 220 triangles are listed at a limit of 1 000, and the set-ups of
-    # its searches are charged 286 steps each (66 edges and, once the root
-    # tests pass, 220 triangles), so the fourth passes it.
-    monkeypatch.setattr(graph_core, "STEP_LIMIT", 1000)
-    with pytest.raises(ScaleLimit, match="^cover search exceeds the ceiling of 1000 steps$"):
+    # Its 220 triangles are listed at a limit of 600.  Each set-up is
+    # charged its 66 edges and, once the root tests pass, 220 triangles: the
+    # climb's levels 0 and 3 are refused at the root and level 6 hits
+    # (66 + 66 + 286), the pinning asks no question the root would pass, and
+    # the certificate search's 286 pass the limit.
+    monkeypatch.setattr(graph_core, "STEP_LIMIT", 600)
+    with pytest.raises(ScaleLimit, match="^cover search exceeds the ceiling of 600 steps$"):
         epsilon_exact(complete_graph(12))
     monkeypatch.setattr(graph_core, "STEP_LIMIT", 219)
     with pytest.raises(ScaleLimit, match="^triangle listing exceeds the ceiling of 219 steps$"):
@@ -350,11 +442,7 @@ def test_epsilon_exact_matches_the_integer_program():
     cases = [(g, cap) for g in graphs for cap in (None, 1)]
     # Sizes 66, 66 and 55; K11 with the cap runs past the step ceiling.
     cases += [(complete_graph(12), None), (complete_graph(12), 1), (complete_graph(11), None)]
-    # The epsilon-mix benchmark pool, whose answers golden.json records.
-    pool = [corpus.fan_graph(n) for n in corpus.FAN_ORDERS] + [corpus.NINE_VERTEX]
-    pool += [corpus.random_multigraph(seed) for seed in range(corpus.EPS_POOL)]
-    assert len(pool) == 100
-    cases += [(Multigraph.from_json_dict(g), cap) for g in pool for cap in (None, 1)]
+    cases += _pool_cases()
     for g, cap in cases:
         expected = milp_epsilon(g, cap)
         if expected is None:

@@ -164,10 +164,12 @@ def test_epsilon_scale_limit_exit_code(capsys, tmp_path, monkeypatch):
     path = write_json(tmp_path, "k12.json", k12)
     code, out, _ = run_cli(capsys, "epsilon", path)
     assert code == 0 and json.loads(out)["epsilon"] == 6
-    monkeypatch.setattr(graph_core, "STEP_LIMIT", 1000)
+    # Its set-ups are charged 704 steps: 66 edges each, and 220 triangles
+    # each for the climb's hit and the certificate search.
+    monkeypatch.setattr(graph_core, "STEP_LIMIT", 600)
     code, out, err = run_cli(capsys, "epsilon", path)
     assert (code, out) == (3, "")
-    assert err == "error: cover search exceeds the ceiling of 1000 steps\n"
+    assert err == "error: cover search exceeds the ceiling of 600 steps\n"
     monkeypatch.setattr(graph_core, "STEP_LIMIT", 100)
     code, out, err = run_cli(capsys, "epsilon", path)
     assert (code, out) == (3, "")
@@ -384,6 +386,21 @@ def test_sweep_rechecks_its_witness(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "sweep", "epsilon", "7")
     assert (code, out) == (2, "")
     assert err == "internal error: sweep witness is no triangulation of the 7-cycle\n"
+
+
+def test_sweep_xi_checks_the_fan_it_holds(capsys, monkeypatch):
+    # The witness check reads the fan's own graph; nothing rebuilds it.
+    from tridecomp import sweep
+
+    def rebuilt(n, chords):
+        raise AssertionError("sweep xi rebuilt its witness graph")
+
+    monkeypatch.setattr(sweep, "_mop", rebuilt)
+    code, out, _ = run_cli(capsys, "sweep", "xi", "10")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == 7
+    assert payload["witness"] == {"order": 10, "chords": [[0, i] for i in range(2, 9)]}
 
 
 def test_faces_command(capsys, tmp_path):

@@ -355,7 +355,7 @@ def test_solve_matches_the_scan_reference(monkeypatch):
                 epsilon_exact(g, max_copies_per_edge=cap)
             except CapInfeasible:
                 assert g is NINE_VERTEX and cap == 1
-    assert compared - start == 102
+    assert compared - start == 99
 
 
 def test_solve_keeps_no_state_between_calls():

@@ -114,13 +114,13 @@ def test_epsilon_of_two_complete_graphs_is_the_fort_hedlund_sum(m, n):
         fort_hedlund(m) + fort_hedlund(n))
 
 
-# Two family members of hundreds of vertices each: (sc3 100, mop 700),
-# (sc3 100, mop 901) and (fan 100, intermediate 300 10).  The reverse of the
-# first two, mop then sc3 100, is refused at the set-up reads of its witness
-# pinning.
+# Two family members of hundreds of vertices each, in both orders for sc3
+# 100 and mop 700 or 901, and (fan 100, intermediate 300 10).
 @pytest.mark.parametrize("parts, t", [
     pytest.param(lambda: (sc3_construct(100), mop_construct(700)), 4, id="sc3-100+mop-700"),
     pytest.param(lambda: (sc3_construct(100), mop_construct(901)), 4, id="sc3-100+mop-901"),
+    pytest.param(lambda: (mop_construct(700), sc3_construct(100)), 4, id="mop-700+sc3-100"),
+    pytest.param(lambda: (mop_construct(901), sc3_construct(100)), 4, id="mop-901+sc3-100"),
     pytest.param(lambda: (fan(100), intermediate(300, 10)), 127, id="fan-100+intermediate-300-10"),
 ])
 def test_epsilon_adds_over_a_union_of_family_members(parts, t):
