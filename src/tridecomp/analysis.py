@@ -59,7 +59,7 @@ _CYCLE_FAMILIES = ("mop", "fan", "intermediate", "sc2tree", "sc2seed")
 class RotationSystem(namedtuple("RotationSystem", "order rotations")):
     """Cyclic edge-end orders: rotations[v] is a tuple of (neighbor, copy).
 
-    List rows are kept as tuples, so each system is one hashable value.
+    List rows and entries are kept as tuples, so each system is one hashable value.
     """
 
     __slots__ = ()
@@ -76,11 +76,12 @@ class RotationSystem(namedtuple("RotationSystem", "order rotations")):
             raise DomainError(
                 f"expected {order} rotation lists, got {len(rotations)}"
             )
+        rows = []
         for v, rot in enumerate(rotations):
             if not isinstance(rot, (list, tuple)):
                 raise DomainError(f"rotation of vertex {v} must be a list, got {_shown(rot)}")
             for entry in rot:
-                if not (isinstance(entry, tuple) and len(entry) == 2):
+                if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
                     raise DomainError(
                         f"rotation entries must be (neighbor, copy), got {_shown(entry)}"
                     )
@@ -91,7 +92,8 @@ class RotationSystem(namedtuple("RotationSystem", "order rotations")):
                     raise DomainError(f"loop at vertex {v}")
                 if not (type(c) is int and c >= 0):
                     raise DomainError(f"copy index {_shown(c)} at vertex {v} invalid")
-        return tuple.__new__(cls, (order, tuple(map(tuple, rotations))))
+            rows.append(tuple((u, c) for u, c in rot))
+        return tuple.__new__(cls, (order, tuple(rows)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -107,10 +109,7 @@ class RotationSystem(namedtuple("RotationSystem", "order rotations")):
         raw = data["rotations"]
         if not isinstance(raw, list):
             raise DomainError("'rotations' must be a list of per-vertex lists")
-        rotations = tuple(
-            tuple(map(tuple, _json_rows(rot, 2, f"rotation of vertex {v}")))
-            for v, rot in enumerate(raw)
-        )
+        rotations = [_json_rows(rot, 2, f"rotation of vertex {v}") for v, rot in enumerate(raw)]
         return cls(len(rotations), rotations)
 
 

@@ -4,14 +4,14 @@ epsilon_exact answers the single-graph question: the fewest parallel copies
 of already-present edges whose addition makes the multigraph triangle
 decomposable.  An augmented graph decomposes exactly when some multiset of
 k triangles covers every edge at least its multiplicity times (and at most
-that plus the per-edge cap), so one per-graph climb, _least_level, asks one
-cover solver instance for the least such k, starting at the divisibility
-residue; parity then holds without being checked.  The module holds only
-this per-graph search, since every ``epsilon`` command compiles it: the
-class sweeps over triangulated cycles, which run the same climb on one
-graph at a time, live in ``sweep``.  The climb, the witness pinning and
-the certificate search of one graph share one cover solver instance, so
-STEP_LIMIT bounds them together: past it they give up with ScaleLimit.
+that plus the per-edge cap), so one climb asks one cover solver instance
+for the least such k, starting at the divisibility residue; parity then
+holds without being checked.  Only ``epsilon`` loads this module: the class
+sweep over triangulated cycles needs no climb, since it asks each member
+one question at the class minimum, and lives in ``sweep``.  The climb, the
+witness pinning and the certificate search of one graph share one cover
+solver instance, so STEP_LIMIT bounds them together: past it they give up
+with ScaleLimit.
 """
 
 from __future__ import annotations
@@ -21,39 +21,11 @@ from .graph_core import (
     Augmentation,
     CapInfeasible,
     Decomposition,
-    EdgeKey,
     EdgeNotOnTriangle,
     Multigraph,
     _check_int,
     _edge_off_triangles,
 )
-
-
-def _least_level(g: Multigraph, cap: int | None,
-                 below: int | None = None) -> tuple | None:
-    """(t, instance, hi, chosen) at the least level t of g, or None.
-
-    Level t adds t copies, at most cap per edge, so k = (size + t) / 3
-    triangles cover edge i between inst.base[i] and hi[i] times.  Levels start
-    at the residue (-size) % 3, where k - 1 triangles cannot cover size
-    edges, and rise by 3, so k rises one step at a time as solve() requires.
-    The climb stops below `below` when one is given, else past the ceiling
-    cap * |E| capped and 2 * size uncapped, by which every graph hits (per
-    edge copy, doubling the other two edges of a triangle through it
-    decomposes); None means no level up to there hits.
-    """
-    inst = CoverInstance(g)
-    base = inst.base
-    size = sum(base)
-    ceiling = 2 * size if cap is None else cap * len(base)
-    if below is not None:
-        ceiling = min(ceiling, below - 1)
-    for t in range((-size) % 3, ceiling + 1, 3):
-        hi = [b + (t if cap is None else min(cap, t)) for b in base]
-        chosen = inst.solve(base, hi, (size + t) // 3)
-        if chosen is not None:
-            return t, inst, hi, chosen
-    return None
 
 
 def epsilon_exact(
@@ -87,10 +59,23 @@ def epsilon_exact(
     cap = max_copies_per_edge
     if cap is not None:
         _check_int(cap, "max_copies_per_edge", least=0)
-    hit = _least_level(g, cap)
-    if hit is None:  # only a cap can stop the climb without a hit
+    # Level t adds t copies, at most cap per edge, so k = (size + t) / 3
+    # triangles cover edge i between base[i] and hi[i] times.  Levels rise
+    # by 3 from the residue (-size) % 3, below which k - 1 triangles cannot
+    # cover size edges, so k rises one step at a time as solve() requires.
+    # Uncapped, every graph hits by 2 * size: doubling the other two edges
+    # of a triangle through each edge copy decomposes.
+    inst = CoverInstance(g)
+    base = inst.base
+    size = sum(base)
+    ceiling = 2 * size if cap is None else cap * len(base)
+    for t in range((-size) % 3, ceiling + 1, 3):
+        hi = [b + (t if cap is None else min(cap, t)) for b in base]
+        chosen = inst.solve(base, hi, (size + t) // 3)
+        if chosen is not None:
+            break
+    else:
         raise CapInfeasible(f"no augmentation with at most {cap} extra copies per edge works")
-    t, inst, hi, chosen = hit
     k = len(chosen)
     # The lexicographically least multiset puts the most copies on edge 0,
     # then on edge 1, and so on.  Ask for one more copy on edge i than the
@@ -100,7 +85,7 @@ def epsilon_exact(
     # last cover pinned them all, so the only odd vertex with every edge
     # pinned can be an end whose last edge is i.
     ends = inst.ends
-    lo = list(inst.base)
+    lo = list(base)
     cover = inst.edge_counts(chosen)
     odd_at = [0] * inst.order
     last = [0] * inst.order  # the index of the vertex's last edge
@@ -133,12 +118,4 @@ def epsilon_exact(
         hi[i] = cover[i]
     if t:
         chosen = inst.solve(lo, hi, k)
-    return (t, *_records(inst, chosen))
-
-
-def _records(inst: CoverInstance, chosen: list[int]) -> tuple[Augmentation, Decomposition]:
-    """A cover as records: c - base copies of each edge it covers c times; its triangles."""
-    additions: list[EdgeKey] = []
-    for (u, v), c, b in zip(inst.ends, inst.edge_counts(chosen), inst.base):
-        additions.extend([EdgeKey(u, v)] * (c - b))
-    return Augmentation(additions), inst.certificate(chosen)
+    return (t, *inst.records(chosen))

@@ -2,25 +2,27 @@
 
 The one search primitive is a bounded triangle multicover: pick k triangles
 (repeats allowed) so that every edge i is covered between lo[i] and hi[i]
-times.  A decomposition is the case lo = hi = multiplicity; the minimum
-augmentation search in ``augment`` widens hi.  The branch rule picks the
-edge still short of lo with the fewest triangles fitting under hi (ties
-broken by lexicographic edge order) and tries those triangles in
-lexicographic order, so the returned certificate is a pure function of the
-input.  The search keeps its node state incrementally: a triangle is live
-while each of its edges has room for one more covering, every triangle is
-live at the root, and a choose or undo that empties or refills an edge
-flips the triangles through it, so a node reads its prunes and its branch
-edge from per-edge counts instead of rescanning every triangle.  Each
-solver instance keeps each edge once, as a vertex pair, and each triangle
-once, as three edge indices.  It counts the triangles it chooses, and the
-edges its set-ups read plus the triangles of each set-up whose root tests
-pass, over all its searches, and gives up with ScaleLimit past STEP_LIMIT
-of either; listing more than STEP_LIMIT triangles is refused the same way.
-The certificate record, the screen fast_reject and the answer checks live
-in ``graph_core``, so ``verify``, ``faces`` and a ``decompose`` that the
-screen refuses never compile this module.  ``construct`` and ``sweep xi``
-compile it through ``families``, which searches only for ``sf``.
+times.  A decomposition is the case lo = hi = multiplicity; ``augment``'s
+minimum augmentation search and ``sweep epsilon``'s one question per
+triangulated cycle widen hi, and every caller reads a cover off through
+CoverInstance.records.  The branch rule picks the edge still short of lo
+with the fewest triangles fitting under hi (ties broken by lexicographic
+edge order) and tries those triangles in lexicographic order, so the
+returned certificate is a pure function of the input.  The search keeps its
+node state incrementally: a triangle is live while each of its edges has
+room for one more covering, every triangle is live at the root, and a
+choose or undo that empties or refills an edge flips the triangles through
+it, so a node reads its prunes and its branch edge from per-edge counts
+instead of rescanning every triangle.  Each solver instance keeps each edge
+once, as a vertex pair, and each triangle once, as three edge indices.  It
+counts the triangles it chooses, and the edges its set-ups read plus the
+triangles of each set-up whose root tests pass, over all its searches, and
+gives up with ScaleLimit past STEP_LIMIT of either; listing more than
+STEP_LIMIT triangles is refused the same way.  The certificate record, the
+screen fast_reject and the answer checks live in ``graph_core``, so
+``verify``, ``faces`` and a ``decompose`` that the screen refuses never
+compile this module.  ``construct`` compiles it through ``families``, which
+searches only for ``sf``.
 """
 
 from __future__ import annotations
@@ -322,10 +324,17 @@ class CoverInstance:
             raise graph_core._step_limit("cover search")
         return chosen if frames else None  # only a solution leaves frames open
 
-    def certificate(self, chosen: list[int]) -> graph_core.Decomposition:
+    def records(
+        self, chosen: list[int]
+    ) -> tuple[graph_core.Augmentation, graph_core.Decomposition]:
+        """A cover as records: c - base copies of each edge it covers c times; its triangles."""
+        additions: list[graph_core.EdgeKey] = []
+        for (u, v), c, b in zip(self.ends, self.edge_counts(chosen), self.base):
+            additions.extend([graph_core.EdgeKey(u, v)] * (c - b))
         ends, new = self.ends, tuple.__new__  # (a, b, c) off ab and ac: a < b < c, as listed
-        return graph_core.Decomposition(new(Triangle, (*ends[ab], ends[ac][1]))
-                                        for ab, ac, _bc in (self.tri_edges[t] for t in chosen))
+        return graph_core.Augmentation(additions), graph_core.Decomposition(
+            new(Triangle, (*ends[ab], ends[ac][1]))
+            for ab, ac, _bc in (self.tri_edges[t] for t in chosen))
 
 
 def find_decomposition(g: Multigraph) -> graph_core.Decomposition | None:
@@ -334,4 +343,4 @@ def find_decomposition(g: Multigraph) -> graph_core.Decomposition | None:
         return None
     inst = CoverInstance(g)
     chosen = inst.solve(inst.base, inst.base, g.size() // 3)
-    return None if chosen is None else inst.certificate(chosen)
+    return None if chosen is None else inst.records(chosen)[1]

@@ -4,11 +4,13 @@ A maximal outerplanar graph of order n is a triangulation of the n-cycle
 0, 1, ..., n - 1, given by its sorted tuple of EdgeKey chords;
 enumerate_mops lists all Catalan(n - 2) chord tuples in order, charged
 2n - 3 steps each against STEP_LIMIT, the one bound on the epsilon sweep's
-order.  epsilon_class_exact runs ``augment``'s level climb on one member
-at a time, in that order, so at most two cover solver instances are alive
-at once, and rechecks the winning cover as an answer.  xi_class_exact runs
-no search: it checks the paper's proof of its value on the envelope that
-``construct fan n`` prints, through that command's answer checks and
+order.  epsilon_class_exact asks each member in turn, in that order, the
+one question the paper's first criterion leaves: whether it decomposes
+with n mod 3 added copies.  So at most two cover solver instances are
+alive at once, no level climb runs and ``augment`` is never loaded; the
+first member that decomposes is rechecked as an answer.  xi_class_exact
+runs no search: it checks the paper's proof of its value on the envelope
+that ``construct fan n`` prints, through that command's answer checks and
 ``graph_core``'s packing bound.  Both return their witness's chords only
 once ``analysis.is_maximal_outerplanar``, the package's one chord-set
 check, accepts the graph the sweep holds, the cycle plus them.  Only the
@@ -18,7 +20,7 @@ check, accepts the graph the sweep holds, the cycle plus them.  Only the
 from __future__ import annotations
 
 from . import analysis, graph_core
-from .augment import _least_level, _records
+from .decomposer import CoverInstance
 from .graph_core import EdgeKey, InvariantViolation, Multigraph, _check_int, _packing_bound
 
 
@@ -78,27 +80,24 @@ def enumerate_mops(n: int) -> list[tuple[EdgeKey, ...]]:
 
 
 def epsilon_class_exact(n: int) -> tuple[int, tuple[EdgeKey, ...]]:
-    """Least augmentation count over all order-n triangulated cycles.
+    """Least augmentation count over all order-n triangulated cycles, with its witness.
 
-    Returns the count and the first witness in chord-set order.  Each graph
-    climbs only below the best level so far, and the sweep stops at the
-    first graph that hits the class residue n mod 3 (the residue of the
-    shared size 2n - 3), below which no level exists.  The best graph's
-    cover is kept as its records, so no solver instance outlives its graph,
-    and they are rechecked before returning.
+    The paper's first criterion puts the class minimum at t = n mod 3, the
+    residue of the shared size 2n - 3.  So each member, in chord-set order,
+    is asked one question, whether it decomposes with t added copies, and
+    the first that does is the witness, its cover rechecked as an answer;
+    if none does, the criterion fails: InvariantViolation.
     """
-    best = None
-    for chords in enumerate_mops(n):
+    mops = enumerate_mops(n)
+    t = n % 3
+    for chords in mops:
         g = _mop(n, chords)
-        hit = _least_level(g, None, None if best is None else best[0])
-        if hit is not None:
-            t, inst, _hi, chosen = hit
-            best = t, chords, g, *_records(inst, chosen)
-            if t == n % 3:
-                break
-    t, chords, g, aug, cert = best
-    graph_core._recheck(g, aug, cert, t)
-    return t, _witness(g, chords)
+        inst = CoverInstance(g)
+        chosen = inst.solve(inst.base, [b + t for b in inst.base], (2 * n - 3 + t) // 3)
+        if chosen is not None:
+            graph_core._recheck(g, *inst.records(chosen), t)
+            return t, _witness(g, chords)
+    raise InvariantViolation(f"no order-{n} triangulated cycle decomposes with {t} added copies")
 
 
 def xi_class_exact(n: int) -> tuple[int, tuple[EdgeKey, ...]]:

@@ -207,7 +207,7 @@ def test_epsilon_zero_searches_once(monkeypatch):
         t, aug, cert = epsilon_exact(g)
         [(inst, exact, chosen)] = calls
         assert (t, aug.additions, exact) == (0, (), True)
-        assert cert == inst.certificate(chosen)
+        assert (aug, cert) == inst.records(chosen)
 
 
 def _root_parity_refuses(inst, lo, hi, k):
@@ -278,10 +278,17 @@ def _epsilon_asking_every_question(g, cap):
     def solve(inst, lo, hi, k):
         return None if _root_parity_refuses(inst, lo, hi, k) else inst.solve(lo, hi, k)
 
-    hit = augment._least_level(g, cap)
-    if hit is None:
+    # The level climb, as epsilon_exact runs it.
+    inst = augment.CoverInstance(g)
+    size = sum(inst.base)
+    ceiling = 2 * size if cap is None else cap * len(inst.base)
+    for t in range((-size) % 3, ceiling + 1, 3):
+        hi = [b + (t if cap is None else min(cap, t)) for b in inst.base]
+        chosen = inst.solve(inst.base, hi, (size + t) // 3)
+        if chosen is not None:
+            break
+    else:
         return None
-    t, inst, hi, chosen = hit
     k = len(chosen)
     lo = list(inst.base)
     cover = inst.edge_counts(chosen)
@@ -295,7 +302,7 @@ def _epsilon_asking_every_question(g, cap):
         lo[i] = hi[i] = cover[i]
     if t:
         chosen = solve(inst, lo, hi, k)
-    return (t, *augment._records(inst, chosen), inst.steps)
+    return (t, *inst.records(chosen), inst.steps)
 
 
 def test_epsilon_pinning_matches_asking_every_question(monkeypatch):
@@ -532,11 +539,9 @@ def test_class_sweeps_match_the_integer_program():
 
 
 def test_class_sweeps_hold_one_solver_instance_at_a_time(monkeypatch):
-    from tridecomp import augment
-
     live = {"built": 0, "alive": 0, "peak": 0}
 
-    class Counting(augment.CoverInstance):
+    class Counting(sweep.CoverInstance):
         __slots__ = ()
 
         def __init__(self, g):
@@ -548,7 +553,7 @@ def test_class_sweeps_hold_one_solver_instance_at_a_time(monkeypatch):
         def __del__(self):
             live["alive"] -= 1
 
-    monkeypatch.setattr(augment, "CoverInstance", Counting)
+    monkeypatch.setattr(sweep, "CoverInstance", Counting)
     codes = enumerate_mops(9)
     value, witness = epsilon_class_exact(9)
     assert value == 0
@@ -599,7 +604,7 @@ def test_class_maximum_runs_no_search(monkeypatch):
         raise AssertionError("searched")
 
     for module, name in ((decomposer, "CoverInstance"), (augment, "CoverInstance"),
-                         (sweep, "enumerate_mops"), (sweep, "_least_level")):
+                         (sweep, "enumerate_mops"), (sweep, "CoverInstance")):
         monkeypatch.setattr(module, name, refused)
     for n in range(3, 51):
         fan = tuple(edge(0, i) for i in range(2, n - 1))
@@ -614,16 +619,42 @@ def test_class_maximum_refuses_an_order_over_the_limit_at_once():
 
 
 def test_class_minimum_rechecks_its_witness_records(monkeypatch):
-    # The best graph's cover is rechecked as an answer before the value returns.
-    records = sweep._records
+    # The witness's cover is rechecked as an answer before the value returns.
+    records = sweep.CoverInstance.records
 
     def short(inst, chosen):
         aug, cert = records(inst, chosen)
         return aug, type(cert)(cert[1:])
 
-    monkeypatch.setattr(sweep, "_records", short)
+    monkeypatch.setattr(sweep.CoverInstance, "records", short)
     with pytest.raises(InvariantViolation, match="undercovered$"):
         epsilon_class_exact(6)
+
+
+def test_class_minimum_refuses_a_class_without_a_member_at_the_residue(monkeypatch, capsys):
+    # Criterion 1 puts the class minimum at n mod 3, so a class in which no
+    # member decomposes with that many copies is a bug, not a larger answer.
+    from tridecomp import cli
+
+    asked = []
+
+    class Refusing(sweep.CoverInstance):
+        __slots__ = ()
+
+        def solve(self, lo, hi, k):
+            asked.append((lo, hi, k))
+            return None
+
+    monkeypatch.setattr(sweep, "CoverInstance", Refusing)
+    message = "no order-6 triangulated cycle decomposes with 0 added copies"
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        epsilon_class_exact(6)
+    # one question per member, at level 0: lo == hi == the nine single edges, k = 3
+    assert asked == [([1] * 9, [1] * 9, 3)] * 14
+    assert cli.main(["sweep", "epsilon", "6"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"internal error: {message}\n"
 
 
 def _greedy_packing(g):

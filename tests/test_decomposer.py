@@ -26,7 +26,6 @@ from tridecomp import (
     triangle,
 )
 from tridecomp import decomposer
-from tridecomp.augment import _records
 from tridecomp.decomposer import CoverInstance
 
 from oracle_helpers import (
@@ -205,7 +204,8 @@ def test_cover_instance_reuses_triangles_across_residuals():
     assert inst.solve([1, 1, 2], [1, 1, 2], 1) is None
     with pytest.raises(InvariantViolation):  # no room on any edge
         inst.solve([0, 0, 0], [0, 0, 0], 0)
-    assert inst.certificate([0, 0]) == Decomposition((triangle(0, 1, 2),) * 2)
+    assert inst.records([0, 0]) == (Augmentation([(0, 1), (0, 2), (1, 2)]),
+                                    Decomposition((triangle(0, 1, 2),) * 2))
 
 
 # Edges 01, 12 and 23 repeat; the triangles are 012, 123 and 234.
@@ -240,14 +240,14 @@ def test_cover_instance_reads_its_records_off_every_index():
         inst = CoverInstance(g)
         every = range(len(inst.tri_edges))
         triangles = Decomposition(enumerate_triangles(g))
-        assert inst.certificate(every) == triangles
+        assert inst.records(every)[1] == triangles
         assert inst.ends == [tuple(e) for e in g.edges()]
         assert all(type(e) is tuple for e in inst.ends)
         # Every triangle once is an exact cover of the graph with these
         # multiplicities, so its records add no copy.
         counts = inst.edge_counts(every)
         exact = Multigraph.from_edges(g.order, [(u, v, c) for (u, v), c in zip(inst.ends, counts)])
-        assert _records(CoverInstance(exact), every) == (Augmentation([]), triangles)
+        assert CoverInstance(exact).records(every) == (Augmentation([]), triangles)
 
 
 def test_solve_covers_each_edge_between_lo_and_hi():

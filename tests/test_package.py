@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import tridecomp
-from tridecomp import decomposer
+from tridecomp import augment, decomposer
 
 
 def test_every_exported_name_is_its_defining_modules_object():
@@ -100,11 +100,12 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
         (("decompose", str(path)), core),
         (("decompose", str(triangle)), base),
         (("epsilon", str(path)), search),
-        # Both sweeps recheck their witness with is_maximal_outerplanar.
-        (("sweep", "epsilon", "5"), search | {"tridecomp.sweep", "tridecomp.analysis"}),
+        # Both sweeps recheck their witness with is_maximal_outerplanar, and
+        # neither climbs: the class minimum asks each member one question.
+        (("sweep", "epsilon", "5"), base | {"tridecomp.sweep", "tridecomp.analysis"}),
         # The class maximum is proved on the envelope of families.fan.
-        (("sweep", "xi", "5"), search | {"tridecomp.sweep", "tridecomp.analysis",
-                                         "tridecomp.families"}),
+        (("sweep", "xi", "5"), base | {"tridecomp.sweep", "tridecomp.analysis",
+                                       "tridecomp.families"}),
         # construct runs only the core checks, and verify neither builds a
         # family nor searches, with a structure check or without one (sc3).
         (("construct", "mop", "4"), base | {"tridecomp.analysis", "tridecomp.families"}),
@@ -131,6 +132,13 @@ def test_the_package_imports_only_the_standard_library():
                 imported.add((path.name, node.module.split(".")[0]))
     assert imported
     assert {(name, m) for name, m in imported if m not in sys.stdlib_module_names} == set()
+
+
+def test_augment_holds_only_the_single_graph_search():
+    defined = {name for name, obj in vars(augment).items()
+               if getattr(obj, "__module__", None) == augment.__name__}
+    assert defined == {"epsilon_exact"}
+    assert not hasattr(decomposer.CoverInstance, "certificate")
 
 
 def test_decomposer_holds_only_the_search():

@@ -173,6 +173,13 @@ def test_rotation_system_keeps_list_rows_as_tuples():
     assert all(type(rot) is tuple for rot in listed.rotations)
 
 
+def test_rotation_system_keeps_list_entries_as_tuples():
+    listed = RotationSystem(3, [[[1, 0], [2, 0]], [[2, 0], [0, 0]], [[0, 0], [1, 0]]])
+    assert listed == RotationSystem(3, K3_ROTATIONS) and listed.rotations == K3_ROTATIONS
+    assert hash(listed) == hash(RotationSystem(3, K3_ROTATIONS))
+    assert all(type(entry) is tuple for rot in listed.rotations for entry in rot)
+
+
 def test_edges_and_triangles_order_by_their_fields():
     edges = [EdgeKey(1, 2), EdgeKey(0, 3), EdgeKey(0, 1), EdgeKey(0, 2)]
     assert sorted(edges) == [EdgeKey(0, 1), EdgeKey(0, 2), EdgeKey(0, 3), EdgeKey(1, 2)]
@@ -198,8 +205,11 @@ def test_record_validation_messages():
     _raises("triangle vertices must satisfy 0 <= a < b < c, got (-1, 0, 1)", Triangle, -1, 0, 1)
     _raises("order must be >= 0, got -1", RotationSystem, -1, ())
     _raises("expected 3 rotation lists, got 2", RotationSystem, 3, K3_ROTATIONS[:2])
-    _raises("rotation entries must be (neighbor, copy), got [1, 0]",
-            RotationSystem, 2, (([1, 0],), ((0, 0),)))
+    _raises("rotation entries must be (neighbor, copy), got [1, 0, 0]",
+            RotationSystem, 2, (([1, 0, 0],), ((0, 0),)))
+    _raises("rotation entries must be (neighbor, copy), got (1,)",
+            RotationSystem, 2, (((1,),), ((0, 0),)))
+    _raises("rotation entries must be (neighbor, copy), got 1", RotationSystem, 2, ((1,), ()))
     _raises("neighbor 5 at vertex 0 out of range", RotationSystem, 2, (((5, 0),), ()))
     _raises("neighbor True at vertex 0 out of range", RotationSystem, 2, (((True, 0),), ()))
     _raises("loop at vertex 1", RotationSystem, 2, ((), ((1, 0),)))
