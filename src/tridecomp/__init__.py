@@ -27,6 +27,8 @@ _EXPORTS = {
     "epsilon_exact": "augment",
     "enumerate_triangles": "decomposer",
     "find_decomposition": "decomposer",
+    "enumerate_mops": "families",
+    "epsilon_class_exact": "families",
     "fan": "families",
     "hmp_construct": "families",
     "intermediate": "families",
@@ -37,6 +39,7 @@ _EXPORTS = {
     "sc3_construct": "families",
     "sf_fixture": "families",
     "validate_construction": "families",
+    "xi_class_exact": "families",
     "AugmentNonAdjacent": "graph_core",
     "Augmentation": "graph_core",
     "CapInfeasible": "graph_core",
@@ -60,9 +63,6 @@ _EXPORTS = {
     "edge": "graph_core",
     "fast_reject": "graph_core",
     "triangle": "graph_core",
-    "enumerate_mops": "sweep",
-    "epsilon_class_exact": "sweep",
-    "xi_class_exact": "sweep",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -11,10 +11,11 @@ structure checks of its family.
 
 The structural predicates are is_eulerian (every degree even, one edge
 component) and is_maximal_outerplanar, the package's one chord-set check,
-which ``sweep`` also runs on its witnesses.  Each check has one copy: the
-degree, size and triangle conditions of a decomposition in
-``graph_core.fast_reject``, chord crossings in ``graph_core``, and one
-connectivity walk, _edges_connected, here.  All run in polynomial time.
+which the class sweeps in ``families`` also run on their witnesses.  Each
+check has one copy: the degree, size and triangle conditions of a
+decomposition in ``graph_core.fast_reject``, chord crossings in
+``graph_core``, and one connectivity walk, _edges_connected, here.  All run
+in polynomial time.
 
 A rotation system lists, for every vertex, the cyclic order of its incident
 edge ends as (neighbor, copy index) pairs.  Tracing: after arriving at v

@@ -8,7 +8,7 @@ that plus the per-edge cap), so one climb asks one cover solver instance
 for the least such k, starting at the divisibility residue; parity then
 holds without being checked.  Only ``epsilon`` loads this module: the class
 sweep over triangulated cycles needs no climb, since it asks each member
-one question at the class minimum, and lives in ``sweep``.  The climb, the
+one question at the class minimum, and lives in ``families``.  The climb, the
 witness pinning and the certificate search of one graph share one cover
 solver instance, so STEP_LIMIT bounds them together: past it they give up
 with ScaleLimit.

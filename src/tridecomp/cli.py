@@ -254,9 +254,9 @@ def run_verify(args: SimpleNamespace) -> int:
 
 
 def run_sweep(args: SimpleNamespace) -> int:
-    from . import sweep
+    from . import families
 
-    extremum = sweep.epsilon_class_exact if args.kind == "epsilon" else sweep.xi_class_exact
+    extremum = families.epsilon_class_exact if args.kind == "epsilon" else families.xi_class_exact
     value, chords = extremum(args.n)
     _print_json({"kind": args.kind, "n": args.n, "value": value,
                  "witness": {"order": args.n, "chords": [[e.u, e.v] for e in chords]}})

@@ -32,7 +32,7 @@ from tridecomp import (
     sc3_construct,
     xi_class_exact,
 )
-from tridecomp import graph_core, sweep
+from tridecomp import families, graph_core
 
 from oracle_helpers import (
     complete_graph,
@@ -463,15 +463,15 @@ def test_epsilon_exact_matches_the_integer_program():
 
 def test_is_maximal_outerplanar_refuses_each_bad_chord_set_of_a_cycle():
     # A sweep's triangulation is the n-cycle plus its chords, checked by the one predicate.
-    assert sweep._mop(5, (edge(0, 2), edge(0, 3))) == fan_graph(5)
+    assert families._cycle_with_chords(5, (edge(0, 2), edge(0, 3))) == fan_graph(5)
     for n, chords in ((5, [(0, 2)]),  # too few chords
                       (5, [(0, 1), (0, 3)]),  # a cycle edge
                       (5, [(0, 4), (0, 2)]),  # the wrap-around cycle edge
                       (6, [(0, 2), (1, 3), (3, 5)]),  # crossing chords
                       (6, [(0, 2), (0, 2), (0, 3)])):  # a repeated chord
-        assert not is_maximal_outerplanar(sweep._mop(n, chords), range(n)), chords
+        assert not is_maximal_outerplanar(families._cycle_with_chords(n, chords), range(n)), chords
     with pytest.raises(DomainError, match=r"^edge \{2,7\} exceeds order 5$"):
-        sweep._mop(5, [(0, 2), (2, 7)])
+        families._cycle_with_chords(5, [(0, 2), (2, 7)])
 
 
 def test_enumerate_mops_counts_and_order():
@@ -500,7 +500,7 @@ def test_enumerate_mops_yields_maximal_outerplanar_graphs():
     for n in range(3, 10):
         for code in enumerate_mops(n):
             assert all(type(e) is EdgeKey for e in code)  # the package's edge type
-            g = sweep._mop(n, code)
+            g = families._cycle_with_chords(n, code)
             assert g.size() == 2 * n - 3
             assert is_maximal_outerplanar(g, tuple(range(n)))
 
@@ -509,10 +509,25 @@ def test_class_minimum_matches_per_graph_brute_force():
     for n in range(3, 8):
         value, witness = epsilon_class_exact(n)
         codes = enumerate_mops(n)
-        per_graph = [epsilon_exact(sweep._mop(n, c))[0] for c in codes]
+        per_graph = [epsilon_exact(families._cycle_with_chords(n, c))[0] for c in codes]
         assert value == min(per_graph)
         assert witness == codes[per_graph.index(value)]  # first hit in chord-set order
         assert value == n % 3
+
+
+def _closed_form_witness(n):
+    """W_n: the least chord set attaining n mod 3, as a sorted tuple of chords."""
+    r = n % 3
+    chords = [(0, i) for i in range(2, r + 3)]
+    for a in range(r + 2, n - 3, 3):  # a + 2 <= n - 2
+        chords += [(0, a), (0, a + 2), (a, a + 2)]
+    return tuple(sorted({edge(u, v) for u, v in chords if u != 0 or v <= n - 2}))
+
+
+def test_class_minimum_witness_is_the_closed_form():
+    # The least triangulation at n mod 3 in chord-set order has a closed form.
+    for n in range(3, 13):
+        assert epsilon_class_exact(n) == (n % 3, _closed_form_witness(n)), n
 
 
 def test_class_maximum_matches_per_graph_brute_force():
@@ -520,7 +535,8 @@ def test_class_maximum_matches_per_graph_brute_force():
     for n in range(3, 11):
         value, witness = xi_class_exact(n)
         codes = enumerate_mops(n)
-        per_graph = [epsilon_exact(sweep._mop(n, c), max_copies_per_edge=1)[0] for c in codes]
+        per_graph = [epsilon_exact(families._cycle_with_chords(n, c), max_copies_per_edge=1)[0]
+                     for c in codes]
         assert value == max(per_graph)
         assert witness == codes[per_graph.index(value)]  # first hit in chord-set order
         assert value == n - 3
@@ -531,8 +547,8 @@ def test_class_sweeps_match_the_integer_program():
     pytest.importorskip("scipy")
     for n in (8, 9):
         codes = enumerate_mops(n)
-        least = [milp_epsilon(sweep._mop(n, c)) for c in codes]
-        most = [milp_epsilon(sweep._mop(n, c), 1) for c in codes]
+        least = [milp_epsilon(families._cycle_with_chords(n, c)) for c in codes]
+        most = [milp_epsilon(families._cycle_with_chords(n, c), 1) for c in codes]
         # the witness is the first graph in chord-set order at the extremal value
         assert epsilon_class_exact(n) == (min(least), codes[least.index(min(least))])
         assert xi_class_exact(n) == (max(most), codes[most.index(max(most))])
@@ -541,7 +557,7 @@ def test_class_sweeps_match_the_integer_program():
 def test_class_sweeps_hold_one_solver_instance_at_a_time(monkeypatch):
     live = {"built": 0, "alive": 0, "peak": 0}
 
-    class Counting(sweep.CoverInstance):
+    class Counting(families.CoverInstance):
         __slots__ = ()
 
         def __init__(self, g):
@@ -553,7 +569,7 @@ def test_class_sweeps_hold_one_solver_instance_at_a_time(monkeypatch):
         def __del__(self):
             live["alive"] -= 1
 
-    monkeypatch.setattr(sweep, "CoverInstance", Counting)
+    monkeypatch.setattr(families, "CoverInstance", Counting)
     codes = enumerate_mops(9)
     value, witness = epsilon_class_exact(9)
     assert value == 0
@@ -569,7 +585,7 @@ def test_class_maximum_refuses_a_fan_bound_short_of_its_count(monkeypatch, capsy
     # The proof's lower bound is checked on the fan; one that falls short is a bug.
     from tridecomp import cli
 
-    monkeypatch.setattr(sweep, "_packing_bound", lambda g, edges: g.order - 4)
+    monkeypatch.setattr(families, "_packing_bound", lambda g, edges: g.order - 4)
     with pytest.raises(InvariantViolation) as refused:
         xi_class_exact(6)
     assert str(refused.value) == "the fan's path edges bound its count by 2, not 3"
@@ -581,8 +597,6 @@ def test_class_maximum_refuses_a_fan_bound_short_of_its_count(monkeypatch, capsy
 
 def test_class_maximum_is_the_fan_family_envelope(monkeypatch):
     # sweep xi proves its value on the envelope that construct fan n prints.
-    from tridecomp import families
-
     for n in range(3, 41):
         assert xi_class_exact(n) == (n - 3, fan(n).augmentation.additions)
     real = families.fan
@@ -604,7 +618,7 @@ def test_class_maximum_runs_no_search(monkeypatch):
         raise AssertionError("searched")
 
     for module, name in ((decomposer, "CoverInstance"), (augment, "CoverInstance"),
-                         (sweep, "enumerate_mops"), (sweep, "CoverInstance")):
+                         (families, "enumerate_mops"), (families, "CoverInstance")):
         monkeypatch.setattr(module, name, refused)
     for n in range(3, 51):
         fan = tuple(edge(0, i) for i in range(2, n - 1))
@@ -620,13 +634,13 @@ def test_class_maximum_refuses_an_order_over_the_limit_at_once():
 
 def test_class_minimum_rechecks_its_witness_records(monkeypatch):
     # The witness's cover is rechecked as an answer before the value returns.
-    records = sweep.CoverInstance.records
+    records = families.CoverInstance.records
 
     def short(inst, chosen):
         aug, cert = records(inst, chosen)
         return aug, type(cert)(cert[1:])
 
-    monkeypatch.setattr(sweep.CoverInstance, "records", short)
+    monkeypatch.setattr(families.CoverInstance, "records", short)
     with pytest.raises(InvariantViolation, match="undercovered$"):
         epsilon_class_exact(6)
 
@@ -638,14 +652,14 @@ def test_class_minimum_refuses_a_class_without_a_member_at_the_residue(monkeypat
 
     asked = []
 
-    class Refusing(sweep.CoverInstance):
+    class Refusing(families.CoverInstance):
         __slots__ = ()
 
         def solve(self, lo, hi, k):
             asked.append((lo, hi, k))
             return None
 
-    monkeypatch.setattr(sweep, "CoverInstance", Refusing)
+    monkeypatch.setattr(families, "CoverInstance", Refusing)
     message = "no order-6 triangulated cycle decomposes with 0 added copies"
     with pytest.raises(InvariantViolation, match=f"^{message}$"):
         epsilon_class_exact(6)
@@ -672,7 +686,7 @@ def test_packing_bound_stays_below_the_least_count():
     rng = random.Random(32)
     for n in range(3, 9):  # all 196 triangulated cycles of order 3..8
         for code in enumerate_mops(n):
-            g = sweep._mop(n, code)
+            g = families._cycle_with_chords(n, code)
             bound = graph_core._packing_bound(g, _greedy_packing(g))
             assert bound is not None and bound <= epsilon_exact(g)[0]
             if n <= 6:  # with multiplicities, each edge counts its copies

@@ -379,10 +379,10 @@ def test_sweep_epsilon_ceiling_is_the_step_limit(capsys):
 def test_sweep_rechecks_its_witness(capsys, monkeypatch):
     # The listing skips every chord check, so the printed witness goes through
     # is_maximal_outerplanar: a crossing chord set there is an internal error.
-    from tridecomp import sweep
+    from tridecomp import families
 
     chords = tuple(graph_core.edge(*c) for c in ((0, 2), (1, 6), (2, 4), (4, 6)))
-    monkeypatch.setattr(sweep, "enumerate_mops", lambda n: [chords])
+    monkeypatch.setattr(families, "enumerate_mops", lambda n: [chords])
     code, out, err = run_cli(capsys, "sweep", "epsilon", "7")
     assert (code, out) == (2, "")
     assert err == "internal error: sweep witness is no triangulation of the 7-cycle\n"
@@ -390,12 +390,12 @@ def test_sweep_rechecks_its_witness(capsys, monkeypatch):
 
 def test_sweep_xi_checks_the_fan_it_holds(capsys, monkeypatch):
     # The witness check reads the fan's own graph; nothing rebuilds it.
-    from tridecomp import sweep
+    from tridecomp import families
 
     def rebuilt(n, chords):
         raise AssertionError("sweep xi rebuilt its witness graph")
 
-    monkeypatch.setattr(sweep, "_mop", rebuilt)
+    monkeypatch.setattr(families, "_cycle_with_chords", rebuilt)
     code, out, _ = run_cli(capsys, "sweep", "xi", "10")
     assert code == 0
     payload = json.loads(out)

@@ -100,12 +100,11 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
         (("decompose", str(path)), core),
         (("decompose", str(triangle)), base),
         (("epsilon", str(path)), search),
-        # Both sweeps recheck their witness with is_maximal_outerplanar, and
-        # neither climbs: the class minimum asks each member one question.
-        (("sweep", "epsilon", "5"), base | {"tridecomp.sweep", "tridecomp.analysis"}),
-        # The class maximum is proved on the envelope of families.fan.
-        (("sweep", "xi", "5"), base | {"tridecomp.sweep", "tridecomp.analysis",
-                                       "tridecomp.families"}),
+        # The class extremes live in families beside the constructors they
+        # recheck, and neither climbs: the class minimum asks each member one
+        # question, and the class maximum is proved on the envelope of fan.
+        (("sweep", "epsilon", "5"), base | {"tridecomp.analysis", "tridecomp.families"}),
+        (("sweep", "xi", "5"), base | {"tridecomp.analysis", "tridecomp.families"}),
         # construct runs only the core checks, and verify neither builds a
         # family nor searches, with a structure check or without one (sc3).
         (("construct", "mop", "4"), base | {"tridecomp.analysis", "tridecomp.families"}),
@@ -119,7 +118,31 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
         unwanted = {"dataclasses", "inspect", "argparse", "gettext", "locale", "typing"}
         assert not (every - bare) & unwanted, argv
         if argv[0] == "epsilon":  # neither the class sweeps nor the structural predicates
-            assert not loaded & {"tridecomp.sweep", "tridecomp.analysis"}
+            assert not loaded & {"tridecomp.families", "tridecomp.analysis"}
+
+
+def test_only_the_cli_imports_a_layer_inside_a_function():
+    # The CLI loads each subcommand's layers on demand; every other module
+    # imports the layers it needs at module level, so no call of a library
+    # function loads a module.
+    late = []
+    for path in sorted(Path(tridecomp.__file__).resolve().parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom):
+                    roots = ["tridecomp" if node.level else node.module.split(".")[0]]
+                elif isinstance(node, ast.Import):
+                    roots = [alias.name.split(".")[0] for alias in node.names]
+                else:
+                    continue
+                if "tridecomp" in roots:
+                    late.append((path.name, func.name))
+    assert late == []
 
 
 def test_the_package_imports_only_the_standard_library():
