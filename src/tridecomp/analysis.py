@@ -7,15 +7,16 @@ ConstructionResult.to_json_dict writes the JSON that ``construct`` prints
 and from_json_dict reads it back.  verify_construction rechecks a result
 from scratch as an ordered list of (ok, message) lines: first the count,
 residue and coverage lines of ``graph_core._answer_checks``, then the
-structure checks of its family.
+structure checks of its family.  It is the package's one envelope checker:
+``verify`` prints its lines, and ``families.validate_construction`` raises
+its first failure before ``construct`` or either sweep prints.
 
 The structural predicates are is_eulerian (every degree even, one edge
-component) and is_maximal_outerplanar, the package's one chord-set check,
-which the class sweeps in ``families`` also run on their witnesses.  Each
-check has one copy: the degree, size and triangle conditions of a
-decomposition in ``graph_core.fast_reject``, chord crossings in
-``graph_core``, and one connectivity walk, _edges_connected, here.  All run
-in polynomial time.
+component) and is_maximal_outerplanar, the package's one chord-set check.
+Each check has one copy: the degree, size and triangle conditions of a
+decomposition in ``graph_core.fast_reject``, and here the chord crossing
+test, _crossing_chords, and one connectivity walk, _edges_connected.  All
+run in polynomial time.
 
 A rotation system lists, for every vertex, the cyclic order of its incident
 edge ends as (neighbor, copy index) pairs.  Tracing: after arriving at v
@@ -34,7 +35,7 @@ wrapper) is the one that runs.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from . import graph_core
 from .graph_core import (
@@ -44,11 +45,11 @@ from .graph_core import (
     Multigraph,
     _check,
     _check_int,
-    _crossing_chords,
     _json_rows,
     _shown,
     degree_sequence,
     edge,
+    triangle,
 )
 
 # One verifier line: True "ok", False "fail", None informational.
@@ -215,14 +216,34 @@ def is_eulerian(g: Multigraph) -> bool:
     return all(d % 2 == 0 for d in degree_sequence(g)) and _edges_connected(g.adjacency())
 
 
+def _crossing_chords(chords: Iterable[tuple[int, int]]) -> tuple | None:
+    """Two crossing chords of a convex polygon, or None; the package's one such test.
+
+    Chords are distinct position pairs (a, b), a < b, sorted by a and then
+    by b descending, so a chord comes after every chord that contains it.
+    A stack holds the chords still open at a; their ends never increase
+    towards the top.  Chords ending at or before a are popped, and (a, b)
+    crosses an open chord exactly when b passes the end of the one on top.
+    O(c log c) for c chords.
+    """
+    open_chords: list[tuple[int, int]] = []
+    for a, b in sorted(chords, key=lambda chord: (chord[0], -chord[1])):
+        while open_chords and open_chords[-1][1] <= a:
+            open_chords.pop()
+        if open_chords and b > open_chords[-1][1]:
+            return open_chords[-1], (a, b)
+        open_chords.append((a, b))
+    return None
+
+
 def is_maximal_outerplanar(g: Multigraph, outer: Sequence[int]) -> bool:
     """True iff g is a triangulation of the cycle given by the outer order.
 
     outer must be a permutation of the vertices, each an int as in
     ``_json_rows`` (DomainError otherwise); the check is that g is simple,
     every consecutive outer pair is an edge, the size is 2n-3, and the
-    remaining edges are pairwise non-crossing chords of that cycle, by the
-    crossing test in ``graph_core``.
+    remaining edges are pairwise non-crossing chords of that cycle, by
+    _crossing_chords.
     """
     n = g.order
     if not (isinstance(outer, Sequence) and all(type(v) is int for v in outer)
@@ -306,7 +327,8 @@ class ConstructionResult(
         return cls(
             family, params, graph, augmentation, certificate, eps,
             outer_cycle=None if outer is None else tuple(_json_rows(outer, None, "'outer_cycle'")),
-            faces=None if faces is None else graph_core._triangles_from_json(faces, "'faces'"),
+            faces=None if faces is None else tuple(
+                [triangle(a, b, c) for a, b, c in _json_rows(faces, 3, "'faces'")]),
             rotation=rotation,
         )
 
@@ -387,6 +409,9 @@ def verify_construction(result: ConstructionResult) -> list[Check]:
         else:
             ring = ((j * m + i, j * m + (i + 1) % m) for j in range(k) for i in range(m))
             gap = next((p for p in ring if not g.has_edge(edge(*p))), None)
-            checks.append(_check(gap is None, f"all {k} layer rings present",
-                                 f"ring edge {gap} missing"))
+            outer = tuple(range((k - 1) * m, k * m))
+            checks.append(_check(gap is None and result.outer_cycle == outer,
+                                 f"all {k} layer rings present",
+                                 f"ring edge {gap} missing" if gap else
+                                 f"outer cycle is not the outermost ring {outer[0]}..{outer[-1]}"))
     return checks

@@ -217,7 +217,7 @@ def run_epsilon(args: SimpleNamespace) -> int:
 
     g = graph_core.Multigraph.from_json_dict(_load_json(args.file))
     value, aug, cert = augment.epsilon_exact(g, args.cap)
-    graph_core._recheck(g, aug, cert, value)
+    graph_core._recheck(graph_core._answer_checks(g, aug, cert, value))
     _print_json({"epsilon": value, "augmentation": aug.to_json_list(),
                  "certificate": cert.to_json_dict()})
     return 0
@@ -232,7 +232,7 @@ def run_decompose(args: SimpleNamespace) -> int:
 
         cert = decomposer.find_decomposition(g)
     if cert is not None:
-        graph_core._recheck(g, graph_core.Augmentation(()), cert, 0)
+        graph_core._recheck(graph_core._answer_checks(g, graph_core.Augmentation(()), cert, 0))
         _print_json({"decomposable": True, "certificate": cert.to_json_dict()})
     else:
         reason = {"kind": "search_exhausted"} if reject is None else reject.to_json_dict()

@@ -28,10 +28,13 @@ constructor runs in time linear in its output, except ``sf_fixture``, which
 finds its certificate with the cover search (``find_decomposition``, under
 ``STEP_LIMIT``) on the graph plus its drawn additions.
 
-validate_construction runs ``graph_core._recheck``, the checks of every
-printed answer, before ``construct`` prints, so it guards ``_member`` too.
-The envelope format, the structure checks and the rotation systems of the
-toroidal fixtures live in ``analysis``.
+validate_construction runs verify's whole checker,
+``analysis.verify_construction``, before ``construct`` prints, so it guards
+``_member`` too: the count, residue and coverage, and the structure of the
+family.  A failure there, or a structure field that checker cannot read, is
+a constructor bug: InvariantViolation, exit 2.  The envelope format, the
+structure checks and the rotation systems of the toroidal fixtures live in
+``analysis``.
 
 The class extremes over triangulated cycles, which only ``sweep`` runs,
 live beside the constructors they recheck.  enumerate_mops lists every
@@ -39,8 +42,8 @@ triangulation of the n-cycle as its sorted EdgeKey chords, charged against
 STEP_LIMIT; epsilon_class_exact asks each in turn one cover question, at
 n mod 3 added copies, the paper's first criterion; xi_class_exact searches
 nothing and checks the proof of n - 3 on fan(n).  Both return a witness
-only once ``is_maximal_outerplanar``, the package's one chord-set check,
-accepts the cycle plus its chords.
+only once validate_construction accepts it as an envelope on the outer
+cycle 0..n-1: fan(n) itself, or the cycle plus the chords as a "mop".
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from collections import Counter
 from collections.abc import Iterable
 
 from . import graph_core
-from .analysis import ConstructionResult, RotationSystem, _hmp_cycle, is_maximal_outerplanar
+from .analysis import ConstructionResult, RotationSystem, _hmp_cycle, verify_construction
 from .decomposer import CoverInstance, find_decomposition
 from .graph_core import (
     Augmentation,
@@ -73,8 +76,16 @@ from .graph_core import (
 
 
 def validate_construction(result: ConstructionResult) -> None:
-    """Run the answer checks of ``graph_core``; InvariantViolation with the first failure."""
-    _recheck(result.graph, result.augmentation, result.certificate, result.claimed_epsilon)
+    """Run verify's checker on result; InvariantViolation with its first failure.
+
+    A structure field it cannot read, bad input to ``verify``, is a
+    constructor bug here, so its DomainError becomes InvariantViolation too.
+    """
+    try:
+        checks = verify_construction(result)
+    except DomainError as exc:
+        raise InvariantViolation(str(exc)) from exc
+    _recheck(checks)
 
 
 def _member(family: str, parameters: dict, order: int, triangles: Iterable[Triangle],
@@ -390,14 +401,6 @@ def _cycle_with_chords(n: int, chords: tuple[EdgeKey, ...]) -> Multigraph:
     return Multigraph.from_edges(n, pairs)
 
 
-def _witness(g: Multigraph, chords: tuple[EdgeKey, ...]) -> tuple[EdgeKey, ...]:
-    """g's chords, once g, the n-cycle plus them, triangulates it; InvariantViolation if not."""
-    n = g.order
-    if not is_maximal_outerplanar(g, range(n)):
-        raise InvariantViolation(f"sweep witness is no triangulation of the {n}-cycle")
-    return chords
-
-
 def enumerate_mops(n: int) -> list[tuple[EdgeKey, ...]]:
     """Every triangulation of the labelled n-cycle as its sorted chords, in order.
 
@@ -444,8 +447,9 @@ def epsilon_class_exact(n: int) -> tuple[int, tuple[EdgeKey, ...]]:
     The paper's first criterion puts the class minimum at t = n mod 3, the
     residue of the shared size 2n - 3.  So each member, in chord-set order,
     is asked one question, whether it decomposes with t added copies, and
-    the first that does is the witness, its cover rechecked as an answer;
-    if none does, the criterion fails: InvariantViolation.
+    the first that does is the witness, rechecked with its cover as a "mop"
+    envelope on the outer cycle 0..n-1; if none does, the criterion fails:
+    InvariantViolation.
     """
     mops = enumerate_mops(n)
     t = n % 3
@@ -454,8 +458,9 @@ def epsilon_class_exact(n: int) -> tuple[int, tuple[EdgeKey, ...]]:
         inst = CoverInstance(g)
         chosen = inst.solve(inst.base, [b + t for b in inst.base], (2 * n - 3 + t) // 3)
         if chosen is not None:
-            _recheck(g, *inst.records(chosen), t)
-            return t, _witness(g, chords)
+            validate_construction(ConstructionResult("mop", {"n": n}, g, *inst.records(chosen), t,
+                                                     outer_cycle=tuple(range(n))))
+            return t, chords
     raise InvariantViolation(f"no order-{n} triangulated cycle decomposes with {t} added copies")
 
 
@@ -468,8 +473,8 @@ def xi_class_exact(n: int) -> tuple[int, tuple[EdgeKey, ...]]:
     faces.  Lower bound: no face of the fan holds two of its path edges
     (i, i + 1), 1 <= i <= n - 2, so its decompositions take n - 2
     triangles and add 3(n - 2) - (2n - 3) = n - 3 copies.  Both halves are
-    checked on fan(n), which ``construct fan n`` prints, through its answer
-    checks and count and _packing_bound; a failure is a bug.
+    checked on fan(n), which ``construct fan n`` prints, through
+    validate_construction, its count and _packing_bound; a failure is a bug.
     """
     member = fan(n)
     validate_construction(member)
@@ -478,4 +483,4 @@ def xi_class_exact(n: int) -> tuple[int, tuple[EdgeKey, ...]]:
     bound = _packing_bound(member.graph, [EdgeKey(i, i + 1) for i in range(1, n - 1)])
     if bound != n - 3:
         raise InvariantViolation(f"the fan's path edges bound its count by {bound}, not {n - 3}")
-    return n - 3, _witness(member.graph, member.augmentation.additions)
+    return n - 3, member.augmentation.additions

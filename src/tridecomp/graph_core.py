@@ -18,9 +18,12 @@ refusal ``_step_limit`` builds.  Both raise ScaleLimit (exit 3).
 
 Every answer is an Augmentation and a Decomposition of the augmented graph,
 checked here with no search: _answer_checks makes the count, residue and
-coverage lines that ``verify`` prints; _recheck raises the first failure as
-InvariantViolation before ``construct``, ``epsilon``, ``decompose`` or
-``sweep`` prints.  _packing_bound is the matching lower bound: the least
+coverage lines that ``verify`` prints.  _recheck, the one loop that refuses
+to print, raises the first False line of a check list as
+InvariantViolation: of _answer_checks before ``epsilon`` or ``decompose``
+prints, and of verify's whole envelope checker, through
+``families.validate_construction``, before ``construct`` or ``sweep``
+prints.  _packing_bound is the matching lower bound: the least
 count any augmentation can add, read off edges that no triangle pairs.
 fast_reject is the screen ``decompose`` runs before it loads ``decomposer``.
 
@@ -413,11 +416,6 @@ class Decomposition(_SortedItems):
         return cls(_json_rows(data["triangles"], 3, "certificate 'triangles'"))
 
 
-def _triangles_from_json(entries: list, name: str) -> tuple[Triangle, ...]:
-    """[[a, b, c], ...] as Triangles in the listed order; DomainError if malformed."""
-    return tuple([triangle(a, b, c) for a, b, c in _json_rows(entries, 3, name)])
-
-
 class RejectReason(namedtuple("RejectReason", "kind vertex edge", defaults=(None, None))):
     """A cheap necessary-condition failure: (kind, vertex=None, edge=None).
 
@@ -488,10 +486,10 @@ def _answer_checks(g: Multigraph, aug: Augmentation, cert: Decomposition,
     return checks + [(False, f"edge {{{e.u}, {e.v}}} {kind}")]
 
 
-def _recheck(g: Multigraph, aug: Augmentation, cert: Decomposition, count: int) -> None:
-    """Refuse to print an answer that fails _answer_checks: InvariantViolation, first failure."""
-    for ok, message in _answer_checks(g, aug, cert, count):
-        if not ok:
+def _recheck(checks: Iterable[tuple[bool | None, str]]) -> None:
+    """Refuse to print what fails a check list: InvariantViolation with its first False line."""
+    for ok, message in checks:
+        if ok is False:
             raise InvariantViolation(message)
 
 
@@ -539,26 +537,6 @@ def _edge_off_triangles(g: Multigraph) -> EdgeKey | None:
     for e in g.edges():
         if adj[e.u].isdisjoint(adj[e.v]):  # stops at the first common neighbour
             return e
-    return None
-
-
-def _crossing_chords(chords: Iterable[tuple[int, int]]) -> tuple | None:
-    """Two crossing chords of a convex polygon, or None; the package's one such test.
-
-    Chords are distinct position pairs (a, b), a < b, sorted by a and then
-    by b descending, so a chord comes after every chord that contains it.
-    A stack holds the chords still open at a; their ends never increase
-    towards the top.  Chords ending at or before a are popped, and (a, b)
-    crosses an open chord exactly when b passes the end of the one on top.
-    O(c log c) for c chords.
-    """
-    open_chords: list[tuple[int, int]] = []
-    for a, b in sorted(chords, key=lambda chord: (chord[0], -chord[1])):
-        while open_chords and open_chords[-1][1] <= a:
-            open_chords.pop()
-        if open_chords and b > open_chords[-1][1]:
-            return open_chords[-1], (a, b)
-        open_chords.append((a, b))
     return None
 
 

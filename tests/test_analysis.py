@@ -15,7 +15,7 @@ from tridecomp import (
     is_maximal_outerplanar,
     trace_faces,
 )
-from tridecomp.graph_core import _crossing_chords
+from tridecomp.analysis import _crossing_chords
 
 from oracle_helpers import (
     complete_graph,
@@ -209,7 +209,7 @@ def _triangulation_chords(rng, lo, hi, out):
 
 
 def _crossing_answer(chords):
-    """graph_core._crossing_chords against the pairwise oracle.
+    """analysis._crossing_chords against the pairwise oracle.
 
     It must find a crossing exactly when two of the chords cross, and name
     two chords that cross.  True when it named a crossing.

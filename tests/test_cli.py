@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import tridecomp
-from tridecomp import augment, cli, decomposer, graph_core
+from tridecomp import analysis, augment, cli, decomposer, families, graph_core
 from tridecomp.cli import main
 
 from test_augment import NINE_VERTEX
@@ -378,20 +378,17 @@ def test_sweep_epsilon_ceiling_is_the_step_limit(capsys):
 
 def test_sweep_rechecks_its_witness(capsys, monkeypatch):
     # The listing skips every chord check, so the printed witness goes through
-    # is_maximal_outerplanar: a crossing chord set there is an internal error.
-    from tridecomp import families
-
+    # validate_construction as a mop envelope: a crossing chord set there is
+    # an internal error, with verify's failure line.
     chords = tuple(graph_core.edge(*c) for c in ((0, 2), (1, 6), (2, 4), (4, 6)))
     monkeypatch.setattr(families, "enumerate_mops", lambda n: [chords])
     code, out, err = run_cli(capsys, "sweep", "epsilon", "7")
     assert (code, out) == (2, "")
-    assert err == "internal error: sweep witness is no triangulation of the 7-cycle\n"
+    assert err == "internal error: not maximal outerplanar on the given outer cycle\n"
 
 
 def test_sweep_xi_checks_the_fan_it_holds(capsys, monkeypatch):
     # The witness check reads the fan's own graph; nothing rebuilds it.
-    from tridecomp import families
-
     def rebuilt(n, chords):
         raise AssertionError("sweep xi rebuilt its witness graph")
 
@@ -823,6 +820,13 @@ HMP_TAIL = "ok: hamiltonian cycle found\nok: all degrees even and the graph is c
             + "fail: not maximal outerplanar on the given outer cycle\n1 check(s) failed\n",
             id="mop-outer-cycle-not-outerplanar",
         ),
+        # kop 5 2's outer cycle must be its outermost ring, 5..9.
+        *(pytest.param(("kop", "5", "2"), tamper, CORE_OK.format(eps=2)
+                       + "fail: outer cycle is not the outermost ring 5..9\n1 check(s) failed\n",
+                       id=f"kop-outer-cycle-{name}")
+          for name, tamper in (("repeated", lambda env: env.update(outer_cycle=[9, 9, 9])),
+                               ("inner-ring", lambda env: env.update(outer_cycle=[0, 1, 2, 3, 4])),
+                               ("missing", lambda env: env.pop("outer_cycle")))),
     ],
 )
 def test_verify_structure_check_failure_lines(capsys, tmp_path, argv, tamper, expected):
@@ -832,6 +836,27 @@ def test_verify_structure_check_failure_lines(capsys, tmp_path, argv, tamper, ex
     tamper(env)
     code, out, err = run_cli(capsys, "verify", write_json(tmp_path, "tampered.json", env))
     assert (code, out, err) == (1, expected, "")
+    # construct's check is verify's checker: it raises verify's first fail line.
+    first = next(line for line in expected.splitlines() if line.startswith("fail: "))
+    with pytest.raises(graph_core.InvariantViolation) as caught:
+        families.validate_construction(analysis.ConstructionResult.from_json_dict(env))
+    assert f"fail: {caught.value}" == first
+
+
+@pytest.mark.parametrize(
+    "outer, message",
+    [
+        pytest.param((0, 2, 1, 3, 4, 5), "not maximal outerplanar on the given outer cycle",
+                     id="not-outerplanar"),
+        pytest.param((0, 0, 1, 2, 3, 4), "outer cycle must be a permutation of the vertices",
+                     id="not-a-permutation"),
+    ],
+)
+def test_a_constructor_bug_in_a_structure_field_exits_2(capsys, monkeypatch, outer, message):
+    # A field verify refuses as bad input (exit 1) is construct's own bug (exit 2).
+    real = families.mop_construct
+    monkeypatch.setattr(families, "mop_construct", lambda n: real(n)._replace(outer_cycle=outer))
+    assert run_cli(capsys, "construct", "mop", "6") == (2, "", f"internal error: {message}\n")
 
 
 def _tampered(argv, path, value):

@@ -105,8 +105,9 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
         # question, and the class maximum is proved on the envelope of fan.
         (("sweep", "epsilon", "5"), base | {"tridecomp.analysis", "tridecomp.families"}),
         (("sweep", "xi", "5"), base | {"tridecomp.analysis", "tridecomp.families"}),
-        # construct runs only the core checks, and verify neither builds a
-        # family nor searches, with a structure check or without one (sc3).
+        # construct runs verify's whole checker on what it builds, and verify
+        # neither builds a family nor searches, with a structure check or
+        # without one (sc3).
         (("construct", "mop", "4"), base | {"tridecomp.analysis", "tridecomp.families"}),
         (("verify", str(envelope)), core | {"tridecomp.analysis"}),
         (("verify", str(sc3)), core | {"tridecomp.analysis"}),
@@ -168,7 +169,7 @@ def test_decomposer_holds_only_the_search():
     defined = {name for name, obj in vars(decomposer).items()
                if getattr(obj, "__module__", None) == decomposer.__name__}
     assert defined == {"enumerate_triangles", "CoverInstance", "find_decomposition"}
-    for name in ("Decomposition", "_triangles_from_json", "RejectReason", "coverage_error",
+    for name in ("Decomposition", "RejectReason", "coverage_error",
                  "_check", "_answer_checks", "_recheck", "fast_reject", "_edge_off_triangles"):
         assert not hasattr(decomposer, name), name
 
