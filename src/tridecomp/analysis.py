@@ -7,7 +7,8 @@ ConstructionResult.to_json_dict writes the JSON that ``construct`` prints
 and from_json_dict reads it back.  verify_construction rechecks a result
 from scratch as an ordered list of (ok, message) lines: first the count,
 residue and coverage lines of ``graph_core._answer_checks``, then the
-structure checks of its family.  It is the package's one envelope checker:
+structure checks of its family, then a fail line if its parameters do not
+describe it.  It is the package's one envelope checker:
 ``verify`` prints its lines, and ``families.validate_construction`` raises
 its first failure before ``construct`` or either sweep prints.
 
@@ -349,6 +350,10 @@ def _hmp_cycle(n: int) -> list[int] | None:
 def verify_construction(result: ConstructionResult) -> list[Check]:
     """Recheck a construction from scratch: the core checks, then its family's.
 
+    The parameters must describe the member: n is the order (residue + 3 for
+    an sc2 seed), and an intermediate member claims n mod 3 + 3r copies;
+    kop's m and k are read by its ring line.
+
     A structure field that the checks cannot use, such as an outer cycle
     that is not a permutation of the vertices, raises DomainError.
     """
@@ -414,4 +419,11 @@ def verify_construction(result: ConstructionResult) -> list[Check]:
                                  f"all {k} layer rings present",
                                  f"ring edge {gap} missing" if gap else
                                  f"outer cycle is not the outermost ring {outer[0]}..{outer[-1]}"))
+    # Every family's parameters but kop's, read above: a line only on a mismatch.
+    p, n, r = result.parameters, g.order, result.parameters.get("r")
+    described = {"sc2seed": p.get("residue") == n - 3,
+                 "intermediate": p.get("n") == n and type(r) is int
+                 and n % 3 + 3 * r == result.claimed_epsilon}.get(family, p.get("n") == n)
+    if family in _CYCLE_FAMILIES + ("hmp", "sc3", "sf") and not described:
+        checks.append((False, f"parameters {_shown(p)} do not describe this {family} envelope"))
     return checks

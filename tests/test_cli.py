@@ -820,6 +820,29 @@ HMP_TAIL = "ok: hamiltonian cycle found\nok: all degrees even and the graph is c
             + "fail: not maximal outerplanar on the given outer cycle\n1 check(s) failed\n",
             id="mop-outer-cycle-not-outerplanar",
         ),
+        # Every family's parameters must describe the envelope they label.
+        pytest.param(
+            ("mop", "6"),
+            lambda env: env.update(parameters={"n": 99}),
+            CORE_OK.format(eps=0) + "ok: maximal outerplanar on the given outer cycle\n"
+            "fail: parameters {'n': 99} do not describe this mop envelope\n1 check(s) failed\n",
+            id="mop-parameters-not-the-order",
+        ),
+        pytest.param(
+            ("mop", "6"),
+            lambda env: env.pop("parameters"),
+            CORE_OK.format(eps=0) + "ok: maximal outerplanar on the given outer cycle\n"
+            "fail: parameters {} do not describe this mop envelope\n1 check(s) failed\n",
+            id="mop-no-parameters",
+        ),
+        pytest.param(
+            ("intermediate", "12", "2"),
+            lambda env: env.update(parameters={"n": 12, "r": 0}),
+            CORE_OK.format(eps=6) + "ok: maximal outerplanar on the given outer cycle\n"
+            "fail: parameters {'n': 12, 'r': 0} do not describe this intermediate envelope\n"
+            "1 check(s) failed\n",
+            id="intermediate-rounds-not-the-count",
+        ),
         # kop 5 2's outer cycle must be its outermost ring, 5..9.
         *(pytest.param(("kop", "5", "2"), tamper, CORE_OK.format(eps=2)
                        + "fail: outer cycle is not the outermost ring 5..9\n1 check(s) failed\n",
@@ -841,6 +864,30 @@ def test_verify_structure_check_failure_lines(capsys, tmp_path, argv, tamper, ex
     with pytest.raises(graph_core.InvariantViolation) as caught:
         families.validate_construction(analysis.ConstructionResult.from_json_dict(env))
     assert f"fail: {caught.value}" == first
+
+
+@pytest.mark.parametrize("residue", [1, 2])
+def test_verify_reads_the_residue_of_an_sc2_seed(capsys, tmp_path, residue):
+    # The seeds have no construct command; their envelopes come from the library.
+    env = families.sc2_tree_seed(residue).to_json_dict()
+    path = write_json(tmp_path, "seed.json", env)
+    code, out, _ = run_cli(capsys, "verify", path)
+    assert (code, "fail:" in out) == (0, False)
+    env["parameters"] = {"residue": 3 - residue}
+    code, out, _ = run_cli(capsys, "verify", write_json(tmp_path, "seed.json", env))
+    assert code == 1
+    assert out.endswith(f"fail: parameters {{'residue': {3 - residue}}} do not describe"
+                        " this sc2seed envelope\n1 check(s) failed\n")
+
+
+def test_a_stored_sf_triangle_off_the_rotation_graph_exits_2(capsys, monkeypatch):
+    # sf 7's certificate with (0, 2, 3) moved onto the absent edge {3, 4}:
+    # verify's rotation line refuses it, so construct prints nothing.
+    certs = dict(families._SF_CERTS)
+    certs[7] = [(0, 3, 4) if t == (0, 2, 3) else t for t in certs[7]]
+    monkeypatch.setattr(families, "_SF_CERTS", certs)
+    assert run_cli(capsys, "construct", "sf", "7") == (
+        2, "", "internal error: rotation system edges differ from the graph edges\n")
 
 
 @pytest.mark.parametrize(

@@ -36,7 +36,8 @@ from tridecomp import (
     validate_construction,
     verify_construction,
 )
-from tridecomp import analysis
+from tridecomp import analysis, families
+from tridecomp.decomposer import CoverInstance
 
 from oracle_helpers import (
     complete_graph,
@@ -76,8 +77,9 @@ def test_validate_construction_raises_the_first_failing_check():
     assert str(info.value) == "edge {0, 1} undercovered"
 
 
-def test_envelopes_round_trip_and_verify():
-    members = [
+def _catalogue():
+    """One member of every family and shape."""
+    return [
         mop_construct(7),
         fan(6),
         intermediate(9, 1),
@@ -91,7 +93,10 @@ def test_envelopes_round_trip_and_verify():
         sf_fixture(8),
         sf_fixture(9),
     ]
-    for res in members:
+
+
+def test_envelopes_round_trip_and_verify():
+    for res in _catalogue():
         back = ConstructionResult.from_json_dict(json.loads(json.dumps(res.to_json_dict())))
         assert back == res
         checks = verify_construction(back)
@@ -99,6 +104,29 @@ def test_envelopes_round_trip_and_verify():
         assert len(checks) > 3 or res.family == "sc3"  # sc3 has no structure checks
         if res.family == "sf":
             assert (None, "genus: 1") in checks
+
+
+def test_verify_reads_every_familys_parameters(monkeypatch):
+    # The catalogue and the envelopes both sweeps recheck verify with no
+    # parameter line; parameters that do not describe the member add one
+    # fail line, after the lines the member keeps.  kop's parameters are
+    # read by its ring line instead (test_cli).
+    rechecked = []
+    real = families.validate_construction
+    monkeypatch.setattr(families, "validate_construction",
+                        lambda res: (rechecked.append(res), real(res))[1])
+    for n in range(3, 10):
+        epsilon_class_exact(n)
+        families.xi_class_exact(n)
+    assert [res.family for res in rechecked] == ["mop", "fan"] * 7
+    for res in _catalogue() + rechecked:
+        checks = verify_construction(res)
+        assert all(ok is not False and "parameters" not in m for ok, m in checks), res.family
+        if res.family == "kop":
+            continue
+        wrong = {k: v + 1 for k, v in res.parameters.items()}
+        line = (False, f"parameters {wrong!r} do not describe this {res.family} envelope")
+        assert verify_construction(res._replace(parameters=wrong)) == checks + [line]
 
 
 def test_mop_construct_all_small_orders():
@@ -364,10 +392,15 @@ def test_hmp_and_sc3_envelopes_are_byte_pinned():
     assert _printed_digest(members) == "178b25edb9797812e1b795245880eca3275052aa0da065e0faa9a42423a1b2ea"
 
 
-def test_sc2tree_and_sf_envelopes_are_byte_pinned():
+def test_sc2tree_and_sf_envelopes_are_byte_pinned(monkeypatch):
     # One digest over printed sc2tree envelopes past the oracle test's range
     # and the three sf fixtures, recorded before sc2tree lost its boundary
-    # heap and sf its edge list next to the rotation system.
+    # heap, sf its edge list next to the rotation system, and sf its search.
+    # The cover search raises here: no constructor may call it.
+    def no_search(*args):
+        raise AssertionError("a constructor ran the cover search")
+
+    monkeypatch.setattr(CoverInstance, "solve", no_search)
     members = [sc2_tree_construct(n) for n in range(603, 1144, 60)]
     members += [sf_fixture(n) for n in (7, 8, 9)]
     assert len(members) == 13
@@ -414,6 +447,28 @@ def test_sf_fixtures():
     for bad in (6, 10):
         with pytest.raises(NotAFixture):
             sf_fixture(bad)
+
+
+# The additions of the source drawing of each toroidal fixture.
+SF_DRAWN = {
+    7: [(0, 6), (0, 5), (4, 5), (1, 5)],
+    8: [(0, 6), (1, 6)],
+    9: [(0, 3), (0, 6), (1, 6), (1, 7), (2, 7), (3, 4)],
+}
+
+
+@pytest.mark.parametrize("n", sorted(SF_DRAWN))
+def test_sf_certificates_are_the_search_on_the_drawing(n):
+    # The stored certificate is what the cover search finds on the graph of
+    # the rotation system plus the drawn additions, and those additions are
+    # the copies the fixture claims.
+    rot = families._SF_ROTATIONS[n]
+    g = Multigraph.from_edges(n, [(v, u) for v in range(n) for u in rot[v] if v < u])
+    drawn = Augmentation(edge(u, v) for u, v in SF_DRAWN[n])
+    assert find_decomposition(apply_augmentation(g, drawn)) == Decomposition(families._SF_CERTS[n])
+    res = sf_fixture(n)
+    assert res.augmentation == drawn
+    assert res.graph == g
 
 
 def test_sf_fixture_minimum_additions():
