@@ -355,7 +355,9 @@ def verify_construction(result: ConstructionResult) -> list[Check]:
     kop's m and k are read by its ring line.
 
     A structure field that the checks cannot use, such as an outer cycle
-    that is not a permutation of the vertices, raises DomainError.
+    that is not a permutation of the vertices, raises DomainError.  A
+    family that no constructor makes gets one failing line, since none of
+    its structure can be checked.
     """
     g, family = result.graph, result.family
     checks = graph_core._answer_checks(result.graph, result.augmentation, result.certificate,
@@ -424,6 +426,8 @@ def verify_construction(result: ConstructionResult) -> list[Check]:
     described = {"sc2seed": p.get("residue") == n - 3,
                  "intermediate": p.get("n") == n and type(r) is int
                  and n % 3 + 3 * r == result.claimed_epsilon}.get(family, p.get("n") == n)
-    if family in _CYCLE_FAMILIES + ("hmp", "sc3", "sf") and not described:
+    if family not in _CYCLE_FAMILIES + ("hmp", "kop", "sc3", "sf"):
+        checks.append((False, f"no family is named {_shown(family)}"))
+    elif family != "kop" and not described:
         checks.append((False, f"parameters {_shown(p)} do not describe this {family} envelope"))
     return checks

@@ -8,21 +8,25 @@ triangulated cycle widen hi, and every caller reads a cover off through
 CoverInstance.records.  The branch rule picks the edge still short of lo
 with the fewest triangles fitting under hi (ties broken by lexicographic
 edge order) and tries those triangles in lexicographic order, so the
-returned certificate is a pure function of the input.  The search keeps its
-node state incrementally: a triangle is live while each of its edges has
-room for one more covering, every triangle is live at the root, and a
-choose or undo that empties or refills an edge flips the triangles through
-it, so a node reads its prunes and its branch edge from per-edge counts
-instead of rescanning every triangle.  Each solver instance keeps each edge
-once, as a vertex pair, and each triangle once, as three edge indices.  It
-counts the triangles it chooses, and the edges its set-ups read plus the
-triangles of each set-up whose root tests pass, over all its searches, and
-gives up with ScaleLimit past STEP_LIMIT of either; listing more than
-STEP_LIMIT triangles is refused the same way.  The certificate record, the
-screen fast_reject and the answer checks live in ``graph_core``, so
-``verify``, ``faces`` and a ``decompose`` that the screen refuses never
-compile this module.  ``construct`` compiles it through ``families``, which
-searches only for ``sf``.
+returned certificate is a pure function of the input.  Before it reads a
+triangle, a search refuses a k past the ceiling, vertex parities that the
+coverings beyond lo cannot fix (which also refuses every negative slack)
+and, as a broken invariant, an edge with no room under hi.  It keeps its
+node state incrementally: per edge, its room under hi, with the shortfall
+below lo read as room minus a gap fixed at the root; a triangle is live
+while each of its edges has room for one more covering, every triangle is
+live at the root, and a choose or undo that empties or refills an edge
+flips the triangles through it, so a node reads its prunes and its branch
+edge from per-edge counts instead of rescanning every triangle.  Each
+solver instance keeps each edge once, as a vertex pair, and each triangle
+once, as three edge indices.  It counts the triangles it chooses, and the
+edges its set-ups read plus the triangles of each set-up whose root tests
+pass, over all its searches, and gives up with ScaleLimit past STEP_LIMIT
+of either; listing more than STEP_LIMIT triangles is refused the same way.
+The certificate record, the screen fast_reject and the answer checks live
+in ``graph_core``, so ``verify``, ``faces`` and a ``decompose`` that the
+screen refuses never compile this module.  ``construct`` compiles it
+through ``families``, whose one search is ``sweep epsilon``'s.
 """
 
 from __future__ import annotations
@@ -110,14 +114,16 @@ class CoverInstance:
         The root tests refuse, in this order:
         - k above ORDER_LIMIT, with ScaleLimit: a stack that deep would
           take memory and time without bound;
-        - a negative slack 3k - sum(lo), the coverings beyond lo, or fewer
-          than 3k coverings of room, hi[i] capped at lo[i] + slack;
         - more vertices with an odd lo total than the 2 * slack that the
-          coverings beyond lo can fix, each serving two vertices, since a
-          triangle covers two edges at each of its corners;
-        - an edge with no room, with InvariantViolation (see below).
+          coverings beyond lo can fix, the slack 3k - sum(lo) counting
+          those coverings, each serving two vertices, since a triangle
+          covers two edges at each of its corners; no count is below 0,
+          so this also refuses every negative slack;
+        - an edge with no room, hi[i] capped at lo[i] + slack, with
+          InvariantViolation (see below).
         All of them come before any triangle is read, so only a call that
-        passes them is charged its triangles.
+        passes them is charged its triangles.  A call with fewer than 3k
+        coverings of room in all passes them and fails in its search.
 
         The search branches on the short edge with the fewest triangles
         fitting under hi (the first such edge; one fitting triangle ends
@@ -137,20 +143,23 @@ class CoverInstance:
         edge no room there is refused with InvariantViolation.
 
         A node reads its tests from state that each choose and undo keeps
-        up to date, rather than rescanning every triangle: per triangle,
-        whether it is dead, true exactly when one of its edges has no room
-        (hi minus coverage) left, so a live triangle fits; per edge, the
-        number of live triangles through it, at the root its number of
-        triangles; the short edges in ascending order; and the parity of
-        each vertex's total shortfall, with the count of odd ones, kept
-        only while coverings beyond lo remain to place (never in an exact
-        cover).  A choose that takes an edge's room to 0 kills the live
-        triangles through it, and the undo that gives the room back revives
-        each of them whose three edges all have room again.  Each live
-        triangle can cover its edges at least once more, so only a short
-        edge with fewer live triangles than it needs sums their least rooms
-        for the reach test, and only the edge the node branches on has its
-        live triangles listed.
+        up to date, rather than rescanning every triangle: per edge, its
+        room (hi minus coverage) and the number of live triangles through
+        it, at the root its number of triangles; per triangle, whether it
+        is dead, true exactly when one of its edges has no room left, so a
+        live triangle fits; the short edges in ascending order; and the
+        parity of each vertex's total shortfall, with the count of odd
+        ones, kept only while coverings beyond lo remain to place (never in
+        an exact cover).  A covering takes one from an edge's room and its
+        shortfall (lo minus coverage) alike, so the shortfall is room minus
+        gap, a per-edge difference fixed at the root, and a choose or undo
+        writes one count per edge.  A choose that takes an edge's room to 0
+        kills the live triangles through it, and the undo that gives the
+        room back revives each of them whose three edges all have room
+        again.  Each live triangle can cover its edges at least once more,
+        so only a short edge with fewer live triangles than it needs sums
+        their least rooms for the reach test, and only the edge the node
+        branches on has its live triangles listed.
 
         The open nodes live on an explicit stack, the root's frame and one
         more per chosen triangle, so a search hundreds of triangles deep
@@ -181,16 +190,14 @@ class CoverInstance:
         # k triangles cover 3k edge copies, so no edge can exceed lo by
         # more than the slack 3k - sum(lo).
         slack = 3 * k - sum(lo)
-        short = list(lo)  # lo[i] minus the coverage so far
         room = [min(b, a + slack) for a, b in zip(lo, hi)]  # hi[i] minus the coverage
-        if slack < 0 or 3 * k > sum(room):
-            return None
         ends = self.ends
         odd_at = [0] * self.order  # the parity of the vertex's total shortfall, here lo
         for (u, v), a in zip(ends, lo):
             odd_at[u] ^= a & 1
             odd_at[v] ^= a & 1
-        # branch()'s parity prune, run at the root ahead of the triangle reads.
+        # branch()'s parity prune, run at the root ahead of the triangle
+        # reads; odd >= 0, so it also refuses a negative slack.
         odd = sum(odd_at)
         if odd > 2 * slack:
             return None
@@ -201,9 +208,12 @@ class CoverInstance:
         self.scanned += len(tri_edges)
         if self.scanned > limit:
             raise graph_core._step_limit("cover search")
+        # Coverage lowers room and shortfall together, so an edge's
+        # shortfall (lo[i] minus the coverage) is room[i] - gap[i].
+        gap = [r - a for r, a in zip(room, lo)]
         dead = [False] * len(tri_edges)
         fitting = [len(ts) for ts in tris_of_edge]  # live triangles through the edge
-        shorts = [ei for ei, s in enumerate(short) if s > 0]  # ascending
+        shorts = [ei for ei, a in enumerate(lo) if a > 0]  # ascending
         banned = [False] * len(tri_edges)
         chosen: list[int] = []
         steps = self.steps
@@ -220,7 +230,7 @@ class CoverInstance:
             best = -1
             fewest = len(tri_edges) + 1
             for ei in shorts:
-                need = short[ei]
+                need = room[ei] - gap[ei]
                 count = fitting[ei]
                 if count < need:
                     reach = 0
@@ -271,8 +281,7 @@ class CoverInstance:
                                     fitting[e1] += 1
                                     fitting[e2] += 1
                                     fitting[e3] += 1
-                        s = short[e] + 1
-                        short[e] = s
+                        s = r - gap[e]
                         if s > 0:
                             if s == 1:
                                 insort(shorts, e)
@@ -292,8 +301,9 @@ class CoverInstance:
             # without them no node reads the parities.
             keep_parity = spare > 0
             for e in tri_edges[ti]:
-                s = short[e]
-                short[e] = s - 1
+                r = room[e]
+                room[e] = r - 1
+                s = r - gap[e]  # the shortfall before this covering
                 if s > 0:
                     spare += 1
                     if s == 1:
@@ -303,9 +313,7 @@ class CoverInstance:
                         odd += 2 - 2 * (odd_at[u] + odd_at[v])
                         odd_at[u] ^= 1
                         odd_at[v] ^= 1
-                r = room[e] - 1
-                room[e] = r
-                if r == 0:
+                if r == 1:  # this covering takes e's last room
                     for t in tris_of_edge[e]:
                         if not dead[t]:
                             dead[t] = True

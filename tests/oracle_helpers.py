@@ -304,15 +304,13 @@ def scan_solve(inst, lo: List[int], hi: List[int], k: int) -> Tuple[Optional[Lis
     slack = 3 * k - sum(lo)
     short = list(lo)  # lo[i] minus the coverage so far
     room = [min(b, a + slack) for a, b in zip(lo, hi)]  # hi[i] minus the coverage
-    if slack < 0 or 3 * k > sum(room):
-        return None, 0
     ends = inst.ends
     order = max((v for _, v in ends), default=-1) + 1
     degree = [0] * order
     for (u, v), a in zip(ends, lo):
         degree[u] += a
         degree[v] += a
-    if sum(d % 2 for d in degree) > 2 * slack:
+    if sum(d % 2 for d in degree) > 2 * slack:  # also any negative slack
         return None, 0
     tri_edges = inst.tri_edges
     tris_of_edge = inst.tris_of_edge

@@ -13,7 +13,10 @@ from tridecomp import (
     fast_reject,
     is_eulerian,
     is_maximal_outerplanar,
+    mop_construct,
+    sc3_construct,
     trace_faces,
+    verify_construction,
 )
 from tridecomp.analysis import _crossing_chords
 
@@ -283,3 +286,13 @@ def test_find_hamiltonian_cycle():
 
 def test_find_hamiltonian_cycle_has_no_depth_limit():
     assert find_hamiltonian_cycle(cycle_graph(5000)) == tuple(range(5000))
+
+
+def test_verify_fails_a_family_no_constructor_makes():
+    # The core lines stay; the family's own lines give way to one fail line.
+    # sc3 has no structure line, so its three core lines are all it gets.
+    for res, kept in ((mop_construct(6), 4), (sc3_construct(7), 3)):
+        checks = verify_construction(res)
+        assert len(checks) == kept and all(ok for ok, _ in checks)
+        assert verify_construction(res._replace(family="zzz")) == checks[:3] + [
+            (False, "no family is named 'zzz'")]

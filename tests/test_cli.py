@@ -843,6 +843,13 @@ HMP_TAIL = "ok: hamiltonian cycle found\nok: all degrees even and the graph is c
             "1 check(s) failed\n",
             id="intermediate-rounds-not-the-count",
         ),
+        # A family no constructor makes cannot be checked, so it fails.
+        pytest.param(
+            ("mop", "6"),
+            lambda env: env.update(family="zzz"),
+            CORE_OK.format(eps=0) + "fail: no family is named 'zzz'\n1 check(s) failed\n",
+            id="unknown-family",
+        ),
         # kop 5 2's outer cycle must be its outermost ring, 5..9.
         *(pytest.param(("kop", "5", "2"), tamper, CORE_OK.format(eps=2)
                        + "fail: outer cycle is not the outermost ring 5..9\n1 check(s) failed\n",

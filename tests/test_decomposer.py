@@ -277,7 +277,9 @@ def test_a_call_refused_at_the_root_reads_no_triangle():
     # Every vertex is pinned at the odd degree 3, so the parity test refuses.
     assert k4.solve(k4.base, k4.base, 2) is None
     assert (k4.steps, k4.scanned) == (0, len(k4.base))
-    assert k4.solve(k4.base, k4.base, 1) is None  # three coverings, six edges
+    # Three coverings for six edges: the slack is -3, which the parity
+    # test refuses too, since no count of odd vertices is below 0.
+    assert k4.solve(k4.base, k4.base, 1) is None
     assert (k4.steps, k4.scanned) == (0, 2 * len(k4.base))
     # Slack 1 with four odd vertices: one covering beyond lo fixes two.
     lo = [1, 1, 1, 1, 1, 3]
