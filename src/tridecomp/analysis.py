@@ -56,13 +56,13 @@ from .graph_core import (
 # One verifier line: True "ok", False "fail", None informational.
 Check = tuple[bool | None, str]
 
-_CYCLE_FAMILIES = ("mop", "fan", "intermediate", "sc2tree", "sc2seed")
-
-
 class RotationSystem(namedtuple("RotationSystem", "order rotations")):
     """Cyclic edge-end orders: rotations[v] is a tuple of (neighbor, copy).
 
-    List rows and entries are kept as tuples, so each system is one hashable value.
+    Each vertex's row passes ``_json_rows``, whether it comes from JSON or
+    from code, so a bad row gets one message either way; only the ranges,
+    loops and copy indices are checked here.  List rows and entries are
+    kept as tuples, so each system is one hashable value.
     """
 
     __slots__ = ()
@@ -81,19 +81,12 @@ class RotationSystem(namedtuple("RotationSystem", "order rotations")):
             )
         rows = []
         for v, rot in enumerate(rotations):
-            if not isinstance(rot, (list, tuple)):
-                raise DomainError(f"rotation of vertex {v} must be a list, got {_shown(rot)}")
-            for entry in rot:
-                if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-                    raise DomainError(
-                        f"rotation entries must be (neighbor, copy), got {_shown(entry)}"
-                    )
-                u, c = entry
-                if not (type(u) is int and 0 <= u < order):
+            for u, c in _json_rows(rot, 2, f"rotation of vertex {v}"):
+                if not 0 <= u < order:
                     raise DomainError(f"neighbor {_shown(u)} at vertex {v} out of range")
                 if u == v:
                     raise DomainError(f"loop at vertex {v}")
-                if not (type(c) is int and c >= 0):
+                if c < 0:
                     raise DomainError(f"copy index {_shown(c)} at vertex {v} invalid")
             rows.append(tuple((u, c) for u, c in rot))
         return tuple.__new__(cls, (order, tuple(rows)))
@@ -112,8 +105,7 @@ class RotationSystem(namedtuple("RotationSystem", "order rotations")):
         raw = data["rotations"]
         if not isinstance(raw, list):
             raise DomainError("'rotations' must be a list of per-vertex lists")
-        rotations = [_json_rows(rot, 2, f"rotation of vertex {v}") for v, rot in enumerate(raw)]
-        return cls(len(rotations), rotations)
+        return cls(len(raw), raw)
 
 
 class FaceTrace(namedtuple("FaceTrace", "faces V E F euler_characteristic genus")):
@@ -350,9 +342,11 @@ def _hmp_cycle(n: int) -> list[int] | None:
 def verify_construction(result: ConstructionResult) -> list[Check]:
     """Recheck a construction from scratch: the core checks, then its family's.
 
-    The parameters must describe the member: n is the order (residue + 3 for
-    an sc2 seed), and an intermediate member claims n mod 3 + 3r copies;
-    kop's m and k are read by its ring line.
+    One table says when the parameters describe the member: n is the order
+    (residue + 3 for an sc2 seed), an intermediate member claims
+    n mod 3 + 3r copies, and kop's k >= 1 rings of m >= 3 vertices hold
+    all m * k of them.  If they do not, one line fails after the structure
+    checks, and kop's ring line, which reads m and k, is not run.
 
     A structure field that the checks cannot use, such as an outer cycle
     that is not a permutation of the vertices, raises DomainError.  A
@@ -360,9 +354,16 @@ def verify_construction(result: ConstructionResult) -> list[Check]:
     its structure can be checked.
     """
     g, family = result.graph, result.family
+    p, n = result.parameters, g.order
+    m, k, r = p.get("m"), p.get("k"), p.get("r")
+    described = {"sc2seed": p.get("residue") == n - 3,
+                 "intermediate": p.get("n") == n and type(r) is int
+                 and n % 3 + 3 * r == result.claimed_epsilon,
+                 "kop": type(m) is int and type(k) is int and m >= 3 and k >= 1
+                 and m * k == n}.get(family, p.get("n") == n)
     checks = graph_core._answer_checks(result.graph, result.augmentation, result.certificate,
                                        result.claimed_epsilon)
-    if family in _CYCLE_FAMILIES:
+    if family in ("mop", "fan", "intermediate", "sc2tree", "sc2seed"):
         if result.outer_cycle is None:
             checks.append((False, "triangulated-cycle envelope has no outer cycle"))
         else:
@@ -385,8 +386,8 @@ def verify_construction(result: ConstructionResult) -> list[Check]:
         if cycle is None:
             checks.append((False, f"no hmp member has order {g.order}"))
         else:
-            gap = next((p for p in zip(cycle, cycle[1:] + cycle[:1])
-                        if not g.has_edge(edge(*p))), None)
+            gap = next((pair for pair in zip(cycle, cycle[1:] + cycle[:1])
+                        if not g.has_edge(edge(*pair))), None)
             checks.append(_check(gap is None, "hamiltonian cycle found",
                                  f"hamiltonian cycle edge {gap} missing"))
         checks.append(_check(is_eulerian(g), "all degrees even and the graph is connected",
@@ -409,25 +410,16 @@ def verify_construction(result: ConstructionResult) -> list[Check]:
                        "rotation system edges differ from the graph edges"),
             ]
     elif family == "kop":
-        m, k = result.parameters.get("m"), result.parameters.get("k")
-        if not (isinstance(m, int) and isinstance(k, int) and m >= 3 and k >= 1
-                and m * k == g.order):
-            checks.append((False, "layered envelope has no usable m, k parameters"))
-        else:
+        if described:
             ring = ((j * m + i, j * m + (i + 1) % m) for j in range(k) for i in range(m))
-            gap = next((p for p in ring if not g.has_edge(edge(*p))), None)
+            gap = next((pair for pair in ring if not g.has_edge(edge(*pair))), None)
             outer = tuple(range((k - 1) * m, k * m))
             checks.append(_check(gap is None and result.outer_cycle == outer,
                                  f"all {k} layer rings present",
                                  f"ring edge {gap} missing" if gap else
                                  f"outer cycle is not the outermost ring {outer[0]}..{outer[-1]}"))
-    # Every family's parameters but kop's, read above: a line only on a mismatch.
-    p, n, r = result.parameters, g.order, result.parameters.get("r")
-    described = {"sc2seed": p.get("residue") == n - 3,
-                 "intermediate": p.get("n") == n and type(r) is int
-                 and n % 3 + 3 * r == result.claimed_epsilon}.get(family, p.get("n") == n)
-    if family not in _CYCLE_FAMILIES + ("hmp", "kop", "sc3", "sf"):
-        checks.append((False, f"no family is named {_shown(family)}"))
-    elif family != "kop" and not described:
+    elif family != "sc3":
+        return checks + [(False, f"no family is named {_shown(family)}")]
+    if not described:
         checks.append((False, f"parameters {_shown(p)} do not describe this {family} envelope"))
     return checks

@@ -4,9 +4,11 @@ Vertices are dense integers 0..n-1.  Edges are unordered pairs with a
 positive multiplicity; loops are forbidden.  All listings are sorted
 lexicographically so that every consumer sees a deterministic order.
 
-``_json_rows`` is the one shape check of JSON input: every reader of a
-graph, an augmentation, a triangle list, a rotation or an outer cycle
-passes its list through it, and checks only ranges and meaning itself.
+``_json_rows`` is the one shape check of rows of integers: every reader of
+a graph, an augmentation, a triangle list or an outer cycle passes its JSON
+list through it, and so does ``RotationSystem`` with each vertex's list or
+tuple of edge ends, whether read from JSON or built in code; each checks
+only ranges and meaning itself.
 Its messages, and every other reader's, show an input value through
 ``_shown``, so a bad container is not printed back whole.  ``_check_int``
 is the one integer check of an order or a count passed in by a caller, and
@@ -102,14 +104,16 @@ def _shown(value) -> str:
     return text if len(text) <= 80 else text[:80] + "..."
 
 
-def _json_rows(value, width: int | None, name: str) -> list:
-    """value if it is a JSON list of rows of width integers, else DomainError.
+def _json_rows(value, width: int | None, name: str) -> list | tuple:
+    """value if it is a list or tuple of rows of width integers, else DomainError.
 
-    width None asks for a flat list of integers instead.  type() rather
-    than isinstance(): JSON booleans are not integers.  Plain loops, since
-    they beat whole-list passes through map() and set() here.
+    Each row too may be a list or a tuple: JSON gives lists, and a caller
+    in code, such as ``RotationSystem``, may give tuples.  width None asks
+    for a flat list of integers instead.  type() rather than isinstance():
+    JSON booleans are not integers.  Plain loops, since they beat
+    whole-list passes through map() and set() here.
     """
-    if type(value) is not list:
+    if type(value) is not list and type(value) is not tuple:
         raise DomainError(f"{name}: expected a list, got {_shown(value)}")
     if width is None:
         for x in value:
@@ -117,7 +121,7 @@ def _json_rows(value, width: int | None, name: str) -> list:
                 raise DomainError(f"{name}: expected integers, got {_shown(x)}")
         return value
     for row in value:
-        if type(row) is list and len(row) == width:
+        if (type(row) is list or type(row) is tuple) and len(row) == width:
             for x in row:
                 if type(x) is not int:
                     break

@@ -785,25 +785,29 @@ HMP_TAIL = "ok: hamiltonian cycle found\nok: all degrees even and the graph is c
             "3 check(s) failed\n",
             id="kop-ring-edge-missing",
         ),
+        # kop's m and k follow every family's parameter rule; when they do
+        # not describe the envelope, the ring line that reads them is not run.
         pytest.param(
             ("kop", "3", "2"),
             lambda env: env.update(parameters={"m": 10**12, "k": 10**12}),
             CORE_OK.format(eps=0)
-            + "fail: layered envelope has no usable m, k parameters\n1 check(s) failed\n",
+            + "fail: parameters {'m': 1000000000000, 'k': 1000000000000} do not describe"
+            " this kop envelope\n1 check(s) failed\n",
             id="kop-huge-parameters",
         ),
         pytest.param(
             ("kop", "5", "3"),
             lambda env: env.update(parameters={"m": 5, "k": 2}),
             CORE_OK.format(eps=2)
-            + "fail: layered envelope has no usable m, k parameters\n1 check(s) failed\n",
+            + "fail: parameters {'m': 5, 'k': 2} do not describe this kop envelope\n"
+            "1 check(s) failed\n",
             id="kop-parameters-not-the-order",
         ),
         pytest.param(
             ("kop", "5", "2"),
             lambda env: env.pop("parameters"),
             CORE_OK.format(eps=2)
-            + "fail: layered envelope has no usable m, k parameters\n1 check(s) failed\n",
+            + "fail: parameters {} do not describe this kop envelope\n1 check(s) failed\n",
             id="kop-no-parameters",
         ),
         pytest.param(
@@ -1022,6 +1026,27 @@ def test_every_row_reader_refuses_the_same_bad_rows(capsys, tmp_path, reader, ba
     code, out, err = run_cli(capsys, command, write_json(tmp_path, "input.json", payload))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _as_tuples(value):
+    """value with every list in it, at any depth, made a tuple."""
+    return tuple(map(_as_tuples, value)) if isinstance(value, list) else value
+
+
+@pytest.mark.parametrize(
+    "entry", [1, "0", None, 2.5, {"u": 1}, [True, 0], [1, 0.0], [1], [1, 0, 0]],
+    ids=repr,
+)
+def test_a_bad_rotation_row_gets_one_message_from_code_and_from_json(capsys, tmp_path, entry):
+    # Vertex 0 of K3 lists entry in place of its end of edge {0, 1}.
+    rows = [[entry, [2, 0]], [[2, 0], [0, 0]], [[0, 0], [1, 0]]]
+    message = "rotation of vertex 0: expected lists of 2 integers, got {!r}"
+    for given, shown in ((rows, entry), (_as_tuples(rows), _as_tuples(entry))):
+        with pytest.raises(graph_core.DomainError) as caught:
+            analysis.RotationSystem(3, given)
+        assert str(caught.value) == message.format(shown)
+    path = write_json(tmp_path, "rotation.json", {"rotations": rows})
+    assert run_cli(capsys, "faces", path) == (1, "", f"error: {message.format(entry)}\n")
 
 
 def _edge_list(env):

@@ -109,8 +109,8 @@ def test_envelopes_round_trip_and_verify():
 def test_verify_reads_every_familys_parameters(monkeypatch):
     # The catalogue and the envelopes both sweeps recheck verify with no
     # parameter line; parameters that do not describe the member add one
-    # fail line, after the lines the member keeps.  kop's parameters are
-    # read by its ring line instead (test_cli).
+    # fail line, after the lines the member keeps.  kop's ring line, the
+    # last line it has, is read off m and k, so it gives way to that line.
     rechecked = []
     real = families.validate_construction
     monkeypatch.setattr(families, "validate_construction",
@@ -122,11 +122,13 @@ def test_verify_reads_every_familys_parameters(monkeypatch):
     for res in _catalogue() + rechecked:
         checks = verify_construction(res)
         assert all(ok is not False and "parameters" not in m for ok, m in checks), res.family
-        if res.family == "kop":
-            continue
         wrong = {k: v + 1 for k, v in res.parameters.items()}
         line = (False, f"parameters {wrong!r} do not describe this {res.family} envelope")
-        assert verify_construction(res._replace(parameters=wrong)) == checks + [line]
+        kept = checks
+        if res.family == "kop":
+            kept, ring = checks[:-1], checks[-1]
+            assert ring == (True, f"all {res.parameters['k']} layer rings present")
+        assert verify_construction(res._replace(parameters=wrong)) == kept + [line]
 
 
 def test_mop_construct_all_small_orders():

@@ -205,14 +205,17 @@ def test_record_validation_messages():
     _raises("triangle vertices must satisfy 0 <= a < b < c, got (-1, 0, 1)", Triangle, -1, 0, 1)
     _raises("order must be >= 0, got -1", RotationSystem, -1, ())
     _raises("expected 3 rotation lists, got 2", RotationSystem, 3, K3_ROTATIONS[:2])
-    _raises("rotation entries must be (neighbor, copy), got [1, 0, 0]",
+    # A row's shape is _json_rows's to check, as for a row read from JSON.
+    _raises("rotation of vertex 0: expected lists of 2 integers, got [1, 0, 0]",
             RotationSystem, 2, (([1, 0, 0],), ((0, 0),)))
-    _raises("rotation entries must be (neighbor, copy), got (1,)",
+    _raises("rotation of vertex 0: expected lists of 2 integers, got (1,)",
             RotationSystem, 2, (((1,),), ((0, 0),)))
-    _raises("rotation entries must be (neighbor, copy), got 1", RotationSystem, 2, ((1,), ()))
+    _raises("rotation of vertex 0: expected lists of 2 integers, got 1",
+            RotationSystem, 2, ((1,), ()))
     _raises("neighbor 5 at vertex 0 out of range", RotationSystem, 2, (((5, 0),), ()))
-    _raises("neighbor True at vertex 0 out of range", RotationSystem, 2, (((True, 0),), ()))
+    _raises("rotation of vertex 0: expected lists of 2 integers, got (True, 0)",
+            RotationSystem, 2, (((True, 0),), ()))
     _raises("loop at vertex 1", RotationSystem, 2, ((), ((1, 0),)))
     _raises("copy index -1 at vertex 0 invalid", RotationSystem, 2, (((1, -1),), ()))
     _raises("rotations must be a list of per-vertex lists, got 5", RotationSystem, 3, 5)
-    _raises("rotation of vertex 0 must be a list, got None", RotationSystem, 2, [None, None])
+    _raises("rotation of vertex 0: expected a list, got None", RotationSystem, 2, [None, None])
