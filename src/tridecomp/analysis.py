@@ -7,10 +7,12 @@ ConstructionResult.to_json_dict writes the JSON that ``construct`` prints
 and from_json_dict reads it back.  verify_construction rechecks a result
 from scratch as an ordered list of (ok, message) lines: first the count,
 residue and coverage lines of ``graph_core._answer_checks``, then the
-structure checks of its family, then a fail line if its parameters do not
-describe it.  It is the package's one envelope checker:
-``verify`` prints its lines, and ``families.validate_construction`` raises
-its first failure before ``construct`` or either sweep prints.
+structure checks of its family, then a fail line if its parameters or its
+count break its family's rule.  Each rule but sf's fixes the count at the
+least its graph can take, so no family's count is stated or proved
+elsewhere.  It is the package's one envelope checker: ``verify`` prints
+its lines, and ``families.validate_construction`` raises its first
+failure before ``construct`` or either sweep prints.
 
 The structural predicates are is_eulerian (every degree even, one edge
 component) and is_maximal_outerplanar, the package's one chord-set check.
@@ -103,9 +105,7 @@ class RotationSystem(namedtuple("RotationSystem", "order rotations")):
         if not isinstance(data, dict) or "rotations" not in data:
             raise DomainError("rotation JSON must have a 'rotations' field")
         raw = data["rotations"]
-        if not isinstance(raw, list):
-            raise DomainError("'rotations' must be a list of per-vertex lists")
-        return cls(len(raw), raw)
+        return cls(len(raw) if type(raw) is list else 0, raw)
 
 
 class FaceTrace(namedtuple("FaceTrace", "faces V E F euler_characteristic genus")):
@@ -342,27 +342,42 @@ def _hmp_cycle(n: int) -> list[int] | None:
 def verify_construction(result: ConstructionResult) -> list[Check]:
     """Recheck a construction from scratch: the core checks, then its family's.
 
-    One table says when the parameters describe the member: n is the order
-    (residue + 3 for an sc2 seed), an intermediate member claims
-    n mod 3 + 3r copies, and kop's k >= 1 rings of m >= 3 vertices hold
-    all m * k of them.  If they do not, one line fails after the structure
-    checks, and kop's ring line, which reads m and k, is not run.
+    One table holds each family's rule, its parameters beside its count:
+    n is the order (residue + 3 for an sc2 seed), and kop's k >= 1 rings
+    of m >= 3 vertices hold all m * k of them.  The count is the least the
+    graph can take: the residue itself for mop, kop, hmp and the sc2
+    families, as the residue line shows; for a fan, the packing bound of
+    its path edges (i, i + 1), 1 <= i <= n - 2, which no triangle pairs;
+    for sc3, 3 on exactly its simple graph, whose size is 0 mod 3 and whose
+    vertex 0 has odd degree 3.  An intermediate member claims n mod 3 + 3r,
+    and sf, whose drawn additions are not least, has no count rule.  Only
+    the family's own rule runs.  If it fails, one line fails after the
+    structure checks; kop's ring line, which reads m and k, runs only when
+    they describe the order.
 
     A structure field that the checks cannot use, such as an outer cycle
     that is not a permutation of the vertices, raises DomainError.  A
     family that no constructor makes gets one failing line, since none of
     its structure can be checked.
     """
-    g, family = result.graph, result.family
+    g, family, count = result.graph, result.family, result.claimed_epsilon
     p, n = result.parameters, g.order
     m, k, r = p.get("m"), p.get("k"), p.get("r")
-    described = {"sc2seed": p.get("residue") == n - 3,
-                 "intermediate": p.get("n") == n and type(r) is int
-                 and n % 3 + 3 * r == result.claimed_epsilon,
-                 "kop": type(m) is int and type(k) is int and m >= 3 and k >= 1
-                 and m * k == n}.get(family, p.get("n") == n)
-    checks = graph_core._answer_checks(result.graph, result.augmentation, result.certificate,
-                                       result.claimed_epsilon)
+    rings = type(m) is int and type(k) is int and m >= 3 and k >= 1 and m * k == n
+    described = {
+        "sc2seed": lambda: p.get("residue") == n - 3 and count == count % 3,
+        "kop": lambda: rings and count == count % 3,
+        "intermediate": lambda: p.get("n") == n and type(r) is int and n % 3 + 3 * r == count,
+        "fan": lambda: p.get("n") == n and count == graph_core._packing_bound(
+            g, [edge(i, i + 1) for i in range(1, n - 1)]),
+        # sc3's graph: K4 on 0..3, the chain 3..n-1, and hubs 1 and 2 on the chain from 4.
+        "sc3": lambda: p.get("n") == n and count == 3 and g.is_simple() and set(g.edges()) == (
+            {edge(a, b) for b in range(4) for a in range(b)}
+            | {edge(a, a + 1) for a in range(3, n - 1)}
+            | {edge(h, v) for h in (1, 2) for v in range(4, n)}),
+        "sf": lambda: p.get("n") == n,
+    }.get(family, lambda: p.get("n") == n and count == count % 3)()
+    checks = graph_core._answer_checks(g, result.augmentation, result.certificate, count)
     if family in ("mop", "fan", "intermediate", "sc2tree", "sc2seed"):
         if result.outer_cycle is None:
             checks.append((False, "triangulated-cycle envelope has no outer cycle"))
@@ -410,7 +425,7 @@ def verify_construction(result: ConstructionResult) -> list[Check]:
                        "rotation system edges differ from the graph edges"),
             ]
     elif family == "kop":
-        if described:
+        if rings:
             ring = ((j * m + i, j * m + (i + 1) % m) for j in range(k) for i in range(m))
             gap = next((pair for pair in ring if not g.has_edge(edge(*pair))), None)
             outer = tuple(range((k - 1) * m, k * m))

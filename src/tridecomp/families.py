@@ -28,10 +28,12 @@ system.  Every constructor runs in time linear in its output.
 
 validate_construction runs verify's whole checker,
 ``analysis.verify_construction``, before ``construct`` prints, so it guards
-``_member`` too: the count, residue and coverage, and the structure of the
-family.  A failure there, or a structure field that checker cannot read, is
-a constructor bug: InvariantViolation, exit 2.  The envelope format, the
-structure checks and the rotation systems of the toroidal fixtures live in
+``_member`` too: the count, residue and coverage, the structure of the
+family, and the family's rule, which fixes every count but sf's at the
+least the graph can take.  A failure there, or a structure field that
+checker cannot read, is a constructor bug: InvariantViolation, exit 2.  The
+envelope format, the structure checks, each family's count rule and its
+proof, and the rotation systems of the toroidal fixtures live in
 ``analysis``.
 
 The class extremes over triangulated cycles, which only ``sweep`` runs,
@@ -39,9 +41,10 @@ live beside the constructors they recheck.  enumerate_mops lists every
 triangulation of the n-cycle as its sorted EdgeKey chords, charged against
 STEP_LIMIT; epsilon_class_exact asks each in turn one cover question, at
 n mod 3 added copies, the paper's first criterion; xi_class_exact searches
-nothing and checks the proof of n - 3 on fan(n).  Both return a witness
-only once validate_construction accepts it as an envelope on the outer
-cycle 0..n-1: fan(n) itself, or the cycle plus the chords as a "mop".
+nothing and returns fan(n), whose count of n - 3 the checker proves.  Both
+return a witness only once validate_construction accepts it as an envelope
+on the outer cycle 0..n-1: fan(n) itself, or the cycle plus the chords as
+a "mop".
 """
 
 from __future__ import annotations
@@ -65,7 +68,6 @@ from .graph_core import (
     Triangle,
     _check_int,
     _check_order,
-    _packing_bound,
     _recheck,
     _step_limit,
     triangle,
@@ -464,15 +466,14 @@ def xi_class_exact(n: int) -> tuple[int, tuple[EdgeKey, ...]]:
     bound: a member with its n - 3 chords doubled decomposes into its n - 2
     faces.  Lower bound: no face of the fan holds two of its path edges
     (i, i + 1), 1 <= i <= n - 2, so its decompositions take n - 2
-    triangles and add 3(n - 2) - (2n - 3) = n - 3 copies.  Both halves are
-    checked on fan(n), which ``construct fan n`` prints, through
-    validate_construction, its count and _packing_bound; a failure is a bug.
+    triangles and add 3(n - 2) - (2n - 3) = n - 3 copies.  This returns
+    fan(n), which ``construct fan n`` prints, once validate_construction
+    accepts it: verify's checker proves both halves, since its fan rule
+    asks for the least count that the path-edge packing gives.  The one
+    check here ties that count to n - 3; a failure is a bug.
     """
     member = fan(n)
     validate_construction(member)
     if member.claimed_epsilon != n - 3:
         raise InvariantViolation(f"the fan claims {member.claimed_epsilon} copies, not {n - 3}")
-    bound = _packing_bound(member.graph, [EdgeKey(i, i + 1) for i in range(1, n - 1)])
-    if bound != n - 3:
-        raise InvariantViolation(f"the fan's path edges bound its count by {bound}, not {n - 3}")
     return n - 3, member.augmentation.additions

@@ -582,17 +582,19 @@ def test_class_sweeps_hold_one_solver_instance_at_a_time(monkeypatch):
 
 
 def test_class_maximum_refuses_a_fan_bound_short_of_its_count(monkeypatch, capsys):
-    # The proof's lower bound is checked on the fan; one that falls short is a bug.
+    # verify's fan rule checks the proof's lower bound; one that falls short
+    # of the count fails its parameter line, and in a sweep that is a bug.
     from tridecomp import cli
 
-    monkeypatch.setattr(families, "_packing_bound", lambda g, edges: g.order - 4)
+    monkeypatch.setattr(graph_core, "_packing_bound", lambda g, edges: g.order - 4)
+    line = "parameters {'n': 6} do not describe this fan envelope"
     with pytest.raises(InvariantViolation) as refused:
         xi_class_exact(6)
-    assert str(refused.value) == "the fan's path edges bound its count by 2, not 3"
+    assert str(refused.value) == line
     assert cli.main(["sweep", "xi", "6"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "internal error: the fan's path edges bound its count by 2, not 3\n"
+    assert err == f"internal error: {line}\n"
 
 
 def test_class_maximum_is_the_fan_family_envelope(monkeypatch):

@@ -101,7 +101,9 @@ def test_envelopes_round_trip_and_verify():
         assert back == res
         checks = verify_construction(back)
         assert all(ok is not False for ok, _ in checks), (res.family, checks)
-        assert len(checks) > 3 or res.family == "sc3"  # sc3 has no structure checks
+        # sc3's rule, its graph and count, prints no line; every other family
+        # adds structure lines.
+        assert len(checks) > 3 or res.family == "sc3"
         if res.family == "sf":
             assert (None, "genus: 1") in checks
 
@@ -129,6 +131,39 @@ def test_verify_reads_every_familys_parameters(monkeypatch):
             kept, ring = checks[:-1], checks[-1]
             assert ring == (True, f"all {res.parameters['k']} layer rings present")
         assert verify_construction(res._replace(parameters=wrong)) == kept + [line]
+
+
+def test_verify_refuses_a_count_above_the_familys_least():
+    # Every family's rule but sf's fixes its count at the proven least.  One
+    # more copy of the first certificate triangle, its three edges added as
+    # copies, keeps every other line but breaks that rule.
+    for res in _catalogue():
+        if res.family == "sf":  # its drawn additions are not claimed least
+            continue
+        first = res.certificate.triangles[0]
+        padded = res._replace(
+            augmentation=Augmentation(res.augmentation.additions + first.edges()),
+            certificate=Decomposition(res.certificate.triangles + (first,)),
+            claimed_epsilon=res.claimed_epsilon + 3)
+        line = (False, f"parameters {res.parameters!r} do not describe this {res.family} envelope")
+        checks = verify_construction(padded)
+        assert checks[0] == (True, f"augmentation lists {res.claimed_epsilon + 3} added copies")
+        assert checks[1:] == verify_construction(res)[1:] + [line], res.family
+
+
+def test_verify_refuses_a_member_under_another_familys_name():
+    # The fan's 3 copies at order 6 are no residue, and its graph is not
+    # sc3's; no other family's member is sc3's graph with its 3 copies.
+    six = fan(6)
+    for family in ("mop", "sc3", "sc2tree"):
+        line = (False, f"parameters {{'n': 6}} do not describe this {family} envelope")
+        assert verify_construction(six._replace(family=family))[-1] == line
+    others = [res for res in _catalogue() if res.family != "sc3"]
+    assert len(others) == 11
+    for res in others:
+        n = res.graph.order
+        checks = verify_construction(res._replace(family="sc3", parameters={"n": n}))
+        assert checks[-1] == (False, f"parameters {{'n': {n}}} do not describe this sc3 envelope")
 
 
 def test_mop_construct_all_small_orders():

@@ -218,4 +218,6 @@ def test_record_validation_messages():
     _raises("loop at vertex 1", RotationSystem, 2, ((), ((1, 0),)))
     _raises("copy index -1 at vertex 0 invalid", RotationSystem, 2, (((1, -1),), ()))
     _raises("rotations must be a list of per-vertex lists, got 5", RotationSystem, 3, 5)
+    _raises("rotations must be a list of per-vertex lists, got 5",
+            RotationSystem.from_json_dict, {"rotations": 5})
     _raises("rotation of vertex 0: expected a list, got None", RotationSystem, 2, [None, None])
