@@ -35,7 +35,6 @@ _EXPORTS = {
     "kop_construct": "families",
     "mop_construct": "families",
     "sc2_tree_construct": "families",
-    "sc2_tree_seed": "families",
     "sc3_construct": "families",
     "sf_fixture": "families",
     "validate_construction": "families",

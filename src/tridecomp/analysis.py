@@ -343,17 +343,16 @@ def verify_construction(result: ConstructionResult) -> list[Check]:
     """Recheck a construction from scratch: the core checks, then its family's.
 
     One table holds each family's rule, its parameters beside its count:
-    n is the order (residue + 3 for an sc2 seed), and kop's k >= 1 rings
-    of m >= 3 vertices hold all m * k of them.  The count is the least the
-    graph can take: the residue itself for mop, kop, hmp and the sc2
-    families, as the residue line shows; for a fan, the packing bound of
-    its path edges (i, i + 1), 1 <= i <= n - 2, which no triangle pairs;
-    for sc3, 3 on exactly its simple graph, whose size is 0 mod 3 and whose
-    vertex 0 has odd degree 3.  An intermediate member claims n mod 3 + 3r,
-    and sf, whose drawn additions are not least, has no count rule.  Only
-    the family's own rule runs.  If it fails, one line fails after the
-    structure checks; kop's ring line, which reads m and k, runs only when
-    they describe the order.
+    n is the order, and kop's k >= 1 rings of m >= 3 vertices hold all
+    m * k of them.  The count is the least the graph can take: the residue
+    itself for mop, kop, hmp and sc2tree, as the residue line shows; for a
+    fan, the packing bound of its path edges (i, i + 1), 1 <= i <= n - 2,
+    which no triangle pairs; for sc3, 3 on exactly its simple graph, whose
+    size is 0 mod 3 and whose vertex 0 has odd degree 3.  An intermediate
+    member claims n mod 3 + 3r, and sf, whose drawn additions are not
+    least, has no count rule.  Only the family's own rule runs.  If it
+    fails, one line fails after the structure checks; kop's ring line,
+    which reads m and k, runs only when they describe the order.
 
     A structure field that the checks cannot use, such as an outer cycle
     that is not a permutation of the vertices, raises DomainError.  A
@@ -365,7 +364,6 @@ def verify_construction(result: ConstructionResult) -> list[Check]:
     m, k, r = p.get("m"), p.get("k"), p.get("r")
     rings = type(m) is int and type(k) is int and m >= 3 and k >= 1 and m * k == n
     described = {
-        "sc2seed": lambda: p.get("residue") == n - 3 and count == count % 3,
         "kop": lambda: rings and count == count % 3,
         "intermediate": lambda: p.get("n") == n and type(r) is int and n % 3 + 3 * r == count,
         "fan": lambda: p.get("n") == n and count == graph_core._packing_bound(
@@ -378,7 +376,7 @@ def verify_construction(result: ConstructionResult) -> list[Check]:
         "sf": lambda: p.get("n") == n,
     }.get(family, lambda: p.get("n") == n and count == count % 3)()
     checks = graph_core._answer_checks(g, result.augmentation, result.certificate, count)
-    if family in ("mop", "fan", "intermediate", "sc2tree", "sc2seed"):
+    if family in ("mop", "fan", "intermediate", "sc2tree"):
         if result.outer_cycle is None:
             checks.append((False, "triangulated-cycle envelope has no outer cycle"))
         else:

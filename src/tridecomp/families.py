@@ -12,19 +12,20 @@ member is a simple graph plus parallel copies of its edges.  Each parameter
 is checked by ``_check_int``, which refuses a non-integer or a value below
 its least with DomainError.
 
-One builder makes every triangulated cycle: f doubled chords fanned at the
-first vertex, and the economical triangulation of the polygon left over,
-which splits off polygon ears in rounds and recurses on the inner polygon.
-The economical triangulation (mop) is f = 0, the fan is f = n - 3, the
-intermediate family is f = 3r, and the sc2 seeds are f = 0 on a relabelled
-cycle.  Small polygons are stored as their certificates, in polygon
-positions.  The kop bands wrap that triangulation in rings of triangles.  An
-even planar triangulation (hmp) is its face list, and its certificate the
-colour class of the first face in the faces' 2-colouring.  The sc3 graphs
-are a K4 with a chain on two hubs, and one chain rule gives the certificate
-of every order from 5 on.  The sc2 2-trees are one closed-form round rule,
-and each toroidal fixture is its stored certificate beside its rotation
-system.  Every constructor runs in time linear in its output.
+One builder makes every triangulated cycle on 0..n-1: f doubled chords
+fanned at vertex 0, and the economical triangulation of the polygon left
+over, which splits off polygon ears in rounds and recurses on the inner
+polygon.  The economical triangulation (mop) is f = 0, the fan is f = n - 3
+and the intermediate family is f = 3r.  Small polygons are stored as their
+certificates, in polygon positions.  The kop bands wrap that triangulation
+in rings of triangles.  An even planar triangulation (hmp) is its face
+list, and its certificate the colour class of the first face in the faces'
+2-colouring.  The sc3 graphs are a K4 with a chain on two hubs, and one
+chain rule gives the certificate of every order from 5 on.  The sc2
+2-trees are one closed-form round rule grown from the economical
+triangulation of order 3 + n mod 3, and each toroidal fixture is its stored
+certificate beside its rotation system.  Every constructor runs in time
+linear in its output.
 
 validate_construction runs verify's whole checker,
 ``analysis.verify_construction``, before ``construct`` prints, so it guards
@@ -158,24 +159,23 @@ def _mop_fill(cyc: list[int]) -> list[Triangle]:
     return tris + _mop_fill(cyc[0 : top + 1 : 4])
 
 
-def _fanned_cycle(family: str, parameters: dict, cyc: list[int], f: int) -> ConstructionResult:
-    """The cycle cyc with f doubled chords fanned at cyc[0], the rest economical.
+def _fanned_cycle(family: str, parameters: dict, n: int, f: int) -> ConstructionResult:
+    """The n-cycle 0..n-1 with f doubled chords fanned at 0, the rest economical.
 
-    The triangles (cyc[0], cyc[i], cyc[i+1]) for i = 1..f cover the fan
-    chords from cyc[0] to cyc[2..f+1] twice each, and _mop_fill triangulates
-    the polygon cyc[0], cyc[f+1], ..., cyc[-1].
+    The triangles (0, i, i + 1) for i = 1..f cover the fan chords from 0 to
+    2..f+1 twice each, and _mop_fill triangulates the polygon 0, f + 1, ...,
+    n - 1.
     """
-    hub = cyc[0]
-    tris = _mop_fill([hub, *cyc[f + 1 :]])
-    tris += [triangle(hub, u, v) for u, v in zip(cyc[1 : f + 1], cyc[2 : f + 2])]
-    return _member(family, parameters, len(cyc), tris, outer_cycle=tuple(cyc))
+    tris = _mop_fill([0, *range(f + 1, n)])
+    tris += [triangle(0, i, i + 1) for i in range(1, f + 1)]
+    return _member(family, parameters, n, tris, outer_cycle=tuple(range(n)))
 
 
 def mop_construct(n: int) -> ConstructionResult:
     """A triangulated n-cycle whose augmentation count is n mod 3."""
     _check_int(n, least=3)
     _check_order(n)
-    return _fanned_cycle("mop", {"n": n}, list(range(n)), 0)
+    return _fanned_cycle("mop", {"n": n}, n, 0)
 
 
 def fan(n: int) -> ConstructionResult:
@@ -186,7 +186,7 @@ def fan(n: int) -> ConstructionResult:
     """
     _check_int(n, least=3)
     _check_order(n)
-    return _fanned_cycle("fan", {"n": n}, list(range(n)), n - 3)
+    return _fanned_cycle("fan", {"n": n}, n, n - 3)
 
 
 def intermediate(n: int, r: int) -> ConstructionResult:
@@ -204,7 +204,7 @@ def intermediate(n: int, r: int) -> ConstructionResult:
             f"order {n} admits at most {(n - 3) // 3} fan rounds, got {r}"
         )
     _check_order(n)
-    return _fanned_cycle("intermediate", {"n": n, "r": r}, list(range(n)), 3 * r)
+    return _fanned_cycle("intermediate", {"n": n, "r": r}, n, 3 * r)
 
 
 def kop_construct(m: int, k: int) -> ConstructionResult:
@@ -264,46 +264,37 @@ def hmp_construct(n: int) -> ConstructionResult:
 
 
 def sc2_tree_construct(n: int) -> ConstructionResult:
-    """A 2-tree of order n (a multiple of 3) decomposable with no additions.
+    """A 2-tree of order n whose augmentation count is n mod 3.
 
-    Grown from the triangle (0, 1, 2) in rounds w = 3, 6, ..., n - 3: w goes
-    on the edge (0, b), w + 1 on (0, w) and w + 2 on (b, w), where b = 1 for
-    w = 3, b = 2 for w = 6 and b = w - 5 from w = 9 on.  That is the least
-    boundary edge not yet built on, since the edges at 0 are the least and
-    the fresh ones at round w are (0, w - 5) and (0, w - 2).  The
-    certificate is (0, 1, 2) and, per round, (0, w, w + 1) and (b, w, w + 2),
-    covering every edge once.  The outer cycle is 0; then the rounds with
-    w mod 6 = 3, last round first, each as w + 1, w, w + 2; then 1, 2; then
-    the rounds with w mod 6 = 0, first round first, each as w + 2, w, w + 1.
+    Grown from the seed of order s = 3 + n mod 3, the economical
+    triangulation of the cycle 0, 1, 3, ..., s - 1, 2, in rounds w = s,
+    s + 3, ..., n - 3: w goes on the edge (0, b), w + 1 on (0, w) and w + 2
+    on (b, w), where b = 1 for w = s, b = 2 for w = s + 3 and b = w - 5
+    from w = s + 6 on.  That is the least boundary edge not yet built on,
+    since the edges at 0 are the least and the fresh ones at round w are
+    (0, w - 5) and (0, w - 2).  The certificate is the seed's and, per
+    round, (0, w, w + 1) and (b, w, w + 2), which cover the round's six new
+    edges once, so the seed's n mod 3 doubled chords are the only copies.
+    The outer cycle is 0; then the rounds w = s, s + 6, ..., last round
+    first, each as w + 1, w, w + 2; then the seed's cycle from 1 to 2; then
+    the rounds w = s + 3, s + 9, ..., first round first, each as w + 2, w,
+    w + 1.
     """
-    _check_int(n)
-    if n < 3 or n % 3 != 0:
-        raise DomainError(f"order must be a positive multiple of 3, got {n}")
+    _check_int(n, least=3)
     _check_order(n)
-    cert = [triangle(0, 1, 2)]
-    for w in range(3, n, 3):
-        b = w - 5 if w > 6 else w // 3
+    s = 3 + n % 3
+    seed = [0, 1, *range(3, s), 2]
+    cert = _mop_fill(seed)
+    for w in range(s, n, 3):
+        b = w - 5 if w > s + 3 else (w - s) // 3 + 1
         cert += [triangle(0, w, w + 1), triangle(b, w, w + 2)]
     outer = [0]
-    for w in reversed(range(3, n, 6)):
+    for w in reversed(range(s, n, 6)):
         outer += [w + 1, w, w + 2]
-    outer += [1, 2]
-    for w in range(6, n, 6):
+    outer += seed[1:]
+    for w in range(s + 3, n, 6):
         outer += [w + 2, w, w + 1]
     return _member("sc2tree", {"n": n}, n, cert, outer_cycle=tuple(outer))
-
-
-# Outer cycles of the sc2 seeds: each seed is the stored base triangulation
-# of its order laid along its cycle.
-_SC2_SEEDS = {1: [0, 1, 3, 2], 2: [0, 1, 3, 4, 2]}
-
-
-def sc2_tree_seed(residue: int) -> ConstructionResult:
-    """Smallest 2-trees of order 1 or 2 mod 3 with their minimum additions."""
-    _check_int(residue, "seed residue")
-    if residue not in _SC2_SEEDS:
-        raise DomainError(f"seed residue must be 1 or 2, got {residue}")
-    return _fanned_cycle("sc2seed", {"residue": residue}, _SC2_SEEDS[residue], 0)
 
 
 def sc3_construct(n: int) -> ConstructionResult:

@@ -4,7 +4,8 @@ Deliberately naive: triangles come from a triple loop, the cover search
 always branches on the first uncovered edge with no ordering heuristics or
 parity shortcuts, and the minimum-additions search tries every total from
 zero upward with no residue stepping.  milp_epsilon answers the same
-question as an integer program through scipy, which only the tests need.
+question as an integer program through scipy, which only the tests need,
+and milp_delta the divisibility minimum beside it.
 oracle_parity_bound is the least count that degree parity and the
 divisibility residue allow, by a breadth-first search over vertex parities.
 The outerplanarity test compares every pair of chords, and the 2-tree
@@ -157,6 +158,38 @@ def milp_epsilon(g: Multigraph, cap: Optional[int] = None) -> Optional[int]:
     return 3 * round(res.fun) - g.size()
 
 
+def milp_delta(g: Multigraph) -> int:
+    """Least added copies on present edges that make g divisible, by integer programming.
+
+    Divisible means every degree even and the size 0 mod 3.  Minimises
+    sum x_e over integers x_e >= 0 subject to deg(v) + sum of x_e over the
+    edges e at v = 2 y_v for every vertex v and size + sum x_e = 3 z, with
+    y and z free integers.  delta <= epsilon, as every decomposable graph
+    is divisible.
+    """
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    edges, n = g.edges(), g.order
+    # Columns: x_e for each edge, then y_v for each vertex, then z.
+    a = np.zeros((n + 1, len(edges) + n + 1))
+    for j, e in enumerate(edges):
+        a[e.u, j] = a[e.v, j] = a[n, j] = 1
+    for v in range(n):
+        a[v, len(edges) + v] = -2
+    a[n, -1] = -3
+    rhs = -np.array([*degree_sequence(g), g.size()], dtype=float)
+    res = milp(
+        c=np.concatenate([np.ones(len(edges)), np.zeros(n + 1)]),
+        constraints=LinearConstraint(a, rhs, rhs),
+        integrality=np.ones(len(edges) + n + 1),
+        bounds=Bounds(np.concatenate([np.zeros(len(edges)), np.full(n + 1, -np.inf)]), np.inf),
+    )
+    if not res.success:
+        raise RuntimeError(f"milp failed: {res.message}")
+    return round(res.fun)
+
+
 def oracle_parity_bound(g: Multigraph) -> Tuple[int, int, int]:
     """(parity_bound, residue, combined): lower bounds on the added copies.
 
@@ -247,46 +280,57 @@ def oracle_is_maximal_outerplanar(g: Multigraph, outer: Sequence[int]) -> Option
     return not any(oracle_chords_cross(p, q) for p, q in itertools.combinations(chords, 2))
 
 
+# Each residue's seed: its boundary cycle and the triangles that certify it.
+ORACLE_SC2_SEEDS = [
+    ([0, 1, 2], [(0, 1, 2)]),
+    ([0, 1, 3, 2], [(0, 1, 3), (0, 2, 3)]),
+    ([0, 1, 3, 4, 2], [(0, 1, 3), (0, 2, 3), (2, 3, 4)]),
+]
+
+
 def oracle_sc2_tree_envelopes(limit: int):
-    """(n, envelope of construct sc2tree n) for n = 3, 6, ... up to limit.
+    """(n, envelope of construct sc2tree n) for every n from 3 up to limit.
 
-    One growth serves every order, since order n + 3 is order n plus one
-    round.  Each round puts a new vertex w over the least boundary edge
-    (a, b) not yet used, then x over (a, w) and y over (w, b), inserting
-    each new vertex into the boundary list next to the pair it splits.
+    One growth per residue r serves its orders, since order n + 3 is order
+    n plus one round: it starts from the seed of order 3 + r, whose r
+    doubled chords are its additions.  Each round puts a new vertex w over
+    the least boundary edge (a, b) not yet used, then x over (a, w) and y
+    over (w, b), inserting each new vertex into the boundary list next to
+    the pair it splits.
     """
-    pairs = [(0, 1), (1, 2), (0, 2)]
-    cert = [(0, 1, 2)]
-    boundary = [0, 1, 2]
-    used = set()
-
-    def insert_between(u, v, w):
+    def insert_between(boundary, u, v, w):
         for i in range(len(boundary)):
             if {boundary[i], boundary[(i + 1) % len(boundary)]} == {u, v}:
                 boundary.insert(i + 1, w)
                 return
         raise AssertionError(f"{u} and {v} are not adjacent on the boundary")
 
-    for n in range(3, limit + 1, 3):
-        yield n, {
-            "family": "sc2tree",
-            "parameters": {"n": n},
-            "epsilon": 0,
-            "graph": Multigraph.from_edges(n, pairs).to_json_dict(),
-            "augmentation": [],
-            "certificate": {"triangles": [list(t) for t in sorted(cert)]},
-            "outer_cycle": list(boundary),
-        }
-        w, x, y = n, n + 1, n + 2
-        size = len(boundary)
-        a, b = min(e for e in (tuple(sorted((boundary[i], boundary[(i + 1) % size])))
-                               for i in range(size)) if e not in used)
-        pairs += [(a, w), (b, w), (a, x), (w, x), (b, y), (w, y)]
-        cert += [tuple(sorted((a, w, x))), tuple(sorted((b, w, y)))]
-        used.update({(a, b), (a, w), (b, w)})
-        insert_between(a, b, w)
-        insert_between(a, w, x)
-        insert_between(w, b, y)
+    for boundary, cert in ORACLE_SC2_SEEDS:
+        boundary, cert = list(boundary), list(cert)
+        covered = [edge(*p) for t in cert for p in itertools.combinations(t, 2)]
+        pairs = sorted(set(covered))
+        doubled = sorted(e for e in pairs if covered.count(e) == 2)
+        used = set()
+        for n in range(len(boundary), limit + 1, 3):
+            yield n, {
+                "family": "sc2tree",
+                "parameters": {"n": n},
+                "epsilon": len(doubled),
+                "graph": Multigraph.from_edges(n, pairs).to_json_dict(),
+                "augmentation": [list(e) for e in doubled],
+                "certificate": {"triangles": [list(t) for t in sorted(cert)]},
+                "outer_cycle": list(boundary),
+            }
+            w, x, y = n, n + 1, n + 2
+            size = len(boundary)
+            a, b = min(e for e in (tuple(sorted((boundary[i], boundary[(i + 1) % size])))
+                                   for i in range(size)) if e not in used)
+            pairs += [(a, w), (b, w), (a, x), (w, x), (b, y), (w, y)]
+            cert += [tuple(sorted((a, w, x))), tuple(sorted((b, w, y)))]
+            used.update({(a, b), (a, w), (b, w)})
+            insert_between(boundary, a, b, w)
+            insert_between(boundary, a, w, x)
+            insert_between(boundary, w, b, y)
 
 
 def scan_solve(inst, lo: List[int], hi: List[int], k: int) -> Tuple[Optional[List[int]], int]:

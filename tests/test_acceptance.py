@@ -25,7 +25,6 @@ from tridecomp import (
     kop_construct,
     mop_construct,
     sc2_tree_construct,
-    sc2_tree_seed,
     sc3_construct,
     sf_fixture,
     trace_faces,
@@ -189,10 +188,10 @@ def test_criterion_9_every_construction_self_validates():
     catalog.extend(kop_construct(m, k) for m, k in [(3, 2), (5, 2), (6, 2), (6, 3), (7, 2)])
     catalog.extend(hmp_construct(n) for n in [6, 8, 9, 10, 11, 12, 13])
     catalog.extend(sc2_tree_construct(n) for n in [3, 6, 9, 12, 15, 18])
-    catalog.extend(sc2_tree_seed(r) for r in (1, 2))
+    catalog.extend(sc2_tree_construct(n) for n in (4, 5))
     catalog.extend(sc3_construct(n) for n in range(4, 10))
     catalog.extend(sf_fixture(n) for n in (7, 8, 9))
-    mop_like = {"mop", "fan", "intermediate", "sc2tree", "sc2seed"}
+    mop_like = {"mop", "fan", "intermediate", "sc2tree"}
     checked_mops = 0
     for res in catalog:
         validate_construction(res)

@@ -40,6 +40,7 @@ from oracle_helpers import (
     every_edge_on_triangle_masks,
     fort_hedlund,
     graph_from_mask,
+    milp_delta,
     milp_epsilon,
     oracle_epsilon,
     oracle_parity_bound,
@@ -552,6 +553,21 @@ def test_class_sweeps_match_the_integer_program():
         # the witness is the first graph in chord-set order at the extremal value
         assert epsilon_class_exact(n) == (min(least), codes[least.index(min(least))])
         assert xi_class_exact(n) == (max(most), codes[most.index(max(most))])
+
+
+def test_divisibility_minimum_beside_epsilon():
+    # delta, the least copies on present edges that make every degree even
+    # and the size 0 mod 3, agrees with the parity search on small fans; it
+    # is epsilon on the 2-trees, and the fan's epsilon runs ahead of it by a
+    # multiple of 3 that grows with the order.
+    pytest.importorskip("scipy")
+    for n in range(4, 13):
+        assert milp_delta(fan(n).graph) == oracle_parity_bound(fan(n).graph)[2], n
+    for n in range(3, 41):
+        g = sc2_tree_construct(n).graph
+        assert epsilon_exact(g)[0] == milp_delta(g) == n % 3, n
+    gaps = {n: epsilon_exact(fan(n).graph)[0] - milp_delta(fan(n).graph) for n in range(4, 21)}
+    assert gaps == {n: 0 if n <= 8 else 3 if n <= 14 else 6 for n in range(4, 21)}
 
 
 def test_class_sweeps_hold_one_solver_instance_at_a_time(monkeypatch):

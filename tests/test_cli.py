@@ -256,6 +256,7 @@ def test_order_above_ceiling_exit_code(capsys, tmp_path):
         ("construct", "fan", str(10**12)),
         ("construct", "kop", str(10**6), str(10**6)),
         ("construct", "sc2tree", "999999999999"),
+        ("construct", "sc2tree", "100001"),
     ):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
@@ -879,16 +880,19 @@ def test_verify_structure_check_failure_lines(capsys, tmp_path, argv, tamper, ex
 
 @pytest.mark.parametrize("residue", [1, 2])
 def test_verify_reads_the_residue_of_an_sc2_seed(capsys, tmp_path, residue):
-    # The seeds have no construct command; their envelopes come from the library.
-    env = families.sc2_tree_seed(residue).to_json_dict()
-    path = write_json(tmp_path, "seed.json", env)
-    code, out, _ = run_cli(capsys, "verify", path)
+    # The seed of residue r is sc2tree's member of order 3 + r.
+    n = 3 + residue
+    code, out, _ = run_cli(capsys, "construct", "sc2tree", str(n))
+    assert code == 0
+    env = json.loads(out)
+    assert env["epsilon"] == residue
+    code, out, _ = run_cli(capsys, "verify", write_json(tmp_path, "seed.json", env))
     assert (code, "fail:" in out) == (0, False)
-    env["parameters"] = {"residue": 3 - residue}
+    env["parameters"] = {"n": n - 1}
     code, out, _ = run_cli(capsys, "verify", write_json(tmp_path, "seed.json", env))
     assert code == 1
-    assert out.endswith(f"fail: parameters {{'residue': {3 - residue}}} do not describe"
-                        " this sc2seed envelope\n1 check(s) failed\n")
+    assert out.endswith(f"fail: parameters {{'n': {n - 1}}} do not describe"
+                        " this sc2tree envelope\n1 check(s) failed\n")
 
 
 def test_a_stored_sf_triangle_off_the_rotation_graph_exits_2(capsys, monkeypatch):

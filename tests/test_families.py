@@ -29,7 +29,6 @@ from tridecomp import (
     kop_construct,
     mop_construct,
     sc2_tree_construct,
-    sc2_tree_seed,
     sc3_construct,
     sf_fixture,
     trace_faces,
@@ -86,8 +85,8 @@ def _catalogue():
         kop_construct(5, 3),
         hmp_construct(9),
         sc2_tree_construct(9),
-        sc2_tree_seed(1),
-        sc2_tree_seed(2),
+        sc2_tree_construct(4),
+        sc2_tree_construct(5),
         sc3_construct(7),
         sf_fixture(7),
         sf_fixture(8),
@@ -247,7 +246,9 @@ def test_triangulated_cycle_envelopes_are_byte_pinned():
     members = [f(n) for n in range(3, 61) for f in (mop_construct, fan)]
     members += [intermediate(n, r) for n in range(3, 61) for r in range((n - 3) // 3 + 1)]
     members += [kop_construct(m, k) for m in range(3, 13) for k in range(1, 4)]
-    members += [sc2_tree_seed(1), sc2_tree_seed(2)]
+    # The seeds of orders 4 and 5, under the family name they were pinned with.
+    members += [sc2_tree_construct(3 + r)._replace(family="sc2seed", parameters={"residue": r})
+                for r in (1, 2)]
     assert len(members) == 738
     assert _printed_digest(members) == "cbbbc0c492ebd10c6512147fbbf757d15b8b2f9fada50189ed4ec90abd24fd52"
 
@@ -346,38 +347,38 @@ def test_hmp_certificate_is_a_face_colour_class():
 
 
 def test_sc2_tree_family():
-    for n in [3, 6, 9, 12, 15, 18]:
+    for n in range(3, 21):
         res = sc2_tree_construct(n)
         validate_construction(res)
-        assert res.claimed_epsilon == 0
+        assert res.claimed_epsilon == n % 3
         assert res.graph.size() == 2 * n - 3
-        assert len(res.certificate) == (2 * n - 3) // 3
+        assert len(res.certificate) == (2 * n - 3 + n % 3) // 3
         assert is_maximal_outerplanar(res.graph, res.outer_cycle)
     assert epsilon_exact(sc2_tree_construct(6).graph)[0] == 0
-    for bad in [0, 5, 7]:
-        with pytest.raises(DomainError):
+    for bad in [0, 1, 2]:
+        with pytest.raises(DomainError, match=f"^order must be >= 3, got {bad}$"):
             sc2_tree_construct(bad)
 
 
 def test_sc2_tree_matches_the_boundary_list_builder():
+    orders = []
     for n, expected in oracle_sc2_tree_envelopes(600):
         assert json.dumps(sc2_tree_construct(n).to_json_dict()) == json.dumps(expected), n
+        orders.append(n)
+    assert sorted(orders) == list(range(3, 601))
 
 
 def test_sc2_tree_seeds():
-    one = sc2_tree_seed(1)
-    validate_construction(one)
-    assert one.graph.order == 4 and one.claimed_epsilon == 1
-    assert is_maximal_outerplanar(one.graph, one.outer_cycle)
-    assert epsilon_exact(one.graph)[0] == 1
-    two = sc2_tree_seed(2)
-    validate_construction(two)
-    assert two.graph.order == 5 and two.claimed_epsilon == 2
-    assert is_maximal_outerplanar(two.graph, two.outer_cycle)
-    assert epsilon_exact(two.graph)[0] == 2
-    for bad in [0, 3]:
-        with pytest.raises(DomainError):
-            sc2_tree_seed(bad)
+    # The seeds of residues 1 and 2 are the members of orders 4 and 5.
+    for r in (1, 2):
+        seed = sc2_tree_construct(3 + r)
+        validate_construction(seed)
+        assert seed.graph.order == 3 + r and seed.claimed_epsilon == r
+        assert is_maximal_outerplanar(seed.graph, seed.outer_cycle)
+        assert epsilon_exact(seed.graph)[0] == r
+        wrong = seed._replace(parameters={"n": 2 + r})
+        assert verify_construction(wrong) == verify_construction(seed) + [
+            (False, f"parameters {{'n': {2 + r}}} do not describe this sc2tree envelope")]
 
 
 def test_sc3_family():
@@ -450,7 +451,7 @@ def test_sc2tree_and_sf_envelopes_are_byte_pinned(monkeypatch):
         (intermediate, (6, True)),
         (intermediate, (6, False)),
         (kop_construct, (4, True)),
-        (sc2_tree_seed, (True,)),
+        (sc2_tree_construct, (True,)),
         (sf_fixture, (7.0,)),
         (sc2_tree_construct, (6.0,)),
         (hmp_construct, (8.0,)),
