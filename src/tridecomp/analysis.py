@@ -22,10 +22,12 @@ test, _crossing_chords, and one connectivity walk, _edges_connected.  All
 run in polynomial time.
 
 A rotation system lists, for every vertex, the cyclic order of its incident
-edge ends as (neighbor, copy index) pairs.  Tracing: after arriving at v
-along some edge end, leave along the next end in v's rotation; the orbits
-of that rule are the faces, and V - E + F gives the Euler characteristic
-and hence the genus of the implied orientable surface.
+edge ends as (neighbor, copy index) pairs; its rows are all it holds, and
+its order is their number.  Tracing: after arriving at v along some edge
+end, leave along the next end in v's rotation; the orbits of that rule are
+the faces, and V - E + F gives the Euler characteristic and hence the
+genus of the implied orientable surface.  A FaceTrace holds them in the
+order that ``faces`` prints them.
 
 The constructors live in ``families`` and the search in ``decomposer``;
 ``verify`` and ``faces`` load neither, only this module over
@@ -58,29 +60,25 @@ from .graph_core import (
 # One verifier line: True "ok", False "fail", None informational.
 Check = tuple[bool | None, str]
 
-class RotationSystem(namedtuple("RotationSystem", "order rotations")):
+class RotationSystem(namedtuple("RotationSystem", "rotations")):
     """Cyclic edge-end orders: rotations[v] is a tuple of (neighbor, copy).
 
-    Each vertex's row passes ``_json_rows``, whether it comes from JSON or
-    from code, so a bad row gets one message either way; only the ranges,
-    loops and copy indices are checked here.  List rows and entries are
-    kept as tuples, so each system is one hashable value.
+    The rows are the whole record: the order is len(rotations), so vertex
+    v's neighbours lie in range(len(rotations)).  Each vertex's row passes
+    ``_json_rows``, whether it comes from JSON or from code, so a bad row
+    gets one message either way; only the ranges, loops and copy indices
+    are checked here.  List rows and entries are kept as tuples, so each
+    system is one hashable value.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls, order: int, rotations: tuple[tuple[tuple[int, int], ...], ...]
-    ) -> "RotationSystem":
-        _check_int(order, least=0)
+    def __new__(cls, rotations: Sequence[Sequence[tuple[int, int]]]) -> "RotationSystem":
         if not isinstance(rotations, (list, tuple)):
             raise DomainError(
                 f"rotations must be a list of per-vertex lists, got {_shown(rotations)}"
             )
-        if len(rotations) != order:
-            raise DomainError(
-                f"expected {order} rotation lists, got {len(rotations)}"
-            )
+        order = len(rotations)
         rows = []
         for v, rot in enumerate(rotations):
             for u, c in _json_rows(rot, 2, f"rotation of vertex {v}"):
@@ -91,7 +89,7 @@ class RotationSystem(namedtuple("RotationSystem", "order rotations")):
                 if c < 0:
                     raise DomainError(f"copy index {_shown(c)} at vertex {v} invalid")
             rows.append(tuple((u, c) for u, c in rot))
-        return tuple.__new__(cls, (order, tuple(rows)))
+        return tuple.__new__(cls, (tuple(rows),))
 
     def to_json_dict(self) -> dict:
         return {
@@ -104,29 +102,25 @@ class RotationSystem(namedtuple("RotationSystem", "order rotations")):
     def from_json_dict(cls, data: dict) -> "RotationSystem":
         if not isinstance(data, dict) or "rotations" not in data:
             raise DomainError("rotation JSON must have a 'rotations' field")
-        raw = data["rotations"]
-        return cls(len(raw) if type(raw) is list else 0, raw)
+        return cls(data["rotations"])
 
 
-class FaceTrace(namedtuple("FaceTrace", "faces V E F euler_characteristic genus")):
-    """Faces of an embedded multigraph plus the derived surface data."""
+class FaceTrace(namedtuple("FaceTrace", "V E F euler_characteristic genus faces")):
+    """Faces of an embedded multigraph plus the derived surface data.
+
+    The fields are in the order that ``faces`` prints them, so the JSON
+    object is the record's own dict with each face made a list.
+    """
 
     __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "V": self.V,
-            "E": self.E,
-            "F": self.F,
-            "euler_characteristic": self.euler_characteristic,
-            "genus": self.genus,
-            "faces": [list(face) for face in self.faces],
-        }
+        return dict(self._asdict(), faces=[list(face) for face in self.faces])
 
 
 def trace_faces(r: RotationSystem) -> FaceTrace:
     """Walk every face of the embedding; DomainError on an invalid system."""
-    n = r.order
+    n = len(r.rotations)
     # Each (v, u, c) edge end must appear exactly once, with its mate present.
     position: dict[tuple[int, int, int], int] = {}
     for v, rot in enumerate(r.rotations):
@@ -179,12 +173,12 @@ def trace_faces(r: RotationSystem) -> FaceTrace:
     F = len(faces)
     chi = n - edge_count + F
     return FaceTrace(
-        faces=tuple(faces),
         V=n,
         E=edge_count,
         F=F,
         euler_characteristic=chi,
         genus=(2 - chi) // 2,
+        faces=tuple(faces),
     )
 
 
@@ -310,8 +304,7 @@ class ConstructionResult(
         outer, faces, rotation = (data.get(k) for k in ("outer_cycle", "faces", "rotation"))
         if not isinstance(family, str):
             raise DomainError(f"'family' must be a string, got {_shown(family)}")
-        if type(eps) is not int:
-            raise DomainError(f"'epsilon' must be an integer, got {_shown(eps)}")
+        _check_int(eps, "'epsilon'")
         if not isinstance(params, dict):
             raise DomainError(f"'parameters' must map names to integers, got {_shown(params)}")
         _json_rows(list(params.values()), None, "'parameters' values")

@@ -371,7 +371,7 @@ def sf_fixture(n: int) -> ConstructionResult:
     _check_int(n)
     if n not in _SF_ROTATIONS:
         raise NotAFixture(f"no stored toroidal fixture of order {n}")
-    rotation = RotationSystem(n, tuple(tuple((u, 0) for u in row) for row in _SF_ROTATIONS[n]))
+    rotation = RotationSystem(tuple(tuple((u, 0) for u in row) for row in _SF_ROTATIONS[n]))
     return _member("sf", {"n": n}, n, _SF_CERTS[n], rotation=rotation)
 
 

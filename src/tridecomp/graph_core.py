@@ -184,10 +184,16 @@ class EdgeKey(namedtuple("EdgeKey", "u v")):
 
 
 def edge(u: int, v: int) -> EdgeKey:
-    """EdgeKey from endpoints in either order."""
+    """EdgeKey from endpoints in either order.
+
+    Endpoints that are not both integers go to EdgeKey as they are, so its
+    own check refuses them before a comparison could raise TypeError.
+    """
+    if type(u) is not int or type(v) is not int or u < v:
+        return EdgeKey(u, v)
     if u == v:
         raise DomainError(f"loop at vertex {u} is not allowed")
-    return EdgeKey(u, v) if u < v else EdgeKey(v, u)
+    return EdgeKey(v, u)
 
 
 def _as_edge(item) -> EdgeKey:
@@ -220,7 +226,13 @@ class Triangle(namedtuple("Triangle", "a b c")):
 
 
 def triangle(a: int, b: int, c: int) -> Triangle:
-    """Triangle from vertices in any order."""
+    """Triangle from vertices in any order.
+
+    Vertices that are not all integers go to Triangle as they are, so its
+    own check refuses them before sorting could raise TypeError.
+    """
+    if not type(a) is type(b) is type(c) is int:
+        return Triangle(a, b, c)
     x, y, z = sorted((a, b, c))
     if x == y or y == z:
         raise DomainError(f"triangle vertices must be distinct, got ({a}, {b}, {c})")

@@ -8,6 +8,7 @@ import pytest
 
 from tridecomp import (
     DomainError,
+    FaceTrace,
     Multigraph,
     RotationSystem,
     fast_reject,
@@ -30,23 +31,18 @@ from oracle_helpers import (
 
 
 def rotation_from_lists(neighbor_lists):
-    return RotationSystem(
-        len(neighbor_lists),
-        tuple(tuple((u, 0) for u in rot) for rot in neighbor_lists),
-    )
+    return RotationSystem(tuple(tuple((u, 0) for u in rot) for rot in neighbor_lists))
 
 
 def test_rotation_system_validation():
     r = rotation_from_lists([[1, 2], [0, 2], [0, 1]])
-    assert r.order == 3
-    with pytest.raises(DomainError):
-        RotationSystem(2, (((1, 0),),))  # wrong number of lists
+    assert len(r.rotations) == 3
     with pytest.raises(DomainError):
         rotation_from_lists([[0], [0]])  # loop
     with pytest.raises(DomainError):
         rotation_from_lists([[2], [0]])  # neighbor out of range
     with pytest.raises(DomainError):
-        RotationSystem(2, (((1, -1),), ((0, -1),)))  # negative copy index
+        RotationSystem((((1, -1),), ((0, -1),)))  # negative copy index
 
 
 def test_rotation_system_json_round_trip():
@@ -87,16 +83,18 @@ def test_trace_faces_triangle_is_spherical():
     assert (tr.V, tr.E, tr.F) == (3, 3, 2)
     assert tr.genus == 0
     assert tr.to_json_dict()["faces"] == [list(f) for f in tr.faces]
+    # the JSON keys are the record's fields, in the order faces prints them
+    assert list(tr.to_json_dict()) == list(FaceTrace._fields)
 
 
 def _one_edge(copies, back):
     """Vertices 0 and 1 joined by the listed copies, listed at 1 in the order back."""
-    return RotationSystem(2, (tuple((1, c) for c in copies), tuple((0, c) for c in back)))
+    return RotationSystem((tuple((1, c) for c in copies), tuple((0, c) for c in back)))
 
 
 def test_trace_faces_handles_parallel_copies():
     # a doubled edge embedded as a 2-gon
-    r = RotationSystem(2, (((1, 0), (1, 1)), ((0, 0), (0, 1))))
+    r = RotationSystem((((1, 0), (1, 1)), ((0, 0), (0, 1))))
     tr = trace_faces(r)
     assert (tr.V, tr.E, tr.F) == (2, 2, 2)
     assert tr.genus == 0
@@ -108,13 +106,13 @@ def test_trace_faces_handles_parallel_copies():
 
 def test_trace_faces_rejects_malformed_systems():
     with pytest.raises(DomainError):
-        trace_faces(RotationSystem(2, (((1, 0),), ())))  # not reciprocal
+        trace_faces(RotationSystem((((1, 0),), ())))  # not reciprocal
     with pytest.raises(DomainError):
-        trace_faces(RotationSystem(2, (((1, 0), (1, 0)), ((0, 0), (0, 0)))))  # repeat
+        trace_faces(RotationSystem((((1, 0), (1, 0)), ((0, 0), (0, 0)))))  # repeat
     with pytest.raises(DomainError):
-        trace_faces(RotationSystem(2, (((1, 1),), ((0, 1),))))  # copy skips 0
+        trace_faces(RotationSystem((((1, 1),), ((0, 1),))))  # copy skips 0
     with pytest.raises(DomainError):
-        trace_faces(RotationSystem(0, ()))  # no edges
+        trace_faces(RotationSystem(()))  # no edges
     with pytest.raises(DomainError):
         trace_faces(
             rotation_from_lists([[1], [0], [3], [2]])

@@ -558,16 +558,42 @@ def test_class_sweeps_match_the_integer_program():
 def test_divisibility_minimum_beside_epsilon():
     # delta, the least copies on present edges that make every degree even
     # and the size 0 mod 3, agrees with the parity search on small fans; it
-    # is epsilon on the 2-trees, and the fan's epsilon runs ahead of it by a
-    # multiple of 3 that grows with the order.
+    # is epsilon on the 2-trees and on the mop, hmp, sc3, sf and kop members
+    # below, and the fan's and intermediate's epsilon run ahead of it by a
+    # multiple of 3, the fan's growing with the order.
     pytest.importorskip("scipy")
+
+    def gap(g):
+        return epsilon_exact(g)[0] - milp_delta(g)
+
     for n in range(4, 13):
         assert milp_delta(fan(n).graph) == oracle_parity_bound(fan(n).graph)[2], n
     for n in range(3, 41):
         g = sc2_tree_construct(n).graph
         assert epsilon_exact(g)[0] == milp_delta(g) == n % 3, n
-    gaps = {n: epsilon_exact(fan(n).graph)[0] - milp_delta(fan(n).graph) for n in range(4, 21)}
+    members = [
+        *map(mop_construct, range(4, 16)),
+        *map(hmp_construct, (6, 8, 9, 10, 11, 12, 20)),
+        *map(sc3_construct, range(5, 16)),
+        *map(families.sf_fixture, (7, 8, 9)),
+        *(kop_construct(m, k) for m, k in ((3, 2), (4, 2), (5, 2), (6, 3), (7, 2))),
+    ]
+    for res in members:
+        assert gap(res.graph) == 0, (res.family, res.parameters)
+    gaps = {n: gap(fan(n).graph) for n in range(4, 21)}
     assert gaps == {n: 0 if n <= 8 else 3 if n <= 14 else 6 for n in range(4, 21)}
+    gaps = {(n, r): gap(intermediate(n, r).graph)
+            for n, r in ((6, 1), (9, 1), (9, 2), (12, 2), (12, 3), (13, 3))}
+    assert gaps == {(6, 1): 0, (9, 1): 0, (9, 2): 3, (12, 2): 3, (12, 3): 3, (13, 3): 3}
+
+
+def test_divisibility_minimum_is_epsilon_on_every_small_triangulated_cycle():
+    # oracle_parity_bound's combined bound is delta and needs no scipy.
+    codes = [(n, c) for n in range(4, 9) for c in enumerate_mops(n)]
+    assert len(codes) == 195
+    for n, c in codes:
+        g = families._cycle_with_chords(n, c)
+        assert epsilon_exact(g)[0] == oracle_parity_bound(g)[2], (n, c)
 
 
 def test_class_sweeps_hold_one_solver_instance_at_a_time(monkeypatch):

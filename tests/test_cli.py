@@ -1047,7 +1047,7 @@ def test_a_bad_rotation_row_gets_one_message_from_code_and_from_json(capsys, tmp
     message = "rotation of vertex 0: expected lists of 2 integers, got {!r}"
     for given, shown in ((rows, entry), (_as_tuples(rows), _as_tuples(entry))):
         with pytest.raises(graph_core.DomainError) as caught:
-            analysis.RotationSystem(3, given)
+            analysis.RotationSystem(given)
         assert str(caught.value) == message.format(shown)
     path = write_json(tmp_path, "rotation.json", {"rotations": rows})
     assert run_cli(capsys, "faces", path) == (1, "", f"error: {message.format(entry)}\n")

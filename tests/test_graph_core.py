@@ -10,7 +10,6 @@ from tridecomp import (
     EdgeKey,
     Multigraph,
     ORDER_LIMIT,
-    RotationSystem,
     ScaleLimit,
     Triangle,
     apply_augmentation,
@@ -176,7 +175,6 @@ def test_multigraph_refuses_non_integer_multiplicities(m):
 
 
 _K3 = Multigraph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-_K3_ROTATIONS = (((1, 0), (2, 0)), ((2, 0), (0, 0)), ((0, 0), (1, 0)))
 
 
 # Each call names a public entry point with an order, a count or a vertex
@@ -191,9 +189,16 @@ _K3_ROTATIONS = (((1, 0), (2, 0)), ((2, 0), (0, 0)), ((0, 0), (1, 0)))
     ("epsilon_class_exact(6.0)", "order must be an integer, got 6.0"),
     ("xi_class_exact(True)", "order must be an integer, got True"),
     ("enumerate_mops(6.0)", "order must be an integer, got 6.0"),
-    ("RotationSystem(3.0, _K3_ROTATIONS)", "order must be an integer, got 3.0"),
     ("EdgeKey(True, 2)", "edge endpoints must be integers, got (True, 2)"),
     ("Triangle(False, 1, 2)", "triangle vertices must be integers, got (False, 1, 2)"),
+    # A vertex that cannot be compared with an int reaches the record's own
+    # check before edge() or triangle() orders the vertices.
+    ("edge(0, None)", "edge endpoints must be integers, got (0, None)"),
+    ("triangle(0, 1, 'x')", "triangle vertices must be integers, got (0, 1, 'x')"),
+    ("Multigraph.from_edges(3, [(0, None)])", "edge endpoints must be integers, got (0, None)"),
+    ("Augmentation([(0, None)])", "edge endpoints must be integers, got (0, None)"),
+    ("Decomposition([(0, 1, None)])", "triangle vertices must be integers, got (0, 1, None)"),
+    ("apply_augmentation(_K3, [(0, None)])", "edge endpoints must be integers, got (0, None)"),
 ])
 def test_public_entry_points_refuse_orders_and_counts_that_are_not_integers(call, message):
     with pytest.raises(DomainError) as refused:

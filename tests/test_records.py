@@ -73,19 +73,18 @@ RECORDS = [
         id="Augmentation",
     ),
     pytest.param(
-        lambda: RotationSystem(3, K3_ROTATIONS),
-        ("order", "rotations"),
-        RotationSystem(3, (((2, 0), (1, 0)), ((2, 0), (0, 0)), ((0, 0), (1, 0)))),
-        "RotationSystem(order=3, rotations=(((1, 0), (2, 0)), ((2, 0), (0, 0)), "
-        "((0, 0), (1, 0))))",
+        lambda: RotationSystem(K3_ROTATIONS),
+        ("rotations",),
+        RotationSystem((((2, 0), (1, 0)), ((2, 0), (0, 0)), ((0, 0), (1, 0)))),
+        "RotationSystem(rotations=(((1, 0), (2, 0)), ((2, 0), (0, 0)), ((0, 0), (1, 0))))",
         id="RotationSystem",
     ),
     pytest.param(
-        lambda: FaceTrace(((0, 1, 2), (0, 2, 1)), 3, 3, 2, 2, 0),
-        ("faces", "V", "E", "F", "euler_characteristic", "genus"),
-        FaceTrace(((0, 1, 2),), 3, 3, 1, 1, 1),
-        "FaceTrace(faces=((0, 1, 2), (0, 2, 1)), V=3, E=3, F=2, euler_characteristic=2, "
-        "genus=0)",
+        lambda: FaceTrace(3, 3, 2, 2, 0, ((0, 1, 2), (0, 2, 1))),
+        ("V", "E", "F", "euler_characteristic", "genus", "faces"),
+        FaceTrace(3, 3, 1, 1, 1, ((0, 1, 2),)),
+        "FaceTrace(V=3, E=3, F=2, euler_characteristic=2, genus=0, "
+        "faces=((0, 1, 2), (0, 2, 1)))",
         id="FaceTrace",
     ),
     pytest.param(
@@ -167,16 +166,16 @@ def test_multiset_records_keep_their_items_sorted():
 
 
 def test_rotation_system_keeps_list_rows_as_tuples():
-    listed = RotationSystem(3, [list(rot) for rot in K3_ROTATIONS])
-    assert listed == RotationSystem(3, K3_ROTATIONS) and listed.rotations == K3_ROTATIONS
-    assert hash(listed) == hash(RotationSystem(3, K3_ROTATIONS))
+    listed = RotationSystem([list(rot) for rot in K3_ROTATIONS])
+    assert listed == RotationSystem(K3_ROTATIONS) and listed.rotations == K3_ROTATIONS
+    assert hash(listed) == hash(RotationSystem(K3_ROTATIONS))
     assert all(type(rot) is tuple for rot in listed.rotations)
 
 
 def test_rotation_system_keeps_list_entries_as_tuples():
-    listed = RotationSystem(3, [[[1, 0], [2, 0]], [[2, 0], [0, 0]], [[0, 0], [1, 0]]])
-    assert listed == RotationSystem(3, K3_ROTATIONS) and listed.rotations == K3_ROTATIONS
-    assert hash(listed) == hash(RotationSystem(3, K3_ROTATIONS))
+    listed = RotationSystem([[[1, 0], [2, 0]], [[2, 0], [0, 0]], [[0, 0], [1, 0]]])
+    assert listed == RotationSystem(K3_ROTATIONS) and listed.rotations == K3_ROTATIONS
+    assert hash(listed) == hash(RotationSystem(K3_ROTATIONS))
     assert all(type(entry) is tuple for rot in listed.rotations for entry in rot)
 
 
@@ -203,21 +202,19 @@ def test_record_validation_messages():
     _raises("edge endpoints must satisfy u < v, got (1, 1)", EdgeKey, 1, 1)
     _raises("triangle vertices must satisfy 0 <= a < b < c, got (0, 2, 1)", Triangle, 0, 2, 1)
     _raises("triangle vertices must satisfy 0 <= a < b < c, got (-1, 0, 1)", Triangle, -1, 0, 1)
-    _raises("order must be >= 0, got -1", RotationSystem, -1, ())
-    _raises("expected 3 rotation lists, got 2", RotationSystem, 3, K3_ROTATIONS[:2])
     # A row's shape is _json_rows's to check, as for a row read from JSON.
     _raises("rotation of vertex 0: expected lists of 2 integers, got [1, 0, 0]",
-            RotationSystem, 2, (([1, 0, 0],), ((0, 0),)))
+            RotationSystem, (([1, 0, 0],), ((0, 0),)))
     _raises("rotation of vertex 0: expected lists of 2 integers, got (1,)",
-            RotationSystem, 2, (((1,),), ((0, 0),)))
+            RotationSystem, (((1,),), ((0, 0),)))
     _raises("rotation of vertex 0: expected lists of 2 integers, got 1",
-            RotationSystem, 2, ((1,), ()))
-    _raises("neighbor 5 at vertex 0 out of range", RotationSystem, 2, (((5, 0),), ()))
+            RotationSystem, ((1,), ()))
+    _raises("neighbor 5 at vertex 0 out of range", RotationSystem, (((5, 0),), ()))
     _raises("rotation of vertex 0: expected lists of 2 integers, got (True, 0)",
-            RotationSystem, 2, (((True, 0),), ()))
-    _raises("loop at vertex 1", RotationSystem, 2, ((), ((1, 0),)))
-    _raises("copy index -1 at vertex 0 invalid", RotationSystem, 2, (((1, -1),), ()))
-    _raises("rotations must be a list of per-vertex lists, got 5", RotationSystem, 3, 5)
+            RotationSystem, (((True, 0),), ()))
+    _raises("loop at vertex 1", RotationSystem, ((), ((1, 0),)))
+    _raises("copy index -1 at vertex 0 invalid", RotationSystem, (((1, -1),), ()))
+    _raises("rotations must be a list of per-vertex lists, got 5", RotationSystem, 5)
     _raises("rotations must be a list of per-vertex lists, got 5",
             RotationSystem.from_json_dict, {"rotations": 5})
-    _raises("rotation of vertex 0: expected a list, got None", RotationSystem, 2, [None, None])
+    _raises("rotation of vertex 0: expected a list, got None", RotationSystem, [None, None])
